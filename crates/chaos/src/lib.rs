@@ -1,8 +1,9 @@
 //! # csm-chaos — the deterministic chaos harness, as a crate
 //!
 //! A thin facade over [`csm_node::chaos`]: seeded discrete-event
-//! simulation of a whole CSM cluster (gateways, consensus backends,
-//! durable stores, recovery, and a client swarm) on a virtual clock,
+//! simulation of a whole CSM cluster (the production gateway core with
+//! its consensus backends, durable stores and recovery, plus a client
+//! swarm) on a virtual clock,
 //! with a curated scenario corpus, a random-schedule generator, and a
 //! greedy failing-seed shrinker. See `docs/CHAOS.md` for the model and
 //! the safety/liveness checks (S1–S3), and `csm-node chaos --help` for
@@ -18,8 +19,8 @@
 
 pub use csm_node::chaos::runner::MachineSpec;
 pub use csm_node::chaos::{
-    random_schedule, random_schedule_sync, replay_check, run_schedule, ChaosConfig, ChaosEvent,
-    ChaosRun, NodeOutcome, Schedule, Violation,
+    random_schedule, random_schedule_sync, replay_check, run_schedule, run_schedule_with_telemetry,
+    ChaosConfig, ChaosEvent, ChaosRun, NodeOutcome, Schedule, Violation,
 };
 pub use csm_node::chaos::{scenarios, shrink};
 pub use csm_node::consensus::{ConsensusKind, StagingFault};

@@ -10,7 +10,6 @@
 //! retry timer; the reply cache and dedup horizons on the node side make
 //! the retries idempotent.
 
-use crate::chaos::actor::MAX_CLIENT_RETRIES;
 use crate::chaos::token;
 use csm_network::auth::KeyRegistry;
 use csm_network::NodeId;
@@ -18,6 +17,9 @@ use csm_transport::sim::SimNet;
 use csm_transport::{Frame, Payload};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// Client retries give up after this many rebroadcasts.
+const MAX_CLIENT_RETRIES: u32 = 30;
 
 /// Generates the command vector for `(stream, shard, input_dim)` — a
 /// plain fn pointer so swarms stay `Debug` and runs stay replayable (the
@@ -190,6 +192,23 @@ impl ClientSwarm {
                 );
             }
         }
+    }
+
+    /// Client `idx` broadcasts a `Submit` naming client `victim` (at the
+    /// victim's next sequence number) under its own MAC.
+    pub(crate) fn spoof(&mut self, net: &mut SimNet, idx: usize, victim: usize) {
+        let seq = self.clients.get(&victim).map_or(0, |state| state.next_seq);
+        let frame = Frame::sign(
+            Payload::Submit {
+                shard: 0,
+                client: self.endpoint(victim) as u64,
+                seq,
+                command: (self.command_gen)(self.seed, 0, self.input_dim),
+            },
+            &self.registry,
+            NodeId(self.endpoint(idx)),
+        );
+        net.broadcast_upto(self.endpoint(idx), self.cluster, &frame);
     }
 
     /// A frame delivered to client endpoint `owner`.

@@ -3,11 +3,14 @@
 //! A discrete-event simulation of a whole CSM cluster — gateways,
 //! durable stores, consensus backends, recovery paths, and a client
 //! swarm — driven by a single seed on a virtual clock. The network is
-//! the seeded [`csm_transport::sim::SimNet`] fabric; every node is a
-//! sans-I/O `actor::NodeActor` mirroring the `gateway_loop` round
-//! structure event-by-event, so protocol decisions (staging, exchange,
-//! decode, desync, resync, WAL-before-ack) are the *same code paths'
-//! semantics* exercised without threads or wall-clock time.
+//! the seeded [`csm_transport::sim::SimNet`] fabric; every node is the
+//! production [`crate::core::GatewayCore`] — the same round machine
+//! `run_gateway` drives on a wall clock — stepped by the fabric's
+//! deliveries and timers, so protocol decisions (staging, exchange,
+//! decode, desync, resync, WAL-before-ack) are the *shipping code*
+//! exercised without threads or wall-clock time. What the harness still
+//! fakes is the world around the core: links, the clock, the transport's
+//! MAC check, and process crashes (`docs/CHAOS.md`).
 //!
 //! ## The replay contract
 //!
@@ -17,7 +20,7 @@
 //! schedule and compares telemetry traces, per-round commit digests,
 //! client acknowledgements, and ledgers bit-for-bit.
 //!
-//! ## What a run checks (`runner::check_run`)
+//! ## What a run checks (the audit in `runner`)
 //!
 //! * **S1 — contained splits.** For every wire round, all honest nodes
 //!   that still *vouch* for the round (have not fail-stopped on the
@@ -52,36 +55,54 @@
 //! desync/resync flow — exercised by the `asymmetric_delay_leader`
 //! scenario. See `docs/CHAOS.md`.
 
-pub mod actor;
 pub mod client;
 pub mod runner;
 pub mod scenarios;
 pub mod schedule;
 pub mod shrink;
 
-pub use runner::{replay_check, run_schedule, ChaosConfig, ChaosRun, NodeOutcome, Violation};
+pub use runner::{
+    replay_check, run_schedule, run_schedule_with_telemetry, ChaosConfig, ChaosRun, NodeOutcome,
+    Violation,
+};
 pub use schedule::{random_schedule, random_schedule_sync, ChaosEvent, Schedule};
 
-/// Timer-token kinds (bits 60–63 of a token). Tokens also carry the
-/// arming node's restart epoch (bits 52–59, so a timer armed before a
-/// crash is dead after the restart), a 32-bit `a` field (bits 20–51,
-/// usually the round) and a 20-bit `b` field (bits 0–19, e.g. the PBFT
-/// view).
+/// Fabric timer tokens. Bits 60–63 hold the kind — a node timer's
+/// [`TimerKind`](crate::core::TimerKind), or one of the harness kinds
+/// below — bits 52–59 the arming node's restart count (so a timer armed
+/// before a crash is dead after the restart), bits 20–51 a 32-bit `a`
+/// field (the round) and bits 0–19 a 20-bit `b` field (the timer epoch).
 pub(crate) mod token {
-    /// Leader-echo / Dolev–Strong staging deadline (`a` = round).
-    pub(crate) const K_STAGE: u64 = 1;
-    /// Exchange finalization deadline (`a` = round).
-    pub(crate) const K_EXCHANGE: u64 = 2;
-    /// PBFT view timeout (`a` = round, `b` = view).
-    pub(crate) const K_PBFT: u64 = 4;
-    /// Start-next-round pacing tick (`a` = round to start).
-    pub(crate) const K_NEXT: u64 = 5;
-    /// Resync transfer deadline (`a` = attempt counter).
-    pub(crate) const K_RESYNC: u64 = 6;
-    /// Client retry tick (owner is the client endpoint).
+    use crate::core::{TimerId, TimerKind};
+
+    /// Client retry tick (owner is the client endpoint; `a` = client
+    /// index, `b` = seq).
     pub(crate) const K_RETRY: u64 = 7;
-    /// Schedule control event (owner 0; `a` = event index).
+    /// Schedule control event (`a` = event index).
     pub(crate) const K_CONTROL: u64 = 15;
+
+    const NODE_KINDS: [TimerKind; TimerKind::COUNT] = [
+        TimerKind::Next,
+        TimerKind::Stage,
+        TimerKind::Exchange,
+        TimerKind::Pbft,
+        TimerKind::Resync,
+    ];
+
+    /// A core timer armed during the node's `life`-th life.
+    pub(crate) fn pack_timer(id: TimerId, life: u64) -> u64 {
+        pack(id.kind as u64, life, id.round, id.epoch)
+    }
+
+    /// The core timer behind `t`, if the node's current `life` armed it.
+    pub(crate) fn unpack_timer(t: u64, life: u64) -> Option<TimerId> {
+        let kind = *NODE_KINDS.get(kind(t) as usize)?;
+        (epoch(t) == life & 0xFF).then_some(TimerId {
+            kind,
+            round: a(t),
+            epoch: b(t),
+        })
+    }
 
     /// Packs `(kind, epoch, a, b)` into one token.
     pub(crate) fn pack(kind: u64, epoch: u64, a: u64, b: u64) -> u64 {
@@ -114,11 +135,18 @@ pub(crate) mod token {
 
         #[test]
         fn token_roundtrip() {
-            let t = pack(K_PBFT, 3, 123_456, 77);
-            assert_eq!(kind(t), K_PBFT);
-            assert_eq!(epoch(t), 3);
-            assert_eq!(a(t), 123_456);
-            assert_eq!(b(t), 77);
+            let id = TimerId {
+                kind: TimerKind::Pbft,
+                round: 123_456,
+                epoch: 77,
+            };
+            let t = pack_timer(id, 3);
+            assert_eq!((epoch(t), a(t), b(t)), (3, 123_456, 77));
+            assert_eq!(unpack_timer(t, 3), Some(id));
+            // a timer from an earlier life, or a harness token, is not
+            // a node timer
+            assert_eq!(unpack_timer(t, 4), None);
+            assert_eq!(unpack_timer(pack(K_RETRY, 3, 1, 2), 3), None);
         }
 
         #[test]

@@ -1,12 +1,25 @@
-//! The discrete-event run loop: drives a cluster of `NodeActor`s and a
-//! `ClientSwarm` over a [`SimNet`] fabric according to a [`Schedule`],
-//! then audits the run for safety and (optionally) liveness.
+//! The virtual-clock driver: runs a cluster of production
+//! [`GatewayCore`]s and a `ClientSwarm` over a [`SimNet`] fabric
+//! according to a [`Schedule`], then audits the run for safety and
+//! (optionally) liveness.
+//!
+//! Like the wall-clock driver behind `run_gateway`, this one only
+//! delivers events and performs effects. What it fakes is the world
+//! around the core: links (the fabric), the clock (one tick = 1 µs), the
+//! transport's MAC check (verified here, before delivery), and the
+//! process — a crash drops a node's core (the store keeps what was
+//! fsynced), a restart builds a fresh one over the same directory, a
+//! pause buffers its events. The audit's witnesses are derived from the
+//! effects each node was seen to perform, never from core internals.
 
-use crate::chaos::actor::{NodeActor, Timing};
 use crate::chaos::client::{small_commands, ClientSwarm, CommandGen};
 use crate::chaos::schedule::{ChaosEvent, Schedule};
 use crate::chaos::token;
 use crate::consensus::{ConsensusKind, StagingFault};
+use crate::core::{Effect, Event as CoreEvent, GatewayCore, HaltReason};
+use crate::gateway::{GatewayConfig, GatewaySpec};
+use crate::recovery::DurabilityConfig;
+use crate::runtime::ExchangeTiming;
 use crate::BehaviorKind;
 use csm_algebra::{Field, Fp61};
 use csm_core::engine::CodedMachine;
@@ -16,12 +29,14 @@ use csm_statemachine::machines::{
     auction_machine, bank_machine, interest_machine, kv_machine, power_machine,
 };
 use csm_statemachine::PolyTransition;
-use csm_telemetry::{Event, ReplaySink, SharedSink};
+use csm_telemetry::{Event, Phase, SharedSink, Sink, TelemetrySnapshot};
 use csm_transport::sim::{LinkState, SimEvent, SimNet};
-use csm_transport::Frame;
+use csm_transport::{Frame, Payload};
 use std::collections::{BTreeMap, BTreeSet};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Distinguishes chaos store directories across runs in one process.
 static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -85,8 +100,10 @@ pub struct ChaosConfig {
     pub machine: MachineSpec,
     /// Command generator for the client swarm.
     pub command_gen: CommandGen,
-    /// The fabric's default link (latency also scales the protocol
-    /// timeouts via `Timing::for_latency`).
+    /// The fabric's default link. Its latency also scales the protocol
+    /// timeouts: Δ = 4·latency absorbs round-entry skew plus one hop,
+    /// staging gets `4Δ`, Dolev–Strong relays `2Δ`, a transfer attempt
+    /// `8Δ`, and the rest follows [`GatewayConfig::new`].
     pub default_link: LinkState,
     /// Whether the audit also asserts S3 (probe fully acked): scenarios
     /// set this; the random-schedule property sticks to safety, since a
@@ -259,10 +276,279 @@ impl ChaosRun {
     }
 }
 
+/// One entry of the replay witness: `(node, round, peer, event)`.
+type TraceEntry = (usize, u64, Option<usize>, Event);
+
+/// The sink every simulated node tees into: the cluster's telemetry
+/// *events* in arrival order, without timestamps — the replay witness.
+/// Phase timings stay in each node's own recording sink.
+#[derive(Debug, Default)]
+struct Trace(Mutex<Vec<TraceEntry>>);
+
+impl Sink for Trace {
+    fn phase(&self, _: usize, _: u64, _: Phase, _: Duration) {}
+
+    fn event(&self, node: usize, round: u64, peer: Option<usize>, event: Event) {
+        let mut log = self.0.lock().expect("trace poisoned");
+        log.push((node, round, peer, event));
+    }
+}
+
 /// Items buffered while their node is paused (clock-stopped).
 enum PausedItem {
     Frame(Frame),
     Timer(u64),
+}
+
+/// One simulated process: the production core while it is up, plus what
+/// the harness saw it do (never consumed by protocol logic).
+#[derive(Default)]
+struct SimNode {
+    /// `None` while crashed.
+    core: Option<GatewayCore<Fp61>>,
+    /// Restart count; timers armed by an earlier life are dead.
+    life: u64,
+    paused: bool,
+    pause_buffer: Vec<PausedItem>,
+    /// Fail-stopped on the desync check (plain mode).
+    desynced: bool,
+    /// A crash landed while a state transfer was in flight.
+    resync_interrupted: bool,
+    /// Resyncs seen in the current life (to notice the next one).
+    seen_resyncs: u64,
+    /// Digest this node still vouches for, per wire round — its `Commit`
+    /// broadcasts, retracted when it resyncs, restarts, crashes, or
+    /// fail-stops on divergence.
+    vouched: BTreeMap<u64, u64>,
+    /// Every digest it ever broadcast, per wire round (survives resyncs:
+    /// the witness of contained splits).
+    digest_history: BTreeMap<u64, Vec<u64>>,
+    /// Every `(client, seq)` it ever replied to — an honest node replies
+    /// exactly to what it committed.
+    ever_committed: BTreeSet<(u64, u64)>,
+    /// Max seq replied per client: WAL-before-ack means the horizons a
+    /// restart recovers must cover this.
+    replied: BTreeMap<u64, u64>,
+    /// Recovery-contract breaches detected on restart (should be empty).
+    recovery_violations: Vec<String>,
+    /// Totals carried over from earlier lives.
+    committed: u64,
+    snapshots: u64,
+    last_round: u64,
+}
+
+/// The whole simulated world of one run.
+struct Sim<'a> {
+    config: &'a ChaosConfig,
+    registry: Arc<KeyRegistry>,
+    spec: GatewaySpec<Fp61>,
+    timing: ExchangeTiming,
+    gateway: GatewayConfig,
+    store_root: PathBuf,
+    /// The pending torn-snapshot fault, until it fires.
+    torn_snapshot: Option<(usize, u64)>,
+    net: SimNet,
+    nodes: Vec<SimNode>,
+    swarm: ClientSwarm,
+    /// The frame whose MAC was verified last. The fabric delivers a
+    /// broadcast's copies back to back, and a copy equal to a verified
+    /// frame needs no second MAC.
+    verified: Option<Frame>,
+}
+
+impl Sim<'_> {
+    /// Brings node `id` up: a fresh core over its (possibly pre-existing)
+    /// store directory, started at the current virtual time.
+    fn boot(&mut self, id: usize) {
+        let spec = GatewaySpec {
+            behavior: self.config.behavior_of(id),
+            staging_fault: self.config.staging_fault_of(id),
+            ..self.spec.clone()
+        };
+        let delta = self.timing.delta;
+        let durability = self.config.durable.then(|| DurabilityConfig {
+            dir: self.store_root.join(format!("node{id}")),
+            snapshot_interval: self.config.snapshot_interval,
+            transfer_timeout: delta * 8,
+        });
+        let mut core = GatewayCore::new(
+            id,
+            Arc::clone(&self.registry),
+            self.timing.clone(),
+            &spec,
+            &self.gateway,
+            durability.as_ref(),
+        );
+        let node = &mut self.nodes[id];
+        // WAL-before-ack, recovered: everything this node ever replied
+        // to must be covered by the replayed dedup horizons
+        for (&client, &seq) in &node.replied {
+            let recovered = core.horizons().get(&client);
+            if recovered.is_none_or(|&h| h < seq) {
+                node.recovery_violations.push(format!(
+                    "node {id}: replied to client {client} seq {seq} but recovered horizon {recovered:?}"
+                ));
+            }
+        }
+        if let Some((_, ordinal)) = self.torn_snapshot.filter(|&(n, _)| n == id) {
+            core.fail_snapshot_at(ordinal.saturating_sub(node.snapshots));
+        }
+        node.seen_resyncs = 0;
+        node.desynced = false;
+        let effects = core.start(self.net.now());
+        node.core = Some(core);
+        self.perform(id, effects);
+    }
+
+    /// Hard-kills node `id`: the core (all volatile state) is gone; the
+    /// store keeps whatever was already fsynced.
+    fn crash(&mut self, id: usize) {
+        let node = &mut self.nodes[id];
+        let Some(core) = node.core.take() else {
+            return;
+        };
+        node.resync_interrupted |= core.resyncing();
+        node.committed += core.stats().commands_committed;
+        node.snapshots += core.stats().snapshots;
+        node.last_round = core.round();
+        node.vouched.clear();
+        node.paused = false;
+        node.pause_buffer.clear();
+    }
+
+    /// Performs one step's effects for node `id`, in order, recording
+    /// the audit's witnesses on the way.
+    fn perform(&mut self, id: usize, effects: Vec<Effect>) {
+        let cluster = self.config.cluster;
+        for effect in effects {
+            let node = &mut self.nodes[id];
+            match effect {
+                Effect::Send { to, frame } => {
+                    if let Payload::Reply { client, seq, .. } = frame.payload {
+                        node.ever_committed.insert((client, seq));
+                        let h = node.replied.entry(client).or_insert(0);
+                        *h = (*h).max(seq);
+                    }
+                    self.net.send(id, to, frame);
+                }
+                Effect::Broadcast(frame) => {
+                    if let Payload::Commit { round, digest, .. } = frame.payload {
+                        node.vouched.insert(round, digest);
+                        let history = node.digest_history.entry(round).or_default();
+                        if !history.contains(&digest) {
+                            history.push(digest);
+                        }
+                    }
+                    self.net.broadcast_upto(id, cluster, &frame);
+                }
+                Effect::SetTimer { at_us, id: timer } => {
+                    self.net
+                        .set_timer(id, at_us, token::pack_timer(timer, node.life));
+                }
+                Effect::Halt(HaltReason::Desync { witness_round }) => {
+                    // the fail-stop *is* the detection the protocol
+                    // documents: every vouch from the witness round on
+                    // was committed on divergent state, so retract them —
+                    // S1 audits *standing* vouches for undetected splits,
+                    // and these are flagged, not undetected
+                    node.vouched.split_off(&witness_round);
+                    node.desynced = true;
+                }
+                // killed mid-snapshot-write: the log holds the round, the
+                // snapshot rename never landed
+                Effect::Halt(HaltReason::StoreFault) => {
+                    self.torn_snapshot = None;
+                    self.crash(id);
+                }
+                Effect::Halt(HaltReason::MaxRounds) => {}
+            }
+        }
+        let node = &mut self.nodes[id];
+        if let Some(core) = &node.core {
+            if core.stats().resyncs != node.seen_resyncs {
+                // history before a transfer is no longer this node's to
+                // vouch for
+                node.seen_resyncs = core.stats().resyncs;
+                node.vouched.clear();
+            }
+        }
+    }
+
+    /// Delivers one fabric item to node `id` — unless it is down (lost)
+    /// or paused (buffered).
+    fn deliver(&mut self, id: usize, item: PausedItem) {
+        let now = self.net.now();
+        let node = &mut self.nodes[id];
+        if node.paused {
+            return node.pause_buffer.push(item);
+        }
+        let Some(core) = node.core.as_mut() else {
+            return;
+        };
+        let effects = match item {
+            // the transport's job on a real wire: only authenticated
+            // frames reach the core, rejections are attributed to the
+            // *claimed* signer
+            PausedItem::Frame(frame) => {
+                if self.verified.as_ref() != Some(&frame) {
+                    if !frame.verify(&self.registry) {
+                        let claimed = Some(frame.sig.signer.0);
+                        core.sink()
+                            .event(id, core.round(), claimed, Event::MacRejected);
+                        return;
+                    }
+                    self.verified = Some(frame.clone());
+                }
+                core.step(now, CoreEvent::Frame(frame))
+            }
+            PausedItem::Timer(tok) => match token::unpack_timer(tok, node.life) {
+                Some(timer) => core.step(now, CoreEvent::Timer(timer)),
+                None => return,
+            },
+        };
+        self.perform(id, effects);
+    }
+
+    fn apply(&mut self, event: &ChaosEvent) {
+        use ChaosEvent::{Crash, Pause, Restart, Resume};
+        if let Crash { node } | Restart { node } | Pause { node } | Resume { node } = event {
+            if *node >= self.nodes.len() {
+                return;
+            }
+        }
+        match event {
+            ChaosEvent::Partition { a, b } => self.net.partition(a, b),
+            ChaosEvent::Heal => self.net.heal_all(),
+            ChaosEvent::SetLink { from, to, link } => self.net.set_link(*from, *to, *link),
+            Crash { node } => self.crash(*node),
+            // plain nodes stay down — a plain crash is final, as documented
+            Restart { node } => {
+                if self.config.durable && self.nodes[*node].core.is_none() {
+                    self.nodes[*node].life += 1;
+                    self.boot(*node);
+                }
+            }
+            Pause { node } => self.nodes[*node].paused = true,
+            Resume { node } => {
+                let buffered = std::mem::take(&mut self.nodes[*node].pause_buffer);
+                self.nodes[*node].paused = false;
+                for item in buffered {
+                    self.deliver(*node, item);
+                }
+            }
+            ChaosEvent::Burst {
+                first_client,
+                clients,
+                commands,
+                probe,
+            } => self
+                .swarm
+                .burst(&mut self.net, *first_client, *clients, *commands, *probe),
+            ChaosEvent::SpoofedSubmit { client, victim } => {
+                self.swarm.spoof(&mut self.net, *client, *victim);
+            }
+        }
+    }
 }
 
 /// Runs `schedule` against `config` and audits the result.
@@ -273,55 +559,49 @@ enum PausedItem {
 /// store directory not creatable) — never on protocol behavior; protocol
 /// misbehavior is reported as [`Violation`]s.
 pub fn run_schedule(config: &ChaosConfig, schedule: &Schedule) -> ChaosRun {
+    run(config, schedule, false).0
+}
+
+/// [`run_schedule`], also returning each live node's telemetry snapshot
+/// at the horizon — the same artefact a scrape of a live gateway
+/// returns. (Kept out of [`ChaosRun`]: CPU-phase durations are real time
+/// and would break the replay contract's equality.)
+pub fn run_schedule_with_telemetry(
+    config: &ChaosConfig,
+    schedule: &Schedule,
+) -> (ChaosRun, Vec<(usize, TelemetrySnapshot)>) {
+    run(config, schedule, true)
+}
+
+fn run(
+    config: &ChaosConfig,
+    schedule: &Schedule,
+    scrape: bool,
+) -> (ChaosRun, Vec<(usize, TelemetrySnapshot)>) {
     let machine = config.build_machine();
-    let initial_states = config.initial_states(&machine);
     let registry = Arc::new(KeyRegistry::new(
         config.cluster + config.clients,
         schedule.seed ^ 0x5EED,
     ));
-    let sink = Arc::new(ReplaySink::new());
-    let shared: SharedSink = Arc::clone(&sink) as SharedSink;
-    let timing = Timing::for_latency(config.default_link.latency);
+    let trace = Arc::new(Trace::default());
+    // one tick is one microsecond, so the core's timing is just a
+    // gateway configuration scaled to the fabric's latency
+    let delta = Duration::from_micros(4 * config.default_link.latency.max(1));
+    let timing = ExchangeTiming::synchronous(config.faults, delta);
+    let mut gateway = GatewayConfig::new(config.cluster, config.faults, &timing)
+        .with_batch_cap(config.batch_cap)
+        .with_consensus(config.consensus)
+        .with_sink(Arc::clone(&trace) as SharedSink);
+    gateway.stage_timeout = delta * 4;
+    gateway.consensus_delta = delta * 2;
+    gateway.flight_dir = None; // a run is a pure function of its inputs
+    gateway.commit_history = 64; // nothing here reads a node's history
     let run_id = RUN_COUNTER.fetch_add(1, Ordering::Relaxed);
     let store_root =
         std::env::temp_dir().join(format!("csm-chaos-{}-{run_id}", std::process::id()));
 
     let control = config.cluster + config.clients;
     let mut net = SimNet::new(control + 1, schedule.seed, config.default_link);
-    let mut actors: Vec<NodeActor<Fp61>> = (0..config.cluster)
-        .map(|id| {
-            let dir = config.durable.then(|| store_root.join(format!("node{id}")));
-            NodeActor::new(
-                id,
-                Arc::clone(&machine),
-                initial_states.clone(),
-                Arc::clone(&registry),
-                config.consensus,
-                config.faults,
-                config.batch_cap,
-                config.behavior_of(id),
-                config.staging_fault_of(id),
-                timing,
-                dir,
-                config.snapshot_interval,
-                config
-                    .torn_snapshot
-                    .and_then(|(node, ordinal)| (node == id).then_some(ordinal)),
-                Arc::clone(&shared),
-            )
-        })
-        .collect();
-    let mut swarm = ClientSwarm::new(
-        config.cluster,
-        config.faults,
-        config.shards,
-        machine.transition().input_dim(),
-        schedule.seed,
-        Arc::clone(&registry),
-        config.command_gen,
-        8 * timing.delta,
-    );
-
     for (i, (tick, _)) in schedule.events.iter().enumerate() {
         net.set_timer(
             control,
@@ -329,128 +609,80 @@ pub fn run_schedule(config: &ChaosConfig, schedule: &Schedule) -> ChaosRun {
             token::pack(token::K_CONTROL, 0, i as u64, 0),
         );
     }
-    for actor in &actors {
-        actor.start(&mut net, 1);
+    let swarm = ClientSwarm::new(
+        config.cluster,
+        config.faults,
+        config.shards,
+        machine.transition().input_dim(),
+        schedule.seed,
+        Arc::clone(&registry),
+        config.command_gen,
+        (delta * 8).as_micros() as u64,
+    );
+    let mut sim = Sim {
+        config,
+        registry,
+        spec: GatewaySpec {
+            initial_states: config.initial_states(&machine),
+            machine,
+            behavior: BehaviorKind::Honest,
+            staging_fault: StagingFault::None,
+        },
+        timing,
+        gateway,
+        store_root,
+        torn_snapshot: config.torn_snapshot,
+        net,
+        nodes: (0..config.cluster).map(|_| SimNode::default()).collect(),
+        swarm,
+        verified: None,
+    };
+    for id in 0..config.cluster {
+        sim.boot(id);
     }
 
-    let mut paused = vec![false; config.cluster];
-    let mut pause_buffer: Vec<Vec<PausedItem>> = (0..config.cluster).map(|_| Vec::new()).collect();
-
-    while let Some((now, event)) = net.pop() {
+    while let Some((now, event)) = sim.net.pop() {
         if now > schedule.horizon {
             break;
         }
         match event {
-            SimEvent::Timer { owner, token: tok } => {
-                if owner == control {
-                    if token::kind(tok) == token::K_CONTROL {
-                        let idx = token::a(tok) as usize;
-                        if let Some((_, ev)) = schedule.events.get(idx) {
-                            apply_event(
-                                ev,
-                                &mut net,
-                                &mut actors,
-                                &mut swarm,
-                                &mut paused,
-                                &mut pause_buffer,
-                            );
-                        }
-                    }
-                } else if owner < config.cluster {
-                    if paused[owner] {
-                        pause_buffer[owner].push(PausedItem::Timer(tok));
-                    } else {
-                        actors[owner].on_timer(&mut net, tok);
-                    }
-                } else {
-                    swarm.on_timer(&mut net, owner, tok);
+            SimEvent::Timer { owner, token: tok } if owner == control => {
+                if let Some((_, ev)) = schedule.events.get(token::a(tok) as usize) {
+                    sim.apply(ev);
                 }
             }
-            SimEvent::Deliver { to, frame, .. } => {
-                if to < config.cluster {
-                    if paused[to] {
-                        pause_buffer[to].push(PausedItem::Frame(frame));
-                    } else {
-                        actors[to].on_frame(&mut net, frame);
-                    }
-                } else if to < control {
-                    swarm.on_frame(to, frame);
-                }
+            SimEvent::Timer { owner, token: tok } if owner < config.cluster => {
+                sim.deliver(owner, PausedItem::Timer(tok));
             }
+            SimEvent::Timer { owner, token: tok } => sim.swarm.on_timer(&mut sim.net, owner, tok),
+            SimEvent::Deliver { to, frame, .. } if to < config.cluster => {
+                sim.deliver(to, PausedItem::Frame(frame));
+            }
+            SimEvent::Deliver { to, frame, .. } => sim.swarm.on_frame(to, frame),
         }
     }
 
-    let run = audit(config, schedule, &actors, &swarm, sink.event_log());
-    drop(actors); // close stores before removing their directories
+    let events = std::mem::take(&mut *trace.0.lock().expect("trace poisoned"));
+    let run = audit(&sim, schedule, events);
+    let telemetry = sim
+        .nodes
+        .iter()
+        .enumerate()
+        .filter(|_| scrape)
+        .filter_map(|(id, node)| Some((id, node.core.as_ref()?.telemetry())))
+        .collect();
+    drop(sim.nodes); // close stores before removing their directories
     if config.durable {
-        let _ = std::fs::remove_dir_all(&store_root);
+        let _ = std::fs::remove_dir_all(&sim.store_root);
     }
-    run
-}
-
-fn apply_event(
-    event: &ChaosEvent,
-    net: &mut SimNet,
-    actors: &mut [NodeActor<Fp61>],
-    swarm: &mut ClientSwarm,
-    paused: &mut [bool],
-    pause_buffer: &mut [Vec<PausedItem>],
-) {
-    match event {
-        ChaosEvent::Partition { a, b } => net.partition(a, b),
-        ChaosEvent::Heal => net.heal_all(),
-        ChaosEvent::SetLink { from, to, link } => net.set_link(*from, *to, *link),
-        ChaosEvent::Crash { node } => {
-            if let Some(actor) = actors.get_mut(*node) {
-                actor.crash();
-                paused[*node] = false;
-                pause_buffer[*node].clear();
-            }
-        }
-        ChaosEvent::Restart { node } => {
-            if let Some(actor) = actors.get_mut(*node) {
-                actor.restart(net);
-            }
-        }
-        ChaosEvent::Pause { node } => {
-            if let Some(flag) = paused.get_mut(*node) {
-                *flag = true;
-            }
-        }
-        ChaosEvent::Resume { node } => {
-            let Some(flag) = paused.get_mut(*node) else {
-                return;
-            };
-            if !*flag {
-                return;
-            }
-            *flag = false;
-            for item in std::mem::take(&mut pause_buffer[*node]) {
-                match item {
-                    PausedItem::Frame(frame) => actors[*node].on_frame(net, frame),
-                    PausedItem::Timer(tok) => actors[*node].on_timer(net, tok),
-                }
-            }
-        }
-        ChaosEvent::Burst {
-            first_client,
-            clients,
-            commands,
-            probe,
-        } => swarm.burst(net, *first_client, *clients, *commands, *probe),
-    }
+    (run, telemetry)
 }
 
 /// The post-run audit: S1 over vouched digests, S2 over the ack set,
 /// recovery-horizon assertions, conflicting-ack detection, and S3 when
 /// the config asks for it.
-fn audit(
-    config: &ChaosConfig,
-    schedule: &Schedule,
-    actors: &[NodeActor<Fp61>],
-    swarm: &ClientSwarm,
-    events: Vec<(usize, u64, Option<usize>, Event)>,
-) -> ChaosRun {
+fn audit(sim: &Sim<'_>, schedule: &Schedule, events: Vec<TraceEntry>) -> ChaosRun {
+    let (config, nodes, swarm) = (sim.config, &sim.nodes, &sim.swarm);
     let mut violations = Vec::new();
     let honest: Vec<usize> = (0..config.cluster)
         .filter(|&n| config.is_honest(n))
@@ -459,12 +691,12 @@ fn audit(
     // S1: per wire round, honest nodes still vouching agree on one digest
     let mut rounds: BTreeSet<u64> = BTreeSet::new();
     for &n in &honest {
-        rounds.extend(actors[n].vouched.keys().copied());
+        rounds.extend(nodes[n].vouched.keys().copied());
     }
     for round in rounds {
         let digests: Vec<(usize, u64)> = honest
             .iter()
-            .filter_map(|&n| actors[n].vouched.get(&round).map(|&d| (n, d)))
+            .filter_map(|&n| nodes[n].vouched.get(&round).map(|&d| (n, d)))
             .collect();
         let distinct: BTreeSet<u64> = digests.iter().map(|&(_, d)| d).collect();
         if distinct.len() > 1 {
@@ -476,7 +708,7 @@ fn audit(
     for &(client, seq) in swarm.acked.keys() {
         let witnessed = honest
             .iter()
-            .any(|&n| actors[n].ever_committed.contains_key(&(client, seq)));
+            .any(|&n| nodes[n].ever_committed.contains(&(client, seq)));
         if !witnessed {
             violations.push(Violation::LostAck { client, seq });
         }
@@ -486,8 +718,8 @@ fn audit(
             count: swarm.conflicting_acks,
         });
     }
-    for actor in actors {
-        for detail in &actor.recovery_violations {
+    for node in nodes {
+        for detail in &node.recovery_violations {
             violations.push(Violation::RecoveryHorizon {
                 detail: detail.clone(),
             });
@@ -501,18 +733,28 @@ fn audit(
         });
     }
 
-    let nodes = actors
+    // resyncs and decode failures span a node's lives: count them off
+    // the trace, which does too
+    let count = |id: usize, what: Event| {
+        events
+            .iter()
+            .filter(|(node, _, _, e)| *node == id && *e == what)
+            .count() as u64
+    };
+    let nodes = nodes
         .iter()
-        .map(|a| NodeOutcome {
-            node: a.id,
-            alive: a.alive,
-            desynced: a.desynced,
-            resyncs: a.resyncs,
-            resync_interrupted: a.resync_interrupted,
-            decode_failures: a.decode_failures,
-            commands_committed: a.stats().commands_committed,
-            final_round: a.round,
-            digest_history: a.digest_history.clone(),
+        .enumerate()
+        .map(|(id, n)| NodeOutcome {
+            node: id,
+            alive: n.core.is_some(),
+            desynced: n.desynced,
+            resyncs: count(id, Event::Resync),
+            resync_interrupted: n.resync_interrupted,
+            decode_failures: count(id, Event::DecodeFailure),
+            commands_committed: n.committed
+                + n.core.as_ref().map_or(0, |c| c.stats().commands_committed),
+            final_round: n.core.as_ref().map_or(n.last_round, GatewayCore::round),
+            digest_history: n.digest_history.clone(),
         })
         .collect();
 

@@ -355,7 +355,8 @@ pub fn mid_transfer_crash() -> Scenario {
     s = s.at(40_000, ChaosEvent::Crash { node: 3 });
     s = load(s, 50_000, 5_000, 6, 3);
     // slow every inbound link to node 3 so its post-restart state
-    // transfer stays in flight long enough to be interrupted
+    // transfer stays in flight long enough to be interrupted: a restart
+    // opens with the transfer, and no chunk can land before 84.5k
     for peer in 0..3usize {
         s = s.at(
             79_000,
@@ -367,7 +368,7 @@ pub fn mid_transfer_crash() -> Scenario {
         );
     }
     s = s.at(80_000, ChaosEvent::Restart { node: 3 });
-    s = s.at(99_000, ChaosEvent::Crash { node: 3 });
+    s = s.at(83_000, ChaosEvent::Crash { node: 3 });
     for peer in 0..3usize {
         s = s.at(
             140_000,
@@ -429,7 +430,9 @@ pub fn scale() -> Scenario {
     let mut config = ChaosConfig::new(32, 8, 3);
     config.clients = 1_000;
     config.check_liveness = true;
-    let mut s = Schedule::quiet(0x5ca1_e000, 160_000);
+    // every exchange waits out Δ, so a round is ~3.5k ticks: the horizon
+    // leaves the 1k-command backlog some forty post-heal rounds to drain
+    let mut s = Schedule::quiet(0x5ca1_e000, 240_000);
     s = s.at(
         1_000,
         ChaosEvent::Burst {
@@ -456,6 +459,37 @@ pub fn scale() -> Scenario {
     }
 }
 
+/// A registered client submits in *another* client's name, under its
+/// own MAC, mid-load. The frame authenticates (the spoofer's key is
+/// genuine), so only the intake's identity binding stops it: queued, it
+/// would ride into every proposal its holder leads, every validator
+/// would reject those batches wholesale (the row's client MAC cannot
+/// verify), and — never committing — it would never be purged: a
+/// permanent staging-fallback livelock. Dropped at intake, it costs
+/// nothing: the victim's own command at that sequence number commits and
+/// the probe acknowledges.
+pub fn spoofed_submit() -> Scenario {
+    let mut config = ChaosConfig::new(4, 2, 1);
+    config.check_liveness = true;
+    let mut s = Schedule::quiet(0x5900_f5ed, 260_000);
+    s = load(s, 1_000, 5_000, 6, 3);
+    s = s.at(
+        20_000,
+        ChaosEvent::SpoofedSubmit {
+            client: 3,
+            victim: 0,
+        },
+    );
+    s = load(s, 40_000, 5_000, 8, 3);
+    s = probe(s, 150_000, 3);
+    Scenario {
+        name: "spoofed_submit",
+        summary: "a client submits in another's name; dropped at intake, liveness unharmed",
+        config,
+        schedule: s,
+    }
+}
+
 /// The whole corpus, in documentation order.
 pub fn all() -> Vec<Scenario> {
     vec![
@@ -470,6 +504,7 @@ pub fn all() -> Vec<Scenario> {
         mid_transfer_crash(),
         kv_chaos(),
         scale(),
+        spoofed_submit(),
     ]
 }
 

@@ -81,6 +81,18 @@ pub enum ChaosEvent {
         /// final heal — the liveness-on-heal check).
         probe: bool,
     },
+    /// A hostile client: client `client` broadcasts a `Submit` it signed
+    /// with its *own* key but naming client `victim` — at the victim's
+    /// next sequence number, where a queued copy would do most damage.
+    /// Every honest node must drop it at intake; a node that queues it
+    /// poisons every batch it later leads (no validator accepts the
+    /// forged row).
+    SpoofedSubmit {
+        /// The spoofing client's index.
+        client: usize,
+        /// The impersonated client's index.
+        victim: usize,
+    },
 }
 
 /// A seeded, bounded chaos program over a virtual-clock cluster.

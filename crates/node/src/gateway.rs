@@ -1,4 +1,9 @@
-//! The node-side client gateway: admission, batching, and reply fan-out.
+//! The node-side client gateway: the batch codec, admission and reply
+//! cache the round machine ([`crate::core::GatewayCore`]) is built from,
+//! its configuration and report types, and its wall-clock driver
+//! ([`run_gateway`]): a `recv_timeout(next timer)` loop over any
+//! [`Transport`] that delivers frames and due timers to the core and
+//! performs the effects it returns.
 //!
 //! This is the layer that turns a CSM cluster from a script-driven
 //! protocol exercise into a request-serving system (§1/§3 deployment
@@ -8,7 +13,7 @@
 //! commands per shard, slots filled round-robin across clients), the
 //! batch is agreed via the existing staged-vote machinery, every shard
 //! evaluates its whole program inside the one coded round
-//! ([`RoundEngine::execute_batched`]), and after the round commits every
+//! ([`crate::RoundEngine::execute_batched`]), and after the round commits every
 //! node fans [`Payload::Reply`] frames back to the submitting clients —
 //! one reply per command — who accept an output only after `b + 1`
 //! bit-identical replies (`csm-client`).
@@ -19,8 +24,8 @@
 //! [`crate::run_pipelined`]), client-fed batches differ between nodes (a
 //! submission may not have reached everyone when a round starts), so the
 //! batch must be *agreed*, not derived. Agreement is **pluggable**
-//! ([`GatewayConfig::consensus`], dispatched through the
-//! [`crate::consensus::BatchConsensus`] trait):
+//! ([`GatewayConfig::consensus`], driven by the staging phase of
+//! [`crate::core::GatewayCore`]):
 //!
 //! * [`ConsensusKind::LeaderEcho`] — the round's rotating leader
 //!   (`round mod N`) proposes its pending batch as its [`Payload::Stage`]
@@ -56,13 +61,14 @@
 //! seq)`.
 
 use crate::consensus::{ConsensusKind, StagingFault};
-use crate::runtime::{ExchangeTiming, NodeRuntime};
-use crate::{wire_behavior, BehaviorKind, CodedMachine, RoundCommit, RoundEngine};
+use crate::core::{Effect, Event as CoreEvent, GatewayCore, TimerId, TimerKind};
+use crate::runtime::ExchangeTiming;
+use crate::{BehaviorKind, CodedMachine, RoundCommit};
 use csm_algebra::Field;
 use csm_network::auth::KeyRegistry;
 use csm_network::NodeId;
-use csm_telemetry::{Event, Phase, RecordingSink, RoundSpan, SharedSink, Sink, TeeSink};
-use csm_transport::{Frame, Payload, Transport};
+use csm_telemetry::{Event, RecordingSink, SharedSink, Sink};
+use csm_transport::{Frame, Payload, RecvError, Transport};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -177,6 +183,34 @@ pub fn decode_batch(
         batch.push(entry);
     }
     Some(batch)
+}
+
+/// The batch-validity predicate every backend shares: `rows` decode for
+/// `machine` under `batch_cap` (shape, client MACs, uniqueness) and no
+/// row replays a command at or below its client's committed `horizon` —
+/// commits advance the horizon on every honest node alike, so they all
+/// judge a proposal the same way.
+pub(crate) fn batch_valid<F: Field>(
+    rows: &[Vec<u64>],
+    machine: &CodedMachine<F>,
+    batch_cap: usize,
+    registry: &KeyRegistry,
+    horizon: &BTreeMap<u64, u64>,
+) -> bool {
+    let input_dim = machine.transition().input_dim();
+    decode_batch(
+        rows,
+        machine.k(),
+        batch_cap,
+        input_dim,
+        machine.n(),
+        registry,
+    )
+    .is_some_and(|batch| {
+        batch
+            .iter()
+            .all(|e| horizon.get(&e.client).is_none_or(|&s| s < e.seq))
+    })
 }
 
 /// Gateway tuning knobs.
@@ -780,6 +814,7 @@ impl<F> GatewayReport<F> {
 /// Runs one node of a client-serving CSM cluster until `stop` is raised:
 /// admit submissions, agree each round's batch behind the rotating
 /// leader, execute/exchange/decode it, and fan replies back to clients.
+/// The round itself is [`GatewayCore`]; this is its wall-clock driver.
 ///
 /// # Panics
 ///
@@ -793,512 +828,72 @@ pub fn run_gateway<F: Field, T: Transport>(
     cfg: &GatewayConfig,
     stop: &AtomicBool,
 ) -> GatewayReport<F> {
-    let cluster = cfg.cluster;
-    assert_eq!(
-        spec.machine.n(),
-        cluster,
-        "machine sized for a different cluster"
-    );
     let id = transport.local_id().0;
-    assert!(id < cluster, "gateway runs on cluster nodes only");
-    let keys = Arc::clone(&registry);
-    let rt = NodeRuntime::with_cluster(transport, registry, timing, cluster);
-    let engine = RoundEngine::new(Arc::clone(&spec.machine), id, &spec.initial_states)
-        .expect("spec states match the machine");
-    let (report, _rt) = gateway_loop(rt, engine, keys, spec, cfg, stop, 0, None);
-    report
+    let core = GatewayCore::new(id, registry, timing, spec, cfg, None);
+    drive(core, &transport, stop)
 }
 
-/// The shared gateway round loop, driving a prebuilt runtime and engine
-/// from `start_round`. `durable` adds the persistence/recovery hooks: WAL
-/// append before acknowledgement, periodic snapshots, and resync-via-
-/// state-transfer where a plain gateway would fail-stop. Returns the
-/// report plus the runtime (so a durable wrapper can recover the
-/// transport endpoint).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gateway_loop<F: Field, T: Transport>(
-    mut rt: NodeRuntime<T>,
-    mut engine: RoundEngine<F>,
-    keys: Arc<KeyRegistry>,
-    spec: &GatewaySpec<F>,
-    cfg: &GatewayConfig,
+/// How often a gateway blocked on a quiet transport wakes to check its
+/// stop flag (PBFT has no safe unilateral timeout, so a round can wait
+/// on the network indefinitely).
+const STOP_POLL_INTERVAL: Duration = Duration::from_millis(200);
+
+/// The wall-clock driver: delivers authenticated frames and due timers
+/// to the core and performs its effects, in order, until the core halts
+/// or `stop` is raised (a round already inside its bounded waits is
+/// finished first). The core arms at most one live timer per kind, so
+/// the timer table is one slot per kind and a re-armed kind supersedes
+/// its stale predecessor; a due timer fires before the inbox is read, so
+/// the exchange deadline is honoured with whatever was absorbed by Δ.
+pub(crate) fn drive<F: Field, T: Transport>(
+    mut core: GatewayCore<F>,
+    transport: &T,
     stop: &AtomicBool,
-    start_round: u64,
-    mut durable: Option<&mut crate::recovery::DurableCtx>,
-) -> (GatewayReport<F>, NodeRuntime<T>) {
-    let cluster = cfg.cluster;
-    let shards = spec.machine.k();
-    let input_dim = spec.machine.transition().input_dim();
-    let state_dim = spec.machine.transition().state_dim();
-    let batch_cap = cfg.batch_cap.max(1);
-    assert!(
-        batch_cap <= spec.machine.max_program_len(),
-        "batch_cap {batch_cap} exceeds the machine's program cap {} — \
-         size the code dimension with CodedMachine::with_program_cap",
-        spec.machine.program_cap()
-    );
-    let id = engine.node();
-    let mut admission = Admission::default();
-    if let Some(ctx) = durable.as_deref() {
-        // exactly-once must survive restarts: the dedup horizons replayed
-        // from snapshot + WAL are part of the recovered state
-        admission.horizon = ctx.recovered_horizon.clone();
-    }
-    let mut commits: VecDeque<Option<RoundCommit<F>>> = VecDeque::new();
-    let mut first_recorded_round = start_round;
-    let mut round = start_round;
-    // consecutive undecodable rounds — a durable node treats a streak as
-    // "I have lost the cluster" and attempts a state transfer
-    let mut fail_streak = 0u32;
-    // the round-batch agreement backend (leader-echo | dolev-strong |
-    // pbft), built once — the protocol choice is static per gateway
-    let backend = cfg.consensus.backend::<T>(cfg, Arc::clone(&keys));
-
-    // the telemetry fan-out: the gateway always aggregates into its own
-    // recording sink (so any registered identity can scrape a snapshot),
-    // teed with the config's extra sink when one is injected (tests)
-    let recording = Arc::new(RecordingSink::with_capacity(cfg.flight_ring));
-    let sink: SharedSink = match &cfg.sink {
-        Some(extra) => Arc::new(TeeSink::new(vec![
-            Arc::clone(&recording) as SharedSink,
-            Arc::clone(extra),
-        ])),
-        None => Arc::clone(&recording) as SharedSink,
-    };
-    rt.set_sink(Arc::clone(&sink));
-    let flight_dump = |round: u64, reason: &str| {
-        if let Some(dir) = &cfg.flight_dir {
-            if let Err(e) = recording.dump(dir, id, round, reason) {
-                csm_telemetry::warn!("node {id}: flight dump ({reason}) failed: {e}");
-            }
-        }
-    };
-    // one dump per first detection of a Byzantine peer, one for the
-    // first undecodable word — incidents after that are in the ring
-    let mut dumped_peers: BTreeSet<usize> = BTreeSet::new();
-    let mut dumped_decode_failure = false;
-    // per-claimed-peer bad-MAC totals the transport already attributed,
-    // diffed each round to surface fresh rejections as ring events
-    let mut seen_bad_mac: BTreeMap<usize, u64> = BTreeMap::new();
-
-    while !stop.load(Ordering::Relaxed) && round < cfg.max_rounds {
-        // serve recovering peers and read-only clients from the latest
-        // committed (and, in durable mode, logged) round
-        serve_state_requests(&mut rt, &commits, spec.behavior, &mut admission.stats);
-        answer_queries(
-            &mut rt,
-            &commits,
-            state_dim,
-            shards,
-            spec.behavior,
-            &mut admission.stats,
-        );
-
-        // surface fresh transport-attributed MAC rejections as events
-        // (the snapshot merges the transport's exact totals separately)
-        for (peer, total) in rt.transport().stats().bad_mac_by_peer() {
-            let seen = seen_bad_mac.entry(peer).or_insert(0);
-            if total > *seen {
-                *seen = total;
-                sink.event(id, round, Some(peer), Event::MacRejected);
-            }
-        }
-        serve_telemetry(
-            &mut rt,
-            &recording,
-            id,
-            round,
-            &admission.stats,
-            cfg.telemetry_reply_max_bytes,
-        );
-
-        // divergence handling: `b + 1` peers agreeing on a commit this
-        // node does not hold proves an honest majority moved on without
-        // it (at most `b` peers can collude). A plain gateway fail-stops
-        // (on the pre-existing strictly-past-rounds divergence rule only
-        // — a transiently lagging node must not kill itself over a round
-        // it is about to commit from its buffers); a durable gateway
-        // *recovers* — it installs a `b + 1`-verified state transfer and
-        // rejoins at the cluster's round, and additionally treats "peers
-        // committed my current round or later" as a resync trigger.
-        let diverged = desynced(&rt, &commits, first_recorded_round, round, cfg, id);
-        if durable.is_some() {
-            let behind = rt
-                .commit_quorum_frontier(cfg.assumed_faults + 1)
-                .is_some_and(|(r, _)| r >= round);
-            if behind || diverged || fail_streak >= 2 {
-                let ctx = durable.as_deref_mut().expect("checked durable");
-                fail_streak = 0;
-                if let Some(next) = crate::recovery::resync(
-                    &mut rt,
-                    &mut engine,
-                    spec,
-                    cfg,
-                    ctx,
-                    &admission.horizon,
-                ) {
-                    admission.stats.resyncs += 1;
-                    sink.event(id, round, None, Event::Resync);
-                    flight_dump(round, "resync");
-                    // history before the transfer is no longer this
-                    // node's to vouch for
-                    commits.clear();
-                    first_recorded_round = next;
-                    round = next;
-                    continue;
+) -> GatewayReport<F> {
+    let cluster = core.cluster();
+    let epoch = Instant::now();
+    let now_us = || epoch.elapsed().as_micros() as u64;
+    let mut timers: [Option<(u64, TimerId)>; TimerKind::COUNT] = [None; TimerKind::COUNT];
+    let mut effects = core.start(now_us());
+    loop {
+        for effect in effects {
+            match effect {
+                Effect::Send { to, frame } => {
+                    let _ = transport.send(NodeId(to), frame);
                 }
-                if behind || diverged {
-                    // the peers that committed ahead will answer a retry
-                    // eventually; the transfer wait already paced us
-                    continue;
+                Effect::Broadcast(frame) => {
+                    let _ = transport.broadcast_upto(cluster, &frame);
                 }
-                // streak-only trigger with no quorum to transfer from
-                // (cluster-wide trouble): keep participating in rounds
-            }
-        } else if diverged {
-            admission.stats.desynced = true;
-            sink.event(id, round, None, Event::Desync);
-            flight_dump(round, "desync");
-            break;
-        }
-
-        let scope = EventScope {
-            sink: sink.as_ref(),
-            node: id,
-            round,
-        };
-        for (client, payload) in
-            admission.admit(rt.take_client_frames(), shards, input_dim, cfg, &scope)
-        {
-            // cache replays go through the same Byzantine reply filter as
-            // first-time replies: a withholder stays silent on retries too
-            if let Some(payload) = reply_after_fault(payload, spec.behavior) {
-                rt.send_signed(NodeId(client as usize), payload);
+                Effect::SetTimer { at_us, id } => timers[id.kind as usize] = Some((at_us, id)),
+                Effect::Halt(_) => return core.into_report(),
             }
         }
-
-        // batch agreement behind the configured consensus backend: this
-        // node's proposal is its pending batch (used when it leads — or,
-        // under PBFT view changes, becomes primary); the validity
-        // predicate refuses forged client MACs, malformed shapes, and
-        // replayed commands (commits advanced the dedup horizon on every
-        // honest node alike)
-        let proposal = encode_batch(&admission.build_batch(shards, batch_cap));
-        let horizon = &admission.horizon;
-        let valid = |rows: &[Vec<u64>]| {
-            decode_batch(rows, shards, batch_cap, input_dim, cluster, &keys).is_some_and(|batch| {
-                batch
-                    .iter()
-                    .all(|e| horizon.get(&e.client).is_none_or(|&s| s < e.seq))
-            })
-        };
-        if matches!(spec.behavior, BehaviorKind::Equivocate) {
-            // wire-level misbehavior to go with the result equivocation:
-            // each round, forge one frame in the next peer's name. Honest
-            // transports drop it on MAC failure and attribute the
-            // rejection to the *claimed* signer, exercising the per-peer
-            // `mac_rejected` counters without any protocol effect.
-            let victim = NodeId((id + 1) % cluster);
-            let forged = Frame::forge(Payload::Ping { nonce: round }, &keys, NodeId(id), victim);
-            let _ = rt.transport().broadcast_upto(cluster, &forged);
+        if stop.load(Ordering::Relaxed) && !core.mid_round() {
+            return core.into_report();
         }
-
-        let mut span = RoundSpan::start(sink.as_ref(), id, round);
-        let agreed = backend.agree(&mut rt, round, proposal, &valid, spec.staging_fault, stop);
-        span.mark(Phase::Consensus);
-        if agreed.is_none() {
-            admission.stats.stage_fallbacks += 1;
-            sink.event(id, round, None, Event::StageFallback);
-        }
-        let batch = agreed
-            .as_deref()
-            .and_then(|rows| decode_batch(rows, shards, batch_cap, input_dim, cluster, &keys))
-            .unwrap_or_default();
-        if batch.is_empty() {
-            admission.stats.empty_rounds += 1;
-            sink.event(id, round, None, Event::EmptyRound);
-        } else {
-            recording.record_value("batch_size", batch.len() as u64);
-        }
-
-        // group the agreed rows into per-shard command programs, in row
-        // order; idle shards run the empty program (a no-op)
-        let mut programs: Vec<Vec<Vec<F>>> = vec![Vec::new(); shards];
-        for entry in &batch {
-            programs[entry.shard].push(entry.command.iter().map(|&v| F::from_u64(v)).collect());
-        }
-
-        let g = engine
-            .execute_batched(&programs)
-            .expect("validated batch shape");
-        let behavior = wire_behavior(id, cluster, spec.machine.result_dim(), spec.behavior, g);
-        span.mark(Phase::Execute);
-        let word = rt.run_exchange_round(round, &behavior);
-        span.mark(Phase::Exchange);
-        // the pre-commit coded state, for the WAL's state delta
-        let prev_state = durable.as_deref().map(|_| engine.coded_state().to_vec());
-        let commit = engine.commit_word(&word);
-        span.mark(Phase::Decode);
-        if let Some(c) = &commit {
-            // Byzantine detection fell out of the decode: attribute it,
-            // and preserve the evidence ring on the first sighting of
-            // each peer (the paper's §5.2 detection-as-a-side-effect)
-            for &peer in &c.detected_error_nodes {
-                sink.event(id, round, Some(peer), Event::EquivocationDetected);
-                if dumped_peers.insert(peer) {
-                    flight_dump(round, "byzantine-detected");
+        let now = now_us();
+        let next = timers.iter().flatten().copied().min();
+        effects = match next {
+            Some((at_us, id)) if at_us <= now => {
+                timers[id.kind as usize] = None;
+                core.observe_transport(transport.stats());
+                core.step(now, CoreEvent::Timer(id))
+            }
+            _ => {
+                let wait = next.map_or(STOP_POLL_INTERVAL, |(at_us, _)| {
+                    Duration::from_micros(at_us - now).min(STOP_POLL_INTERVAL)
+                });
+                match transport.recv_timeout(wait) {
+                    Ok(frame) => core.step(now_us(), CoreEvent::Frame(frame)),
+                    Err(RecvError::Timeout) => Vec::new(),
+                    Err(RecvError::Disconnected) => {
+                        // nothing can arrive any more; timers still run
+                        std::thread::sleep(wait);
+                        Vec::new()
+                    }
                 }
             }
-            // local bookkeeping first: advance dedup horizons + reply
-            // cache, so a snapshot taken inside log_commit already
-            // reflects this round's batch (the truncated log cannot
-            // rebuild it)
-            let mut replies = Vec::with_capacity(batch.len());
-            for entry in &batch {
-                let reply = reply_payload(entry, c);
-                for client in
-                    admission.record_done(entry, reply.clone(), batch_cap, cfg.reply_cache_cap)
-                {
-                    sink.event(id, round, None, Event::ReplyCacheEviction { client });
-                }
-                replies.push((entry.client, reply));
-            }
-            admission.stats.commands_committed += batch.len() as u64;
-            // durability before acknowledgement: the round's batch,
-            // digest, and coded-state delta hit the fsynced log before
-            // any commit announcement or client reply leaves this node
-            if let Some(ctx) = durable.as_deref_mut() {
-                let prev = prev_state.expect("captured before commit");
-                let delta: Vec<u64> = engine
-                    .coded_state()
-                    .iter()
-                    .zip(&prev)
-                    .map(|(new, old)| (*new - *old).to_canonical_u64())
-                    .collect();
-                let snapshotted = ctx.log_commit(
-                    c.round,
-                    c.digest,
-                    encode_batch(&batch),
-                    delta,
-                    cfg.consensus.wal_protocol(),
-                    batch_cap as u32,
-                    engine.coded_state_canonical(),
-                    &admission.horizon,
-                );
-                admission.stats.wal_appends += 1;
-                if snapshotted {
-                    admission.stats.snapshots += 1;
-                }
-                // the segment since the decode mark is dominated by the
-                // fsynced append (plus the delta it covers)
-                span.mark(Phase::WalFsync);
-            }
-            rt.announce_commit(round, c.digest);
-            for (client, reply) in replies {
-                if let Some(reply) = reply_after_fault(reply, spec.behavior) {
-                    rt.send_signed(NodeId(client as usize), reply);
-                    admission.stats.replies_sent += 1;
-                }
-            }
-            span.mark(Phase::Reply);
-            fail_streak = 0;
-        } else {
-            fail_streak += 1;
-            sink.event(id, round, None, Event::DecodeFailure);
-            if !dumped_decode_failure {
-                dumped_decode_failure = true;
-                flight_dump(round, "decode-failure");
-            }
-        }
-        span.finish();
-        commits.push_back(commit);
-        // a long-lived gateway must not grow per-round history without
-        // bound: keep a trailing window only
-        if commits.len() > cfg.commit_history {
-            commits.pop_front();
-            first_recorded_round += 1;
-        }
-        round += 1;
-        // idle pacing: an empty round over a fast mesh would otherwise
-        // spin the staging/exchange machinery at network speed; the pause
-        // still absorbs inbound submissions, so admission is not delayed
-        if batch.is_empty() && !stop.load(Ordering::Relaxed) {
-            rt.pump_until(Instant::now() + cfg.idle_pause);
-        }
-    }
-
-    let mut stats = admission.stats;
-    stats.inbox_dropped = rt.inbox_dropped();
-    let report = GatewayReport {
-        id,
-        commits: commits.into(),
-        first_recorded_round,
-        rounds: round,
-        stats,
-        recovery: None,
-    };
-    (report, rt)
-}
-
-/// Answers buffered peer telemetry scrapes with a [`TelemetrySnapshot`]
-/// folding the recording sink's phase histograms and event counters
-/// together with the gateway's admission counters and the transport's
-/// delivery/MAC statistics (including per-claimed-peer rejection
-/// attribution). Telemetry is self-reported and MAC-bound but **not**
-/// quorum-validated: a Byzantine node can lie in its snapshot, so
-/// observers must treat per-node telemetry as claims, not protocol
-/// facts.
-///
-/// [`TelemetrySnapshot`]: csm_telemetry::TelemetrySnapshot
-fn serve_telemetry<T: Transport>(
-    rt: &mut NodeRuntime<T>,
-    recording: &RecordingSink,
-    id: usize,
-    round: u64,
-    stats: &GatewayStats,
-    max_bytes: usize,
-) {
-    let requests = rt.take_telemetry_requests();
-    if requests.is_empty() {
-        return;
-    }
-    let mut extra = gateway_counters(stats);
-    extra.push(("inbox_dropped".to_string(), rt.inbox_dropped()));
-    let tstats = rt.transport().stats();
-    let (delivered, bad_mac, malformed) = tstats.snapshot();
-    extra.push(("transport_delivered".to_string(), delivered));
-    extra.push(("transport_malformed".to_string(), malformed));
-    // exact transport totals override the sink's per-round event counts
-    extra.push(("mac_rejected".to_string(), bad_mac));
-    for (peer, count) in tstats.bad_mac_by_peer() {
-        extra.push((format!("mac_rejected.peer{peer}"), count));
-    }
-    let snapshot = recording
-        .snapshot(id, round, &extra)
-        .to_bounded_json(max_bytes);
-    for (peer, nonce) in requests {
-        rt.send_signed(
-            NodeId(peer),
-            Payload::TelemetryReply {
-                nonce,
-                node: id as u64,
-                round,
-                snapshot: snapshot.clone(),
-            },
-        );
-    }
-}
-
-/// The gateway admission/reply counters exported into a snapshot,
-/// named after the [`GatewayStats`] fields.
-fn gateway_counters(stats: &GatewayStats) -> Vec<(String, u64)> {
-    [
-        ("admitted", stats.admitted),
-        ("rejected_full", stats.rejected_full),
-        ("rejected_invalid", stats.rejected_invalid),
-        ("duplicates", stats.duplicates),
-        ("replayed", stats.replayed),
-        ("replies_sent", stats.replies_sent),
-        ("commands_committed", stats.commands_committed),
-        ("stage_fallbacks", stats.stage_fallbacks),
-        ("empty_rounds", stats.empty_rounds),
-        ("rejected_quota", stats.rejected_quota),
-        ("replay_misses", stats.replay_misses),
-        ("queries_answered", stats.queries_answered),
-        ("state_chunks_served", stats.state_chunks_served),
-        ("resyncs", stats.resyncs),
-        ("wal_appends", stats.wal_appends),
-        ("snapshots", stats.snapshots),
-        ("reply_cache_evictions", stats.reply_cache_evictions),
-        ("desynced", stats.desynced as u64),
-    ]
-    .into_iter()
-    .map(|(name, value)| (name.to_string(), value))
-    .collect()
-}
-
-/// Answers buffered peer state-transfer requests from the latest
-/// committed round: every gateway (durable or not) can seed a rejoining
-/// peer, and the rejoiner's `b + 1` rule is what makes a corrupt answer
-/// harmless. Byzantine reply behavior applies — an equivocator serves a
-/// perturbed chunk (caught by the digest check), a withholder serves
-/// nothing.
-fn serve_state_requests<F: Field, T: Transport>(
-    rt: &mut NodeRuntime<T>,
-    commits: &VecDeque<Option<RoundCommit<F>>>,
-    behavior: BehaviorKind,
-    stats: &mut GatewayStats,
-) {
-    let requests = rt.take_state_requests();
-    if requests.is_empty() {
-        return;
-    }
-    let Some(latest) = commits.iter().rev().flatten().next() else {
-        return; // nothing committed yet (e.g. freshly recovered ourselves)
-    };
-    let results: Vec<Vec<u64>> = latest
-        .results
-        .iter()
-        .map(|row| row.iter().map(|x| x.to_canonical_u64()).collect())
-        .collect();
-    for (peer, from_round) in requests {
-        if latest.round < from_round {
-            continue; // the requester already holds everything we do
-        }
-        let chunk = Payload::StateChunk {
-            round: latest.round,
-            digest: latest.digest,
-            results: results.clone(),
         };
-        if let Some(chunk) = chunk_after_fault(chunk, behavior) {
-            rt.send_signed(NodeId(peer), chunk);
-            stats.state_chunks_served += 1;
-        }
-    }
-}
-
-/// Answers buffered read-only client queries with the queried shard's
-/// decoded state at this node's latest *committed* round — which in
-/// durable mode is by construction already in the fsynced log, so a read
-/// can never observe an unlogged state. Clients accept at `b + 1`
-/// matching `(round, value)`.
-fn answer_queries<F: Field, T: Transport>(
-    rt: &mut NodeRuntime<T>,
-    commits: &VecDeque<Option<RoundCommit<F>>>,
-    state_dim: usize,
-    shards: usize,
-    behavior: BehaviorKind,
-    stats: &mut GatewayStats,
-) {
-    let queries = rt.take_query_frames();
-    if queries.is_empty() {
-        return;
-    }
-    let latest = commits.iter().rev().flatten().next();
-    for frame in queries {
-        let Payload::Query { shard, client, qid } = frame.payload else {
-            continue;
-        };
-        if shard as usize >= shards {
-            continue;
-        }
-        let Some(c) = latest else {
-            continue; // nothing committed yet: stay silent, the client retries
-        };
-        let reply = Payload::QueryReply {
-            shard,
-            round: c.round,
-            client,
-            qid,
-            value: c.results[shard as usize][..state_dim]
-                .iter()
-                .map(|x| x.to_canonical_u64())
-                .collect(),
-        };
-        if let Some(reply) = reply_after_fault(reply, behavior) {
-            rt.send_signed(NodeId(client as usize), reply);
-            stats.queries_answered += 1;
-        }
     }
 }
 
@@ -1328,53 +923,6 @@ pub(crate) fn chunk_after_fault(chunk: Payload, behavior: BehaviorKind) -> Optio
         }
         BehaviorKind::Honest | BehaviorKind::Impersonate => Some(chunk),
     }
-}
-
-/// How many trailing rounds the desync check inspects (commit gossip for
-/// a round keeps arriving during the following rounds).
-pub(crate) const DESYNC_WINDOW: u64 = 4;
-
-/// Whether `b + 1` peers announced a common commit digest this node does
-/// not hold for any recent round. At most `b` Byzantine peers exist, so
-/// such agreement proves an honest majority committed a round this node
-/// missed or decoded differently — its coded state has diverged, and
-/// continuing would feed wrong results into every future exchange. The
-/// empty-batch staging fallback is only *probabilistically* shared under
-/// adversarial timing (see the module docs), so this is the backstop
-/// that turns a divergence into a visible fail-stop.
-fn desynced<F>(
-    rt: &NodeRuntime<impl Transport>,
-    commits: &VecDeque<Option<RoundCommit<F>>>,
-    first_recorded_round: u64,
-    round: u64,
-    cfg: &GatewayConfig,
-    id: usize,
-) -> bool {
-    for past in round.saturating_sub(DESYNC_WINDOW)..round {
-        if past < first_recorded_round {
-            continue; // history window slid past it; nothing to compare
-        }
-        let own = commits
-            .get((past - first_recorded_round) as usize)
-            .and_then(|c| c.as_ref().map(|c| c.digest));
-        let Some(votes) = rt.commit_digest_votes(past) else {
-            continue;
-        };
-        let mut tallies: BTreeMap<u64, usize> = BTreeMap::new();
-        for (&node, &digest) in votes {
-            if node != id {
-                *tallies.entry(digest).or_insert(0) += 1;
-            }
-        }
-        for (&digest, &count) in &tallies {
-            // count > b is the b + 1 threshold: more voters than the
-            // Byzantine population can muster
-            if count > cfg.assumed_faults && own != Some(digest) {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 /// The honest reply for a committed entry. Every command of a shard's

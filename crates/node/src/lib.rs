@@ -8,40 +8,46 @@
 //! * [`csm_core::engine::RoundEngine`] — the sans-I/O coded-execution
 //!   lifecycle (shared with the simulator; *any*
 //!   [`csm_statemachine::PolyTransition`] machine runs here unchanged).
-//! * [`NodeRuntime`] — the exchange protocol driver (Δ-deadline and
-//!   `N − b` cutoff finalization over [`csm_core::exchange::ReceiverCore`]),
-//!   plus staged-batch gossip for pipelining.
+//! * [`NodeRuntime`] — the blocking exchange protocol driver of the
+//!   script-driven loops (Δ-deadline and `N − b` cutoff finalization over
+//!   [`csm_core::exchange::ReceiverCore`]), plus staged-batch gossip for
+//!   pipelining.
 //! * [`run_node`] — the sequential multi-round node loop.
 //! * [`pipeline::run_pipelined`] — the same loop with round `t + 1`'s
 //!   staging overlapped with round `t`'s execution (§2.2).
-//! * [`gateway::run_gateway`] — the client-serving loop: admit external
-//!   `Submit` frames, agree each round's batch behind a rotating leader,
-//!   answer read-only `Query` frames from committed state, and fan
-//!   `Reply` frames back to clients after commit (the §1/§3 deployment
+//! * [`core::GatewayCore`] — the client-serving round as one sans-I/O
+//!   machine (`step(now, event) -> effects`): admit external `Submit`
+//!   frames, agree each round's batch behind a rotating leader, execute,
+//!   exchange, decode, log before acknowledging, answer read-only `Query`
+//!   frames from committed state, fan `Reply` frames back to clients, and
+//!   resync via `b + 1`-verified state transfer (the §1/§3 deployment
 //!   model; the client side is the `csm-client` crate).
-//! * [`recovery::run_durable_gateway`] — the same loop with durable coded
-//!   state (`csm-storage`): write-ahead log before every
-//!   acknowledgement, periodic coded-state snapshots, and crash
-//!   recovery/rejoin via `snapshot + WAL` replay plus `b + 1`-verified
-//!   state transfer from peers.
+//! * [`gateway::run_gateway`] / [`recovery::run_durable_gateway`] — the
+//!   core's wall-clock driver over any [`csm_transport::Transport`],
+//!   plain or with durable coded state (`csm-storage`: write-ahead log,
+//!   periodic coded-state snapshots, crash recovery).
+//! * [`chaos`] — the core's virtual-clock driver: whole-cluster fault
+//!   schedules over a seeded fabric, replayable bit-for-bit.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod chaos;
 pub mod consensus;
+pub mod core;
 pub mod gateway;
 pub mod pipeline;
 pub mod recovery;
 pub mod runtime;
 
-pub use consensus::{BatchConsensus, ConsensusKind, StagingFault};
+pub use consensus::{ConsensusKind, StagingFault};
+pub use core::GatewayCore;
 pub use csm_core::digest::digest_results;
 pub use csm_core::engine::{CodedMachine, DecodedRound, RoundCommit, RoundEngine};
 pub use gateway::{run_gateway, GatewayConfig, GatewayReport, GatewaySpec, GatewayStats};
 pub use pipeline::{run_pipelined, PipelineConfig, PipelineReport};
 pub use recovery::{run_durable_gateway, store_fingerprint, DurabilityConfig, RecoveryInfo};
-pub use runtime::{ExchangeTiming, NodeRuntime, VerifiedState};
+pub use runtime::{ExchangeTiming, NodeRuntime};
 
 use csm_algebra::{Field, Fp61, Gf2_16};
 use csm_core::digest::splitmix64;

@@ -1,7 +1,10 @@
 //! Crash recovery and rejoin: the durable gateway.
 //!
-//! [`run_durable_gateway`] wraps the gateway round loop with the
-//! `csm-storage` persistence subsystem so a node survives a hard kill:
+//! [`run_durable_gateway`] runs the gateway core
+//! ([`crate::core::GatewayCore`]) with the `csm-storage` persistence
+//! subsystem so a node survives a hard kill. The core owns the store and
+//! every step below happens inside it; this module holds the durability
+//! knobs, the store fingerprint and the local replay fold:
 //!
 //! 1. **Log before acknowledging.** Every committed round's agreed batch,
 //!    commit digest, and coded-state delta is appended (and fsynced) to
@@ -27,16 +30,17 @@
 //!    words, not a trusted copy of its own).
 //! 4. **Resync instead of fail-stop.** Where a plain gateway fail-stops
 //!    on divergence (`b + 1` peers agreeing on a digest it does not
-//!    hold), a durable gateway runs the same state transfer mid-loop and
+//!    hold), a durable gateway runs the same state transfer mid-run and
 //!    rejoins at the cluster's round.
 
-use crate::gateway::{gateway_loop, GatewayConfig, GatewayReport, GatewaySpec};
-use crate::runtime::{ExchangeTiming, NodeRuntime};
-use crate::{CodedMachine, RoundEngine};
+use crate::core::GatewayCore;
+use crate::gateway::{drive, GatewayConfig, GatewayReport, GatewaySpec};
+use crate::runtime::ExchangeTiming;
+use crate::CodedMachine;
 use csm_algebra::Field;
 use csm_core::digest::splitmix64;
 use csm_network::auth::KeyRegistry;
-use csm_storage::{NodeStore, Recovered};
+use csm_storage::Recovered;
 use csm_transport::Transport;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -85,96 +89,11 @@ pub struct RecoveryInfo {
     /// transfer at startup, if the cluster was ahead of the local store.
     pub startup_transfer: Option<u64>,
     /// Wall clock of the whole startup recovery (open + replay + catch-up
-    /// transfer), before the round loop began.
+    /// transfer), before the first round began.
     pub startup: Duration,
     /// Wall clock from runner start to the first *new* durable commit —
     /// the end-to-end recovery latency a restarted node observes.
     pub first_commit_after: Option<Duration>,
-}
-
-/// The durable gateway's persistence state, threaded through
-/// [`gateway_loop`].
-#[derive(Debug)]
-pub(crate) struct DurableCtx {
-    store: NodeStore,
-    snapshot_interval: u64,
-    pub(crate) transfer_timeout: Duration,
-    commits_since_snapshot: u64,
-    started: Instant,
-    pub(crate) info: RecoveryInfo,
-    /// Per-client dedup horizons recovered from `snapshot + log` — the
-    /// gateway loop seeds its admission state from these, so a client
-    /// command that committed before the crash can never re-execute
-    /// after it.
-    pub(crate) recovered_horizon: BTreeMap<u64, u64>,
-}
-
-impl DurableCtx {
-    /// Appends one committed round to the fsynced log (the caller must
-    /// not acknowledge the round before this returns) and installs a
-    /// snapshot when the interval is due. Returns whether it snapshotted.
-    ///
-    /// # Panics
-    ///
-    /// Panics on storage I/O failure: a node that cannot persist must not
-    /// acknowledge, and (unlike a Byzantine fault) there is no protocol
-    /// answer to a dead disk.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn log_commit(
-        &mut self,
-        round: u64,
-        digest: u64,
-        batch: Vec<Vec<u64>>,
-        state_delta: Vec<u64>,
-        protocol: u8,
-        batch_cap: u32,
-        coded_state: Vec<u64>,
-        horizons: &BTreeMap<u64, u64>,
-    ) -> bool {
-        self.store
-            .append_commit(&csm_storage::CommitRecord {
-                round,
-                digest,
-                batch,
-                state_delta,
-                protocol,
-                batch_cap,
-            })
-            .expect("WAL append failed: cannot acknowledge an unlogged round");
-        if self.info.first_commit_after.is_none() {
-            self.info.first_commit_after = Some(self.started.elapsed());
-        }
-        self.commits_since_snapshot += 1;
-        if self.commits_since_snapshot >= self.snapshot_interval.max(1) {
-            self.checkpoint(round + 1, coded_state, horizons);
-            return true;
-        }
-        false
-    }
-
-    /// Installs a snapshot at `next_round` (atomically; the covered log
-    /// is truncated afterwards). `horizons` must already reflect every
-    /// round the snapshot covers — the truncated log can no longer
-    /// rebuild them.
-    ///
-    /// # Panics
-    ///
-    /// Panics on storage I/O failure (see [`Self::log_commit`]).
-    pub(crate) fn checkpoint(
-        &mut self,
-        next_round: u64,
-        coded_state: Vec<u64>,
-        horizons: &BTreeMap<u64, u64>,
-    ) {
-        self.store
-            .install_snapshot(
-                next_round,
-                coded_state,
-                horizons.iter().map(|(&c, &s)| (c, s)).collect(),
-            )
-            .expect("snapshot install failed");
-        self.commits_since_snapshot = 0;
-    }
 }
 
 /// The fingerprint a node's durable store is bound to: the coded-machine
@@ -261,61 +180,12 @@ pub(crate) fn replay_local<F: Field>(
     }
 }
 
-/// Mid-loop (or startup) catch-up: ask peers for their latest committed
-/// state, wait for the `b + 1` acceptance rule to pass, re-encode the
-/// verified plaintext states at this node's own evaluation point, install
-/// them into the engine, checkpoint, and re-anchor the runtime. Returns
-/// the next round to run, or `None` when no verified transfer arrived in
-/// time.
-///
-/// The transfer carries coded state but not the skipped rounds' batches,
-/// so `horizons` (checkpointed alongside) may lag for clients whose
-/// commands committed while this node was away. That cannot re-execute a
-/// command cluster-wide: this node alone may echo a replayed proposal,
-/// but the `N − b` echo quorum still requires honest nodes whose
-/// horizons are current, and they refuse.
-pub(crate) fn resync<F: Field, T: Transport>(
-    rt: &mut NodeRuntime<T>,
-    engine: &mut RoundEngine<F>,
-    spec: &GatewaySpec<F>,
-    cfg: &GatewayConfig,
-    ctx: &mut DurableCtx,
-    horizons: &BTreeMap<u64, u64>,
-) -> Option<u64> {
-    let machine = &spec.machine;
-    let sd = machine.transition().state_dim();
-    // anything at or past our last commit helps: a transfer of round
-    // `engine.round() - 1` repairs divergence in place, anything later
-    // also catches us up
-    let min_round = engine.round().saturating_sub(1);
-    let vs =
-        rt.wait_for_verified_state::<F>(cfg.assumed_faults + 1, min_round, ctx.transfer_timeout)?;
-    if vs.results.len() != machine.k() {
-        return None; // shape nonsense cannot have come from an honest round
-    }
-    let states: Vec<Vec<F>> = vs
-        .results
-        .iter()
-        .map(|row| row.iter().take(sd).map(|&v| F::from_u64(v)).collect())
-        .collect();
-    machine.check_states(&states).ok()?;
-    let coded = machine.encode_state_at(engine.node(), &states);
-    let next = vs.round + 1;
-    engine
-        .restore(coded, next)
-        .expect("re-encoded state is state-dim wide");
-    // the transferred state is durable before the node acts on it
-    ctx.checkpoint(next, engine.coded_state_canonical(), horizons);
-    rt.resume_at(next);
-    Some(next)
-}
-
 /// Runs one node of a client-serving CSM cluster with durable state:
 /// recovers `snapshot + log` on startup, catches up from peers if the
-/// cluster moved on, then runs the gateway loop with write-ahead logging
-/// before every acknowledgement and periodic snapshots. Returns the
-/// report *and* the transport endpoint, so a supervisor can restart the
-/// node (same store, same endpoint) after a simulated hard kill.
+/// cluster moved on, then runs the gateway rounds with write-ahead
+/// logging before every acknowledgement and periodic snapshots. Returns
+/// the report *and* the transport endpoint, so a supervisor can restart
+/// the node (same store, same endpoint) after a simulated hard kill.
 ///
 /// # Panics
 ///
@@ -330,78 +200,18 @@ pub fn run_durable_gateway<F: Field, T: Transport>(
     durability: &DurabilityConfig,
     stop: &AtomicBool,
 ) -> (GatewayReport<F>, T) {
-    let cluster = cfg.cluster;
-    assert_eq!(
-        spec.machine.n(),
-        cluster,
-        "machine sized for a different cluster"
-    );
+    let began = Instant::now();
     let id = transport.local_id().0;
-    assert!(id < cluster, "gateway runs on cluster nodes only");
-
-    let started = Instant::now();
-    let fingerprint = store_fingerprint(&spec.machine, id, &spec.initial_states);
-    let (store, recovered) =
-        NodeStore::open(&durability.dir, fingerprint).expect("open durable store");
-    let had_history = !recovered.is_fresh();
-
-    let mut engine = RoundEngine::new(Arc::clone(&spec.machine), id, &spec.initial_states)
-        .expect("spec states match the machine");
-    let replayed = replay_local(&spec.machine, &recovered, engine.coded_state().to_vec());
-    engine
-        .restore(replayed.coded_state, replayed.next_round)
-        .expect("replayed state is state-dim wide");
-    let next_round = replayed.next_round;
-    let horizons = replayed.horizons;
-
-    let mut ctx = DurableCtx {
-        store,
-        snapshot_interval: durability.snapshot_interval,
-        transfer_timeout: durability.transfer_timeout,
-        commits_since_snapshot: replayed.records,
-        started,
-        info: RecoveryInfo {
-            recovered_round: next_round,
-            wal_records_replayed: replayed.records,
-            torn_tail: recovered.torn_tail,
-            ..RecoveryInfo::default()
-        },
-        recovered_horizon: horizons.clone(),
-    };
-    if !had_history {
-        // genesis checkpoint: anchors the log so the very first crash
-        // already recovers through the snapshot path
-        ctx.checkpoint(0, engine.coded_state_canonical(), &horizons);
+    let core = GatewayCore::new(id, registry, timing, spec, cfg, Some(durability));
+    let opened = began.elapsed();
+    let mut report = drive(core, &transport, stop);
+    // the core times its recovery from `start`; the open + replay before
+    // it is part of what a restarted node waits for
+    if let Some(info) = report.recovery.as_mut() {
+        info.startup += opened;
+        info.first_commit_after = info.first_commit_after.map(|d| d + opened);
     }
-
-    let keys = Arc::clone(&registry);
-    let mut rt = NodeRuntime::with_cluster(transport, registry, timing, cluster);
-    rt.resume_at(next_round);
-
-    // startup catch-up: a store with history means this node lived before
-    // — the cluster may have committed past its durable frontier while it
-    // was down. (A fresh cluster-wide boot skips this; the in-loop resync
-    // covers the rare wiped-disk-rejoin case.)
-    if had_history {
-        if let Some(next) = resync(&mut rt, &mut engine, spec, cfg, &mut ctx, &horizons) {
-            ctx.info.startup_transfer = Some(next.saturating_sub(1));
-        }
-    }
-    ctx.info.startup = started.elapsed();
-
-    let start_round = engine.round();
-    let (mut report, rt) = gateway_loop(
-        rt,
-        engine,
-        keys,
-        spec,
-        cfg,
-        stop,
-        start_round,
-        Some(&mut ctx),
-    );
-    report.recovery = Some(ctx.info);
-    (report, rt.into_transport())
+    (report, transport)
 }
 
 #[cfg(test)]
@@ -410,7 +220,7 @@ mod tests {
     use csm_algebra::Fp61;
     use csm_core::DecoderKind;
     use csm_statemachine::machines::bank_machine;
-    use csm_storage::CommitRecord;
+    use csm_storage::{CommitRecord, NodeStore};
 
     fn machine() -> CodedMachine<Fp61> {
         CodedMachine::new(8, 2, bank_machine(), DecoderKind::default()).unwrap()

@@ -22,9 +22,9 @@ use csm_core::exchange::{canonical, equivocation_noise, ReceiverCore, ResultBeha
 use csm_core::SynchronyMode;
 use csm_network::auth::KeyRegistry;
 use csm_network::NodeId;
-use csm_telemetry::{Event, NullSink, SharedSink};
+use csm_telemetry::{NullSink, SharedSink};
 use csm_transport::{Frame, Payload, RecvError, Transport};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,49 +37,6 @@ const ROUND_LOOKAHEAD: u64 = 64;
 /// are `state_dim + output_dim` elements, so this is generous while
 /// keeping the pending buffer's worst case small.
 const PENDING_MAX_VALUES: usize = 4096;
-
-/// Cap on buffered client `Submit` frames awaiting the gateway's admission
-/// pass. A flood beyond this is dropped (clients time out and retry), so
-/// unadmitted traffic can never grow a node's memory without bound.
-const CLIENT_INBOX_CAP: usize = 8192;
-
-/// Cap on buffered client `Query` frames awaiting the gateway's read
-/// pass — same backpressure story as the submit inbox.
-const QUERY_INBOX_CAP: usize = 8192;
-
-/// Cap on buffered batch-consensus frames per round. An honest round
-/// needs at most a few frames per peer (Dolev–Strong relays at most two
-/// values; PBFT sends one vote per phase per view), so this bounds what
-/// `b` validly-keyed Byzantine peers can park in a future round's inbox.
-const CONSENSUS_ROUND_CAP: usize = 4096;
-
-/// A peer's answer to a state-transfer request, as buffered by
-/// [`NodeRuntime::absorb`]: one slot per peer (its latest answer wins),
-/// so `b` Byzantine peers can occupy at most `b` slots and can never
-/// evict honest answers.
-#[derive(Debug, Clone)]
-struct ChunkEntry {
-    round: u64,
-    digest: u64,
-    results: Vec<Vec<u64>>,
-}
-
-/// A state transfer that passed the `b + 1` acceptance rule: at least
-/// `b + 1` distinct peers vouched for `(round, digest)` and the carried
-/// results hash to that digest, so with at most `b` Byzantine peers the
-/// state is honest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerifiedState {
-    /// The committed round the state reflects (the rejoiner resumes at
-    /// `round + 1`).
-    pub round: u64,
-    /// The round's commit digest.
-    pub digest: u64,
-    /// Canonical per-machine flat results `(S_k(t+1), Y_k(t))`.
-    pub results: Vec<Vec<u64>>,
-    /// How many peers vouched for `(round, digest)`.
-    pub matching: usize,
-}
 
 /// Timing and synchrony parameters of the exchange.
 #[derive(Debug, Clone)]
@@ -139,10 +96,6 @@ pub struct NodeRuntime<T: Transport> {
     transport: T,
     registry: Arc<KeyRegistry>,
     timing: ExchangeTiming,
-    /// Protocol mesh size: ids `0..cluster` are CSM nodes; larger ids on
-    /// the same transport mesh (and in the same key registry) are client
-    /// endpoints, which never participate in exchange/staging/commits.
-    cluster: usize,
     /// Result frames that arrived for rounds we have not started yet
     /// (real networks have no round barrier — fast peers run ahead).
     pending: BTreeMap<u64, Vec<Frame>>,
@@ -152,28 +105,6 @@ pub struct NodeRuntime<T: Transport> {
     /// §2.2 pipelining carrier: votes for round `t + 1` arrive while
     /// round `t`'s exchange is in flight).
     stages: BTreeMap<u64, BTreeMap<usize, Vec<Vec<u64>>>>,
-    /// Batch-consensus frames (`BatchRelay`/`BatchVote`/`BatchViewChange`/
-    /// `BatchNewView`) buffered per round, awaiting that round's
-    /// consensus driver (bounded by [`CONSENSUS_ROUND_CAP`]).
-    consensus: BTreeMap<u64, VecDeque<Frame>>,
-    /// Authenticated client `Submit` frames awaiting the gateway's
-    /// admission pass (bounded by [`CLIENT_INBOX_CAP`]).
-    client_inbox: VecDeque<Frame>,
-    /// `Submit` frames dropped because the inbox was full.
-    inbox_dropped: u64,
-    /// Authenticated client `Query` frames awaiting the gateway's read
-    /// pass (bounded by [`QUERY_INBOX_CAP`]).
-    query_inbox: VecDeque<Frame>,
-    /// `Query` frames dropped because the inbox was full.
-    query_dropped: u64,
-    /// Pending peer state-transfer requests: requester → the first round
-    /// it is missing (last request wins; at most one slot per peer).
-    state_requests: BTreeMap<usize, u64>,
-    /// Buffered state-transfer answers, one slot per answering peer.
-    state_chunks: BTreeMap<usize, ChunkEntry>,
-    /// Pending telemetry scrape requests: requester → its latest nonce
-    /// (one slot per requester, so scrapers cannot grow the map).
-    telemetry_requests: BTreeMap<usize, u64>,
     /// Highest round already run; results at or below it are stale.
     finished_round: Option<u64>,
     /// Where phase timings and incident events go ([`NullSink`] unless a
@@ -183,46 +114,15 @@ pub struct NodeRuntime<T: Transport> {
 }
 
 impl<T: Transport> NodeRuntime<T> {
-    /// Wraps a transport endpoint whose whole mesh is the cluster (no
-    /// client endpoints).
+    /// Wraps a transport endpoint; the whole mesh is the cluster.
     pub fn new(transport: T, registry: Arc<KeyRegistry>, timing: ExchangeTiming) -> Self {
-        let cluster = transport.n();
-        Self::with_cluster(transport, registry, timing, cluster)
-    }
-
-    /// Wraps a transport endpoint on a mesh shared with client endpoints:
-    /// only ids `0..cluster` are protocol peers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cluster` is zero or exceeds the mesh size.
-    pub fn with_cluster(
-        transport: T,
-        registry: Arc<KeyRegistry>,
-        timing: ExchangeTiming,
-        cluster: usize,
-    ) -> Self {
-        assert!(
-            cluster > 0 && cluster <= transport.n(),
-            "cluster size {cluster} out of range for mesh of {}",
-            transport.n()
-        );
         NodeRuntime {
             transport,
             registry,
             timing,
-            cluster,
             pending: BTreeMap::new(),
             commits: BTreeMap::new(),
             stages: BTreeMap::new(),
-            consensus: BTreeMap::new(),
-            client_inbox: VecDeque::new(),
-            inbox_dropped: 0,
-            query_inbox: VecDeque::new(),
-            query_dropped: 0,
-            state_requests: BTreeMap::new(),
-            state_chunks: BTreeMap::new(),
-            telemetry_requests: BTreeMap::new(),
             finished_round: None,
             sink: Arc::new(NullSink),
         }
@@ -233,33 +133,14 @@ impl<T: Transport> NodeRuntime<T> {
         self.sink = sink;
     }
 
-    /// The telemetry sink, for drivers (gateway, consensus backends) to
-    /// record phases and events against.
-    pub fn sink(&self) -> &SharedSink {
-        &self.sink
-    }
-
     /// This node's id.
     pub fn id(&self) -> NodeId {
         self.transport.local_id()
     }
 
-    /// Protocol mesh size `N` (the cluster; the transport mesh may be
-    /// larger when clients share it).
+    /// Protocol mesh size `N`.
     pub fn n(&self) -> usize {
-        self.cluster
-    }
-
-    /// Access to the underlying transport (e.g. for stats).
-    pub fn transport(&self) -> &T {
-        &self.transport
-    }
-
-    /// Consumes the runtime, returning the transport endpoint — how a
-    /// durable gateway hands the (still-connected) endpoint back to its
-    /// supervisor across a simulated crash/restart.
-    pub fn into_transport(self) -> T {
-        self.transport
+        self.transport.n()
     }
 
     /// Runs one §5.2 exchange round: sends this node's result per
@@ -351,7 +232,6 @@ impl<T: Transport> NodeRuntime<T> {
         // multi-round runs must not accumulate history without bound)
         self.pending = self.pending.split_off(&(finished + 1));
         self.stages = self.stages.split_off(&(finished + 1));
-        self.consensus = self.consensus.split_off(&(finished + 1));
         self.commits = self
             .commits
             .split_off(&finished.saturating_sub(ROUND_LOOKAHEAD));
@@ -371,7 +251,7 @@ impl<T: Transport> NodeRuntime<T> {
                 let frame = Frame::sign(result_payload(round, me.0, g), &self.registry, me);
                 // a node trivially "receives" its own result
                 core.record(me.0, g.clone());
-                let _ = self.transport.broadcast_upto(self.cluster, &frame);
+                let _ = self.transport.broadcast_upto(self.n(), &frame);
             }
             ResultBehavior::Equivocate(base) => {
                 for j in 0..n {
@@ -397,7 +277,7 @@ impl<T: Transport> NodeRuntime<T> {
                     me,
                     NodeId(*spoof),
                 );
-                let _ = self.transport.broadcast_upto(self.cluster, &frame);
+                let _ = self.transport.broadcast_upto(self.n(), &frame);
             }
         }
     }
@@ -415,63 +295,29 @@ impl<T: Transport> NodeRuntime<T> {
     }
 
     /// Handles a frame outside the context of an active exchange round:
-    /// commits are recorded, results for not-yet-run rounds are buffered,
-    /// client submissions go to the bounded inbox, stale results and pings
-    /// are dropped.
+    /// commits and stage votes are recorded, results for not-yet-run
+    /// rounds are buffered, everything else (stale results, client and
+    /// gateway traffic the script-driven loops never serve) is dropped.
     ///
     /// Buffering is bounded so a validly-keyed Byzantine peer cannot grow
     /// memory without limit: only rounds within [`ROUND_LOOKAHEAD`] of the
     /// last finished round are kept, at most one frame per (round, signer)
-    /// (first wins, like [`ReceiverCore::record`]), and oversized result
-    /// vectors are not retained.
+    /// (first wins, like [`ReceiverCore::record`]), and oversized vectors
+    /// are not retained.
     fn absorb(&mut self, frame: Frame) {
-        // exchange/staging/commit gossip is only meaningful from cluster
-        // peers; a client key must not be able to inject protocol state
-        let from_cluster = frame.sig.signer.0 < self.cluster;
+        let done = self.finished_round;
+        let horizon = done.map_or(ROUND_LOOKAHEAD, |d| d.saturating_add(ROUND_LOOKAHEAD));
+        let in_window = |r: u64| done.is_none_or(|d| r > d) && r <= horizon;
+        // identity is the MAC's signer, not the claimed field
+        let signer = frame.sig.signer;
         match &frame.payload {
-            Payload::Result { .. }
-            | Payload::Commit { .. }
-            | Payload::Stage { .. }
-            | Payload::StateRequest { .. }
-            | Payload::StateChunk { .. }
-            | Payload::BatchRelay { .. }
-            | Payload::BatchVote { .. }
-            | Payload::BatchViewChange { .. }
-            | Payload::BatchNewView { .. }
-                if !from_cluster =>
-            {
-                // drop: protocol frame signed by a non-cluster identity
-            }
-            Payload::BatchRelay { round, .. }
-            | Payload::BatchVote { round, .. }
-            | Payload::BatchViewChange { round, .. }
-            | Payload::BatchNewView { round, .. } => {
-                // same bounded round window as results/stages, plus a
-                // payload-weight cap and a per-round frame cap, so a
-                // Byzantine peer cannot park unbounded consensus state
-                let done = self.finished_round;
-                let in_window = done.is_none_or(|d| *round > d)
-                    && *round
-                        <= done.map_or(ROUND_LOOKAHEAD, |d| d.saturating_add(ROUND_LOOKAHEAD));
-                if !in_window || consensus_weight(&frame.payload) > PENDING_MAX_VALUES {
-                    return;
-                }
-                let slot = self.consensus.entry(*round).or_default();
-                if slot.len() < CONSENSUS_ROUND_CAP {
-                    slot.push_back(frame);
-                }
-            }
             Payload::Result {
                 round: r, values, ..
             } => {
-                let done = self.finished_round;
-                let in_window = done.is_none_or(|d| *r > d)
-                    && *r <= done.map_or(ROUND_LOOKAHEAD, |d| d.saturating_add(ROUND_LOOKAHEAD));
-                if !in_window || values.len() > PENDING_MAX_VALUES {
+                if !in_window(*r) || values.len() > PENDING_MAX_VALUES {
                     return;
                 }
                 let slot = self.pending.entry(*r).or_default();
-                let signer = frame.sig.signer;
                 if !slot.iter().any(|f| f.sig.signer == signer) {
                     slot.push(frame);
                 }
@@ -480,117 +326,30 @@ impl<T: Transport> NodeRuntime<T> {
                 round: r,
                 sender,
                 digest,
-            } => {
-                // identity is the MAC's signer, not the claimed field;
-                // same bounded window as results, so a Byzantine peer
-                // cannot grow the map with far-future round numbers
-                let horizon = self
-                    .finished_round
-                    .map_or(ROUND_LOOKAHEAD, |d| d.saturating_add(ROUND_LOOKAHEAD));
-                if *sender == frame.sig.signer.0 as u64 && *r <= horizon {
-                    self.commits
-                        .entry(*r)
-                        .or_default()
-                        .insert(frame.sig.signer.0, *digest);
-                }
+            } if *sender == signer.0 as u64 && *r <= horizon => {
+                self.commits
+                    .entry(*r)
+                    .or_default()
+                    .insert(signer.0, *digest);
             }
             Payload::Stage {
                 round: r,
                 sender,
                 commands,
             } => {
-                // same identity binding and bounded window as results;
-                // first vote per (round, signer) wins, and oversized
-                // batches are not retained
-                let done = self.finished_round;
-                let in_window = done.is_none_or(|d| *r > d)
-                    && *r <= done.map_or(ROUND_LOOKAHEAD, |d| d.saturating_add(ROUND_LOOKAHEAD));
                 // count the outer vectors too: a batch of millions of
                 // *empty* rows is as hostile as one of millions of values
                 let size: usize = commands.len() + commands.iter().map(Vec::len).sum::<usize>();
-                if *sender != frame.sig.signer.0 as u64 || !in_window || size > PENDING_MAX_VALUES {
+                if *sender != signer.0 as u64 || !in_window(*r) || size > PENDING_MAX_VALUES {
                     return;
                 }
                 self.stages
                     .entry(*r)
                     .or_default()
-                    .entry(frame.sig.signer.0)
+                    .entry(signer.0)
                     .or_insert_with(|| commands.clone());
             }
-            Payload::Submit {
-                client, command, ..
-            } => {
-                // identity binding: the claimed client must be the MAC
-                // signer and must be a *client* id (past the cluster
-                // range) — nodes cannot pose as clients and vice versa
-                let signer = frame.sig.signer.0 as u64;
-                if *client != signer
-                    || (signer as usize) < self.cluster
-                    || command.len() > PENDING_MAX_VALUES
-                {
-                    return;
-                }
-                if self.client_inbox.len() >= CLIENT_INBOX_CAP {
-                    self.inbox_dropped += 1;
-                    return;
-                }
-                self.client_inbox.push_back(frame);
-            }
-            Payload::StateRequest { from_round } => {
-                // one slot per requesting peer (identity = MAC signer):
-                // bounded by the cluster size, last request wins
-                let signer = frame.sig.signer.0;
-                if signer != self.id().0 {
-                    self.state_requests.insert(signer, *from_round);
-                }
-            }
-            Payload::StateChunk {
-                round,
-                digest,
-                results,
-            } => {
-                // one slot per answering peer: a Byzantine peer can only
-                // ever occupy its own slot, never evict honest answers;
-                // oversized results are not retained
-                let size: usize = results.len() + results.iter().map(Vec::len).sum::<usize>();
-                if size > PENDING_MAX_VALUES {
-                    return;
-                }
-                self.state_chunks.insert(
-                    frame.sig.signer.0,
-                    ChunkEntry {
-                        round: *round,
-                        digest: *digest,
-                        results: results.clone(),
-                    },
-                );
-            }
-            Payload::Query { client, .. } => {
-                // same identity binding as Submit: the claimed client must
-                // be the MAC signer and a client id
-                let signer = frame.sig.signer.0 as u64;
-                if *client != signer || (signer as usize) < self.cluster {
-                    return;
-                }
-                if self.query_inbox.len() >= QUERY_INBOX_CAP {
-                    self.query_dropped += 1;
-                    return;
-                }
-                self.query_inbox.push_back(frame);
-            }
-            Payload::TelemetryRequest { nonce } => {
-                // any registered identity may scrape (telemetry is
-                // read-only and self-reported); one slot per requester,
-                // latest nonce wins
-                let signer = frame.sig.signer.0;
-                if signer != self.id().0 {
-                    self.telemetry_requests.insert(signer, *nonce);
-                }
-            }
-            // replies are client-bound; a node receiving one drops it
-            Payload::Reply { .. } | Payload::QueryReply { .. } | Payload::TelemetryReply { .. } => {
-            }
-            Payload::Ping { .. } => {}
+            _ => {}
         }
     }
 
@@ -627,7 +386,7 @@ impl<T: Transport> NodeRuntime<T> {
             &self.registry,
             me,
         );
-        let _ = self.transport.broadcast_upto(self.cluster, &frame);
+        let _ = self.transport.broadcast_upto(self.n(), &frame);
         self.commits.entry(round).or_default().insert(me.0, digest);
     }
 
@@ -646,7 +405,7 @@ impl<T: Transport> NodeRuntime<T> {
             &self.registry,
             me,
         );
-        let _ = self.transport.broadcast_upto(self.cluster, &frame);
+        let _ = self.transport.broadcast_upto(self.n(), &frame);
         self.stages.entry(round).or_default().insert(me.0, commands);
     }
 
@@ -717,243 +476,6 @@ impl<T: Transport> NodeRuntime<T> {
         }
     }
 
-    /// Waits until a specific `voter`'s staged-batch vote for `round` is
-    /// held (or `timeout` passes) — how gateway followers pick up the
-    /// round leader's proposal before echoing it.
-    pub fn wait_for_stage_from(
-        &mut self,
-        round: u64,
-        voter: usize,
-        timeout: Duration,
-    ) -> Option<Vec<Vec<u64>>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(batch) = self.stages.get(&round).and_then(|v| v.get(&voter)) {
-                return Some(batch.clone());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            match self.transport.recv_timeout(deadline - now) {
-                Ok(frame) => self.absorb(frame),
-                Err(_) => return None,
-            }
-        }
-    }
-
-    /// Blocks until a batch-consensus frame for `round` is available (or
-    /// `deadline` passes): buffered frames first, then live receives —
-    /// non-consensus frames absorbed along the way are buffered normally,
-    /// so running a consensus phase never drops submissions, commit
-    /// gossip, or early results.
-    pub fn poll_consensus(&mut self, round: u64, deadline: Instant) -> Option<Frame> {
-        loop {
-            if let Some(frame) = self.consensus.get_mut(&round).and_then(VecDeque::pop_front) {
-                return Some(frame);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            match self.transport.recv_timeout(deadline - now) {
-                Ok(frame) => self.absorb(frame),
-                Err(_) => return None,
-            }
-        }
-    }
-
-    /// Signs `payload` as this node and broadcasts it to the cluster —
-    /// how consensus drivers fan out their protocol messages.
-    pub fn broadcast_signed(&self, payload: Payload) {
-        let frame = Frame::sign(payload, &self.registry, self.id());
-        let _ = self.transport.broadcast_upto(self.cluster, &frame);
-    }
-
-    /// Drains the buffered client `Submit` frames (authenticated, identity
-    /// bound, but not yet admitted — that's the gateway's job).
-    pub fn take_client_frames(&mut self) -> Vec<Frame> {
-        self.client_inbox.drain(..).collect()
-    }
-
-    /// Drains the buffered client `Query` frames (authenticated, identity
-    /// bound).
-    pub fn take_query_frames(&mut self) -> Vec<Frame> {
-        self.query_inbox.drain(..).collect()
-    }
-
-    /// How many client queries were dropped at the inbox cap.
-    pub fn query_dropped(&self) -> u64 {
-        self.query_dropped
-    }
-
-    /// Drains the pending peer state-transfer requests as
-    /// `(requester, from_round)` pairs.
-    pub fn take_state_requests(&mut self) -> Vec<(usize, u64)> {
-        std::mem::take(&mut self.state_requests)
-            .into_iter()
-            .collect()
-    }
-
-    /// Drains the pending telemetry scrape requests as
-    /// `(requester, nonce)` pairs.
-    pub fn take_telemetry_requests(&mut self) -> Vec<(usize, u64)> {
-        std::mem::take(&mut self.telemetry_requests)
-            .into_iter()
-            .collect()
-    }
-
-    /// Broadcasts a state-transfer request to the cluster, asking peers
-    /// for their latest committed state (this node's durable frontier is
-    /// `from_round`). Answers arrive as `StateChunk` frames and are
-    /// buffered; apply the `b + 1` rule with [`Self::verified_state`].
-    pub fn request_state(&mut self, from_round: u64) {
-        let me = self.id();
-        let frame = Frame::sign(Payload::StateRequest { from_round }, &self.registry, me);
-        let _ = self.transport.broadcast_upto(self.cluster, &frame);
-    }
-
-    /// Applies the Byzantine acceptance rule to the buffered state
-    /// chunks: the *highest* round for which at least `need = b + 1`
-    /// distinct peers vouch for the same `(round, digest)` **and** some
-    /// vouched chunk's results actually hash to that digest (a Byzantine
-    /// peer may vote for the honest digest while shipping garbage bytes —
-    /// its chunk is skipped, an honest voucher's chunk is used). Only
-    /// rounds `>= min_round` are considered.
-    pub fn verified_state<F: Field>(&self, need: usize, min_round: u64) -> Option<VerifiedState> {
-        let mut tally: BTreeMap<(u64, u64), Vec<usize>> = BTreeMap::new();
-        for (&peer, chunk) in &self.state_chunks {
-            if chunk.round >= min_round {
-                tally
-                    .entry((chunk.round, chunk.digest))
-                    .or_default()
-                    .push(peer);
-            }
-        }
-        for (&(round, digest), peers) in tally.iter().rev() {
-            if peers.len() < need {
-                continue;
-            }
-            let mut verified: Option<VerifiedState> = None;
-            let mut corrupt: Vec<usize> = Vec::new();
-            for &peer in peers {
-                let chunk = &self.state_chunks[&peer];
-                let results: Vec<Vec<F>> = chunk
-                    .results
-                    .iter()
-                    .map(|row| row.iter().map(|&v| F::from_u64(v)).collect())
-                    .collect();
-                if csm_core::digest::digest_results(&results) == digest {
-                    if verified.is_none() {
-                        verified = Some(VerifiedState {
-                            round,
-                            digest,
-                            results: chunk.results.clone(),
-                            matching: peers.len(),
-                        });
-                    }
-                } else {
-                    corrupt.push(peer);
-                }
-            }
-            if let Some(vs) = verified {
-                // attribute the vouchers whose bytes did not hash to the
-                // digest they voted for: chunk corruption was previously
-                // skipped silently and invisible to the scorecard
-                for &peer in &corrupt {
-                    self.sink
-                        .event(self.id().0, round, Some(peer), Event::StateChunkRejected);
-                }
-                return Some(vs);
-            }
-        }
-        None
-    }
-
-    /// Requests a state transfer and pumps inbound frames until a
-    /// `need`-verified state at round `>= min_round` is held (or
-    /// `timeout` passes). Other frame types absorbed along the way are
-    /// buffered normally.
-    pub fn wait_for_verified_state<F: Field>(
-        &mut self,
-        need: usize,
-        min_round: u64,
-        timeout: Duration,
-    ) -> Option<VerifiedState> {
-        self.state_chunks.clear(); // stale answers must not satisfy the rule
-        self.request_state(min_round);
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(vs) = self.verified_state::<F>(need, min_round) {
-                return Some(vs);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            match self.transport.recv_timeout(deadline - now) {
-                Ok(frame) => self.absorb(frame),
-                Err(_) => return None,
-            }
-        }
-    }
-
-    /// Marks every round below `next_round` as already finished — the
-    /// crash-recovery resume point. Stale buffered results/stages for
-    /// replayed rounds are discarded, and the absorb window re-anchors at
-    /// the resumed round instead of round zero.
-    pub fn resume_at(&mut self, next_round: u64) {
-        let Some(finished) = next_round.checked_sub(1) else {
-            return;
-        };
-        let finished = self.finished_round.map_or(finished, |f| f.max(finished));
-        self.finished_round = Some(finished);
-        self.pending = self.pending.split_off(&(finished + 1));
-        self.stages = self.stages.split_off(&(finished + 1));
-        self.consensus = self.consensus.split_off(&(finished + 1));
-        self.commits = self
-            .commits
-            .split_off(&finished.saturating_sub(ROUND_LOOKAHEAD));
-    }
-
-    /// The highest round for which at least `need` *other* cluster nodes
-    /// announced the same commit digest, with that digest — how a durable
-    /// gateway notices the cluster has committed past it (it must resync
-    /// before participating again).
-    pub fn commit_quorum_frontier(&self, need: usize) -> Option<(u64, u64)> {
-        let me = self.id().0;
-        for (&round, votes) in self.commits.iter().rev() {
-            let mut tallies: BTreeMap<u64, usize> = BTreeMap::new();
-            for (&node, &digest) in votes {
-                if node != me {
-                    *tallies.entry(digest).or_insert(0) += 1;
-                }
-            }
-            if let Some((&digest, _)) = tallies.iter().find(|(_, &c)| c >= need) {
-                return Some((round, digest));
-            }
-        }
-        None
-    }
-
-    /// The commit digests announced for `round`, by announcing node (as
-    /// absorbed so far; `None` if nothing was retained for that round).
-    pub fn commit_digest_votes(&self, round: u64) -> Option<&BTreeMap<usize, u64>> {
-        self.commits.get(&round)
-    }
-
-    /// How many client submissions were dropped at the inbox cap.
-    pub fn inbox_dropped(&self) -> u64 {
-        self.inbox_dropped
-    }
-
-    /// Signs `payload` as this node and sends it to one mesh endpoint
-    /// (typically a client, for `Reply` fan-out).
-    pub fn send_signed(&self, to: NodeId, payload: Payload) {
-        let frame = Frame::sign(payload, &self.registry, self.id());
-        let _ = self.transport.send(to, frame);
-    }
-
     /// Waits until at least `quorum` commit digests for `round` are held
     /// (or `timeout` passes), buffering any result frames that arrive for
     /// future rounds. Returns the digests by node id.
@@ -975,31 +497,6 @@ impl<T: Transport> NodeRuntime<T> {
             }
         }
         self.commits.get(&round).cloned().unwrap_or_default()
-    }
-}
-
-/// The buffering weight of a consensus payload: every `u64` its batch
-/// rows carry, including rows nested inside view-change certificates —
-/// the bound a Byzantine peer's oversized frame is rejected against.
-fn consensus_weight(payload: &Payload) -> usize {
-    fn rows_weight(rows: &[Vec<u64>]) -> usize {
-        rows.len() + rows.iter().map(Vec::len).sum::<usize>()
-    }
-    fn vc_weight(vc: &csm_transport::ViewChangeWire) -> usize {
-        vc.prepared
-            .as_ref()
-            .map_or(1, |cert| 1 + rows_weight(&cert.rows) + cert.sigs.len())
-    }
-    match payload {
-        Payload::BatchRelay { rows, chain, .. } => rows_weight(rows) + chain.len(),
-        Payload::BatchVote { rows, .. } => rows_weight(rows),
-        Payload::BatchViewChange { vote, .. } => vc_weight(vote),
-        Payload::BatchNewView {
-            rows,
-            justification,
-            ..
-        } => rows_weight(rows) + justification.iter().map(vc_weight).sum::<usize>(),
-        _ => 0,
     }
 }
 

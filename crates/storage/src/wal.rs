@@ -25,13 +25,10 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Format version carried at the head of every record body. Version 2
-/// added the `protocol` byte recording which batch-consensus backend
-/// committed the round; version 3 added `batch_cap`, the per-shard
-/// program cap in force when the round was agreed. Version-1 and
-/// version-2 records still decode: their protocol reads as
-/// [`PROTOCOL_LEADER_ECHO`] (v1 only) and their batch cap as 1 (rounds
-/// logged before aggregation carried at most one command per shard).
+/// Format version carried at the head of every record body. Only this
+/// version decodes: no log written under versions 1 or 2 (before the
+/// `protocol` byte and `batch_cap`) was ever deployed, so they are
+/// rejected like any other unknown version.
 pub const RECORD_VERSION: u8 = 3;
 
 /// [`CommitRecord::protocol`]: the batch was agreed by the leader-echo
@@ -70,8 +67,7 @@ pub struct CommitRecord {
     /// The per-shard program cap (`batch_cap`) the gateway was agreeing
     /// batches under when this round committed. The batch rows carry the
     /// full agreed program; the cap lets an audit check every logged
-    /// round respected the configured bound. Pre-v3 records read as 1
-    /// (one command per shard was the only shape that existed).
+    /// round respected the configured bound.
     pub batch_cap: u32,
 }
 
@@ -88,34 +84,16 @@ impl Wire for CommitRecord {
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, csm_transport::WireError> {
         let version = u8::decode(r)?;
-        if !(1..=RECORD_VERSION).contains(&version) {
+        if version != RECORD_VERSION {
             return Err(csm_transport::WireError::UnknownTag(version));
         }
-        let (round, digest, batch, state_delta) = (
-            u64::decode(r)?,
-            u64::decode(r)?,
-            Vec::<Vec<u64>>::decode(r)?,
-            Vec::<u64>::decode(r)?,
-        );
-        let protocol = if version == 1 {
-            // pre-protocol logs could only have come from leader-echo
-            PROTOCOL_LEADER_ECHO
-        } else {
-            u8::decode(r)?
-        };
-        let batch_cap = if version < 3 {
-            // pre-aggregation logs carried at most one command per shard
-            1
-        } else {
-            u32::decode(r)?
-        };
         Ok(CommitRecord {
-            round,
-            digest,
-            batch,
-            state_delta,
-            protocol,
-            batch_cap,
+            round: u64::decode(r)?,
+            digest: u64::decode(r)?,
+            batch: Vec::<Vec<u64>>::decode(r)?,
+            state_delta: Vec::<u64>::decode(r)?,
+            protocol: u8::decode(r)?,
+            batch_cap: u32::decode(r)?,
         })
     }
 }
@@ -382,29 +360,29 @@ mod tests {
     }
 
     #[test]
-    fn older_record_versions_still_decode() {
+    fn older_record_versions_are_rejected() {
         // a v2 body is the v3 encoding minus the trailing batch_cap u32,
-        // a v1 body additionally drops the protocol byte — both must
-        // replay, with protocol leader-echo (v1) and batch cap 1
+        // a v1 body additionally drops the protocol byte: neither was
+        // ever deployed, so both are corruption like any unknown version
         let modern = rec(3);
         let mut v2_body = modern.to_bytes();
         assert_eq!(v2_body[0], RECORD_VERSION);
         v2_body[0] = 2;
-        v2_body.truncate(v2_body.len() - 4); // drop the batch_cap u32
-        let decoded = CommitRecord::from_bytes(&v2_body).expect("v2 decodes");
-        assert_eq!(decoded, modern);
-        assert_eq!(decoded.batch_cap, 1);
-        let mut v1_body = v2_body;
+        v2_body.truncate(v2_body.len() - 4);
+        let mut v1_body = v2_body.clone();
         v1_body[0] = 1;
-        v1_body.pop(); // drop the protocol byte
-        let decoded = CommitRecord::from_bytes(&v1_body).expect("v1 decodes");
-        assert_eq!(decoded, modern);
-        assert_eq!(decoded.protocol, PROTOCOL_LEADER_ECHO);
-        assert_eq!(decoded.batch_cap, 1);
-        // unknown versions are corruption, not silent misreads
+        v1_body.pop();
         let mut v9 = modern.to_bytes();
         v9[0] = 9;
-        assert!(CommitRecord::from_bytes(&v9).is_err());
+        for (version, body) in [(2, v2_body), (1, v1_body), (9, v9)] {
+            assert!(
+                matches!(
+                    CommitRecord::from_bytes(&body),
+                    Err(csm_transport::WireError::UnknownTag(v)) if v == version
+                ),
+                "version {version} must be rejected as an unknown tag"
+            );
+        }
     }
 
     #[test]

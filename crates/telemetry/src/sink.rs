@@ -400,9 +400,21 @@ impl<'a> RoundSpan<'a> {
     /// Finishes the span, reporting its whole lifetime as
     /// [`Phase::Round`].
     pub fn finish(self) {
+        self.finish_after(Duration::ZERO);
+    }
+
+    /// Finishes a span that covers only the tail of its round: reports
+    /// `earlier` (the part measured elsewhere, e.g. the gateway core's
+    /// waiting phases on its driver's clock) plus the span's lifetime as
+    /// [`Phase::Round`].
+    pub fn finish_after(self, earlier: Duration) {
         if self.enabled {
-            self.sink
-                .phase(self.node, self.round, Phase::Round, self.started.elapsed());
+            self.sink.phase(
+                self.node,
+                self.round,
+                Phase::Round,
+                earlier + self.started.elapsed(),
+            );
         }
     }
 }

@@ -2,16 +2,17 @@
 //!
 //! The real transport substrate for CSM nodes: authenticated,
 //! length-prefixed binary frames ([`Frame`]) moved over actual I/O instead
-//! of the discrete-event simulator in `csm-network`. Three backends
+//! of the discrete-event simulator in `csm-network`. Two backends
 //! implement the same [`Transport`] interface:
 //!
 //! * [`mem::MemMesh`] — an in-process channel mesh (deterministic-ish,
-//!   zero syscalls; the unit-test and benchmarking substrate),
+//!   zero syscalls; the unit-test and benchmarking substrate), and
 //! * [`tcp::TcpTransport`] — real loopback/LAN TCP sockets with a reader
-//!   thread per inbound connection, and
-//! * [`sim::SimTransport`] — an endpoint over the seeded virtual-clock
-//!   [`sim::SimNet`] fabric (bit-for-bit deterministic; what the
-//!   `csm-chaos` harness drives whole-cluster fault scenarios on).
+//!   thread per inbound connection.
+//!
+//! The seeded virtual-clock [`sim::SimNet`] fabric moves the same
+//! [`Frame`]s without the trait: the `csm-chaos` harness pops its
+//! deliveries and timers and feeds them to the gateway core directly.
 //!
 //! Authentication reuses `csm_network::auth` keyed MACs, carrying the
 //! paper's authenticated-Byzantine model (§2.1) onto the wire: both

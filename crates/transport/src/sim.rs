@@ -1,5 +1,4 @@
-//! A deterministic discrete-event network fabric (`SimNet`) plus a
-//! [`Transport`]-trait adapter (`SimTransport`) over it.
+//! A deterministic discrete-event network fabric (`SimNet`).
 //!
 //! Unlike [`crate::mem::MemMesh`] (real channels, real clocks, thread
 //! scheduling nondeterminism) the fabric here owns a **virtual clock**:
@@ -16,16 +15,12 @@
 //!
 //! Time is a unitless `u64` tick counter; by convention the chaos layer
 //! treats ticks as virtual microseconds. Nothing here reads a real
-//! clock: [`SimTransport::recv_timeout`] *advances the virtual clock*
-//! instead of sleeping, which is what lets a 10k-client scenario run in
+//! clock or sleeps, which is what lets a 10k-client scenario run in
 //! wall-clock seconds.
 
-use crate::{Frame, RecvError, SendError, Transport, TransportStats};
-use csm_network::auth::KeyRegistry;
-use csm_network::NodeId;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use crate::Frame;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// SplitMix64 step (same generator the engine uses for command
 /// derivation): the fabric's only randomness source.
@@ -97,10 +92,34 @@ pub struct SimNet {
     rng: u64,
     default_link: LinkState,
     links: BTreeMap<(usize, usize), LinkState>,
-    queue: BTreeMap<(u64, u64), SimEvent>,
-    /// Frames already popped for an endpoint but not yet consumed by its
-    /// [`SimTransport`] (only used through the trait adapter).
-    inboxes: Vec<VecDeque<Frame>>,
+    queue: BinaryHeap<Queued>,
+}
+
+/// A queued event; the heap pops the smallest `(due_time, sequence)`.
+#[derive(Debug)]
+struct Queued {
+    key: Reverse<(u64, u64)>,
+    event: SimEvent,
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Queued {}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key.cmp(&other.key)
+    }
 }
 
 impl SimNet {
@@ -114,8 +133,7 @@ impl SimNet {
             rng: splitmix64(seed ^ 0x51E7),
             default_link,
             links: BTreeMap::new(),
-            queue: BTreeMap::new(),
-            inboxes: vec![VecDeque::new(); endpoints],
+            queue: BinaryHeap::new(),
         }
     }
 
@@ -178,9 +196,9 @@ impl SimNet {
     }
 
     fn enqueue_at(&mut self, due: u64, event: SimEvent) {
-        let key = (due.max(self.now), self.seq);
+        let key = Reverse((due.max(self.now), self.seq));
         self.seq += 1;
-        self.queue.insert(key, event);
+        self.queue.push(Queued { key, event });
     }
 
     /// Sends `frame` from `from` to `to` through the link's current
@@ -240,116 +258,12 @@ impl SimNet {
     /// Pops the earliest pending event, advancing the virtual clock to
     /// its due time. `None` means the simulation is quiescent.
     pub fn pop(&mut self) -> Option<(u64, SimEvent)> {
-        let (&(due, seq), _) = self.queue.iter().next()?;
-        let event = self.queue.remove(&(due, seq)).expect("key just observed");
+        let Queued {
+            key: Reverse((due, _)),
+            event,
+        } = self.queue.pop()?;
         self.now = self.now.max(due);
         Some((due, event))
-    }
-}
-
-/// A [`Transport`] endpoint over a shared [`SimNet`]: the "SimNet
-/// backend" — the same trait the in-process channel mesh and the TCP
-/// transport implement, but with all delivery order and timing derived
-/// from the fabric's seed. Receiving *advances the shared virtual clock*
-/// instead of blocking, so drivers written against `Transport` run
-/// unmodified at simulation speed.
-///
-/// Intended for single-threaded drivers (one endpoint polled at a time);
-/// the fabric is behind a mutex only so endpoints satisfy `Send` like
-/// every other transport.
-#[derive(Debug)]
-pub struct SimTransport {
-    net: Arc<Mutex<SimNet>>,
-    registry: Arc<KeyRegistry>,
-    id: NodeId,
-    n: usize,
-    stats: TransportStats,
-}
-
-impl SimTransport {
-    /// Builds one endpoint per fabric id, all sharing `net`. Inbound
-    /// frames are MAC-verified against `registry` exactly like the real
-    /// backends (forged frames are dropped and counted, never
-    /// delivered).
-    pub fn endpoints(net: Arc<Mutex<SimNet>>, registry: Arc<KeyRegistry>) -> Vec<SimTransport> {
-        let n = net.lock().expect("simnet poisoned").endpoints();
-        (0..n)
-            .map(|id| SimTransport {
-                net: Arc::clone(&net),
-                registry: Arc::clone(&registry),
-                id: NodeId(id),
-                n,
-                stats: TransportStats::default(),
-            })
-            .collect()
-    }
-
-    /// The shared fabric handle (for link-fault injection mid-test).
-    pub fn net(&self) -> Arc<Mutex<SimNet>> {
-        Arc::clone(&self.net)
-    }
-}
-
-impl Transport for SimTransport {
-    fn local_id(&self) -> NodeId {
-        self.id
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn send(&self, to: NodeId, frame: Frame) -> Result<(), SendError> {
-        if to.0 >= self.n {
-            return Err(SendError::UnknownPeer(to));
-        }
-        let mut net = self.net.lock().expect("simnet poisoned");
-        net.send(self.id.0, to.0, frame);
-        Ok(())
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, RecvError> {
-        let mut net = self.net.lock().expect("simnet poisoned");
-        let deadline = net.now().saturating_add(timeout.as_micros() as u64);
-        loop {
-            // anything already routed to us by another endpoint's poll?
-            if let Some(frame) = net.inboxes[self.id.0].pop_front() {
-                if frame.verify(&self.registry) {
-                    self.stats
-                        .delivered
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    return Ok(frame);
-                }
-                self.stats
-                    .dropped_bad_mac
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                continue;
-            }
-            // otherwise advance the fabric until something lands here
-            match net.queue.iter().next().map(|(&k, _)| k) {
-                Some((due, _)) if due <= deadline => {
-                    let Some((_, event)) = net.pop() else {
-                        continue;
-                    };
-                    match event {
-                        SimEvent::Deliver { to, frame, .. } => {
-                            net.inboxes[to].push_back(frame);
-                        }
-                        SimEvent::Timer { .. } => {} // trait users don't arm timers
-                    }
-                }
-                _ => {
-                    // quiescent (or nothing due in the window): the wait
-                    // "elapses" by advancing the virtual clock
-                    net.now = deadline.max(net.now);
-                    return Err(RecvError::Timeout);
-                }
-            }
-        }
-    }
-
-    fn stats(&self) -> &TransportStats {
-        &self.stats
     }
 }
 
@@ -357,6 +271,8 @@ impl Transport for SimTransport {
 mod tests {
     use super::*;
     use crate::Payload;
+    use csm_network::auth::KeyRegistry;
+    use csm_network::NodeId;
 
     fn ping(registry: &KeyRegistry, from: usize, token: u64) -> Frame {
         Frame::sign(Payload::Ping { nonce: token }, registry, NodeId(from))
@@ -434,31 +350,5 @@ mod tests {
         net.set_timer(0, 900, 7);
         let order: Vec<u64> = std::iter::from_fn(|| net.pop()).map(|(t, _)| t).collect();
         assert_eq!(order, vec![100, 500, 900]);
-    }
-
-    #[test]
-    fn transport_adapter_moves_authenticated_frames() {
-        let registry = Arc::new(KeyRegistry::new(3, 77));
-        let net = Arc::new(Mutex::new(SimNet::new(3, 5, LinkState::default())));
-        let eps = SimTransport::endpoints(Arc::clone(&net), Arc::clone(&registry));
-        eps[0]
-            .send(NodeId(1), ping(&registry, 0, 9))
-            .expect("send ok");
-        // a forged frame (signed by 2, claiming 0) must be dropped
-        let forged = Frame::forge(Payload::Ping { nonce: 1 }, &registry, NodeId(2), NodeId(0));
-        eps[2].send(NodeId(1), forged).expect("send ok");
-        let got = eps[1]
-            .recv_timeout(Duration::from_micros(10_000))
-            .expect("frame due within window");
-        assert_eq!(got.sig.signer, NodeId(0));
-        assert_eq!(
-            eps[1].recv_timeout(Duration::from_micros(1_000)),
-            Err(RecvError::Timeout)
-        );
-        let (delivered, bad_mac, _) = eps[1].stats().snapshot();
-        assert_eq!((delivered, bad_mac), (1, 1));
-        // receiving advanced the shared virtual clock, never a real one
-        // (delivery at 500 ticks, then a 1000-tick timed-out wait)
-        assert_eq!(net.lock().unwrap().now(), 1_500);
     }
 }

@@ -9,8 +9,8 @@
 //! fault program may ever produce an honest digest split.
 
 use csm_chaos::{
-    random_schedule, random_schedule_sync, replay_check, run_schedule, scenarios, ChaosConfig,
-    ChaosRun, ConsensusKind, Event, Violation,
+    random_schedule, random_schedule_sync, replay_check, run_schedule, run_schedule_with_telemetry,
+    scenarios, ChaosConfig, ChaosRun, ConsensusKind, Event, Violation,
 };
 use proptest::prelude::*;
 
@@ -236,6 +236,106 @@ fn scale_n32_with_1k_clients_runs_in_seconds() {
         "only {} acks at N=32",
         run.acked.len()
     );
+}
+
+#[test]
+fn spoofed_submit_costs_no_liveness() {
+    // a registered client submits in another client's name under its own
+    // MAC: queued, the row would poison every proposal its holder leads
+    // (no validator accepts it, so it never commits and is never purged
+    // — the livelock the pre-core sim actor reproduced); the core drops
+    // it at intake, so not one round falls back and the probe acks
+    let run = run_clean(scenarios::spoofed_submit());
+    assert!(
+        !run.events
+            .iter()
+            .any(|(_, _, _, e)| *e == Event::StageFallback),
+        "no proposal may be poisoned by the spoofed row"
+    );
+    assert!(run.unacked_probes.is_empty());
+    assert_eq!(run.acked.len(), 45, "every submitted command commits");
+}
+
+#[test]
+fn a_crashed_node_does_nothing_until_restarted() {
+    // a plain crash drops the node's core: nothing is stepped, so nothing
+    // is sent, armed, committed, or traced on its behalf afterwards
+    use csm_chaos::{ChaosEvent, Schedule};
+    let config = ChaosConfig::new(4, 2, 1);
+    let burst = ChaosEvent::Burst {
+        first_client: 0,
+        clients: 3,
+        commands: 1,
+        probe: false,
+    };
+    let schedule = Schedule::quiet(0xdead, 120_000)
+        .at(1_000, burst.clone())
+        .at(30_000, ChaosEvent::Crash { node: 3 })
+        .at(60_000, burst);
+    let run = run_schedule(&config, &schedule);
+    assert!(run.clean(), "{:?}", run.violations);
+    let (dead, live) = (&run.nodes[3], &run.nodes[0]);
+    assert!(!dead.alive);
+    assert!(dead.final_round + 10 < live.final_round, "it stopped early");
+    assert!(dead.digest_history.keys().all(|&r| r < dead.final_round));
+    assert!(
+        run.events
+            .iter()
+            .all(|(node, round, _, _)| *node != 3 || *round <= dead.final_round),
+        "no event is attributed to the dead node after its last round"
+    );
+    // the survivors are N − b: they keep committing the later load
+    assert_eq!(run.acked.len(), 6);
+}
+
+#[test]
+fn sim_nodes_report_the_telemetry_a_live_gateway_does() {
+    // the sim drives the production core, so a durable scenario's nodes
+    // carry the same artefacts a scrape of a live durable gateway does:
+    // the round's phase partition and the gateway counters
+    let s = scenarios::churn_during_resync();
+    let (run, telemetry) = run_schedule_with_telemetry(&s.config, &s.schedule);
+    assert!(run.clean(), "{:?}", run.violations);
+    assert_eq!(telemetry.len(), 4, "every node is up at the horizon");
+    for (node, snap) in &telemetry {
+        assert_eq!(snap.node, *node as u64);
+        for phase in [
+            "consensus",
+            "consensus.propose",
+            "consensus.commit",
+            "execute",
+            "exchange",
+            "decode",
+            "wal-fsync",
+            "reply",
+            "round",
+        ] {
+            let stat = snap.phase(phase);
+            assert!(
+                stat.is_some_and(|p| p.count > 0),
+                "node {node}: phase {phase} missing from {:?}",
+                snap.phases
+            );
+        }
+        // waiting phases run on the virtual clock: a synchronous
+        // exchange is exactly Δ = 2 000 ticks (µs) here
+        assert_eq!(snap.phase("exchange").map(|p| p.p50_us / 100), Some(20));
+        for counter in [
+            "admitted",
+            "commands_committed",
+            "replies_sent",
+            "wal_appends",
+            "snapshots",
+            "empty_rounds",
+        ] {
+            assert!(snap.counter(counter) > 0, "node {node}: {counter} is zero");
+        }
+        assert!(snap.value("slack.exchange").is_some());
+        assert!(snap.value("batch_size").is_some_and(|v| v.max >= 1));
+    }
+    // the restarted nodes went through the state transfer, and say so
+    let resynced: u64 = telemetry.iter().map(|(_, s)| s.counter("resyncs")).sum();
+    assert!(resynced >= 2, "both restarted nodes resynced");
 }
 
 #[test]

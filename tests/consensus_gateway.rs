@@ -12,12 +12,19 @@
 //! way: every accepted output sits on the reference balance chain and
 //! honest nodes agree on every commit digest.
 
+use csm_algebra::{Field, Fp61};
 use csm_bench::workload::{
     run_mem_workload_with_faults, run_tcp_workload_with_faults, verify_bank_outcome, WorkloadConfig,
 };
-use csm_node::{BehaviorKind, ConsensusKind, ExchangeTiming, NodeRuntime, StagingFault};
-use csm_transport::mem::MemMesh;
-use csm_transport::{Frame, Payload, Transport};
+use csm_network::NodeId;
+use csm_node::core::{Effect, Event, GatewayCore, TimerKind};
+use csm_node::gateway::{encode_batch, BatchEntry};
+use csm_node::{
+    BehaviorKind, CodedMachine, ConsensusKind, ExchangeTiming, GatewayConfig, GatewaySpec,
+    RoundEngine, StagingFault,
+};
+use csm_statemachine::machines::bank_machine;
+use csm_transport::{Frame, Payload};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -236,52 +243,123 @@ fn pbft_withholding_leader_commits_via_view_change() {
     assert_eq!(outcome.committed(), 4);
 }
 
+/// A genuine one-command batch row: client `client`'s signed `Submit`
+/// of `amount` to `shard`, as a leader would stage it.
+fn signed_row(
+    registry: &csm_network::auth::KeyRegistry,
+    client: usize,
+    shard: usize,
+    amount: u64,
+) -> BatchEntry {
+    let submit = Payload::Submit {
+        shard: shard as u64,
+        client: client as u64,
+        seq: 0,
+        command: vec![amount],
+    };
+    BatchEntry {
+        client: client as u64,
+        seq: 0,
+        shard,
+        sig_tag: Frame::sign(submit, registry, NodeId(client)).sig.tag,
+        command: vec![amount],
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Leader-echo's corresponding never-split property (completing the
-    /// trio with the Dolev–Strong/PBFT adapter proptests in
-    /// `csm-consensus`): given any vote multiset with at most `b`
-    /// Byzantine votes, the `N − b` adoption quorum can only ever form on
-    /// a batch the honest majority echoed — `b` colluders alone can never
-    /// push a batch of their own through, because `N − b > b` whenever
-    /// `N > 2b`. (Leader-echo's remaining weakness is *timing* — honest
-    /// nodes observing different vote multisets — which is exactly what
-    /// the real backends close.)
+    /// Leader-echo's never-split property (completing the trio with the
+    /// Dolev–Strong/PBFT adapter proptests in `csm-consensus`), checked
+    /// through the gateway core: given any vote multiset with at most `b`
+    /// Byzantine votes, arriving in any order, the `N − b` adoption
+    /// quorum can only ever form on the batch the honest majority echoed
+    /// — `b` colluders alone can never push a batch of their own
+    /// through, because `N − b > b` whenever `N > 2b`. The adopted batch
+    /// is read off the wire: the follower's `Result` broadcast must be
+    /// the coded execution of the honest batch. (Leader-echo's remaining
+    /// weakness is *timing* — honest nodes observing different vote
+    /// multisets — which is exactly what the real backends close.)
     #[test]
     fn leader_echo_quorum_never_adopts_a_byzantine_only_batch(
         n in 4usize..9,
         b_pick in 1usize..4,
-        honest_rows in prop::collection::vec(prop::collection::vec(any::<u64>(), 5..7), 0..3),
-        byz_rows in prop::collection::vec(prop::collection::vec(any::<u64>(), 5..7), 1..3),
+        honest_amounts in prop::collection::vec(1u64..500, 0..3),
+        byz_amounts in prop::collection::vec(501u64..999, 1..3),
         seed in any::<u64>(),
     ) {
         let b = b_pick.min((n - 1) / 2);
-        prop_assume!(honest_rows != byz_rows);
-        let registry = csm_node::mesh_registry(n, 0, seed);
-        let mut mesh = MemMesh::build(Arc::clone(&registry));
-        let others = mesh.split_off(1);
+        let (k, clients) = (2, 2);
+        let registry = csm_node::mesh_registry(n, clients, seed);
+        let batch = |amounts: &[u64]| -> Vec<BatchEntry> {
+            amounts
+                .iter()
+                .enumerate()
+                .map(|(shard, &amount)| signed_row(&registry, n + shard, shard, amount))
+                .collect()
+        };
+        let (honest, byz) = (batch(&honest_amounts), batch(&byz_amounts));
+        let machine = Arc::new(
+            CodedMachine::<Fp61>::new(n, k, bank_machine(), csm_core::DecoderKind::default())
+                .expect("cluster shape"),
+        );
+        let spec = GatewaySpec {
+            machine: Arc::clone(&machine),
+            initial_states: vec![vec![Fp61::from_u64(100)]; k],
+            behavior: BehaviorKind::Honest,
+            staging_fault: StagingFault::None,
+        };
         let timing = ExchangeTiming::synchronous(b, Duration::from_millis(20));
-        let mut rt = NodeRuntime::new(mesh.remove(0), Arc::clone(&registry), timing);
-        let round = 3;
-        // node 0 plus the honest majority vote for the honest batch; the
-        // b Byzantine nodes all vote for their own batch
-        rt.announce_stage(round, honest_rows.clone());
-        for (idx, endpoint) in others.iter().enumerate() {
-            let voter = idx + 1;
-            let rows = if voter <= b { byz_rows.clone() } else { honest_rows.clone() };
-            let frame = Frame::sign(
-                Payload::Stage { round, sender: voter as u64, commands: rows },
-                &registry,
-                endpoint.local_id(),
-            );
-            endpoint.send(csm_network::NodeId(0), frame).expect("mem send");
+        let cfg = GatewayConfig::new(n, b, &timing);
+        // the follower under test is the last node; node 0 leads round 0
+        let me = n - 1;
+        let mut core = GatewayCore::new(me, Arc::clone(&registry), timing, &spec, &cfg, None);
+        let started = core.start(0);
+        let Some(Effect::SetTimer { at_us, id }) = started.first().cloned() else {
+            panic!("a fresh core arms its first round: {started:?}");
+        };
+        prop_assert_eq!(id.kind, TimerKind::Next);
+        core.step(at_us, Event::Timer(id));
+
+        // the honest majority (leader included) votes the honest batch,
+        // the b Byzantine nodes 1..=b all vote their own; seeded order
+        let mut voters: Vec<usize> = (0..me).collect();
+        for i in (1..voters.len()).rev() {
+            voters.swap(i, (seed.rotate_left(i as u32) % (i as u64 + 1)) as usize);
         }
-        let adopted = rt.wait_for_stage(round, n - b, Duration::from_millis(200));
+        let mut sent = Vec::new();
+        for voter in voters {
+            let rows = if (1..=b).contains(&voter) { &byz } else { &honest };
+            let vote = Payload::Stage {
+                round: 0,
+                sender: voter as u64,
+                commands: encode_batch(rows),
+            };
+            let frame = Frame::sign(vote, &registry, NodeId(voter));
+            sent.extend(core.step(at_us + 1, Event::Frame(frame)));
+        }
+        let result = sent.iter().find_map(|e| match e {
+            Effect::Broadcast(Frame { payload: Payload::Result { values, .. }, .. }) => {
+                Some(values.clone())
+            }
+            _ => None,
+        });
+        let mut programs = vec![Vec::new(); k];
+        for entry in &honest {
+            programs[entry.shard].push(vec![Fp61::from_u64(entry.command[0])]);
+        }
+        let expected: Vec<u64> = RoundEngine::new(machine, me, &spec.initial_states)
+            .expect("engine")
+            .execute_batched(&programs)
+            .expect("well-shaped")
+            .iter()
+            .map(|x| x.to_canonical_u64())
+            .collect();
         prop_assert_eq!(
-            adopted,
-            Some(honest_rows),
+            result,
+            Some(expected),
             "the N - b quorum must land on the honestly-echoed batch"
         );
+        prop_assert_eq!(core.stats().stage_fallbacks, 0);
     }
 }

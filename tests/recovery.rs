@@ -10,10 +10,14 @@ use csm_bench::recovery::{
 use csm_core::digest::digest_results;
 use csm_core::DecoderKind;
 use csm_network::NodeId;
-use csm_node::{cluster_registry, CodedMachine, ExchangeTiming, NodeRuntime, RoundEngine};
+use csm_node::core::{Effect, Event, GatewayCore, TimerKind};
+use csm_node::{
+    cluster_registry, store_fingerprint, BehaviorKind, CodedMachine, DurabilityConfig,
+    ExchangeTiming, GatewayConfig, GatewaySpec, RoundEngine, StagingFault,
+};
 use csm_statemachine::machines::bank_machine;
-use csm_transport::mem::{MemMesh, MemTransport};
-use csm_transport::{Frame, Payload, Transport};
+use csm_storage::NodeStore;
+use csm_transport::{Frame, Payload};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -83,13 +87,56 @@ fn advanced_cluster(
     (machine, engines, last_results, digest)
 }
 
-/// A mesh split into the rejoiner's endpoint (node 0) and the peers'.
-fn rejoin_mesh(
-    registry: &Arc<csm_network::auth::KeyRegistry>,
-) -> (MemTransport, Vec<MemTransport>) {
-    let mut endpoints: Vec<_> = MemMesh::build(Arc::clone(registry)).into_iter().collect();
-    let rejoiner = endpoints.remove(0);
-    (rejoiner, endpoints)
+/// A durable gateway core for node 0 whose store already has history, so
+/// `start` opens with the startup state transfer: the effects are the
+/// `StateRequest` broadcast and the attempt's deadline timer.
+fn rejoining_core(
+    name: &str,
+    machine: &Arc<CodedMachine<Fp61>>,
+    n: usize,
+    b: usize,
+    seed: u64,
+) -> (GatewayCore<Fp61>, Vec<Effect>, std::path::PathBuf) {
+    let dir = scratch_dir(name);
+    let spec = GatewaySpec {
+        machine: Arc::clone(machine),
+        initial_states: (0..machine.k() as u64)
+            .map(|i| vec![Fp61::from_u64(100 * (i + 1))])
+            .collect(),
+        behavior: BehaviorKind::Honest,
+        staging_fault: StagingFault::None,
+    };
+    let timing = ExchangeTiming::synchronous(b, Duration::from_millis(50));
+    let cfg = GatewayConfig::new(n, b, &timing);
+    let durability = DurabilityConfig::new(&dir);
+    let build = || {
+        GatewayCore::new(
+            0,
+            cluster_registry(n, seed),
+            timing.clone(),
+            &spec,
+            &cfg,
+            Some(&durability),
+        )
+    };
+    drop(build()); // first life: writes the genesis checkpoint
+    let mut core = build();
+    let effects = core.start(0);
+    assert!(
+        core.resyncing(),
+        "a store with history starts by catching up"
+    );
+    assert!(matches!(
+        effects[..],
+        [
+            Effect::Broadcast(Frame {
+                payload: Payload::StateRequest { from_round: 0 },
+                ..
+            }),
+            Effect::SetTimer { .. }
+        ]
+    ));
+    (core, effects, dir)
 }
 
 #[test]
@@ -99,7 +146,7 @@ fn byzantine_state_chunks_cannot_poison_a_rejoiner() {
     // corrupted results under the honest digest (fails the digest check),
     // peer 2 serves a self-consistent forgery with its own digest (can
     // never reach b + 1 agreement). The two honest chunks (peers 3, 4)
-    // satisfy need = b + 1 = 2 and the verified state matches the honest
+    // satisfy need = b + 1 = 2 and the installed state matches the honest
     // cluster exactly.
     let n = 6;
     let b = 1;
@@ -107,7 +154,7 @@ fn byzantine_state_chunks_cannot_poison_a_rejoiner() {
     let (machine, engines, results, digest) = advanced_cluster(n, 2, rounds);
     let committed_round = rounds - 1;
     let registry = cluster_registry(n, 99);
-    let (rejoiner_tx, peers) = rejoin_mesh(&registry);
+    let (mut core, _, dir) = rejoining_core("chunk-poison", &machine, n, b, 99);
 
     let canonical: Vec<Vec<u64>> = results
         .iter()
@@ -130,75 +177,83 @@ fn byzantine_state_chunks_cannot_poison_a_rejoiner() {
         (4, chunk(committed_round, digest, canonical.clone())),
         // peer 5 withholds
     ];
-    for (peer, payload) in sends {
+    for (at, (peer, payload)) in sends.into_iter().enumerate() {
         let frame = Frame::sign(payload, &registry, NodeId(peer));
-        peers[peer - 1]
-            .send(NodeId(0), frame)
-            .expect("deliver chunk");
+        let effects = core.step(at as u64 + 1, Event::Frame(frame));
+        // acceptance fires the moment b + 1 = 2 peers vouch for one
+        // digest *and* a chunk hashing to it is held: the corrupt-bytes
+        // peer's vote counts, its bytes do not — peer 3's are installed
+        let installed = core.stats().resyncs == 1;
+        assert_eq!(installed, peer >= 3, "after peer {peer}'s chunk");
+        if peer == 3 {
+            assert!(
+                matches!(effects[..], [Effect::SetTimer { id, .. }] if id.kind == TimerKind::Next),
+                "the rejoiner resumes its rounds: {effects:?}"
+            );
+        }
     }
-
-    let timing = ExchangeTiming::synchronous(b, Duration::from_millis(50));
-    let mut rt = NodeRuntime::new(rejoiner_tx, Arc::clone(&registry), timing);
-    let recording = Arc::new(csm_telemetry::RecordingSink::new());
-    rt.set_sink(recording.clone());
-    let vs = rt
-        .wait_for_verified_state::<Fp61>(b + 1, committed_round, Duration::from_secs(2))
-        .expect("honest quorum verifies");
-    assert_eq!(vs.round, committed_round);
-    assert_eq!(vs.digest, digest);
+    assert!(!core.resyncing());
     assert_eq!(
-        vs.results, canonical,
-        "only digest-matching results may be installed"
+        core.round(),
+        committed_round + 1,
+        "rejoined after the transfer"
     );
-    // acceptance fires as soon as b + 1 vouchers are absorbed; the
-    // corrupt-bytes peer also vouches for the honest digest, so the count
-    // may be 2 or 3 depending on arrival order — never fewer
-    assert!(vs.matching > b);
     // the corrupt-bytes chunk is attributed to its server the moment
     // acceptance fires; the self-consistent forger (peer 2) sits in a
     // different digest group and must never draw a rejection event
-    let rejected = |peer: usize| recording.counter(&format!("state_chunk_rejected.peer{peer}"));
+    let snap = core.telemetry();
+    let rejected = |peer: usize| snap.counter(&format!("state_chunk_rejected.peer{peer}"));
     assert_eq!(rejected(1), 1, "corrupt chunk attributed to its server");
     for peer in [0, 2, 3, 4, 5] {
         assert_eq!(rejected(peer), 0, "peer {peer} served no corrupt chunk");
     }
+    let recovery = core.into_report().recovery.expect("durable core");
+    assert_eq!(recovery.startup_transfer, Some(committed_round));
 
-    // re-encoding the verified states at the rejoiner's own evaluation
-    // point reproduces exactly the coded state the honest engines hold
-    let sd = machine.transition().state_dim();
-    let states: Vec<Vec<Fp61>> = vs
-        .results
-        .iter()
-        .map(|row| row.iter().take(sd).map(|&v| Fp61::from_u64(v)).collect())
+    // the verified states were re-encoded at the rejoiner's own
+    // evaluation point and checkpointed before it acted on them: the
+    // store now holds exactly the coded state the honest engines hold
+    let initial: Vec<Vec<Fp61>> = (0..2u64)
+        .map(|i| vec![Fp61::from_u64(100 * (i + 1))])
         .collect();
-    let coded = machine.encode_state_at(0, &states);
-    assert_eq!(coded, engines[0].coded_state());
+    let (_, recovered) =
+        NodeStore::open(&dir, store_fingerprint(&machine, 0, &initial)).expect("store reopens");
+    let snapshot = recovered.snapshot.expect("transfer checkpoint");
+    assert_eq!(snapshot.round, committed_round + 1);
+    assert_eq!(snapshot.coded_state, engines[0].coded_state_canonical());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn forged_quorum_below_b_plus_one_never_verifies() {
     // b = 2 colluding peers agreeing on a forged (round, digest) stay
-    // below need = 3; the rejoiner keeps waiting (returns None) instead
-    // of installing the forgery — even though the forgery is internally
-    // consistent (its results hash to its claimed digest).
+    // below need = 3; the rejoiner keeps waiting instead of installing
+    // the forgery — even though the forgery is internally consistent (its
+    // results hash to its claimed digest) — and when the attempt's
+    // window closes it joins the rounds from its own state.
     let n = 6;
     let registry = cluster_registry(n, 7);
-    let (rejoiner_tx, peers) = rejoin_mesh(&registry);
-    let forged_results = vec![vec![Fp61::from_u64(5), Fp61::from_u64(5)]];
+    let (machine, ..) = advanced_cluster(n, 2, 0);
+    let (mut core, started, dir) = rejoining_core("chunk-forged", &machine, n, 2, 7);
+    let forged_results = vec![vec![Fp61::from_u64(5), Fp61::from_u64(5)]; 2];
     let forged = Payload::StateChunk {
         round: 9,
         digest: digest_results(&forged_results),
-        results: vec![vec![5, 5]],
+        results: vec![vec![5, 5]; 2],
     };
     for peer in [1usize, 2] {
         let frame = Frame::sign(forged.clone(), &registry, NodeId(peer));
-        peers[peer - 1]
-            .send(NodeId(0), frame)
-            .expect("deliver chunk");
+        assert!(core.step(peer as u64, Event::Frame(frame)).is_empty());
     }
-    let timing = ExchangeTiming::synchronous(2, Duration::from_millis(50));
-    let mut rt = NodeRuntime::new(rejoiner_tx, Arc::clone(&registry), timing);
-    assert!(rt
-        .wait_for_verified_state::<Fp61>(3, 0, Duration::from_millis(300))
-        .is_none());
+    assert!(core.resyncing() && core.stats().resyncs == 0);
+    let Some(Effect::SetTimer { at_us, id }) = started.last().cloned() else {
+        panic!("the attempt has a deadline");
+    };
+    let effects = core.step(at_us, Event::Timer(id));
+    assert!(
+        matches!(effects[..], [Effect::SetTimer { id, .. }] if id.kind == TimerKind::Next),
+        "no quorum to transfer from: join the rounds ({effects:?})"
+    );
+    assert_eq!((core.resyncing(), core.round()), (false, 0));
+    let _ = std::fs::remove_dir_all(&dir);
 }

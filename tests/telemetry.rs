@@ -377,3 +377,133 @@ fn scrape_mid_resync_is_well_formed() {
     assert_eq!(ids.len(), outcome.mid_resync_telemetry.len());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The per-committed-round event alphabet: for every `(node, round)` the
+/// node committed, the sorted names of the telemetry events it emitted in
+/// that round — collected into the set of distinct shapes.
+fn committed_round_alphabet(
+    events: &EventLog,
+    committed: impl Iterator<Item = (usize, u64)>,
+) -> std::collections::BTreeSet<Vec<&'static str>> {
+    committed
+        .map(|(node, round)| {
+            let mut names: Vec<&'static str> = events
+                .iter()
+                .filter(|(n, r, _, _)| (*n, *r) == (node, round))
+                .map(|(_, _, _, e)| e.name())
+                .collect();
+            names.sort_unstable();
+            names
+        })
+        .collect()
+}
+
+#[test]
+fn live_and_simulated_gateways_emit_the_same_event_alphabet() {
+    // the same honest 4-node workload (two clients, two commands each,
+    // one at a time) through both drivers of the one gateway core: real
+    // threads over a MemMesh, and the chaos harness on its virtual
+    // clock. Every committed round must look the same to a ReplaySink in
+    // both — nothing at all on a round that carried commands, exactly
+    // one `empty_round` on an idle one.
+    let (cluster, shards, b, clients, commands) = (4usize, 2usize, 1usize, 2usize, 2usize);
+
+    // -- live ------------------------------------------------------------
+    let delta = Duration::from_millis(40);
+    let registry = mesh_registry(cluster, clients, 17);
+    let mut transports = MemMesh::build(Arc::clone(&registry));
+    let client_transports = transports.split_off(cluster);
+    let machine = Arc::new(
+        CodedMachine::<Fp61>::with_program_cap(
+            cluster,
+            shards,
+            bank_machine(),
+            csm_core::DecoderKind::default(),
+            2,
+        )
+        .expect("cluster shape"),
+    );
+    let timing = ExchangeTiming::synchronous(b, delta);
+    let replay = Arc::new(ReplaySink::new());
+    let gw_cfg = GatewayConfig::new(cluster, b, &timing)
+        .with_batch_cap(2)
+        .with_sink(Arc::clone(&replay) as SharedSink);
+    let stop = Arc::new(AtomicBool::new(false));
+    let spec = GatewaySpec {
+        machine,
+        initial_states: (0..shards)
+            .map(|s| vec![csm_algebra::Field::from_u64(100 * (s as u64 + 1))])
+            .collect(),
+        behavior: BehaviorKind::Honest,
+        staging_fault: StagingFault::None,
+    };
+    let nodes: Vec<_> = transports
+        .into_iter()
+        .map(|transport| {
+            let (registry, timing, gw_cfg) =
+                (Arc::clone(&registry), timing.clone(), gw_cfg.clone());
+            let (spec, stop) = (spec.clone(), Arc::clone(&stop));
+            thread::spawn(move || run_gateway(transport, registry, timing, &spec, &gw_cfg, &stop))
+        })
+        .collect();
+    let client_cfg = ClientConfig::new(cluster, b, delta * 8 + Duration::from_millis(500));
+    let submitters: Vec<_> = client_transports
+        .into_iter()
+        .enumerate()
+        .map(|(index, transport)| {
+            let (registry, client_cfg) = (Arc::clone(&registry), client_cfg.clone());
+            thread::spawn(move || {
+                let mut client = CsmClient::new(transport, registry, client_cfg);
+                for i in 0..commands {
+                    let receipt = client.submit((index % shards) as u64, vec![1 + i as u64]);
+                    assert_eq!(receipt.expect("committed").attempts, 1, "no retries");
+                }
+            })
+        })
+        .collect();
+    for h in submitters {
+        h.join().expect("client thread");
+    }
+    stop.store(true, Ordering::Relaxed);
+    let reports: Vec<_> = nodes
+        .into_iter()
+        .map(|h| h.join().expect("gateway thread"))
+        .collect();
+    // only rounds every node ran: while the cluster is being stopped
+    // nodes leave one by one, and the stragglers' last round times out
+    let common = reports.iter().map(|r| r.rounds).min().unwrap_or(0);
+    let live_committed = reports.iter().flat_map(|r| {
+        let rounds = r.first_recorded_round..common;
+        rounds
+            .zip(&r.commits)
+            .filter(|(_, c)| c.is_some())
+            .map(|(round, _)| (r.id, round))
+    });
+    let live = committed_round_alphabet(&replay.event_log(), live_committed);
+
+    // -- simulated -------------------------------------------------------
+    use csm_chaos::{run_schedule, ChaosConfig, ChaosEvent, Schedule};
+    let mut config = ChaosConfig::new(cluster, shards, b);
+    config.clients = clients;
+    let burst = ChaosEvent::Burst {
+        first_client: 0,
+        clients,
+        commands: 1,
+        probe: true,
+    };
+    let schedule = Schedule::quiet(17, 60_000)
+        .at(1_000, burst.clone())
+        .at(20_000, burst);
+    let run = run_schedule(&config, &schedule);
+    assert!(run.clean() && run.acked.len() == clients * commands);
+    let sim_committed = run
+        .nodes
+        .iter()
+        .flat_map(|n| n.digest_history.keys().map(move |&round| (n.node, round)));
+    let sim = committed_round_alphabet(&run.events, sim_committed);
+
+    let expected: std::collections::BTreeSet<Vec<&str>> =
+        [vec![], vec!["empty_round"]].into_iter().collect();
+    assert_eq!(live, expected, "live gateway rounds");
+    assert_eq!(sim, expected, "simulated gateway rounds");
+}
