@@ -59,4 +59,4 @@ pub use field::{distinct_elements, Field};
 pub use fp61::Fp61;
 pub use gf2m::{Gf2_16, Gf2_32, Gf2_8};
 pub use matrix::{dot, Matrix};
-pub use poly::Poly;
+pub use poly::{Lagrange, Poly};

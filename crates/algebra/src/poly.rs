@@ -70,13 +70,18 @@ impl<F: Field> Poly<F> {
         Poly { coeffs }
     }
 
-    /// `Π_i (z - roots[i])`.
+    /// `Π_i (z - roots[i])`, one root at a time, in place.
     pub fn from_roots(roots: &[F]) -> Self {
-        let mut acc = Self::one();
-        for &r in roots {
-            acc = acc * Poly::new(vec![-r, F::ONE]);
+        let mut coeffs = vec![F::ZERO; roots.len() + 1];
+        coeffs[0] = F::ONE;
+        for (deg, &r) in roots.iter().enumerate() {
+            coeffs[deg + 1] = coeffs[deg];
+            for j in (1..=deg).rev() {
+                coeffs[j] = coeffs[j - 1] - r * coeffs[j];
+            }
+            coeffs[0] = -(r * coeffs[0]);
         }
-        acc
+        Poly { coeffs }
     }
 
     /// Degree, or `None` for the zero polynomial.
@@ -285,26 +290,7 @@ impl<F: Field> Poly<F> {
     ///
     /// Panics if `xs` and `ys` differ in length or `xs` contains duplicates.
     pub fn interpolate(xs: &[F], ys: &[F]) -> Self {
-        assert_eq!(xs.len(), ys.len(), "point/value length mismatch");
-        let n = xs.len();
-        if n == 0 {
-            return Self::zero();
-        }
-        // master(z) = Π (z - x_i)
-        let master = Self::from_roots(xs);
-        let mut acc = Self::zero();
-        for k in 0..n {
-            // basis_k(z) = master / (z - x_k), then scale by y_k / basis_k(x_k)
-            let (basis, rem) = master.div_rem(&Poly::new(vec![-xs[k], F::ONE]));
-            debug_assert!(rem.is_zero());
-            let denom = basis.eval(xs[k]);
-            assert!(
-                !denom.is_zero(),
-                "duplicate interpolation point at index {k}"
-            );
-            acc = acc + basis.scale(ys[k] * denom.inverse().expect("nonzero"));
-        }
-        acc
+        Lagrange::new(xs).interpolate(ys)
     }
 
     /// Karatsuba/schoolbook product; the public API is the `*` operator.
@@ -370,6 +356,78 @@ fn add_slices<F: Field>(a: &[F], b: &[F]) -> Vec<F> {
         out[i] += c;
     }
     out
+}
+
+/// The half of Lagrange interpolation that depends only on the points: the
+/// basis numerators `m(z)/(z − x_k)` and the weights `1/m′(x_k)`, built in
+/// `O(n²)` with a single field inversion. Every [`Lagrange::interpolate`]
+/// through the same points then costs `n²` multiplications, so the
+/// coordinates of a Reed–Solomon word that share an erasure pattern pay for
+/// the basis once.
+#[derive(Debug, Clone)]
+pub struct Lagrange<F> {
+    xs: Vec<F>,
+    /// Row `k` holds the `n` coefficients of `Π_{l≠k} (z − x_l)`.
+    numerators: Vec<F>,
+    /// `1 / Π_{l≠k} (x_k − x_l)`.
+    weights: Vec<F>,
+}
+
+impl<F: Field> Lagrange<F> {
+    /// Builds the basis for interpolation through `xs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` contains duplicates.
+    pub fn new(xs: &[F]) -> Self {
+        let n = xs.len();
+        let master = Poly::from_roots(xs).into_coeffs(); // m(z) = Π (z − x_i)
+                                                         // synthetic division of m by every (z − x_k), one coefficient of all
+                                                         // n quotients at a time (the n chains are independent), evaluating
+                                                         // each quotient at its x_k on the way down: that value is m′(x_k)
+        let mut numerators = vec![F::ZERO; n * n];
+        let mut denominators = vec![F::ZERO; n];
+        let mut carry = vec![master[n]; n];
+        for j in (0..n).rev() {
+            for (k, &x) in xs.iter().enumerate() {
+                numerators[k * n + j] = carry[k];
+                denominators[k] = denominators[k] * x + carry[k];
+                carry[k] = master[j] + x * carry[k];
+            }
+        }
+        debug_assert!(carry.iter().all(F::is_zero), "every x_k is a root of m");
+        // m′ vanishes at a repeated root
+        let weights = F::batch_inverse(&denominators).expect("duplicate interpolation point");
+        Lagrange {
+            xs: xs.to_vec(),
+            numerators,
+            weights,
+        }
+    }
+
+    /// The interpolation points, in the order given to [`Lagrange::new`].
+    pub fn points(&self) -> &[F] {
+        &self.xs
+    }
+
+    /// The unique polynomial of degree `< n` with `p(xs[i]) = ys[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ys.len()` differs from the number of points.
+    pub fn interpolate(&self, ys: &[F]) -> Poly<F> {
+        assert_eq!(self.xs.len(), ys.len(), "point/value length mismatch");
+        let n = ys.len();
+        let mut coeffs = vec![F::ZERO; n];
+        let rows = self.numerators.chunks_exact(n.max(1));
+        for ((row, &w), &y) in rows.zip(&self.weights).zip(ys) {
+            let scale = y * w;
+            for (c, &b) in coeffs.iter_mut().zip(row) {
+                *c += scale * b;
+            }
+        }
+        Poly::new(coeffs)
+    }
 }
 
 impl<F: Field> Default for Poly<F> {
@@ -523,6 +581,17 @@ mod tests {
         for (x, y) in xs.iter().zip(&ys) {
             assert_eq!(q.eval(*x), *y);
         }
+    }
+
+    #[test]
+    fn lagrange_basis_serves_many_value_vectors() {
+        let xs: Vec<Fp61> = (3..9).map(Fp61::from_u64).collect();
+        let basis = Lagrange::new(&xs);
+        assert_eq!(basis.points(), &xs[..]);
+        for q in [p(&[3, 1, 4, 1, 5, 9]), p(&[2, 7]), Poly::zero()] {
+            assert_eq!(basis.interpolate(&q.eval_many(&xs)), q);
+        }
+        assert!(Lagrange::<Fp61>::new(&[]).interpolate(&[]).is_zero());
     }
 
     #[test]

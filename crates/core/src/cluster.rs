@@ -671,7 +671,7 @@ impl<F: Field> CsmCluster<F> {
         let mut all_detected: Vec<usize> = Vec::new();
         for (_, members) in groups {
             let word = self.receiver_word(members[0], results, &faults);
-            let (decoded, dops) = count::measure(|| self.machine.decode_word(&word));
+            let (decoded, dops) = count::measure(|| self.machine.decode_word(&word, &[]));
             let decoded = decoded?;
             for &m in &members {
                 ops.per_node[m] += dops;
@@ -714,7 +714,7 @@ impl<F: Field> CsmCluster<F> {
         let worker = self.worker_id();
         let word = self.receiver_word(worker, results, &self.faults());
         let ((decoded, claims), wops) = count::measure(|| {
-            let d = self.machine.decode_word(&word);
+            let d = self.machine.decode_word(&word, &[]);
             let claims = d.as_ref().ok().map(|_| {
                 // per-coordinate claims: coefficients + τ
                 let out_dim = self.machine.result_dim();

@@ -1,6 +1,8 @@
 //! Cluster configuration: synchrony, coding mode, fault injection.
 
+use csm_algebra::{Field, Poly};
 use csm_network::NodeId;
+use csm_reed_solomon::{BerlekampWelch, Decoder, Gao, RsError};
 
 /// The network model the cluster operates under (§2.1), determining which
 /// decoding bound applies (Table 2).
@@ -42,6 +44,15 @@ pub enum DecoderKind {
     BerlekampWelch,
     /// Gao (extended Euclidean; asymptotically faster).
     Gao,
+}
+
+impl Decoder for DecoderKind {
+    fn decode<F: Field>(&self, xs: &[F], ys: &[F], k: usize) -> Result<Poly<F>, RsError> {
+        match self {
+            DecoderKind::BerlekampWelch => BerlekampWelch.decode(xs, ys, k),
+            DecoderKind::Gao => Gao.decode(xs, ys, k),
+        }
+    }
 }
 
 /// How the consensus phase is performed each round.

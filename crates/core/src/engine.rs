@@ -42,7 +42,7 @@ use crate::digest::digest_results;
 use crate::error::CsmError;
 use crate::exchange::Word;
 use csm_algebra::Field;
-use csm_reed_solomon::{BerlekampWelch, Decoded, Gao, RsCode};
+use csm_reed_solomon::{Decoded, RsCode, RsError};
 use csm_statemachine::{Aggregation, PolyTransition};
 use rand::Rng;
 use std::sync::Arc;
@@ -283,18 +283,15 @@ impl<F: Field> CodedMachine<F> {
         self.codebook.encode_vector_at(node, states)
     }
 
-    /// Decodes one coordinate's word with the configured decoder.
+    /// Decodes one coordinate's word with the configured decoder,
+    /// verify-first ([`RsCode::decode_hinted`] with no hint).
     ///
     /// # Errors
     ///
     /// Returns [`CsmError::Decoding`] if the word holds more corrupted
     /// results than the code corrects.
     pub fn decode_coordinate(&self, coord_word: &[Option<F>]) -> Result<Decoded<F>, CsmError> {
-        let decoded = match self.decoder {
-            DecoderKind::BerlekampWelch => self.code.decode_with(&BerlekampWelch, coord_word)?,
-            DecoderKind::Gao => self.code.decode_with(&Gao, coord_word)?,
-        };
-        Ok(decoded)
+        Ok(self.code.decode_with(&self.decoder, coord_word)?)
     }
 
     /// **ψ**: decodes a finalized word into every machine's next state and
@@ -302,28 +299,41 @@ impl<F: Field> CodedMachine<F> {
     /// erroneous. Present slots whose vectors have the wrong width (a
     /// validly-MAC'd but malformed Byzantine result) count as erasures.
     ///
+    /// Byzantine *nodes* are the same for every coordinate, so they are
+    /// located once per word: each coordinate is decoded verify-first
+    /// ([`RsCode::decode_hinted`]) around a suspect set that starts as
+    /// `hint` (typically last round's `detected_error_nodes`) and grows by
+    /// every error position a coordinate reveals. The hint steers which
+    /// symbols the guess reads; the result does not depend on it.
+    ///
     /// # Errors
     ///
     /// Returns [`CsmError::Decoding`] if any coordinate's word holds more
     /// corrupted results than the code corrects (security bound exceeded).
-    pub fn decode_word(&self, word: &Word<F>) -> Result<DecodedRound<F>, CsmError> {
+    pub fn decode_word(&self, word: &Word<F>, hint: &[usize]) -> Result<DecodedRound<F>, CsmError> {
         let sd = self.transition.state_dim();
         let out_dim = self.result_dim();
-        fn usable<F>(w: &Option<Vec<F>>, dim: usize) -> Option<&Vec<F>> {
-            w.as_ref().filter(|g| g.len() == dim)
+        if word.len() != self.n() {
+            return Err(CsmError::Decoding(RsError::LengthMismatch {
+                got: word.len(),
+                expected: self.n(),
+            }));
         }
-        let results_held = word.iter().filter(|w| usable(w, out_dim).is_some()).count();
+        let usable = |i: usize| word[i].as_deref().filter(|g| g.len() == out_dim);
+        let mut suspects = hint.to_vec();
+        let mut erroneous = vec![false; self.n()];
+        let mut basis = None;
         let mut polys = Vec::with_capacity(out_dim);
-        let mut detected: Vec<usize> = Vec::new();
         for jcoord in 0..out_dim {
-            let coord_word: Vec<Option<F>> = word
-                .iter()
-                .map(|w| usable(w, out_dim).map(|g| g[jcoord]))
-                .collect();
-            let decoded = self.decode_coordinate(&coord_word)?;
+            let decoded = self.code.decode_hinted(
+                &self.decoder,
+                |i| usable(i).map(|g| g[jcoord]),
+                &suspects,
+                &mut basis,
+            )?;
             for &e in decoded.error_positions() {
-                if !detected.contains(&e) {
-                    detected.push(e);
+                if !std::mem::replace(&mut erroneous[e], true) {
+                    suspects.push(e);
                 }
             }
             polys.push(decoded.poly().clone());
@@ -336,12 +346,11 @@ impl<F: Field> CodedMachine<F> {
             new_states.push(vals[..sd].to_vec());
             outputs.push(vals[sd..].to_vec());
         }
-        detected.sort_unstable();
         Ok(DecodedRound {
             new_states,
             outputs,
-            detected_error_nodes: detected,
-            results_held,
+            detected_error_nodes: (0..self.n()).filter(|&i| erroneous[i]).collect(),
+            results_held: (0..self.n()).filter(|&i| usable(i).is_some()).count(),
         })
     }
 
@@ -463,6 +472,9 @@ pub struct RoundEngine<F: Field> {
     fault: FaultSpec,
     coded_state: Vec<F>,
     round: u64,
+    /// The last commit's `detected_error_nodes`: where the next round's
+    /// decode does not look for its guess.
+    suspects: Vec<usize>,
 }
 
 impl<F: Field> RoundEngine<F> {
@@ -492,6 +504,7 @@ impl<F: Field> RoundEngine<F> {
             fault: FaultSpec::Honest,
             coded_state,
             round: 0,
+            suspects: Vec::new(),
         })
     }
 
@@ -557,6 +570,7 @@ impl<F: Field> RoundEngine<F> {
         }
         self.coded_state = coded_state;
         self.round = next_round;
+        self.suspects.clear();
         Ok(())
     }
 
@@ -702,14 +716,15 @@ impl<F: Field> RoundEngine<F> {
         }
     }
 
-    /// ψ: decodes a finalized word (delegates to
-    /// [`CodedMachine::decode_word`]).
+    /// ψ: decodes a finalized word ([`CodedMachine::decode_word`], hinted
+    /// with the nodes the last commit found erroneous, so a persistent
+    /// Byzantine node is located once, not once per round).
     ///
     /// # Errors
     ///
     /// Returns [`CsmError::Decoding`] when the security bound is exceeded.
     pub fn decode(&self, word: &Word<F>) -> Result<DecodedRound<F>, CsmError> {
-        self.machine.decode_word(word)
+        self.machine.decode_word(word, &self.suspects)
     }
 
     /// Installs an externally-encoded next coded state (the simulator's
@@ -737,6 +752,7 @@ impl<F: Field> RoundEngine<F> {
             results_held: decoded.results_held,
             detected_error_nodes: decoded.detected_error_nodes.clone(),
         };
+        self.suspects.clone_from(&decoded.detected_error_nodes);
         let coded = self.machine.encode_state_at(self.node, &decoded.new_states);
         self.install_state(coded);
         commit
@@ -883,6 +899,83 @@ mod tests {
         assert_eq!(decoded.new_states, vec![vec![f(6)], vec![f(8)]]);
         assert_eq!(decoded.detected_error_nodes, vec![3]);
         assert_eq!(decoded.results_held, 8);
+    }
+
+    /// One honest round of the bank machine on `nodes`, as the word every
+    /// receiver would hold.
+    fn honest_word(nodes: &[RoundEngine<Fp61>], commands: &[Vec<Fp61>]) -> Word<Fp61> {
+        nodes
+            .iter()
+            .map(|e| Some(e.execute(commands).unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn errors_confined_to_different_coordinates_are_all_detected() {
+        let m = machine(10, 2);
+        let states = vec![vec![f(5)], vec![f(6)]];
+        let nodes = engines(&m, &states);
+        let commands = vec![vec![f(1)], vec![f(2)]];
+        let mut word = honest_word(&nodes, &commands);
+        // node 2 lies about the state coordinate only, node 6 about the
+        // output only: neither coordinate alone sees both
+        word[2].as_mut().unwrap()[0] += f(9);
+        word[6].as_mut().unwrap()[1] += f(9);
+        for hint in [&[][..], &[2], &[6], &[2, 6], &[0, 1, 3]] {
+            let decoded = m.decode_word(&word, hint).unwrap();
+            assert_eq!(decoded.detected_error_nodes, vec![2, 6], "hint {hint:?}");
+            assert_eq!(decoded.new_states, vec![vec![f(6)], vec![f(8)]]);
+            assert_eq!(decoded.outputs, vec![vec![f(6)], vec![f(8)]]);
+        }
+    }
+
+    #[test]
+    fn stale_hints_never_change_what_commits() {
+        // the Byzantine pair moves every round, so the hint each engine
+        // carries from its last commit is always wrong
+        let m = machine(10, 2);
+        let states = vec![vec![f(100)], vec![f(200)]];
+        let mut nodes = engines(&m, &states);
+        for r in 0..20u64 {
+            let commands = vec![vec![f(r + 1)], vec![f(2 * r + 1)]];
+            let mut word = honest_word(&nodes, &commands);
+            let liars = [(3 * r as usize) % 10, (3 * r as usize + 1) % 10];
+            for &liar in &liars {
+                for x in word[liar].as_mut().unwrap() {
+                    *x += f(0xBAD);
+                }
+            }
+            for e in &mut nodes {
+                // the same node with no memory of earlier rounds
+                let mut fresh = RoundEngine::new(Arc::clone(&m), e.node(), &states).unwrap();
+                fresh.restore(e.coded_state().to_vec(), e.round()).unwrap();
+                let commit = e.commit_word(&word).unwrap();
+                assert_eq!(
+                    Some(&commit),
+                    fresh.commit_word(&word).as_ref(),
+                    "round {r}"
+                );
+                let mut sorted = liars;
+                sorted.sort_unstable();
+                assert_eq!(commit.detected_error_nodes, sorted);
+                assert_eq!(e.suspects, sorted);
+            }
+        }
+    }
+
+    #[test]
+    fn restore_forgets_the_hint() {
+        let m = machine(8, 2);
+        let states = vec![vec![f(1)], vec![f(2)]];
+        let mut nodes = engines(&m, &states);
+        let mut word = honest_word(&nodes, &[vec![f(3)], vec![f(4)]]);
+        word[5] = Some(vec![f(666), f(667)]);
+        let e = &mut nodes[0];
+        e.commit_word(&word).unwrap();
+        assert_eq!(e.suspects, vec![5]);
+        // what was learnt about peers belongs to the timeline being left
+        e.restore(vec![f(7)], 9).unwrap();
+        assert!(e.suspects.is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! consistency-set (`τ`) machinery of §6.2.
 
 use crate::decoder::{BerlekampWelch, Decoder};
-use csm_algebra::{Field, Poly};
+use csm_algebra::{Field, Lagrange, Poly};
 
 /// Errors returned by Reed–Solomon operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,15 +183,13 @@ impl<F: Field> RsCode<F> {
         self.decode_with(&BerlekampWelch, word)
     }
 
-    /// Decodes a received word with an explicit [`Decoder`] implementation.
+    /// Decodes a received word with an explicit [`Decoder`] implementation,
+    /// verify-first and without a hint: see [`RsCode::decode_hinted`].
     ///
     /// # Errors
     ///
-    /// * [`RsError::LengthMismatch`] if `word.len() != n`;
-    /// * [`RsError::TooManyErasures`] if fewer than `dim` symbols are
-    ///   present;
-    /// * [`RsError::DecodingFailure`] if the word lies beyond the unique
-    ///   decoding radius.
+    /// [`RsError::LengthMismatch`] if `word.len() != n`, otherwise those of
+    /// [`RsCode::decode_hinted`].
     pub fn decode_with<D: Decoder>(
         &self,
         decoder: &D,
@@ -203,43 +201,91 @@ impl<F: Field> RsCode<F> {
                 expected: self.len(),
             });
         }
-        let mut xs = Vec::with_capacity(self.len());
-        let mut ys = Vec::with_capacity(self.len());
-        for (i, w) in word.iter().enumerate() {
-            if let Some(y) = w {
-                xs.push(self.points[i]);
-                ys.push(*y);
-            }
-        }
-        if xs.len() < self.dim {
+        self.decode_hinted(decoder, |i| word[i], &[], &mut None)
+    }
+
+    /// Decodes by verification. `symbol(i)` is the received symbol at
+    /// position `i < n` (`None` for an erasure).
+    ///
+    /// The candidate is the interpolant through the first `dim` present
+    /// symbols outside `suspects`. If it passes the eq. (9) check it is
+    /// *the* codeword within the decoding radius (crate docs, "Verify
+    /// first"): exactly what `decoder` would have produced, for `O(n·dim)`
+    /// instead of a solve. Only a failed check runs `decoder` on the whole
+    /// word. `suspects` is therefore a pure hint — positions worth skipping
+    /// (last round's error positions, an earlier coordinate's); a wrong,
+    /// stale or out-of-range entry costs one failed check, never
+    /// correctness.
+    ///
+    /// `basis` carries the interpolation basis between calls: words that
+    /// share an erasure pattern and a hint (the coordinates of one CSM
+    /// result word) reuse it, any other call rebuilds it in place. Pass
+    /// `&mut None` when there is nothing to share.
+    ///
+    /// # Errors
+    ///
+    /// * [`RsError::TooManyErasures`] if fewer than `dim` symbols are
+    ///   present;
+    /// * [`RsError::DecodingFailure`] if the word lies beyond the unique
+    ///   decoding radius.
+    pub fn decode_hinted<D: Decoder>(
+        &self,
+        decoder: &D,
+        symbol: impl Fn(usize) -> Option<F>,
+        suspects: &[usize],
+        basis: &mut Option<Lagrange<F>>,
+    ) -> Result<Decoded<F>, RsError> {
+        let received = || (0..self.len()).filter_map(|i| Some((i, symbol(i)?)));
+        let present = received().count();
+        if present < self.dim {
             return Err(RsError::TooManyErasures {
-                present: xs.len(),
+                present,
                 dim: self.dim,
             });
         }
+        let (xs, ys): (Vec<F>, Vec<F>) = received()
+            .filter(|(i, _)| !suspects.contains(i))
+            .take(self.dim)
+            .map(|(i, y)| (self.points[i], y))
+            .unzip();
+        if xs.len() == self.dim {
+            let lagrange = match basis {
+                Some(shared) if shared.points() == xs => shared,
+                _ => basis.insert(Lagrange::new(&xs)),
+            };
+            if let Ok(decoded) = self.finish(lagrange.interpolate(&ys), &symbol) {
+                return Ok(decoded);
+            }
+        }
+        let (xs, ys): (Vec<F>, Vec<F>) = received().map(|(i, y)| (self.points[i], y)).unzip();
         let poly = decoder.decode(&xs, &ys, self.dim)?;
-        self.finish(poly, word)
+        self.finish(poly, &symbol)
     }
 
-    /// Verifies a claimed decoding and packages it, computing corrected
-    /// codeword and error positions.
-    fn finish(&self, poly: Poly<F>, word: &[Option<F>]) -> Result<Decoded<F>, RsError> {
+    /// The check of paper eq. (9): accepts `poly` only if it has degree
+    /// `< dim` and disagrees with at most `⌊(present − dim)/2⌋` present
+    /// symbols, and packages it with the corrected codeword and the error
+    /// positions.
+    fn finish(
+        &self,
+        poly: Poly<F>,
+        symbol: &impl Fn(usize) -> Option<F>,
+    ) -> Result<Decoded<F>, RsError> {
         if poly.degree().is_some_and(|d| d >= self.dim) {
             return Err(RsError::DecodingFailure);
         }
         let codeword = poly.eval_many(&self.points);
-        let erasures = word.iter().filter(|w| w.is_none()).count();
-        let error_positions: Vec<usize> = word
-            .iter()
-            .enumerate()
-            .filter_map(|(i, w)| match w {
-                Some(y) if *y != codeword[i] => Some(i),
-                _ => None,
+        let mut erasures = 0;
+        let error_positions: Vec<usize> = (0..self.len())
+            .filter(|&i| match symbol(i) {
+                Some(y) => y != codeword[i],
+                None => {
+                    erasures += 1;
+                    false
+                }
             })
             .collect();
         if error_positions.len() > self.correctable_errors(erasures) {
-            // The decoder produced a polynomial, but it cannot be the unique
-            // nearest codeword.
             return Err(RsError::DecodingFailure);
         }
         let mut message = poly.coeffs().to_vec();

@@ -1,9 +1,11 @@
 //! Decoding algorithms: [`BerlekampWelch`] and [`Gao`].
 //!
 //! Both decode a Reed–Solomon word given as point/value pairs
-//! `(x_i, y_i)` (erasures already stripped by [`crate::RsCode::decode_with`])
-//! and the code dimension `k`, returning the unique message polynomial of
-//! degree `< k` within distance `⌊(n−k)/2⌋` of the received word.
+//! `(x_i, y_i)` (erasures already stripped by
+//! [`crate::RsCode::decode_hinted`], which calls a decoder only once its
+//! own guess has failed the check) and the code dimension `k`, returning
+//! the unique message polynomial of degree `< k` within distance
+//! `⌊(n−k)/2⌋` of the received word.
 
 use crate::code::RsError;
 use csm_algebra::{Field, Matrix, Poly};
@@ -42,17 +44,6 @@ impl Decoder for BerlekampWelch {
             return Err(RsError::TooManyErasures { present: n, dim: k });
         }
         let e = (n - k) / 2;
-        if e == 0 {
-            // No error capacity: plain interpolation on the first k points,
-            // then verify against the rest.
-            let p = Poly::interpolate(&xs[..k], &ys[..k]);
-            for (x, y) in xs.iter().zip(ys) {
-                if p.eval(*x) != *y {
-                    return Err(RsError::DecodingFailure);
-                }
-            }
-            return Ok(p);
-        }
         // Unknowns: q_0..q_{k+e-1} (k+e of them), e_0..e_e (e+1 of them).
         // Equations: Q(x_i) - y_i E(x_i) = 0 for each i. The system is
         // homogeneous and always has the nontrivial solution (P·E_true,
@@ -185,6 +176,28 @@ mod tests {
             roundtrip_with(&BerlekampWelch, 13, 5, errs, 7 + errs as u64);
             roundtrip_with(&Gao, 13, 5, errs, 7 + errs as u64);
         }
+    }
+
+    #[test]
+    fn no_error_capacity_interpolates_or_fails() {
+        // n − k < 2: the decoders themselves must interpolate and check,
+        // with no special case in front of them
+        fn check<D: Decoder>(dec: &D) {
+            let msg = Poly::new((1..=4).map(Fp61::from_u64).collect::<Vec<_>>());
+            for n in [4, 5] {
+                let xs: Vec<Fp61> = distinct_elements(0, n);
+                let mut ys = msg.eval_many(&xs);
+                assert_eq!(dec.decode(&xs, &ys, 4).unwrap(), msg, "n={n}");
+                ys[1] += Fp61::ONE;
+                match dec.decode(&xs, &ys, 4) {
+                    // four points: every word is a codeword, just not this one
+                    Ok(p) => assert!(n == 4 && p != msg && p.eval_many(&xs) == ys),
+                    Err(e) => assert!(n == 5 && e == RsError::DecodingFailure),
+                }
+            }
+        }
+        check(&BerlekampWelch);
+        check(&Gao);
     }
 
     #[test]

@@ -20,6 +20,23 @@
 //! * [`Gao`] — the extended-Euclidean decoder, asymptotically cheaper with
 //!   fast polynomial arithmetic.
 //!
+//! ## Verify first
+//!
+//! Neither decoder runs unless it has to. The paper's §6.2 criterion
+//! (eq. 9; [`RsCode::tau_threshold`]) says a polynomial of degree `< dim`
+//! is the decoding **iff** it disagrees with at most `⌊(present − dim)/2⌋`
+//! of the `present` received symbols: two polynomials passing that check
+//! would agree with each other on `≥ dim` positions, hence be equal. So a
+//! candidate is *checked* in `O(n·dim)` where *finding* one costs a decoder
+//! `O(n³)` or `O(n²)`. Every entry point ([`RsCode::decode`],
+//! [`RsCode::decode_with`], [`RsCode::decode_hinted`]) interpolates a guess
+//! through the first `dim` present symbols outside a caller-supplied
+//! suspect set, runs the check, and falls through to the [`Decoder`] —
+//! whose answer takes the same check — only when the guess fails. By
+//! uniqueness the two routes return the same polynomial, codeword, error
+//! positions and failures; the suspect set and the shared interpolation
+//! basis only decide how often the cheap route is taken.
+//!
 //! ## Example
 //!
 //! ```

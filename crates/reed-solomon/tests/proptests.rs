@@ -1,9 +1,11 @@
 //! Property-based tests: for any message and any error pattern within the
 //! decoding radius, both decoders recover the message exactly — this is the
-//! correctness guarantee CSM's execution phase rests on (§5.2).
+//! correctness guarantee CSM's execution phase rests on (§5.2) — and
+//! verify-first decoding returns what the decoder alone would have, whatever
+//! it is hinted.
 
-use csm_algebra::{distinct_elements, Field, Fp61, Gf2_16};
-use csm_reed_solomon::{BerlekampWelch, Decoder, Gao, RsCode};
+use csm_algebra::{distinct_elements, Field, Fp61, Gf2_16, Poly};
+use csm_reed_solomon::{BerlekampWelch, Decoded, Decoder, Gao, RsCode, RsError};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -60,7 +62,11 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         })
 }
 
-fn run<F: Field, D: Decoder>(s: &Scenario, decoder: &D, embed: impl Fn(u64) -> F) {
+/// The scenario's code, message and received word over `F`.
+fn received<F: Field>(
+    s: &Scenario,
+    embed: impl Fn(u64) -> F,
+) -> (RsCode<F>, Vec<F>, Vec<Option<F>>) {
     let code = RsCode::new(distinct_elements::<F>(0, s.n), s.k).unwrap();
     let msg: Vec<F> = s.message.iter().map(|&m| embed(m)).collect();
     let cw = code.encode(&msg).unwrap();
@@ -71,11 +77,101 @@ fn run<F: Field, D: Decoder>(s: &Scenario, decoder: &D, embed: impl Fn(u64) -> F
     for &p in &s.error_positions {
         word[p] = Some(cw[p] + embed(s.error_deltas[p]) + F::ONE);
     }
+    (code, msg, word)
+}
+
+fn run<F: Field, D: Decoder>(s: &Scenario, decoder: &D, embed: impl Fn(u64) -> F) {
+    let (code, msg, word) = received(s, embed);
     let decoded = code.decode_with(decoder, &word).unwrap();
     assert_eq!(decoded.message(), &msg[..]);
     // every reported error position was actually corrupted
     for &p in decoded.error_positions() {
         assert!(s.error_positions.contains(&p));
+    }
+}
+
+/// A scenario with up to three further errors (which may take it beyond
+/// the radius) and an arbitrary suspect hint: none, exact, wrong (and
+/// possibly out of range), stale (the error set rotated by one, as after a
+/// round in which the Byzantine set moved), or every position.
+fn hinted() -> impl Strategy<Value = (Scenario, Vec<usize>)> {
+    let noise = prop::collection::vec(0usize..32, 0..8);
+    (scenario(), 0usize..5, noise, 0usize..4).prop_map(|(mut s, kind, noise, extra)| {
+        let clean: Vec<usize> = (0..s.n)
+            .filter(|p| !s.error_positions.contains(p) && !s.erasure_positions.contains(p))
+            .take(extra)
+            .collect();
+        s.error_positions.extend(clean);
+        let hint = match kind {
+            0 => Vec::new(),
+            1 => s.error_positions.clone(),
+            2 => noise,
+            3 => s.error_positions.iter().map(|p| (p + 1) % s.n).collect(),
+            _ => (0..s.n).collect(),
+        };
+        (s, hint)
+    })
+}
+
+/// `Decoder::decode` on the present symbols followed by the eq. (9) check,
+/// written out independently of `RsCode`: the path every decode took before
+/// verify-first, and the reference it must still equal.
+fn raw<F: Field, D: Decoder>(
+    code: &RsCode<F>,
+    decoder: &D,
+    word: &[Option<F>],
+) -> Result<(Poly<F>, Vec<usize>), RsError> {
+    let present = |i: &usize| word[*i].is_some();
+    let xs: Vec<F> = (0..code.len())
+        .filter(present)
+        .map(|i| code.points()[i])
+        .collect();
+    let ys: Vec<F> = word.iter().flatten().copied().collect();
+    let poly = decoder.decode(&xs, &ys, code.dim())?;
+    let errors: Vec<usize> = (0..code.len())
+        .filter(|&i| word[i].is_some_and(|y| y != poly.eval(code.points()[i])))
+        .collect();
+    let radius = code.correctable_errors(code.len() - xs.len());
+    if poly.degree().is_some_and(|d| d >= code.dim()) || errors.len() > radius {
+        return Err(RsError::DecodingFailure);
+    }
+    Ok((poly, errors))
+}
+
+fn assert_same<F: Field>(
+    code: &RsCode<F>,
+    got: Result<Decoded<F>, RsError>,
+    want: Result<(Poly<F>, Vec<usize>), RsError>,
+) {
+    match (got, want) {
+        (Ok(d), Ok((poly, errors))) => {
+            assert_eq!(d.poly(), &poly);
+            assert_eq!(d.error_positions(), &errors[..]);
+            assert_eq!(d.codeword(), &poly.eval_many(code.points())[..]);
+            assert_eq!(d.message().len(), code.dim());
+            assert_eq!(Poly::new(d.message().to_vec()), poly);
+        }
+        (Err(got), Err(want)) => assert_eq!(got, want),
+        (got, want) => panic!("verify-first gave {got:?}, the decoder alone {want:?}"),
+    }
+}
+
+fn verify_first_equals_raw<F: Field, D: Decoder>(
+    s: &Scenario,
+    hint: &[usize],
+    decoder: &D,
+    embed: impl Fn(u64) -> F,
+) {
+    let (code, _, word) = received(s, &embed);
+    // a second word with the same erasures and error positions, as the
+    // next coordinate of a CSM result word would be
+    let mut sibling = s.clone();
+    sibling.message.reverse();
+    let (_, _, word2) = received(&sibling, &embed);
+    let mut basis = None;
+    for (word, hint) in [(&word, hint), (&word2, hint), (&word, &[][..])] {
+        let got = code.decode_hinted(decoder, |i| word[i], hint, &mut basis);
+        assert_same(&code, got, raw(&code, decoder, word));
     }
 }
 
@@ -100,6 +196,26 @@ proptest! {
     #[test]
     fn gao_decodes_within_radius_gf2m(s in scenario()) {
         run::<Gf2_16, _>(&s, &Gao, Gf2_16::from_u64);
+    }
+
+    #[test]
+    fn verify_first_equals_bw_fp61((s, hint) in hinted()) {
+        verify_first_equals_raw::<Fp61, _>(&s, &hint, &BerlekampWelch, Fp61::from_u64);
+    }
+
+    #[test]
+    fn verify_first_equals_gao_fp61((s, hint) in hinted()) {
+        verify_first_equals_raw::<Fp61, _>(&s, &hint, &Gao, Fp61::from_u64);
+    }
+
+    #[test]
+    fn verify_first_equals_bw_gf2m((s, hint) in hinted()) {
+        verify_first_equals_raw::<Gf2_16, _>(&s, &hint, &BerlekampWelch, Gf2_16::from_u64);
+    }
+
+    #[test]
+    fn verify_first_equals_gao_gf2m((s, hint) in hinted()) {
+        verify_first_equals_raw::<Gf2_16, _>(&s, &hint, &Gao, Gf2_16::from_u64);
     }
 
     #[test]
