@@ -1,11 +1,12 @@
-//! Reed–Solomon decoder ablation: Berlekamp–Welch (O(n³) linear algebra,
-//! the paper's reference) vs Gao (extended Euclid + fast interpolation) at
-//! the worst-case error load `⌊(n−k)/2⌋`, and on clean words against the
-//! verify-first check that normally runs instead of either.
+//! Reed–Solomon decoder ablation: Berlekamp–Massey (O(n²) on the syndromes,
+//! the default) vs Berlekamp–Welch (O(n³) linear algebra, the paper's
+//! reference) vs Gao (extended Euclid + fast interpolation) at the
+//! worst-case error load `⌊(n−k)/2⌋`, and on clean words against the
+//! verify-first check that normally runs instead of any of them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use csm_algebra::{distinct_elements, Field, Fp61};
-use csm_reed_solomon::{BerlekampWelch, Decoder, Gao, RsCode};
+use csm_reed_solomon::{BerlekampMassey, BerlekampWelch, Decoder, Gao, RsCode};
 use rand::{Rng, SeedableRng};
 
 fn make_word(n: usize, k: usize, errs: usize, seed: u64) -> (RsCode<Fp61>, Vec<Option<Fp61>>) {
@@ -28,6 +29,9 @@ fn benches(c: &mut Criterion) {
         let errs = (n - k) / 2;
         let (code, word) = make_word(n, k, errs, 3);
         let ys: Vec<Fp61> = word.iter().flatten().copied().collect();
+        group.bench_with_input(BenchmarkId::new("berlekamp_massey", n), &n, |b, _| {
+            b.iter(|| BerlekampMassey.decode(code.points(), &ys, k).unwrap())
+        });
         group.bench_with_input(BenchmarkId::new("berlekamp_welch", n), &n, |b, _| {
             b.iter(|| BerlekampWelch.decode(code.points(), &ys, k).unwrap())
         });
@@ -38,7 +42,7 @@ fn benches(c: &mut Criterion) {
     group.finish();
 
     // clean words: `decode_with` never reaches a decoder here (which is why
-    // every BW-vs-Gao row calls `Decoder::decode` itself)
+    // every decoder-vs-decoder row calls `Decoder::decode` itself)
     let mut clean = c.benchmark_group("rs_decode_clean");
     for n in [32usize, 128] {
         let k = n / 4;

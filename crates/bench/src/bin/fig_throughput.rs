@@ -103,7 +103,7 @@ fn main() {
         ],
         &rows,
     );
-    println!("\nreading: the distributed decode is the per-node bottleneck (O(N³) BW");
-    println!("per node); centralizing coding at one worker + O(1) commoner checks");
+    println!("\nreading: the distributed decode is the per-node bottleneck (every node");
+    println!("decodes the whole word); centralizing coding at one worker + O(1) commoner checks");
     println!("recovers throughput scaling with N — the Theorem 1 λ column.");
 }

@@ -162,7 +162,7 @@ impl ChaosConfig {
                 self.cluster,
                 self.shards,
                 self.machine.transition(),
-                DecoderKind::BerlekampWelch,
+                DecoderKind::default(),
                 self.batch_cap,
             )
             .expect("chaos config machine dimensions fit the cluster"),

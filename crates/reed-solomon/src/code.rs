@@ -1,7 +1,7 @@
 //! The [`RsCode`] type: encoding, decoding entry points, and the
 //! consistency-set (`τ`) machinery of §6.2.
 
-use crate::decoder::{BerlekampWelch, Decoder};
+use crate::decoder::{BerlekampMassey, Decoder};
 use csm_algebra::{Field, Lagrange, Poly};
 
 /// Errors returned by Reed–Solomon operations.
@@ -174,13 +174,13 @@ impl<F: Field> RsCode<F> {
     }
 
     /// Decodes a received word (with `None` marking erasures) using
-    /// [`BerlekampWelch`]. See [`RsCode::decode_with`] to choose a decoder.
+    /// [`BerlekampMassey`]. See [`RsCode::decode_with`] to choose a decoder.
     ///
     /// # Errors
     ///
     /// Propagates the decoder errors; see [`RsCode::decode_with`].
     pub fn decode(&self, word: &[Option<F>]) -> Result<Decoded<F>, RsError> {
-        self.decode_with(&BerlekampWelch, word)
+        self.decode_with(&BerlekampMassey, word)
     }
 
     /// Decodes a received word with an explicit [`Decoder`] implementation,

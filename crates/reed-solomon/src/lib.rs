@@ -12,23 +12,30 @@
 //! code of dimension `d(K−1)+1` and length `N` recovers `h_t`, from which
 //! every `(S_k(t+1), Y_k(t)) = h_t(ω_k)` follows.
 //!
-//! Two decoders are provided (same guarantees, different constants —
-//! compared in the `rs_decode` bench):
+//! Three decoders are provided (same answers, different costs — compared in
+//! the `rs_decode` bench):
 //!
-//! * [`BerlekampWelch`] — the classical linear-system decoder the paper
-//!   cites for its bound `2b ≤ N − d(K−1) − 1`;
+//! * [`BerlekampMassey`] — the syndrome decoder: `O(n²)`, no matrix, the
+//!   cheapest of the three at every size the bench covers and what
+//!   [`RsCode::decode`] runs;
+//! * [`BerlekampWelch`] — the classical `O(n³)` linear-system decoder the
+//!   paper cites for its bound `2b ≤ N − d(K−1) − 1`;
 //! * [`Gao`] — the extended-Euclidean decoder, asymptotically cheaper with
 //!   fast polynomial arithmetic.
 //!
+//! The last two share no code with the first and stay as the independent
+//! references the property tests and the cluster-level ablation compare it
+//! against.
+//!
 //! ## Verify first
 //!
-//! Neither decoder runs unless it has to. The paper's §6.2 criterion
+//! No decoder runs unless it has to. The paper's §6.2 criterion
 //! (eq. 9; [`RsCode::tau_threshold`]) says a polynomial of degree `< dim`
 //! is the decoding **iff** it disagrees with at most `⌊(present − dim)/2⌋`
 //! of the `present` received symbols: two polynomials passing that check
 //! would agree with each other on `≥ dim` positions, hence be equal. So a
 //! candidate is *checked* in `O(n·dim)` where *finding* one costs a decoder
-//! `O(n³)` or `O(n²)`. Every entry point ([`RsCode::decode`],
+//! `O(n²)` at best. Every entry point ([`RsCode::decode`],
 //! [`RsCode::decode_with`], [`RsCode::decode_hinted`]) interpolates a guess
 //! through the first `dim` present symbols outside a caller-supplied
 //! suspect set, runs the check, and falls through to the [`Decoder`] —
@@ -66,4 +73,4 @@ mod code;
 mod decoder;
 
 pub use code::{Decoded, RsCode, RsError};
-pub use decoder::{BerlekampWelch, Decoder, Gao};
+pub use decoder::{BerlekampMassey, BerlekampWelch, Decoder, Gao};

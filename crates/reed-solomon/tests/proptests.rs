@@ -1,11 +1,11 @@
 //! Property-based tests: for any message and any error pattern within the
-//! decoding radius, both decoders recover the message exactly — this is the
+//! decoding radius, every decoder recovers the message exactly — this is the
 //! correctness guarantee CSM's execution phase rests on (§5.2) — and
 //! verify-first decoding returns what the decoder alone would have, whatever
 //! it is hinted.
 
 use csm_algebra::{distinct_elements, Field, Fp61, Gf2_16, Poly};
-use csm_reed_solomon::{BerlekampWelch, Decoded, Decoder, Gao, RsCode, RsError};
+use csm_reed_solomon::{BerlekampMassey, BerlekampWelch, Decoded, Decoder, Gao, RsCode, RsError};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -179,6 +179,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
+    fn bm_decodes_within_radius_fp61(s in scenario()) {
+        run::<Fp61, _>(&s, &BerlekampMassey, Fp61::from_u64);
+    }
+
+    #[test]
+    fn bm_decodes_within_radius_gf2m(s in scenario()) {
+        run::<Gf2_16, _>(&s, &BerlekampMassey, Gf2_16::from_u64);
+    }
+
+    #[test]
     fn bw_decodes_within_radius_fp61(s in scenario()) {
         run::<Fp61, _>(&s, &BerlekampWelch, Fp61::from_u64);
     }
@@ -196,6 +206,16 @@ proptest! {
     #[test]
     fn gao_decodes_within_radius_gf2m(s in scenario()) {
         run::<Gf2_16, _>(&s, &Gao, Gf2_16::from_u64);
+    }
+
+    #[test]
+    fn verify_first_equals_bm_fp61((s, hint) in hinted()) {
+        verify_first_equals_raw::<Fp61, _>(&s, &hint, &BerlekampMassey, Fp61::from_u64);
+    }
+
+    #[test]
+    fn verify_first_equals_bm_gf2m((s, hint) in hinted()) {
+        verify_first_equals_raw::<Gf2_16, _>(&s, &hint, &BerlekampMassey, Gf2_16::from_u64);
     }
 
     #[test]
@@ -227,9 +247,11 @@ proptest! {
         for &p in &s.error_positions {
             word[p] = Some(cw[p] + Fp61::from_u64(s.error_deltas[p]) + Fp61::ONE);
         }
+        let bm = code.decode_with(&BerlekampMassey, &word).unwrap();
         let bw = code.decode_with(&BerlekampWelch, &word).unwrap();
         let gao = code.decode_with(&Gao, &word).unwrap();
-        prop_assert_eq!(bw.poly(), gao.poly());
+        prop_assert_eq!(&bm, &bw);
+        prop_assert_eq!(&bw, &gao);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Decoder ablation at the cluster level: Berlekamp–Welch and Gao must
-//! produce bit-identical round reports in every configuration (the
-//! DESIGN.md "BW vs Gao" ablation, asserted rather than eyeballed).
+//! Decoder ablation at the cluster level: the default syndrome decoder
+//! (Berlekamp–Massey), Berlekamp–Welch and Gao must produce bit-identical
+//! round reports in every configuration (the DESIGN.md "BW vs Gao"
+//! ablation, asserted rather than eyeballed).
 
 use coded_state_machine::algebra::{Field, Fp61, Gf2_16};
 use coded_state_machine::csm::{
@@ -35,6 +36,32 @@ fn build<FF: Field>(
     builder.build().unwrap()
 }
 
+/// Steps one cluster per decoder — the default first — through the same
+/// rounds and asserts that their reports never differ.
+fn assert_identical_reports(sync: SynchronyMode, coding: CodingMode) {
+    assert_eq!(DecoderKind::default(), DecoderKind::BerlekampMassey);
+    let mut clusters = [
+        DecoderKind::default(),
+        DecoderKind::BerlekampWelch,
+        DecoderKind::Gao,
+    ]
+    .map(|decoder| build::<Fp61>(decoder, sync, coding));
+    for r in 0..3u64 {
+        let cmds: Vec<Vec<Fp61>> = (0..3).map(|i| vec![f(i + r + 1)]).collect();
+        let reports: Vec<_> = clusters
+            .iter_mut()
+            .map(|cluster| cluster.step(cmds.clone()).unwrap())
+            .collect();
+        for report in &reports {
+            assert!(report.correct);
+            assert_eq!(report.outputs, reports[0].outputs, "round {r} {coding:?}");
+            assert_eq!(report.new_states, reports[0].new_states);
+            assert_eq!(report.detected_error_nodes, reports[0].detected_error_nodes);
+            assert_eq!(report.digest, reports[0].digest);
+        }
+    }
+}
+
 #[test]
 fn bw_and_gao_identical_reports_synchronous() {
     for coding in [
@@ -44,43 +71,13 @@ fn bw_and_gao_identical_reports_synchronous() {
             mu: 0.25,
         },
     ] {
-        let mut bw = build::<Fp61>(
-            DecoderKind::BerlekampWelch,
-            SynchronyMode::Synchronous,
-            coding,
-        );
-        let mut gao = build::<Fp61>(DecoderKind::Gao, SynchronyMode::Synchronous, coding);
-        for r in 0..3u64 {
-            let cmds: Vec<Vec<Fp61>> = (0..3).map(|i| vec![f(i + r)]).collect();
-            let rb = bw.step(cmds.clone()).unwrap();
-            let rg = gao.step(cmds).unwrap();
-            assert!(rb.correct && rg.correct);
-            assert_eq!(rb.outputs, rg.outputs, "round {r} {coding:?}");
-            assert_eq!(rb.new_states, rg.new_states);
-            assert_eq!(rb.detected_error_nodes, rg.detected_error_nodes);
-        }
+        assert_identical_reports(SynchronyMode::Synchronous, coding);
     }
 }
 
 #[test]
 fn bw_and_gao_identical_reports_partial_synchrony() {
-    let mut bw = build::<Fp61>(
-        DecoderKind::BerlekampWelch,
-        SynchronyMode::PartiallySynchronous,
-        CodingMode::Distributed,
-    );
-    let mut gao = build::<Fp61>(
-        DecoderKind::Gao,
-        SynchronyMode::PartiallySynchronous,
-        CodingMode::Distributed,
-    );
-    for r in 0..3u64 {
-        let cmds: Vec<Vec<Fp61>> = (0..3).map(|i| vec![f(i + r + 1)]).collect();
-        let rb = bw.step(cmds.clone()).unwrap();
-        let rg = gao.step(cmds).unwrap();
-        assert!(rb.correct && rg.correct);
-        assert_eq!(rb.outputs, rg.outputs, "round {r}");
-    }
+    assert_identical_reports(SynchronyMode::PartiallySynchronous, CodingMode::Distributed);
 }
 
 #[test]

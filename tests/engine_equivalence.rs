@@ -6,7 +6,8 @@
 //!    `CsmCluster::step` across random machines, fault assignments, and
 //!    synchrony modes: same decoded outputs and next states, same
 //!    detected Byzantine nodes, same per-node coded states after every
-//!    round, and the same commit digest the real runtime would gossip.
+//!    round, and the same commit digest the real runtime would gossip —
+//!    whichever of the three decoders each side runs.
 //!
 //! 2. **Byzantine behaviors over real TCP** — withhold and impersonate
 //!    nodes run a *non-bank* machine (the compiled Boolean counter over
@@ -74,13 +75,23 @@ fn fault_menu(i: usize) -> FaultSpec {
     }
 }
 
+fn decoder_kind() -> impl Strategy<Value = DecoderKind> {
+    prop_oneof![
+        Just(DecoderKind::default()),
+        Just(DecoderKind::BerlekampWelch),
+        Just(DecoderKind::Gao),
+    ]
+}
+
 #[derive(Debug, Clone)]
 struct Scenario {
     kind: MachineKind,
     n: usize,
     b: usize,
     sync: SynchronyMode,
-    gao: bool,
+    /// The decoder of the reference cluster and of the engines: any pairing
+    /// must commit the same rounds.
+    decoders: (DecoderKind, DecoderKind),
     seed: u64,
     rounds: usize,
     raw: Vec<u64>,
@@ -92,12 +103,12 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         8usize..20,
         0usize..4,
         prop::bool::ANY,
-        prop::bool::ANY,
+        (decoder_kind(), decoder_kind()),
         any::<u64>(),
         1usize..4,
         prop::collection::vec(any::<u64>(), 64),
     )
-        .prop_map(|(kind, n, b, psync, gao, seed, rounds, raw)| Scenario {
+        .prop_map(|(kind, n, b, psync, dec, seed, rounds, raw)| Scenario {
             kind,
             n,
             b,
@@ -106,7 +117,7 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             } else {
                 SynchronyMode::Synchronous
             },
-            gao,
+            decoders: dec,
             seed,
             rounds,
             raw,
@@ -121,11 +132,7 @@ fn run_equivalence<F: Field>(s: &Scenario) -> Result<(), TestCaseError> {
     if k == 0 {
         return Ok(()); // configuration unsupportable; nothing to check
     }
-    let decoder = if s.gao {
-        DecoderKind::Gao
-    } else {
-        DecoderKind::BerlekampWelch
-    };
+    let (cluster_decoder, engine_decoder) = s.decoders;
     let sd = transition.state_dim();
     let xd = transition.input_dim();
     let mut raw = s.raw.iter().cycle().copied();
@@ -147,7 +154,7 @@ fn run_equivalence<F: Field>(s: &Scenario) -> Result<(), TestCaseError> {
         .transition(transition.clone())
         .initial_states(states.clone())
         .synchrony(s.sync)
-        .decoder(decoder)
+        .decoder(cluster_decoder)
         .assumed_faults(s.b)
         .seed(s.seed);
     for (i, f) in faults.iter().enumerate() {
@@ -159,7 +166,8 @@ fn run_equivalence<F: Field>(s: &Scenario) -> Result<(), TestCaseError> {
 
     // the engine path: one RoundEngine per node over a shared machine
     let machine = Arc::new(
-        CodedMachine::<F>::new(s.n, k, transition, decoder).expect("same shape as the cluster"),
+        CodedMachine::<F>::new(s.n, k, transition, engine_decoder)
+            .expect("same shape as the cluster"),
     );
     let mut engines: Vec<RoundEngine<F>> = (0..s.n)
         .map(|i| {
