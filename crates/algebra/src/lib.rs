@@ -15,7 +15,7 @@
 //!   Reed–Solomon decoding; [`SubproductTree`] provides the fast multi-point
 //!   evaluation / interpolation used by the §6.2 centralized worker.
 //! * **Matrices** — [`Matrix`] with Gaussian elimination and Vandermonde
-//!   builders for Berlekamp–Welch and INTERMIX.
+//!   builders for INTERMIX.
 //! * **Operation accounting** — [`Counting`] and [`count`] implement the
 //!   paper's exact complexity measure (`c(·)` counted in field additions and
 //!   multiplications, §2.2).

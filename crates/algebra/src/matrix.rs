@@ -1,8 +1,8 @@
 //! Dense matrices and linear solving over a [`Field`].
 //!
 //! Used for: the coefficient matrix `C = [c_ik]` mapping states to coded
-//! states (§5.1, eq. (7)); the Vandermonde matrices of §6.2; the
-//! Berlekamp–Welch linear system; and INTERMIX's `A·X` products.
+//! states (§5.1, eq. (7)); the Vandermonde matrices of §6.2; and INTERMIX's
+//! `A·X` products.
 
 use crate::field::Field;
 
@@ -189,82 +189,6 @@ impl<F: Field> Matrix<F> {
         Some(x)
     }
 
-    /// Returns a nonzero vector in the nullspace of `A`, or `None` if the
-    /// matrix has full column rank (trivial nullspace).
-    ///
-    /// Used by the Berlekamp–Welch decoder, whose key system
-    /// `Q(α_i) − y_i E(α_i) = 0` is homogeneous.
-    pub fn nullspace_vector(&self) -> Option<Vec<F>> {
-        let mut aug = self.clone();
-        let mut pivot_col_of_row = Vec::new();
-        let mut r = 0;
-        for c in 0..self.cols {
-            let Some(p) = (r..self.rows).find(|&i| !aug[(i, c)].is_zero()) else {
-                continue;
-            };
-            aug.swap_rows(r, p);
-            let inv = aug[(r, c)].inverse().expect("pivot nonzero");
-            for j in c..self.cols {
-                aug[(r, j)] *= inv;
-            }
-            for i in 0..self.rows {
-                if i != r && !aug[(i, c)].is_zero() {
-                    let f = aug[(i, c)];
-                    for j in c..self.cols {
-                        let delta = f * aug[(r, j)];
-                        aug[(i, j)] -= delta;
-                    }
-                }
-            }
-            pivot_col_of_row.push(c);
-            r += 1;
-            if r == self.rows {
-                break;
-            }
-        }
-        let pivot_set: std::collections::HashSet<usize> =
-            pivot_col_of_row.iter().copied().collect();
-        // first free column gives a kernel vector
-        let free = (0..self.cols).find(|c| !pivot_set.contains(c))?;
-        let mut x = vec![F::ZERO; self.cols];
-        x[free] = F::ONE;
-        for (row, &pc) in pivot_col_of_row.iter().enumerate() {
-            // x[pc] = -sum over free columns of coefficient * x[free]
-            x[pc] = -aug[(row, free)];
-        }
-        Some(x)
-    }
-
-    /// The rank of the matrix.
-    pub fn rank(&self) -> usize {
-        let mut aug = self.clone();
-        let mut r = 0;
-        for c in 0..self.cols {
-            let Some(p) = (r..self.rows).find(|&i| !aug[(i, c)].is_zero()) else {
-                continue;
-            };
-            aug.swap_rows(r, p);
-            let inv = aug[(r, c)].inverse().expect("pivot nonzero");
-            for j in c..self.cols {
-                aug[(r, j)] *= inv;
-            }
-            for i in (r + 1)..self.rows {
-                if !aug[(i, c)].is_zero() {
-                    let f = aug[(i, c)];
-                    for j in c..self.cols {
-                        let delta = f * aug[(r, j)];
-                        aug[(i, j)] -= delta;
-                    }
-                }
-            }
-            r += 1;
-            if r == self.rows {
-                break;
-            }
-        }
-        r
-    }
-
     fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
             return;
@@ -356,20 +280,10 @@ mod tests {
     }
 
     #[test]
-    fn nullspace_of_singular() {
-        let a = m(2, 2, &[1, 2, 2, 4]); // rank 1
-        let v = a.nullspace_vector().unwrap();
-        assert!(v.iter().any(|c| !c.is_zero()));
-        assert!(a.mul_vec(&v).iter().all(|c| c.is_zero()));
-        assert!(Matrix::<Fp61>::identity(3).nullspace_vector().is_none());
-    }
-
-    #[test]
-    fn vandermonde_rank_and_shape() {
+    fn vandermonde_shape() {
         let pts: Vec<Fp61> = (1..=5).map(Fp61::from_u64).collect();
         let v = Matrix::vandermonde(&pts, 4);
         assert_eq!((v.rows(), v.cols()), (5, 4));
-        assert_eq!(v.rank(), 4); // distinct points => full column rank
         assert_eq!(v[(2, 3)], Fp61::from_u64(27)); // 3^3
     }
 
@@ -399,10 +313,5 @@ mod tests {
         let a = vec![Fp61::ONE];
         let b = vec![Fp61::ONE, Fp61::ONE];
         let _ = dot(&a, &b);
-    }
-
-    #[test]
-    fn rank_of_zero_matrix() {
-        assert_eq!(Matrix::<Fp61>::zero(3, 4).rank(), 0);
     }
 }

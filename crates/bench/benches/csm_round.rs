@@ -1,5 +1,5 @@
 //! End-to-end round benchmarks: one CSM round (distributed vs centralized
-//! coding, BW vs Gao decoding) against the SMR baselines, wall-clock.
+//! coding, BM vs Gao decoding) against the SMR baselines, wall-clock.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use csm_algebra::{Field, Fp61};
@@ -22,9 +22,9 @@ fn benches(c: &mut Criterion) {
 
         for (label, coding, decoder) in [
             (
-                "csm_dist_bw",
+                "csm_dist_bm",
                 CodingMode::Distributed,
-                DecoderKind::BerlekampWelch,
+                DecoderKind::default(),
             ),
             ("csm_dist_gao", CodingMode::Distributed, DecoderKind::Gao),
             (

@@ -1,13 +1,18 @@
 //! Reed–Solomon decoder ablation: Berlekamp–Massey (O(n²) on the syndromes,
-//! the default) vs Berlekamp–Welch (O(n³) linear algebra, the paper's
-//! reference) vs Gao (extended Euclid + fast interpolation) at the
-//! worst-case error load `⌊(n−k)/2⌋`, and on clean words against the
-//! verify-first check that normally runs instead of any of them.
+//! the default) vs Gao (extended Euclid + fast interpolation) at the
+//! worst-case error load `⌊(n−k)/2⌋`; on clean words against the
+//! verify-first check that normally runs instead of either; and a clean CSM
+//! result word decoded one-shot against the same word through a warmed
+//! engine's decode plan.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use csm_algebra::{distinct_elements, Field, Fp61};
-use csm_reed_solomon::{BerlekampMassey, BerlekampWelch, Decoder, Gao, RsCode};
+use csm_core::exchange::Word;
+use csm_core::{CodedMachine, DecoderKind, RoundEngine};
+use csm_reed_solomon::{BerlekampMassey, Decoder, Gao, RsCode};
+use csm_statemachine::machines::bank_machine;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn make_word(n: usize, k: usize, errs: usize, seed: u64) -> (RsCode<Fp61>, Vec<Option<Fp61>>) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -32,9 +37,6 @@ fn benches(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("berlekamp_massey", n), &n, |b, _| {
             b.iter(|| BerlekampMassey.decode(code.points(), &ys, k).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("berlekamp_welch", n), &n, |b, _| {
-            b.iter(|| BerlekampWelch.decode(code.points(), &ys, k).unwrap())
-        });
         group.bench_with_input(BenchmarkId::new("gao", n), &n, |b, _| {
             b.iter(|| Gao.decode(code.points(), &ys, k).unwrap())
         });
@@ -48,17 +50,48 @@ fn benches(c: &mut Criterion) {
         let k = n / 4;
         let (code, word) = make_word(n, k, 0, 5);
         let ys: Vec<Fp61> = word.iter().flatten().copied().collect();
-        clean.bench_with_input(BenchmarkId::new("berlekamp_welch", n), &n, |b, _| {
-            b.iter(|| BerlekampWelch.decode(code.points(), &ys, k).unwrap())
+        clean.bench_with_input(BenchmarkId::new("berlekamp_massey", n), &n, |b, _| {
+            b.iter(|| BerlekampMassey.decode(code.points(), &ys, k).unwrap())
         });
         clean.bench_with_input(BenchmarkId::new("gao", n), &n, |b, _| {
             b.iter(|| Gao.decode(code.points(), &ys, k).unwrap())
         });
         clean.bench_with_input(BenchmarkId::new("verify_first", n), &n, |b, _| {
-            b.iter(|| code.decode_with(&BerlekampWelch, &word).unwrap())
+            b.iter(|| code.decode_with(&BerlekampMassey, &word).unwrap())
         });
     }
     clean.finish();
+
+    // one honest round's word of the bank machine on K = N/4 shards:
+    // one-shot, and through the plan an engine holds from its second
+    // clean coordinate on
+    let mut words = c.benchmark_group("decode_word_clean");
+    for n in [16usize, 32, 64, 128] {
+        let k = n / 4;
+        let machine = Arc::new(
+            CodedMachine::<Fp61>::new(n, k, bank_machine(), DecoderKind::default()).unwrap(),
+        );
+        let column = |seed: u64| -> Vec<Vec<Fp61>> {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            (0..k).map(|_| vec![Fp61::random(&mut rng)]).collect()
+        };
+        let (states, commands) = (column(7), column(8));
+        let engine = |i| RoundEngine::new(Arc::clone(&machine), i, &states).unwrap();
+        let word: Word<Fp61> = (0..n)
+            .map(|i| Some(engine(i).execute(&commands).unwrap()))
+            .collect();
+        words.bench_with_input(BenchmarkId::new("decode_word", n), &n, |b, _| {
+            b.iter(|| machine.decode_word(&word, &[]).unwrap())
+        });
+        let mut planned = engine(0);
+        let reference = machine.decode_word(&word, &[]).unwrap();
+        assert_eq!(planned.decode(&word).unwrap(), reference);
+        words.bench_with_input(BenchmarkId::new("decode_word_planned", n), &n, |b, _| {
+            b.iter(|| planned.decode(&word).unwrap())
+        });
+        assert_eq!(planned.decode(&word).unwrap(), reference);
+    }
+    words.finish();
 }
 
 criterion_group! {

@@ -2,7 +2,7 @@
 
 use csm_algebra::{Field, Poly};
 use csm_network::NodeId;
-use csm_reed_solomon::{BerlekampMassey, BerlekampWelch, Decoder, Gao, RsError};
+use csm_reed_solomon::{BerlekampMassey, Decoder, Gao, RsError};
 
 /// The network model the cluster operates under (§2.1), determining which
 /// decoding bound applies (Table 2).
@@ -37,16 +37,13 @@ pub enum CodingMode {
 }
 
 /// Which Reed–Solomon decoder nodes run on a word their verify-first guess
-/// could not explain. All three return the same answers; they differ in cost.
+/// could not explain. Both return the same answers; they differ in cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecoderKind {
     /// Berlekamp–Massey on the syndromes: `O(N²)`, the cheapest at every
     /// size the `rs_decode` bench covers.
     #[default]
     BerlekampMassey,
-    /// Berlekamp–Welch (`O(N³)` linear system; the decoder the paper cites).
-    /// Kept as an independent reference for the ablation tests.
-    BerlekampWelch,
     /// Gao (extended Euclidean; quasi-linear with fast polynomial
     /// arithmetic, but a larger constant than the syndrome decoder up to
     /// `N = 128`). Kept as an independent reference.
@@ -57,7 +54,6 @@ impl Decoder for DecoderKind {
     fn decode<F: Field>(&self, xs: &[F], ys: &[F], k: usize) -> Result<Poly<F>, RsError> {
         match self {
             DecoderKind::BerlekampMassey => BerlekampMassey.decode(xs, ys, k),
-            DecoderKind::BerlekampWelch => BerlekampWelch.decode(xs, ys, k),
             DecoderKind::Gao => Gao.decode(xs, ys, k),
         }
     }

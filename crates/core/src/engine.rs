@@ -42,7 +42,7 @@ use crate::digest::digest_results;
 use crate::error::CsmError;
 use crate::exchange::Word;
 use csm_algebra::Field;
-use csm_reed_solomon::{Decoded, RsCode, RsError};
+use csm_reed_solomon::{DecodePlan, Decoded, RsCode, RsError};
 use csm_statemachine::{Aggregation, PolyTransition};
 use rand::Rng;
 use std::sync::Arc;
@@ -311,46 +311,92 @@ impl<F: Field> CodedMachine<F> {
     /// Returns [`CsmError::Decoding`] if any coordinate's word holds more
     /// corrupted results than the code corrects (security bound exceeded).
     pub fn decode_word(&self, word: &Word<F>, hint: &[usize]) -> Result<DecodedRound<F>, CsmError> {
+        self.decode_word_in(word, hint, None)
+    }
+
+    /// [`Self::decode_word`], through `slot`'s [`DecodePlan`] whenever a
+    /// coordinate's guess would read exactly the symbols it reads. The plan
+    /// accepts iff that guess verifies and then yields the same errors and
+    /// the same values at `ω_k`, so the slot never changes a result, only
+    /// what a verified guess costs.
+    fn decode_word_in(
+        &self,
+        word: &Word<F>,
+        hint: &[usize],
+        mut slot: Option<&mut PlanSlot<F>>,
+    ) -> Result<DecodedRound<F>, CsmError> {
         let sd = self.transition.state_dim();
         let out_dim = self.result_dim();
-        if word.len() != self.n() {
+        let (n, k) = (self.n(), self.k());
+        if word.len() != n {
             return Err(CsmError::Decoding(RsError::LengthMismatch {
                 got: word.len(),
-                expected: self.n(),
+                expected: n,
             }));
         }
         let usable = |i: usize| word[i].as_deref().filter(|g| g.len() == out_dim);
+        let omegas = self.codebook.omegas();
         let mut suspects = hint.to_vec();
-        let mut erroneous = vec![false; self.n()];
-        let mut basis = None;
-        let mut polys = Vec::with_capacity(out_dim);
-        for jcoord in 0..out_dim {
-            let decoded = self.code.decode_hinted(
-                &self.decoder,
-                |i| usable(i).map(|g| g[jcoord]),
-                &suspects,
-                &mut basis,
-            )?;
-            for &e in decoded.error_positions() {
+        let mut erroneous = vec![false; n];
+        let mut note = |errors: &[usize], suspects: &mut Vec<usize>| {
+            for &e in errors {
                 if !std::mem::replace(&mut erroneous[e], true) {
                     suspects.push(e);
                 }
             }
-            polys.push(decoded.poly().clone());
+        };
+        let (mut basis, mut plan, mut ys, mut read) = (None, None, Vec::new(), Vec::new());
+        // coordinate-major: values[j·K + k] = coordinate j of (S_k(t+1), Y_k(t))
+        let mut values = Vec::with_capacity(out_dim * k);
+        for jcoord in 0..out_dim {
+            let symbol = |i: usize| usable(i).map(|g| g[jcoord]);
+            // a verified guess reveals no error among the symbols it read,
+            // so a plan in force still reads what the next guess would
+            read.clear();
+            if let (None, Some(slot)) = (&plan, slot.as_deref_mut()) {
+                read.extend(self.code.read_set(symbol, &suspects).map(|(i, _)| i));
+                plan = slot.plan.take_if(|p| p.read() == read);
+            }
+            if let Some(plan) = &plan {
+                if let Some(errors) = plan.check(symbol, &mut ys) {
+                    values.extend(plan.evaluate(&ys));
+                    note(&errors, &mut suspects);
+                    continue;
+                }
+            }
+            // a refuted plan is dropped, and its guess not interpolated again
+            let decoded = match plan.take() {
+                Some(_) => self.code.solve(&self.decoder, symbol)?,
+                None => self
+                    .code
+                    .decode_hinted(&self.decoder, symbol, &suspects, &mut basis)?,
+            };
+            values.extend(omegas.iter().map(|&w| decoded.poly().eval(w)));
+            let errors = decoded.error_positions();
+            note(errors, &mut suspects);
+            // the guess verified iff none of the symbols it read was wrong;
+            // the second in a row through the same symbols is worth a plan
+            if read.len() == self.code.dim() && !read.iter().any(|i| errors.contains(i)) {
+                let slot = slot.as_deref_mut().expect("a read set was collected");
+                if slot.verified == read {
+                    let built = self.code.plan(&read, omegas);
+                    plan = Some(built.expect("a read set is dim distinct positions"));
+                } else {
+                    std::mem::swap(&mut slot.verified, &mut read);
+                }
+            }
         }
-        // evaluate at ω_k to recover (S_k(t+1), Y_k(t))
-        let mut new_states = Vec::with_capacity(self.k());
-        let mut outputs = Vec::with_capacity(self.k());
-        for &w in self.codebook.omegas() {
-            let vals: Vec<F> = polys.iter().map(|p| p.eval(w)).collect();
-            new_states.push(vals[..sd].to_vec());
-            outputs.push(vals[sd..].to_vec());
+        if let (Some(slot), Some(plan)) = (slot, plan) {
+            slot.plan = Some(plan);
         }
+        let column = |coords: std::ops::Range<usize>, m: usize| -> Vec<F> {
+            coords.map(|j| values[j * k + m]).collect()
+        };
         Ok(DecodedRound {
-            new_states,
-            outputs,
-            detected_error_nodes: (0..self.n()).filter(|&i| erroneous[i]).collect(),
-            results_held: (0..self.n()).filter(|&i| usable(i).is_some()).count(),
+            new_states: (0..k).map(|m| column(0..sd, m)).collect(),
+            outputs: (0..k).map(|m| column(sd..out_dim, m)).collect(),
+            detected_error_nodes: (0..n).filter(|&i| erroneous[i]).collect(),
+            results_held: (0..n).filter(|&i| usable(i).is_some()).count(),
         })
     }
 
@@ -396,6 +442,15 @@ impl<F: Field> CodedMachine<F> {
             SynchronyMode::PartiallySynchronous => slack / 3,
         }
     }
+}
+
+/// What [`RoundEngine::decode`] carries from word to word: the read set of
+/// the last guess that verified off-plan, and the plan built once two in a
+/// row read the same symbols. The plan is dropped when a word refutes it.
+#[derive(Debug, Clone, Default)]
+struct PlanSlot<F> {
+    verified: Vec<usize>,
+    plan: Option<DecodePlan<F>>,
 }
 
 /// The plaintext recovery of one round at one receiver — what ψ yields.
@@ -475,6 +530,7 @@ pub struct RoundEngine<F: Field> {
     /// The last commit's `detected_error_nodes`: where the next round's
     /// decode does not look for its guess.
     suspects: Vec<usize>,
+    plans: PlanSlot<F>,
 }
 
 impl<F: Field> RoundEngine<F> {
@@ -505,6 +561,7 @@ impl<F: Field> RoundEngine<F> {
             coded_state,
             round: 0,
             suspects: Vec::new(),
+            plans: PlanSlot::default(),
         })
     }
 
@@ -716,15 +773,19 @@ impl<F: Field> RoundEngine<F> {
         }
     }
 
-    /// ψ: decodes a finalized word ([`CodedMachine::decode_word`], hinted
-    /// with the nodes the last commit found erroneous, so a persistent
-    /// Byzantine node is located once, not once per round).
+    /// ψ: decodes a finalized word — [`CodedMachine::decode_word`]'s answer,
+    /// hinted with the nodes the last commit found erroneous, so a
+    /// persistent Byzantine node is located once, not once per round, and
+    /// through a [`DecodePlan`] once the same symbols have been read twice
+    /// running, so a cluster whose faults stay put pays two matrix–vector
+    /// products per coordinate.
     ///
     /// # Errors
     ///
     /// Returns [`CsmError::Decoding`] when the security bound is exceeded.
-    pub fn decode(&self, word: &Word<F>) -> Result<DecodedRound<F>, CsmError> {
-        self.machine.decode_word(word, &self.suspects)
+    pub fn decode(&mut self, word: &Word<F>) -> Result<DecodedRound<F>, CsmError> {
+        self.machine
+            .decode_word_in(word, &self.suspects, Some(&mut self.plans))
     }
 
     /// Installs an externally-encoded next coded state (the simulator's
@@ -886,7 +947,7 @@ mod tests {
     fn corrupt_and_malformed_results_are_handled() {
         let m = machine(10, 2);
         let states = vec![vec![f(5)], vec![f(6)]];
-        let nodes = engines(&m, &states);
+        let mut nodes = engines(&m, &states);
         let commands = vec![vec![f(1)], vec![f(2)]];
         let mut word: Word<Fp61> = nodes
             .iter()
@@ -1149,7 +1210,7 @@ mod tests {
         // degree 2, cap 2: dim = 2²(K−1) + 1 = 5
         assert_eq!(m.code().dim(), 5);
         let states = vec![vec![f(3), f(4)], vec![f(5), f(6)]];
-        let nodes: Vec<RoundEngine<Fp61>> = (0..8)
+        let mut nodes: Vec<RoundEngine<Fp61>> = (0..8)
             .map(|i| RoundEngine::new(Arc::clone(&m), i, &states).unwrap())
             .collect();
         // ragged: shard 0 runs two bids, shard 1 one (padded with no-op)

@@ -187,7 +187,7 @@ proptest! {
             deposits.iter().map(|&d| vec![f(d)]).collect::<Vec<_>>(),
             Vec::new(),
         ];
-        let nodes = engines(&m, &states);
+        let mut nodes = engines(&m, &states);
         let word: Word<Fp61> = nodes
             .iter()
             .map(|e| Some(e.execute_batched(&programs).unwrap()))

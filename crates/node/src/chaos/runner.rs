@@ -663,7 +663,7 @@ fn run(
     }
 
     let events = std::mem::take(&mut *trace.0.lock().expect("trace poisoned"));
-    let run = audit(&sim, schedule, events);
+    let run = audit(&mut sim, schedule, events);
     let telemetry = sim
         .nodes
         .iter()
@@ -680,9 +680,11 @@ fn run(
 
 /// The post-run audit: S1 over vouched digests, S2 over the ack set,
 /// recovery-horizon assertions, conflicting-ack detection, and S3 when
-/// the config asks for it.
-fn audit(sim: &Sim<'_>, schedule: &Schedule, events: Vec<TraceEntry>) -> ChaosRun {
-    let (config, nodes, swarm) = (sim.config, &sim.nodes, &sim.swarm);
+/// the config asks for it. The run takes each node's digest history and the
+/// swarm's ack map out of `sim` (nothing reads them afterwards), so the
+/// run's high-water mark never holds them twice.
+fn audit(sim: &mut Sim<'_>, schedule: &Schedule, events: Vec<TraceEntry>) -> ChaosRun {
+    let (config, nodes, swarm) = (sim.config, &mut sim.nodes, &mut sim.swarm);
     let mut violations = Vec::new();
     let honest: Vec<usize> = (0..config.cluster)
         .filter(|&n| config.is_honest(n))
@@ -718,7 +720,7 @@ fn audit(sim: &Sim<'_>, schedule: &Schedule, events: Vec<TraceEntry>) -> ChaosRu
             count: swarm.conflicting_acks,
         });
     }
-    for node in nodes {
+    for node in nodes.iter() {
         for detail in &node.recovery_violations {
             violations.push(Violation::RecoveryHorizon {
                 detail: detail.clone(),
@@ -742,7 +744,7 @@ fn audit(sim: &Sim<'_>, schedule: &Schedule, events: Vec<TraceEntry>) -> ChaosRu
             .count() as u64
     };
     let nodes = nodes
-        .iter()
+        .iter_mut()
         .enumerate()
         .map(|(id, n)| NodeOutcome {
             node: id,
@@ -754,14 +756,14 @@ fn audit(sim: &Sim<'_>, schedule: &Schedule, events: Vec<TraceEntry>) -> ChaosRu
             commands_committed: n.committed
                 + n.core.as_ref().map_or(0, |c| c.stats().commands_committed),
             final_round: n.core.as_ref().map_or(n.last_round, GatewayCore::round),
-            digest_history: n.digest_history.clone(),
+            digest_history: std::mem::take(&mut n.digest_history),
         })
         .collect();
 
     ChaosRun {
         violations,
         nodes,
-        acked: swarm.acked.clone(),
+        acked: std::mem::take(&mut swarm.acked),
         unacked_probes,
         events,
         horizon: schedule.horizon,

@@ -235,17 +235,15 @@ impl<F: Field> RsCode<F> {
         suspects: &[usize],
         basis: &mut Option<Lagrange<F>>,
     ) -> Result<Decoded<F>, RsError> {
-        let received = || (0..self.len()).filter_map(|i| Some((i, symbol(i)?)));
-        let present = received().count();
+        let present = (0..self.len()).filter(|&i| symbol(i).is_some()).count();
         if present < self.dim {
             return Err(RsError::TooManyErasures {
                 present,
                 dim: self.dim,
             });
         }
-        let (xs, ys): (Vec<F>, Vec<F>) = received()
-            .filter(|(i, _)| !suspects.contains(i))
-            .take(self.dim)
+        let (xs, ys): (Vec<F>, Vec<F>) = self
+            .read_set(&symbol, suspects)
             .map(|(i, y)| (self.points[i], y))
             .unzip();
         if xs.len() == self.dim {
@@ -257,7 +255,39 @@ impl<F: Field> RsCode<F> {
                 return Ok(decoded);
             }
         }
-        let (xs, ys): (Vec<F>, Vec<F>) = received().map(|(i, y)| (self.points[i], y)).unzip();
+        self.solve(decoder, symbol)
+    }
+
+    /// What a verify-first guess reads: the first `dim` present symbols
+    /// outside `suspects`, with their positions (fewer if the word does not
+    /// hold that many).
+    pub fn read_set<'a, T>(
+        &'a self,
+        symbol: impl Fn(usize) -> Option<T> + 'a,
+        suspects: &'a [usize],
+    ) -> impl Iterator<Item = (usize, T)> + 'a {
+        (0..self.len())
+            .filter(move |i| !suspects.contains(i))
+            .filter_map(move |i| Some((i, symbol(i)?)))
+            .take(self.dim)
+    }
+
+    /// Decodes without a guess: `decoder` on every present symbol, its
+    /// answer put to the eq. (9) check. What [`RsCode::decode_hinted`] falls
+    /// through to, and where a caller whose own guess has just failed (a
+    /// refuted [`crate::DecodePlan`]) starts.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`RsCode::decode_hinted`].
+    pub fn solve<D: Decoder>(
+        &self,
+        decoder: &D,
+        symbol: impl Fn(usize) -> Option<F>,
+    ) -> Result<Decoded<F>, RsError> {
+        let (xs, ys): (Vec<F>, Vec<F>) = (0..self.len())
+            .filter_map(|i| Some((self.points[i], symbol(i)?)))
+            .unzip();
         let poly = decoder.decode(&xs, &ys, self.dim)?;
         self.finish(poly, &symbol)
     }

@@ -12,20 +12,16 @@
 //! code of dimension `d(K−1)+1` and length `N` recovers `h_t`, from which
 //! every `(S_k(t+1), Y_k(t)) = h_t(ω_k)` follows.
 //!
-//! Three decoders are provided (same answers, different costs — compared in
+//! Two decoders are provided (same answers, different costs — compared in
 //! the `rs_decode` bench):
 //!
 //! * [`BerlekampMassey`] — the syndrome decoder: `O(n²)`, no matrix, the
-//!   cheapest of the three at every size the bench covers and what
+//!   cheaper of the two at every size the bench covers and what
 //!   [`RsCode::decode`] runs;
-//! * [`BerlekampWelch`] — the classical `O(n³)` linear-system decoder the
-//!   paper cites for its bound `2b ≤ N − d(K−1) − 1`;
 //! * [`Gao`] — the extended-Euclidean decoder, asymptotically cheaper with
-//!   fast polynomial arithmetic.
-//!
-//! The last two share no code with the first and stay as the independent
-//! references the property tests and the cluster-level ablation compare it
-//! against.
+//!   fast polynomial arithmetic. It shares no code with the first and stays
+//!   as the independent reference the property tests and the cluster-level
+//!   ablation compare it against.
 //!
 //! ## Verify first
 //!
@@ -43,6 +39,21 @@
 //! uniqueness the two routes return the same polynomial, codeword, error
 //! positions and failures; the suspect set and the shared interpolation
 //! basis only decide how often the cheap route is taken.
+//!
+//! ## Decode plans
+//!
+//! Apart from the symbols themselves, everything the cheap route computes
+//! depends only on *which* `dim` positions the guess reads, and a cluster
+//! whose faults do not move reads the same ones round after round.
+//! [`RsCode::plan`] fixes a read set and tabulates its Lagrange basis at
+//! every code point and at every point the caller wants the decoded
+//! polynomial at, for one inversion. [`DecodePlan::check`] is then the
+//! eq. (9) check as a matrix–vector product (the guess's value at an unread
+//! position is a dot product with the read symbols) and
+//! [`DecodePlan::evaluate`] a second one: no coefficient form, no
+//! inversion, no allocation beyond the error list. It accepts exactly when
+//! the guess through the same symbols would have, so a refuted plan goes
+//! straight to [`RsCode::solve`].
 //!
 //! ## Example
 //!
@@ -71,6 +82,8 @@
 
 mod code;
 mod decoder;
+mod plan;
 
 pub use code::{Decoded, RsCode, RsError};
-pub use decoder::{BerlekampMassey, BerlekampWelch, Decoder, Gao};
+pub use decoder::{BerlekampMassey, Decoder, Gao};
+pub use plan::DecodePlan;

@@ -7,8 +7,8 @@
 //! This facade crate re-exports the public API of every subsystem:
 //!
 //! * [`algebra`] — finite fields, polynomials, subproduct trees, matrices.
-//! * [`rs`] — Reed–Solomon coding: Berlekamp–Massey (default),
-//!   Berlekamp–Welch and Gao decoders.
+//! * [`rs`] — Reed–Solomon coding: verify-first decoding with decode
+//!   plans, Berlekamp–Massey (default) and Gao decoders.
 //! * [`statemachine`] — multivariate-polynomial state machines and the
 //!   Appendix-A Boolean compiler.
 //! * [`network`] — deterministic synchronous / partially synchronous network

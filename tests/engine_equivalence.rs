@@ -76,11 +76,7 @@ fn fault_menu(i: usize) -> FaultSpec {
 }
 
 fn decoder_kind() -> impl Strategy<Value = DecoderKind> {
-    prop_oneof![
-        Just(DecoderKind::default()),
-        Just(DecoderKind::BerlekampWelch),
-        Just(DecoderKind::Gao),
-    ]
+    prop_oneof![Just(DecoderKind::default()), Just(DecoderKind::Gao)]
 }
 
 #[derive(Debug, Clone)]
