@@ -1,8 +1,6 @@
 //! # csm-bench
 //!
-//! The benchmark harness regenerating every table and figure of the CSM
-//! paper (see `DESIGN.md` §3 for the experiment index and
-//! `EXPERIMENTS.md` for recorded results):
+//! The harness regenerating every table and figure of the CSM paper:
 //!
 //! | binary | artifact |
 //! |--------|----------|
@@ -13,8 +11,12 @@
 //! | `fig_intermix` | §6.1 — INTERMIX role costs vs `K` |
 //! | `fig_tradeoff` | §1/§3 — security vs `K` at fixed `N` |
 //! | `fig_boolean` | Appendix A — Boolean machines through CSM |
+//! | `fig_random_allocation` | §7 — random sharding vs CSM under a dynamic adversary |
 //!
-//! Criterion microbenchmarks live in `benches/`.
+//! Criterion microbenchmarks live in `benches/`. The [`workload`] and
+//! [`recovery`] modules are the client-workload and kill-and-rejoin
+//! harnesses the integration tests and examples drive. Performance
+//! numbers come from the repo benchmark (`benchmark/`), not from here.
 
 #![warn(missing_docs)]
 

@@ -5,11 +5,10 @@
 //! via `b + 1`-verified state transfer, and commit further rounds — with
 //! zero lost committed commands.
 //!
-//! Used by the `kill_rejoin` example, the `recovery_bench` binary, and
-//! the `recovery` integration tests — one harness, three callers, so the
-//! measured path and the tested path are the same code.
+//! Used by the `kill_rejoin` example and the recovery and telemetry
+//! integration tests.
 
-use crate::workload::{ClientOutcome, WorkloadConfig};
+use crate::workload::{digests_agree, ClientOutcome, WorkloadConfig};
 use csm_algebra::{Field, Fp61};
 use csm_client::{ClientConfig, CsmClient};
 use csm_core::metrics::LatencyHistogram;
@@ -508,28 +507,13 @@ pub fn verify_rejoin_outcome(
         }
     }
     // honest digest agreement across every life of every honest node
-    let mut reference: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    let mut honest_reports: Vec<&GatewayReport<Fp61>> = outcome
-        .others
-        .iter()
-        .filter(|r| !byzantine.contains(&r.id))
-        .collect();
-    honest_reports.push(&outcome.pre_report);
-    honest_reports.push(&outcome.post_report);
-    for report in &honest_reports {
-        for (round, digest) in report.digests() {
-            if let Some(expected) = reference.get(&round) {
-                if *expected != digest {
-                    return Err(format!(
-                        "round {round}: node {} commits digest {digest:#x}, others {expected:#x}",
-                        report.id
-                    ));
-                }
-            } else {
-                reference.insert(round, digest);
-            }
-        }
-    }
+    digests_agree(
+        outcome
+            .others
+            .iter()
+            .filter(|r| !byzantine.contains(&r.id))
+            .chain([&outcome.pre_report, &outcome.post_report]),
+    )?;
     // the victim really recovered
     let recovery = outcome
         .post_report

@@ -4,9 +4,8 @@
 //! end-to-end correctness (every accepted output matches the reference
 //! bank execution, honest nodes agree on every committed digest).
 //!
-//! Used by the `workload_bench` binary, the `client_cluster` example, and
-//! the `client_gateway` integration tests — one harness, three callers,
-//! so the measured path and the tested path are the same code.
+//! Used by the `client_cluster` and `cluster_audit` examples and the
+//! client, consensus and telemetry integration tests.
 
 use csm_algebra::{Field, Fp61};
 use csm_client::{ClientConfig, CsmClient, Receipt};
@@ -22,6 +21,7 @@ use csm_telemetry::TelemetrySnapshot;
 use csm_transport::mem::MemMesh;
 use csm_transport::tcp::TcpMesh;
 use csm_transport::Transport;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -162,26 +162,9 @@ pub fn one_equivocator_one_withholder(id: usize) -> BehaviorKind {
 
 /// Runs the workload over prebuilt transports (`cluster` node endpoints
 /// followed by `clients` client endpoints, as `MemMesh::build` /
-/// `TcpMesh::launch_loopback` lay them out).
-///
-/// # Panics
-///
-/// Panics if the transport count is not `cluster + clients` or a thread
-/// dies.
-pub fn run_bank_workload<T: Transport + 'static>(
-    transports: Vec<T>,
-    registry: Arc<KeyRegistry>,
-    cfg: &WorkloadConfig,
-    behavior_of: impl Fn(usize) -> BehaviorKind,
-) -> WorkloadOutcome {
-    run_bank_workload_with_faults(transports, registry, cfg, behavior_of, |_| {
-        StagingFault::None
-    })
-}
-
-/// [`run_bank_workload`] with per-node *staging* faults as well: how the
-/// consensus-backend tests inject a leader that equivocates on (or
-/// withholds) the batch itself.
+/// `TcpMesh::launch_loopback` lay them out), with per-node wire
+/// behaviors and *staging* faults: how the consensus-backend tests inject
+/// a leader that equivocates on (or withholds) the batch itself.
 ///
 /// # Panics
 ///
@@ -339,15 +322,8 @@ pub fn run_mem_workload_with_faults(
     run_bank_workload_with_faults(transports, registry, cfg, behavior_of, staging_fault_of)
 }
 
-/// Runs the workload on a loopback TCP mesh (real sockets end to end).
-pub fn run_tcp_workload(
-    cfg: &WorkloadConfig,
-    behavior_of: impl Fn(usize) -> BehaviorKind,
-) -> WorkloadOutcome {
-    run_tcp_workload_with_faults(cfg, behavior_of, |_| StagingFault::None)
-}
-
-/// [`run_tcp_workload`] with per-node staging faults.
+/// Runs the workload on a loopback TCP mesh (real sockets end to end),
+/// with per-node staging faults.
 pub fn run_tcp_workload_with_faults(
     cfg: &WorkloadConfig,
     behavior_of: impl Fn(usize) -> BehaviorKind,
@@ -392,8 +368,7 @@ pub fn verify_bank_outcome(
     // reports the shard's post-round balance
     for shard in 0..cfg.shards {
         // round -> (sum of that round's deposits, [(client, accepted)])
-        let mut rounds: std::collections::BTreeMap<u64, (u64, Vec<(usize, u64)>)> =
-            std::collections::BTreeMap::new();
+        let mut rounds: BTreeMap<u64, (u64, Vec<(usize, u64)>)> = BTreeMap::new();
         for c in &outcome.clients {
             if cfg.shard_of(c.index) != shard {
                 continue;
@@ -429,25 +404,26 @@ pub fn verify_bank_outcome(
             ));
         }
     }
-    // honest digest agreement, keyed by absolute round (reports only
-    // retain a trailing window, and nodes may stop on different rounds)
-    let honest: Vec<_> = outcome
-        .nodes
-        .iter()
-        .filter(|r| !byzantine.contains(&r.id))
-        .collect();
-    if let Some(first) = honest.first() {
-        let reference: std::collections::BTreeMap<u64, u64> = first.digests().into_iter().collect();
-        for other in &honest[1..] {
-            for (round, digest) in other.digests() {
-                if let Some(expected) = reference.get(&round) {
-                    if *expected != digest {
-                        return Err(format!(
-                            "round {round}: honest nodes {} and {} diverge",
-                            first.id, other.id
-                        ));
-                    }
-                }
+    digests_agree(outcome.nodes.iter().filter(|r| !byzantine.contains(&r.id)))
+}
+
+/// Checks that `reports` agree on the digest of every round any two of
+/// them committed, keyed by absolute round (reports only retain a trailing
+/// window, and nodes may stop on different rounds). A round's reference
+/// is the first report that committed it, so two nodes that disagree on a
+/// round a third never reached still fail.
+pub(crate) fn digests_agree<'a>(
+    reports: impl IntoIterator<Item = &'a GatewayReport<Fp61>>,
+) -> Result<(), String> {
+    let mut reference: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
+    for report in reports {
+        for (round, digest) in report.digests() {
+            let (holder, expected) = *reference.entry(round).or_insert((report.id, digest));
+            if expected != digest {
+                return Err(format!(
+                    "round {round}: node {} commits digest {digest:#x}, node {holder} {expected:#x}",
+                    report.id
+                ));
             }
         }
     }
@@ -539,5 +515,65 @@ mod tests {
             }
         }
         assert!(saw_aggregated, "no round aggregated more than one command");
+    }
+
+    /// A gateway report whose retained commits carry exactly `digests`.
+    fn report(id: usize, digests: &[(u64, u64)]) -> GatewayReport<Fp61> {
+        GatewayReport {
+            id,
+            commits: digests
+                .iter()
+                .map(|&(round, digest)| {
+                    Some(csm_core::RoundCommit {
+                        round,
+                        results: Vec::new(),
+                        digest,
+                        results_held: 0,
+                        detected_error_nodes: Vec::new(),
+                    })
+                })
+                .collect(),
+            first_recorded_round: 0,
+            rounds: digests.len() as u64,
+            stats: csm_node::GatewayStats::default(),
+            recovery: None,
+        }
+    }
+
+    #[test]
+    fn honest_split_on_a_round_the_first_node_lacks_fails_verification() {
+        // node 2 stopped after round 0; honest nodes 3 and 4 both reached
+        // round 1 and committed different digests for it
+        let cfg = WorkloadConfig {
+            cluster: 5,
+            shards: 2,
+            assumed_faults: 1,
+            clients: 0,
+            commands_per_client: 0,
+            delta: Duration::from_millis(40),
+            queue_cap: 64,
+            batch_cap: 1,
+            seed: 0,
+            consensus: ConsensusKind::LeaderEcho,
+            scrape: false,
+            flight_dir: None,
+        };
+        let mut outcome = WorkloadOutcome {
+            clients: Vec::new(),
+            nodes: vec![
+                report(0, &[(0, 0xBAD), (1, 0xBAD)]),
+                report(2, &[(0, 7)]),
+                report(3, &[(0, 7), (1, 8)]),
+                report(4, &[(0, 7), (1, 9)]),
+            ],
+            elapsed: Duration::ZERO,
+            client_elapsed: Duration::ZERO,
+            telemetry: Vec::new(),
+        };
+        let err = verify_bank_outcome(&cfg, &outcome, &[0]).expect_err("nodes 3 and 4 split");
+        assert!(err.contains("round 1"), "{err}");
+        // the Byzantine node's digests are not held against the others
+        outcome.nodes.pop();
+        verify_bank_outcome(&cfg, &outcome, &[0]).expect("the remaining honest nodes agree");
     }
 }

@@ -34,7 +34,6 @@ pub mod engine;
 mod error;
 pub mod exchange;
 pub mod metrics;
-pub mod pipeline;
 pub mod random_allocation;
 pub mod replication;
 

@@ -1,7 +1,6 @@
 //! Real-time round pipelining (§2.2): "the consensus phase of later
 //! rounds can be performed in parallel with the execution phase of the
-//! current round" — here over actual sockets and wall-clock time, not the
-//! simulated-time model of `csm_core::pipeline`.
+//! current round" — here over actual sockets and wall-clock time.
 //!
 //! # How the overlap works
 //!

@@ -339,6 +339,46 @@ fn sim_nodes_report_the_telemetry_a_live_gateway_does() {
 }
 
 #[test]
+fn batching_commits_ten_times_the_commands_per_round() {
+    // the aggregation claim as counts on the virtual clock: one burst of
+    // 128 clients × 4 commands against an all-honest N = 8, K = 4
+    // cluster, drained at batch_cap 1 and at 32. A round carries at most
+    // batch_cap commands per shard. (The swarm derives a command's shard
+    // from stream-id bits a client index never reaches, so one burst
+    // loads one shard: cap 1 commits one command per round, cap 32
+    // thirty-two.)
+    use csm_chaos::{run_schedule_with_telemetry, ChaosEvent, Schedule};
+    let (clients, commands) = (128usize, 4usize);
+    let mean_batch = |batch_cap: usize| {
+        let mut config = ChaosConfig::new(8, 4, 2);
+        config.clients = clients;
+        config.batch_cap = batch_cap;
+        let schedule = Schedule::quiet(0xBA7C, 3_000_000).at(
+            1_000,
+            ChaosEvent::Burst {
+                first_client: 0,
+                clients,
+                commands,
+                probe: true,
+            },
+        );
+        let (run, telemetry) = run_schedule_with_telemetry(&config, &schedule);
+        assert!(run.clean(), "cap {batch_cap}: {:?}", run.violations);
+        assert_eq!(run.acked.len(), clients * commands, "cap {batch_cap}");
+        // commands per non-empty round, at a node that saw every round
+        let (_, snap) = &telemetry[0];
+        let rounds = snap.value("batch_size").map_or(0, |v| v.count);
+        snap.counter("commands_committed") as f64 / rounds.max(1) as f64
+    };
+    let (one, aggregated) = (mean_batch(1), mean_batch(32));
+    assert!(one <= 4.0, "cap 1 commits at most one command per shard");
+    assert!(
+        aggregated >= 10.0 * one,
+        "cap 32 averages {aggregated:.1} commands per round vs {one:.1} at cap 1"
+    );
+}
+
+#[test]
 fn shrink_minimizes_a_failing_schedule() {
     // seed a schedule that "fails" by construction — liveness is checked
     // but the probe burst never fires because a partition outlives the

@@ -7,6 +7,7 @@
 //! corrupting both results and replies), submission idempotence under
 //! aggressive client retries, and admission backpressure under a flood.
 
+use csm_auditor::{AuditConfig, ClusterAudit};
 use csm_bench::workload::{
     one_equivocator_one_withholder, run_mem_workload, verify_bank_outcome, WorkloadConfig,
 };
@@ -63,13 +64,57 @@ fn byzantine_cluster_commits_all_and_no_wrong_output_is_accepted() {
     // replies and node 1 withholding both. verify_bank_outcome proves
     // every accepted output sits on the reference balance chain — the
     // equivocator's corrupted replies never reach b + 1 matches.
-    let cfg = config(8, 4, 2, 10, 2);
+    let byzantine = [0, 1];
+    let cfg = WorkloadConfig {
+        scrape: true,
+        ..config(8, 4, 2, 10, 2)
+    };
     let outcome = run_mem_workload(&cfg, one_equivocator_one_withholder);
-    verify_bank_outcome(&cfg, &outcome, &[0, 1]).expect("byzantine outcome verifies");
+    verify_bank_outcome(&cfg, &outcome, &byzantine).expect("byzantine outcome verifies");
     assert_eq!(outcome.committed(), 20);
     // the withholder sent no replies: 7 nodes replied per commit at most
     let stats = total_stats(&outcome);
     assert!(stats.replies_sent <= 20 * 7);
+
+    // the scrape convicts exactly the cast, each member by > b honest
+    // reporters, and accuses no honest node
+    let audit = ClusterAudit::build(
+        AuditConfig {
+            cluster: cfg.cluster,
+            assumed_faults: cfg.assumed_faults,
+        },
+        &outcome.telemetry,
+    );
+    assert_eq!(audit.convicted_peers(), byzantine);
+    for peer in byzantine {
+        let reporters = audit.scorecard.score(peer).expect("convicted").reporters();
+        let honest = reporters.iter().filter(|r| !byzantine.contains(r)).count();
+        assert!(honest > cfg.assumed_faults, "peer {peer}: {reporters:?}");
+    }
+    for peer in audit.scorecard.accused() {
+        assert!(byzantine.contains(&peer), "honest node {peer} accused");
+    }
+    // the withholder makes every honest node wait out the exchange Δ
+    let slack = audit.timeline.slack_p50_us("exchange");
+    assert!(slack.is_some_and(|us| us > 0), "exchange slack {slack:?}");
+    // an honest probe attributes both kinds of evidence to the cast
+    let (_, probe) = outcome
+        .telemetry
+        .iter()
+        .find(|(node, _)| *node == 2)
+        .expect("honest node 2 answered the scrape");
+    for counter in ["equivocation_detected", "mac_rejected"] {
+        let attributed: u64 = probe
+            .counter_by_peer(counter)
+            .into_iter()
+            .filter(|(peer, _)| byzantine.contains(peer))
+            .map(|(_, n)| n)
+            .sum();
+        assert!(
+            attributed >= 1,
+            "node 2 attributes no {counter} to the cast"
+        );
+    }
 }
 
 #[test]

@@ -4,6 +4,7 @@
 //! transfer resists corrupted chunks from Byzantine peers.
 
 use csm_algebra::{Field, Fp61};
+use csm_auditor::{AuditConfig, ClusterAudit};
 use csm_bench::recovery::{
     one_equivocator, run_mem_rejoin, scratch_dir, verify_rejoin_outcome, RejoinConfig,
 };
@@ -44,6 +45,39 @@ fn mem_cluster_survives_kill_and_rejoin() {
     assert!(
         outcome.final_round >= outcome.restart_round + cfg.post_rounds,
         "cluster must keep committing after the rejoin"
+    );
+    // the snapshot cadence bounds the log a restart replays
+    assert!(
+        recovery.wal_records_replayed < cfg.snapshot_interval,
+        "replayed {} WAL records past a snapshot every {}",
+        recovery.wal_records_replayed,
+        cfg.snapshot_interval
+    );
+    // the pre-wind-down scrape convicts the equivocator, and only it, on
+    // cryptographically attributed evidence from > b distinct reporters
+    let audit = ClusterAudit::build(
+        AuditConfig {
+            cluster: cfg.cluster,
+            assumed_faults: cfg.assumed_faults,
+        },
+        &outcome.telemetry,
+    );
+    assert_eq!(audit.scorecard.sound_convicted(), vec![0]);
+    let reporters = audit.scorecard.score(0).expect("convicted").reporters();
+    assert!(reporters.len() > cfg.assumed_faults, "{reporters:?}");
+    // the equivocator forges in node 1's name: the victim may carry
+    // claimed-signer (mac_rejected) evidence, nobody else any
+    for peer in audit.scorecard.peers.iter().filter(|p| p.peer != 0) {
+        assert!(
+            peer.peer == 1 && peer.is_mac_only(),
+            "node {} accused beyond the forge-victim artifact: {:?}",
+            peer.peer,
+            peer.kinds()
+        );
+    }
+    assert!(
+        audit.timeline.slack_p50_us("exchange").is_some(),
+        "no exchange Δ-slack samples"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

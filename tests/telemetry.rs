@@ -149,11 +149,11 @@ fn gateway_incident_leaves_a_flight_dump_naming_the_equivocator() {
 /// the rounds exactly (each top-level phase fires once per round and
 /// closes before the round span, so its count can lead the round count
 /// by at most the one in-flight round) with a p50 sum bounded by the
-/// slowest whole round. The tight steady-state drift bound on the p50
-/// sum (`workload_bench` enforces 10%) only applies when the round
-/// distribution is unimodal — medians of the heterogeneous rounds churn
-/// produces do not add — so it is checked here only on calm,
-/// consistently-cut windows; returns whether this snapshot was one.
+/// slowest whole round. A tight drift bound on the p50 sum only applies
+/// when the round distribution is unimodal — medians of the
+/// heterogeneous rounds churn produces do not add — so it is checked
+/// here only on calm, consistently-cut windows; returns whether this
+/// snapshot was one.
 fn assert_snapshot_well_formed(origin: usize, snap: &TelemetrySnapshot) -> bool {
     assert_eq!(
         snap.node, origin as u64,
