@@ -1,16 +1,9 @@
-//! Message-passing adaptations of the consensus protocols for a live
-//! mesh: sans-I/O state machines that agree on a **round's command
-//! batch** (the gateway's `Stage`-row encoding, `Vec<Vec<u64>>`).
-//!
-//! The original [`crate::dolev_strong`] and [`crate::pbft`] modules run
-//! inside the `csm-network` discrete-event simulator: nodes are
-//! [`csm_network::Process`] callbacks and time is simulated ticks. A
-//! gateway node, by contrast, owns a real transport endpoint and a
-//! wall-clock — so this module re-expresses both protocols as *pure*
-//! state machines: the caller feeds inbound messages and timeout edges
+//! The consensus protocols as sans-I/O state machines that agree on a
+//! **round's command batch** (the gateway's `Stage`-row encoding,
+//! `Vec<Vec<u64>>`). The caller feeds inbound messages and timeout edges
 //! in, and gets outbound messages and a decision out. No I/O, no clocks,
-//! no threads — the `csm-node` drivers supply those, and tests can drive
-//! the exact deployed logic deterministically.
+//! no threads: the `csm-node` drivers supply those over a live mesh, and
+//! the lock-step drivers below supply them in memory.
 //!
 //! * [`DsBatch`] — Dolev–Strong signature-chained broadcast of the round
 //!   leader's batch, tolerating any `b < N` Byzantine nodes in `b + 1`
@@ -18,6 +11,10 @@
 //! * [`PbftBatch`] — the PBFT three-phase flow (pre-prepare / prepare /
 //!   commit) with signature-justified view changes, tolerating `b < N/3`
 //!   under partial synchrony (the `3b + 1 ≤ N` column of Table 2).
+//! * [`run_ds_lockstep`] and [`run_pbft_lockstep`] — one in-memory
+//!   lock-step driver per protocol, with the Byzantine casts of
+//!   [`Conduct`]. The modelled `CsmCluster` agrees through them, and the
+//!   never-split properties and the Table 2 bounds are checked on them.
 //!
 //! Signatures are [`csm_network::auth::KeyRegistry`] MACs with explicit
 //! domain separation per protocol phase, so a prepare vote can never be
@@ -744,6 +741,196 @@ impl PbftBatch {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Lock-step drivers
+// ---------------------------------------------------------------------------
+
+/// How one node acts in a lock-step run ([`run_ds_lockstep`],
+/// [`run_pbft_lockstep`]). Every conduct except [`Conduct::Honest`] is
+/// Byzantine: such a node never runs the protocol, it only does what its
+/// conduct says.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Conduct {
+    /// Follows the protocol.
+    Honest,
+    /// Sends nothing.
+    Silent,
+    /// As the Dolev–Strong leader or the PBFT view-0 primary, signs the
+    /// run's proposal for even-index nodes and this batch for odd-index
+    /// ones, then falls silent. Silent in any other position.
+    Equivocate(BatchRows),
+    /// Dolev–Strong only: every relay round, broadcasts a junk relay whose
+    /// chain it signed itself, so it is never a valid leader-first chain.
+    /// Silent under PBFT.
+    Garbage,
+}
+
+/// Pushes `msg` into every inbox except the sender's.
+fn broadcast<M: Clone>(inboxes: &mut [Vec<M>], from: usize, msg: &M) {
+    for (to, inbox) in inboxes.iter_mut().enumerate() {
+        if to != from {
+            inbox.push(msg.clone());
+        }
+    }
+}
+
+/// Runs one Dolev–Strong broadcast in lock step: relays sent in relay
+/// round `r` are delivered in round `r + 1`, and every node decides once
+/// round `f + 1` closes. `conduct` has one entry per node; an honest
+/// `leader` proposes `proposal`. Returns each node's decision: `None` is ⊥
+/// for an honest node and the entry of every Byzantine one.
+///
+/// # Panics
+///
+/// As [`DsBatch::new`]: unless `f < n` and `leader < n`.
+pub fn run_ds_lockstep(
+    round: u64,
+    f: usize,
+    leader: usize,
+    proposal: &BatchRows,
+    conduct: &[Conduct],
+    registry: &Arc<KeyRegistry>,
+) -> Vec<Option<BatchRows>> {
+    let n = conduct.len();
+    let mut nodes: Vec<DsBatch> = (0..n)
+        .map(|i| DsBatch::new(round, n, f, leader, i, Arc::clone(registry)))
+        .collect();
+    // inbox[i]: the relays node i handles in the next relay round
+    let mut inbox: Vec<Vec<DsRelay>> = vec![Vec::new(); n];
+    match &conduct[leader] {
+        Conduct::Honest => {
+            let relay = nodes[leader].propose(proposal.clone());
+            broadcast(&mut inbox, leader, &relay);
+        }
+        Conduct::Equivocate(alt) => {
+            for (i, slot) in inbox.iter_mut().enumerate() {
+                if i != leader {
+                    let rows = if i % 2 == 0 { proposal } else { alt };
+                    slot.push(DsRelay {
+                        rows: rows.clone(),
+                        chain: vec![nodes[leader].sign_value(rows)],
+                    });
+                }
+            }
+        }
+        Conduct::Silent | Conduct::Garbage => {}
+    }
+    for ds_round in 1..=f + 1 {
+        let mut next: Vec<Vec<DsRelay>> = vec![Vec::new(); n];
+        for i in 0..n {
+            let received = std::mem::take(&mut inbox[i]);
+            match conduct[i] {
+                Conduct::Honest => {
+                    for relay in received {
+                        if let Some(fwd) = nodes[i].on_relay(relay, ds_round) {
+                            broadcast(&mut next, i, &fwd);
+                        }
+                    }
+                }
+                Conduct::Garbage => {
+                    let rows = vec![vec![i as u64, ds_round as u64]];
+                    let junk = DsRelay {
+                        chain: vec![nodes[i].sign_value(&rows)],
+                        rows,
+                    };
+                    broadcast(&mut next, i, &junk);
+                }
+                Conduct::Silent | Conduct::Equivocate(_) => {}
+            }
+        }
+        inbox = next;
+    }
+    nodes
+        .iter()
+        .zip(conduct)
+        .map(|(node, c)| match c {
+            Conduct::Honest => node.decide(),
+            _ => None,
+        })
+        .collect()
+}
+
+/// How many steps [`run_pbft_lockstep`] runs before it gives up: ample for
+/// the view changes a run within `n ≥ 3f + 1` needs, and the end of a run
+/// past that bound, which never decides.
+const PBFT_LOCKSTEP_STEPS: usize = 300;
+
+/// Runs one PBFT instance in lock step: every message emitted in one step
+/// is delivered to every other honest node in the next, and when a step
+/// emits nothing while an honest node is undecided, every undecided honest
+/// node's view timer fires. `proposals[i]` is node `i`'s batch as primary
+/// and `conduct[i]` its conduct; `valid` is the batch-validity predicate.
+/// Returns each honest node's decision (`None` if it never decided within
+/// 300 steps) and `None` for every Byzantine node.
+///
+/// # Panics
+///
+/// As [`PbftBatch::new`], and unless both slices have `cfg.n` entries.
+pub fn run_pbft_lockstep(
+    cfg: &PbftBatchConfig,
+    proposals: &[BatchRows],
+    conduct: &[Conduct],
+    registry: &Arc<KeyRegistry>,
+    valid: &dyn Fn(&[Vec<u64>]) -> bool,
+) -> Vec<Option<BatchRows>> {
+    assert!(
+        proposals.len() == cfg.n && conduct.len() == cfg.n,
+        "one proposal and one conduct per node"
+    );
+    let honest = |i: usize| conduct[i] == Conduct::Honest;
+    let mut nodes: Vec<PbftBatch> = proposals
+        .iter()
+        .enumerate()
+        .map(|(i, p)| PbftBatch::new(cfg.clone(), i, Arc::clone(registry), p.clone()))
+        .collect();
+    // (sender, message) pairs delivered to every other honest node next step
+    let mut wire: Vec<(usize, PbftBatchMsg)> = Vec::new();
+    let primary = cfg.primary(0);
+    if let Conduct::Equivocate(alt) = &conduct[primary] {
+        for i in (0..cfg.n).filter(|&i| i != primary && honest(i)) {
+            let rows = if i % 2 == 0 { &proposals[primary] } else { alt };
+            let pre_prepare = nodes[primary].sign_pre_prepare(0, rows.clone());
+            let out = nodes[i].on_message(primary, pre_prepare, valid);
+            wire.extend(out.into_iter().map(|m| (i, m)));
+        }
+    }
+    for (i, node) in nodes.iter_mut().enumerate() {
+        if honest(i) {
+            wire.extend(node.start(valid).into_iter().map(|m| (i, m)));
+        }
+    }
+    for _ in 0..PBFT_LOCKSTEP_STEPS {
+        if (0..cfg.n).all(|i| !honest(i) || nodes[i].decided().is_some()) {
+            break;
+        }
+        let mut next = Vec::new();
+        for (from, msg) in wire.drain(..) {
+            for (i, node) in nodes.iter_mut().enumerate() {
+                if i != from && honest(i) {
+                    let out = node.on_message(from, msg.clone(), valid);
+                    next.extend(out.into_iter().map(|m| (i, m)));
+                }
+            }
+        }
+        if next.is_empty() {
+            for (i, node) in nodes.iter_mut().enumerate() {
+                if honest(i) && node.decided().is_none() {
+                    next.extend(node.on_timeout(valid).into_iter().map(|m| (i, m)));
+                }
+            }
+        }
+        wire = next;
+    }
+    nodes
+        .iter()
+        .zip(conduct)
+        .map(|(node, c)| match c {
+            Conduct::Honest => node.decided().cloned(),
+            _ => None,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,87 +943,38 @@ mod tests {
         vec![vec![8, 0, 0, tag, 42]]
     }
 
-    /// Delivers every outstanding DS relay to every other node, relay
-    /// round by relay round; Byzantine nodes in `silent` drop everything.
-    fn run_ds(
-        n: usize,
-        f: usize,
-        leader_sends: Vec<(usize, DsRelay)>, // (dest, relay) of round 0
-        silent: &[usize],
-        reg: &Arc<KeyRegistry>,
-    ) -> Vec<Option<BatchRows>> {
-        let mut nodes: Vec<DsBatch> = (0..n)
-            .map(|i| DsBatch::new(7, n, f, 0, i, Arc::clone(reg)))
-            .collect();
-        // pending[dest] = relays awaiting delivery in the next relay round
-        let mut pending: Vec<Vec<DsRelay>> = vec![Vec::new(); n];
-        for (dest, relay) in leader_sends {
-            pending[dest].push(relay);
-        }
-        for ds_round in 1..=f + 1 {
-            let mut next: Vec<Vec<DsRelay>> = vec![Vec::new(); n];
-            for (i, inbox) in pending.iter().enumerate() {
-                if silent.contains(&i) {
-                    continue;
-                }
-                for relay in inbox {
-                    if let Some(fwd) = nodes[i].on_relay(relay.clone(), ds_round) {
-                        for (dest, slot) in next.iter_mut().enumerate() {
-                            if dest != i {
-                                slot.push(fwd.clone());
-                            }
-                        }
-                    }
-                }
-            }
-            pending = next;
-        }
-        nodes.iter().map(DsBatch::decide).collect()
+    /// Node 0 acts as `leader`; everyone else is honest.
+    fn cast(n: usize, leader: Conduct) -> Vec<Conduct> {
+        let mut conduct = vec![Conduct::Honest; n];
+        conduct[0] = leader;
+        conduct
     }
 
     #[test]
     fn ds_honest_leader_all_decide() {
         let n = 5;
-        let reg = registry(n);
-        let mut leader = DsBatch::new(7, n, 2, 0, 0, Arc::clone(&reg));
-        let relay = leader.propose(rows(1));
-        let sends = (1..n).map(|i| (i, relay.clone())).collect();
-        let decisions = run_ds(n, 2, sends, &[], &reg);
-        for d in &decisions[1..] {
-            assert_eq!(*d, Some(rows(1)));
-        }
-        assert_eq!(leader.decide(), Some(rows(1)));
+        let decisions = run_ds_lockstep(7, 2, 0, &rows(1), &cast(n, Conduct::Honest), &registry(n));
+        assert_eq!(decisions, vec![Some(rows(1)); n]);
     }
 
     #[test]
     fn ds_equivocating_leader_all_decide_bot() {
         let n = 6;
-        let f = 2;
-        let reg = registry(n);
-        let crafter = DsBatch::new(7, n, f, 0, 0, Arc::clone(&reg));
-        let a = DsRelay {
-            rows: rows(1),
-            chain: vec![crafter.sign_value(&rows(1))],
-        };
-        let b = DsRelay {
-            rows: rows(2),
-            chain: vec![crafter.sign_value(&rows(2))],
-        };
-        let sends = (1..n)
-            .map(|i| (i, if i % 2 == 0 { a.clone() } else { b.clone() }))
-            .collect();
-        let decisions = run_ds(n, f, sends, &[], &reg);
-        for d in &decisions[1..] {
-            assert_eq!(*d, None, "equivocation must decide ⊥ everywhere");
-        }
+        let conduct = cast(n, Conduct::Equivocate(rows(2)));
+        let decisions = run_ds_lockstep(7, 2, 0, &rows(1), &conduct, &registry(n));
+        assert_eq!(
+            decisions,
+            vec![None; n],
+            "equivocation decides ⊥ everywhere"
+        );
     }
 
     #[test]
     fn ds_silent_leader_decides_bot() {
         let n = 4;
-        let reg = registry(n);
-        let decisions = run_ds(n, 1, Vec::new(), &[], &reg);
-        assert!(decisions[1..].iter().all(Option::is_none));
+        let conduct = cast(n, Conduct::Silent);
+        let decisions = run_ds_lockstep(7, 1, 0, &rows(1), &conduct, &registry(n));
+        assert_eq!(decisions, vec![None; n]);
     }
 
     #[test]
@@ -867,143 +1005,54 @@ mod tests {
         forged.rows = rows(9);
         let other = DsBatch::new(7, n, 1, 0, 2, Arc::clone(&reg));
         assert!(!other.chain_valid(&forged));
+        // an empty chain, and a chain its leader signed twice
+        let empty = DsRelay {
+            rows: rows(1),
+            chain: Vec::new(),
+        };
+        assert!(!other.chain_valid(&empty));
+        let twice = DsRelay {
+            rows: rows(1),
+            chain: vec![leader.sign_value(&rows(1)); 2],
+        };
+        assert!(!other.chain_valid(&twice));
     }
 
-    /// Synchronous lock-step PBFT harness: all messages emitted in one
-    /// step are delivered to every node in the next step; `silent` nodes
-    /// emit nothing. Timeouts fire for everyone when `fire_timeout_at`
-    /// steps elapse without decision.
-    #[allow(clippy::too_many_arguments)]
-    fn run_pbft(
-        n: usize,
-        f: usize,
-        leader: usize,
-        proposals: Vec<BatchRows>,
-        silent: &[usize],
-        initial: Vec<(usize, PbftBatchMsg)>,
-        skip_start: &[usize],
-        reg: &Arc<KeyRegistry>,
-    ) -> Vec<PbftBatch> {
+    /// Runs PBFT in lock step at round 7 from `leader`, node `i` proposing
+    /// `rows(i)` (node 0 proposing `rows(100)`), every batch valid.
+    fn pbft(n: usize, f: usize, conduct: &[Conduct]) -> Vec<Option<BatchRows>> {
         let cfg = PbftBatchConfig {
             n,
             f,
             round: 7,
-            leader,
+            leader: 0,
             base_timeout: Duration::from_millis(100),
         };
-        let valid = |_: &[Vec<u64>]| true;
-        let mut nodes: Vec<PbftBatch> = proposals
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| PbftBatch::new(cfg.clone(), i, Arc::clone(reg), p))
-            .collect();
-        let mut wire: Vec<(usize, PbftBatchMsg)> = initial;
-        for (i, node) in nodes.iter_mut().enumerate() {
-            if silent.contains(&i) || skip_start.contains(&i) {
-                continue;
-            }
-            for m in node.start(&valid) {
-                wire.push((i, m));
-            }
-        }
-        let mut idle_steps = 0;
-        for _ in 0..200 {
-            if nodes
-                .iter()
-                .enumerate()
-                .all(|(i, n)| silent.contains(&i) || n.decided().is_some())
-            {
-                break;
-            }
-            let mut next = Vec::new();
-            for (from, msg) in wire.drain(..) {
-                for (i, node) in nodes.iter_mut().enumerate() {
-                    if i == from || silent.contains(&i) {
-                        continue;
-                    }
-                    for m in node.on_message(from, msg.clone(), &valid) {
-                        next.push((i, m));
-                    }
-                }
-            }
-            if next.is_empty() {
-                idle_steps += 1;
-                if idle_steps >= 2 {
-                    // quiescent without decision: fire every timeout
-                    idle_steps = 0;
-                    for (i, node) in nodes.iter_mut().enumerate() {
-                        if silent.contains(&i) || node.decided().is_some() {
-                            continue;
-                        }
-                        for m in node.on_timeout(&valid) {
-                            next.push((i, m));
-                        }
-                    }
-                }
-            }
-            wire = next;
-        }
-        nodes
+        let mut proposals: Vec<BatchRows> = (0..n as u64).map(rows).collect();
+        proposals[0] = rows(100);
+        run_pbft_lockstep(&cfg, &proposals, conduct, &registry(n), &|_| true)
     }
 
     #[test]
     fn pbft_honest_primary_decides_everywhere() {
-        let n = 4;
-        let reg = registry(n);
-        let proposals = (0..n as u64).map(rows).collect();
-        let nodes = run_pbft(n, 1, 0, proposals, &[], Vec::new(), &[], &reg);
-        for node in &nodes {
-            assert_eq!(node.decided(), Some(&rows(0)));
-        }
+        let decisions = pbft(4, 1, &cast(4, Conduct::Honest));
+        assert_eq!(decisions, vec![Some(rows(100)); 4]);
     }
 
     #[test]
     fn pbft_silent_primary_view_change_recovers() {
-        let n = 4;
-        let reg = registry(n);
-        let proposals = (0..n as u64).map(rows).collect();
-        let nodes = run_pbft(n, 1, 0, proposals, &[0], Vec::new(), &[], &reg);
-        for node in &nodes[1..] {
-            // view 1's primary is node 1, so its proposal wins
-            assert_eq!(node.decided(), Some(&rows(1)));
-        }
+        let decisions = pbft(4, 1, &cast(4, Conduct::Silent));
+        // view 1's primary is node 1, so its proposal wins
+        assert_eq!(decisions[1..], vec![Some(rows(1)); 3]);
     }
 
     #[test]
     fn pbft_equivocating_primary_never_splits() {
-        let n = 7;
-        let f = 2;
-        let reg = registry(n);
-        let proposals: Vec<BatchRows> = (0..n as u64).map(rows).collect();
-        // craft the equivocation: value 100 to even nodes, 200 to odd
-        let crafter = PbftBatch::new(
-            PbftBatchConfig {
-                n,
-                f,
-                round: 7,
-                leader: 0,
-                base_timeout: Duration::from_millis(100),
-            },
-            0,
-            Arc::clone(&reg),
-            rows(0),
-        );
-        let mut initial = Vec::new();
-        for i in 1..n {
-            let v = if i % 2 == 0 { rows(100) } else { rows(200) };
-            initial.push((0usize, crafter.sign_pre_prepare(0, v)));
-        }
-        // node 0 is Byzantine: it injects the equivocation and then stays
-        // out of the honest protocol (skip_start, silent thereafter)
-        let nodes = run_pbft(n, f, 0, proposals, &[0], initial, &[0], &reg);
-        let decisions: Vec<_> = nodes[1..].iter().map(|n| n.decided().cloned()).collect();
-        let first = decisions
-            .iter()
-            .flatten()
-            .next()
-            .expect("someone decided")
-            .clone();
-        for d in decisions.iter().flatten() {
+        // node 0 pre-prepares rows(100) to even nodes and rows(200) to odd
+        let decisions = pbft(7, 2, &cast(7, Conduct::Equivocate(rows(200))));
+        let first = decisions[1].clone();
+        assert!(first.is_some(), "honest nodes decide after a view change");
+        for d in &decisions[1..] {
             assert_eq!(*d, first, "honest nodes must never split-commit");
         }
     }

@@ -5,60 +5,18 @@
 //! and "we employ the PBFT protocol, which requires at least `N = 3b + 1`
 //! nodes" (partially synchronous). CSM itself "uses the same consensus
 //! protocols \[as SMR\] to decide on the input commands" (§1, Related
-//! Works), so both SMR baselines and the coded cluster share this crate.
+//! Works).
 //!
-//! * [`dolev_strong`] — signature-chained authenticated broadcast
-//!   tolerating any `b < N` Byzantine nodes in `f + 1` synchronous rounds
-//!   (the bound `b + 1 ≤ N` in Table 2).
-//! * [`pbft`] — a PBFT-style three-phase protocol (pre-prepare / prepare /
-//!   commit) with exponential-backoff view changes, tolerating `b < N/3`
-//!   under partial synchrony (the bound `3b + 1 ≤ N` in Table 2).
-//!
-//! Both are implemented over the [`csm_network`] simulator with
-//! MAC-simulated signatures and expose *drivers* that return every honest
-//! node's decision, so tests can check the paper's Validity and Consistency
-//! properties (§2.1) directly under injected Byzantine behaviour.
-//!
-//! The [`batch`] module re-expresses both protocols as **sans-I/O
-//! message-passing state machines** over a round's command batch — the
-//! form the `csm-node` gateway drives over a live transport mesh to agree
-//! on client batches (see `docs/PROTOCOL.md` at the repo root).
+//! The [`batch`] module holds exactly one implementation of each, as a
+//! **sans-I/O message-passing state machine** over a round's command
+//! batch: Dolev–Strong ([`batch::DsBatch`], any `b < N`, the `b + 1 ≤ N`
+//! column of Table 2) and PBFT ([`batch::PbftBatch`], `b < N/3`, the
+//! `3b + 1 ≤ N` column). The `csm-node` gateway drives them over a live
+//! transport mesh (see `docs/PROTOCOL.md` at the repo root), and the
+//! module's lock-step drivers run them in memory for the modelled
+//! `CsmCluster` and the property tests.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod batch;
-pub mod dolev_strong;
-pub mod pbft;
-
-/// Checks Consistency (§2.1): no two decided honest nodes differ.
-///
-/// `decisions[i]` is node `i`'s decision (`None` while undecided);
-/// `honest` flags which indices to check.
-pub fn consistent<V: PartialEq>(decisions: &[Option<V>], honest: &[bool]) -> bool {
-    let mut first: Option<&V> = None;
-    for (d, &h) in decisions.iter().zip(honest) {
-        if !h {
-            continue;
-        }
-        match (first, d) {
-            (None, Some(v)) => first = Some(v),
-            (Some(f), Some(v)) if f != v => return false,
-            _ => {}
-        }
-    }
-    true
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn consistency_checker() {
-        let d = vec![Some(1), Some(1), None, Some(2)];
-        assert!(consistent(&d, &[true, true, true, false]));
-        assert!(!consistent(&d, &[true, true, true, true]));
-        assert!(consistent::<u32>(&[None, None], &[true, true]));
-    }
-}

@@ -1,15 +1,20 @@
-//! The never-split-commit property of the message-passing batch-consensus
-//! adapters: for random batches, cluster shapes, and up to `b` Byzantine
-//! voters (equivocating leaders, silent relayers/replicas, garbage
-//! injectors), every honest node of a Dolev–Strong or PBFT instance
-//! lands on a bit-identical batch or aborts (⊥) — two honest nodes never
-//! commit different batches. The `csm-node` gateway drives these exact
-//! state machines over the live mesh, so the property transfers to the
-//! deployed batch agreement (the transport layer adds only MAC-verified
-//! delivery, which is strictly less adversarial than what is modelled
-//! here).
+//! The never-split-commit property of the batch-consensus machines: for
+//! random batches, cluster shapes, leaders, and Byzantine casts
+//! (equivocating leaders, silent relayers/replicas, garbage injectors),
+//! every honest node of a Dolev–Strong or PBFT instance lands on a
+//! bit-identical batch or aborts (⊥) — two honest nodes never commit
+//! different batches. The `csm-node` gateway drives these exact state
+//! machines over the live mesh, so the property transfers to the deployed
+//! batch agreement (the transport layer adds only MAC-verified delivery,
+//! which is strictly less adversarial than what is modelled here).
+//!
+//! Both runs go through the library's lock-step drivers. PBFT under delay
+//! and partition is covered by the chaos harness's `--consensus pbft`
+//! bands, not here.
 
-use csm_consensus::batch::{BatchRows, DsBatch, DsRelay, PbftBatch, PbftBatchConfig};
+use csm_consensus::batch::{
+    run_ds_lockstep, run_pbft_lockstep, BatchRows, Conduct, DsBatch, DsRelay, PbftBatchConfig,
+};
 use csm_network::auth::KeyRegistry;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -20,259 +25,98 @@ fn rows_strategy() -> impl Strategy<Value = BatchRows> {
     prop::collection::vec(prop::collection::vec(any::<u64>(), 5..7), 0..3)
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LeaderMode {
-    Honest,
-    Equivocate,
-    Silent,
-}
-
-/// Runs one Dolev–Strong broadcast among `n` nodes with the given leader
-/// mode, `silent` Byzantine relayers, and `garbage` injectors (who spray
-/// invalidly-chained relays every round). Returns every node's decision.
-#[allow(clippy::too_many_arguments)]
-fn run_ds(
-    n: usize,
-    f: usize,
-    leader_mode: LeaderMode,
-    silent: &[usize],
-    garbage: &[usize],
-    rows_a: &BatchRows,
-    rows_b: &BatchRows,
-    seed: u64,
-) -> Vec<Option<BatchRows>> {
-    let reg = Arc::new(KeyRegistry::new(n, seed));
-    let mut nodes: Vec<DsBatch> = (0..n)
-        .map(|i| DsBatch::new(11, n, f, 0, i, Arc::clone(&reg)))
-        .collect();
-    let mut pending: Vec<Vec<DsRelay>> = vec![Vec::new(); n];
-    match leader_mode {
-        LeaderMode::Honest => {
-            let relay = nodes[0].propose(rows_a.clone());
-            for slot in pending.iter_mut().skip(1) {
-                slot.push(relay.clone());
-            }
-        }
-        LeaderMode::Equivocate => {
-            let a = DsRelay {
-                rows: rows_a.clone(),
-                chain: vec![nodes[0].sign_value(rows_a)],
-            };
-            let b = DsRelay {
-                rows: rows_b.clone(),
-                chain: vec![nodes[0].sign_value(rows_b)],
-            };
-            for (i, slot) in pending.iter_mut().enumerate().skip(1) {
-                slot.push(if i % 2 == 0 { a.clone() } else { b.clone() });
-            }
-        }
-        LeaderMode::Silent => {}
-    }
-    for ds_round in 1..=f + 1 {
-        let mut next: Vec<Vec<DsRelay>> = vec![Vec::new(); n];
-        // garbage injectors spray relays with broken chains (self-signed,
-        // not leader-first) — honest validation must shrug them off
-        for &g in garbage {
-            let junk = DsRelay {
-                rows: vec![vec![g as u64, ds_round as u64]],
-                chain: vec![nodes[g].sign_value(&vec![vec![g as u64, ds_round as u64]])],
-            };
-            for (dest, slot) in next.iter_mut().enumerate() {
-                if dest != g {
-                    slot.push(junk.clone());
-                }
-            }
-        }
-        for i in 0..n {
-            if silent.contains(&i) {
-                continue;
-            }
-            let inbox = std::mem::take(&mut pending[i]);
-            for relay in inbox {
-                if let Some(fwd) = nodes[i].on_relay(relay, ds_round) {
-                    for (dest, slot) in next.iter_mut().enumerate() {
-                        if dest != i {
-                            slot.push(fwd.clone());
-                        }
-                    }
-                }
-            }
-        }
-        pending = next;
-    }
-    nodes.iter().map(DsBatch::decide).collect()
-}
-
-/// Lock-step PBFT harness: every message emitted in one step is delivered
-/// to every live node in the next; when the wire runs dry without a
-/// decision, every live node's view timer fires.
-fn run_pbft(
-    n: usize,
-    f: usize,
-    proposals: &[BatchRows],
-    silent: &[usize],
-    equivocating_primary: Option<(&BatchRows, &BatchRows)>,
-    seed: u64,
-) -> Vec<Option<BatchRows>> {
-    let reg = Arc::new(KeyRegistry::new(n, seed));
-    let cfg = PbftBatchConfig {
-        n,
-        f,
-        round: 11,
-        leader: 0,
-        base_timeout: Duration::from_millis(100),
-    };
-    let valid = |_: &[Vec<u64>]| true;
-    let mut nodes: Vec<PbftBatch> = proposals
-        .iter()
-        .enumerate()
-        .map(|(i, p)| PbftBatch::new(cfg.clone(), i, Arc::clone(&reg), p.clone()))
-        .collect();
-    let mut wire: Vec<(usize, csm_consensus::batch::PbftBatchMsg)> = Vec::new();
-    let byzantine_leader = equivocating_primary.is_some();
-    if let Some((a, b)) = equivocating_primary {
-        for i in 1..n {
-            let v = if i % 2 == 0 { a.clone() } else { b.clone() };
-            wire.push((0, nodes[0].sign_pre_prepare(0, v)));
-        }
-    }
-    for (i, node) in nodes.iter_mut().enumerate() {
-        if silent.contains(&i) || (i == 0 && byzantine_leader) {
-            continue;
-        }
-        for m in node.start(&valid) {
-            wire.push((i, m));
-        }
-    }
-    let dead = |i: usize| silent.contains(&i) || (i == 0 && byzantine_leader);
-    let mut idle = 0;
-    for _ in 0..300 {
-        if nodes
-            .iter()
-            .enumerate()
-            .all(|(i, n)| dead(i) || n.decided().is_some())
-        {
-            break;
-        }
-        let mut next = Vec::new();
-        for (from, msg) in wire.drain(..) {
-            for (i, node) in nodes.iter_mut().enumerate() {
-                if i == from || dead(i) {
-                    continue;
-                }
-                for m in node.on_message(from, msg.clone(), &valid) {
-                    next.push((i, m));
-                }
-            }
-        }
-        if next.is_empty() {
-            idle += 1;
-            if idle >= 2 {
-                idle = 0;
-                for (i, node) in nodes.iter_mut().enumerate() {
-                    if dead(i) || node.decided().is_some() {
-                        continue;
-                    }
-                    for m in node.on_timeout(&valid) {
-                        next.push((i, m));
-                    }
-                }
-            }
-        }
-        wire = next;
-    }
-    nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| if dead(i) { None } else { n.decided().cloned() })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dolev–Strong: with an honest leader and up to `f` silent/garbage
-    /// relayers, every honest node decides the leader's batch; with an
-    /// equivocating or silent leader, every honest node decides the same
-    /// thing (⊥ or one value) — never a split.
+    /// Dolev–Strong, any `b < N`: with an honest leader every honest node
+    /// decides the leader's batch; with an equivocating or silent leader,
+    /// every honest node decides the same thing (⊥ or one value) — never a
+    /// split. `byz_pick` places up to `N − 1` Byzantine nodes right after
+    /// the leader, each silent or a garbage injector.
     #[test]
     fn ds_honest_nodes_never_split(
         n in 4usize..9,
-        f_pick in 1usize..4,
+        leader_pick in any::<usize>(),
         mode_pick in 0u8..3,
+        byz_pick in any::<usize>(),
+        garbage_mask in any::<u16>(),
+        f_slack in 0usize..3,
         rows_a in rows_strategy(),
         rows_b in rows_strategy(),
-        byz_pick in any::<u64>(),
         seed in any::<u64>(),
     ) {
         prop_assume!(rows_a != rows_b);
-        let f = f_pick.min(n - 1);
-        let mode = [LeaderMode::Honest, LeaderMode::Equivocate, LeaderMode::Silent]
-            [mode_pick as usize];
-        // Byzantine budget: the leader counts when faulty; the rest are
-        // split between silent relayers and garbage injectors
-        let leader_faulty = mode != LeaderMode::Honest;
-        let budget = f - usize::from(leader_faulty);
-        let mut silent = Vec::new();
-        let mut garbage = Vec::new();
-        for (slot, node) in (1..n).enumerate().take(budget) {
-            if (byz_pick >> slot) & 1 == 0 {
-                silent.push(node);
+        let leader = leader_pick % n;
+        let leader_conduct = match mode_pick {
+            0 => Conduct::Honest,
+            1 => Conduct::Equivocate(rows_b),
+            _ => Conduct::Silent,
+        };
+        let leader_faulty = leader_conduct != Conduct::Honest;
+        let mut conduct = vec![Conduct::Honest; n];
+        conduct[leader] = leader_conduct.clone();
+        let relayers = byz_pick % (n - usize::from(leader_faulty));
+        for j in 0..relayers {
+            conduct[(leader + 1 + j) % n] = if (garbage_mask >> j) & 1 == 0 {
+                Conduct::Silent
             } else {
-                garbage.push(node);
-            }
+                Conduct::Garbage
+            };
         }
-        let honest: Vec<usize> = (0..n)
-            .filter(|i| {
-                let faulty = (leader_faulty && *i == 0) || silent.contains(i) || garbage.contains(i);
-                !faulty
-            })
-            .collect();
-        let decisions = run_ds(n, f, mode, &silent, &garbage, &rows_a, &rows_b, seed);
+        let b = relayers + usize::from(leader_faulty);
+        let f = (b + f_slack).clamp(1, n - 1);
+        let reg = Arc::new(KeyRegistry::new(n, seed));
+        let decisions = run_ds_lockstep(11, f, leader, &rows_a, &conduct, &reg);
+        let honest: Vec<usize> = (0..n).filter(|&i| conduct[i] == Conduct::Honest).collect();
         let first = decisions[honest[0]].clone();
         for &i in &honest {
             prop_assert_eq!(
                 &decisions[i], &first,
-                "honest nodes {} and {} split under {:?}", honest[0], i, mode
+                "honest nodes {} and {} split under {:?}", honest[0], i, leader_conduct
             );
         }
-        if mode == LeaderMode::Honest {
+        if !leader_faulty {
             prop_assert_eq!(first, Some(rows_a), "honest leader's batch must win");
         }
     }
 
-    /// PBFT: with `n ≥ 3f + 1` and up to `f` Byzantine replicas (silent,
-    /// or an equivocating primary), every honest node decides, and all
+    /// PBFT: with `n ≥ 3f + 1` (`f ∈ {1, 2}`, `n = 3f + 1` included), any
+    /// view-0 primary, and up to `f` Byzantine replicas (an equivocating
+    /// primary mixed with silent ones), every honest node decides, and all
     /// decisions are bit-identical.
     #[test]
     fn pbft_honest_nodes_never_split_and_stay_live(
-        n in 4usize..10,
-        rows_a in rows_strategy(),
+        f in 1usize..3,
+        n_slack in 0usize..3,
+        leader_pick in any::<usize>(),
         rows_b in rows_strategy(),
         equivocate in any::<bool>(),
-        byz_pick in any::<u64>(),
+        byz_mask in any::<u64>(),
         seed in any::<u64>(),
     ) {
-        prop_assume!(rows_a != rows_b);
-        let f = (n - 1) / 3;
-        prop_assume!(f >= 1);
-        let proposals: Vec<BatchRows> =
-            (0..n).map(|i| vec![vec![i as u64; 5]]).collect();
-        let mut silent = Vec::new();
-        let budget = f - usize::from(equivocate);
-        for (slot, node) in (1..n).enumerate().take(budget) {
-            if (byz_pick >> slot) & 1 == 0 {
-                silent.push(node);
-            }
+        let n = 3 * f + 1 + n_slack;
+        let cfg = PbftBatchConfig {
+            n,
+            f,
+            round: 11,
+            leader: leader_pick % n,
+            base_timeout: Duration::from_millis(100),
+        };
+        let proposals: Vec<BatchRows> = (0..n).map(|i| vec![vec![i as u64; 5]]).collect();
+        prop_assume!(rows_b != proposals[cfg.leader]);
+        let mut conduct = vec![Conduct::Honest; n];
+        if equivocate {
+            conduct[cfg.leader] = Conduct::Equivocate(rows_b);
         }
-        let primary = equivocate.then_some((&rows_a, &rows_b));
-        let decisions = run_pbft(n, f, &proposals, &silent, primary, seed);
-        let honest: Vec<usize> = (0..n)
-            .filter(|i| {
-                let faulty = (equivocate && *i == 0) || silent.contains(i);
-                !faulty
-            })
-            .collect();
+        let silent = (0..n)
+            .filter(|&i| i != cfg.leader && (byz_mask >> i) & 1 == 1)
+            .take(f - usize::from(equivocate));
+        for i in silent {
+            conduct[i] = Conduct::Silent;
+        }
+        let reg = Arc::new(KeyRegistry::new(n, seed));
+        let decisions = run_pbft_lockstep(&cfg, &proposals, &conduct, &reg, &|_| true);
+        let honest: Vec<usize> = (0..n).filter(|&i| conduct[i] == Conduct::Honest).collect();
         for &i in &honest {
             prop_assert!(
                 decisions[i].is_some(),
@@ -283,5 +127,26 @@ proptest! {
                 "honest nodes {} and {} split", honest[0], i
             );
         }
+    }
+
+    /// Dolev–Strong chain validation under an arbitrary first signer: only
+    /// a chain the leader started verifies.
+    #[test]
+    fn chain_requires_leader_first(
+        n in 3usize..8,
+        leader in 0usize..8,
+        first in 0usize..8,
+        rows in rows_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let (leader, first) = (leader % n, first % n);
+        let reg = Arc::new(KeyRegistry::new(n, seed));
+        let signer = DsBatch::new(11, n, 1, leader, first, Arc::clone(&reg));
+        let relay = DsRelay {
+            chain: vec![signer.sign_value(&rows)],
+            rows,
+        };
+        let verifier = DsBatch::new(11, n, 1, leader, (first + 1) % n, reg);
+        prop_assert_eq!(verifier.chain_valid(&relay), first == leader);
     }
 }

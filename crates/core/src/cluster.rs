@@ -15,18 +15,21 @@ use crate::config::{CodingMode, ConsensusMode, CsmConfig, DecoderKind, FaultSpec
 use crate::engine::{sim_receiver_word, CodedMachine, DecodedRound, RoundEngine};
 use crate::error::CsmError;
 use csm_algebra::{count, Field, OpCounts};
-use csm_consensus::dolev_strong::{self, DsBehavior, DsConfig};
-use csm_consensus::pbft::{self, PbftBehavior, PbftConfig};
+use csm_consensus::batch::{
+    run_ds_lockstep, run_pbft_lockstep, BatchRows, Conduct, PbftBatchConfig,
+};
 use csm_intermix::{
     committee_size, run_session, AuditorBehavior, DecodingClaim, DecodingVerdict, SessionConfig,
     WorkerBehavior,
 };
+use csm_network::auth::KeyRegistry;
 use csm_network::NodeId;
 use csm_statemachine::PolyTransition;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Per-node operation counts for one round, split by execution-phase step
 /// (the `ρ`, `ψ`, `χ` functions of §2.2).
@@ -182,7 +185,8 @@ impl<F: Field> CsmClusterBuilder<F> {
     /// # Errors
     ///
     /// * [`CsmError::InvalidConfig`] — missing transition/states, `k = 0`,
-    ///   `n = 0`, or fault node out of range;
+    ///   `n = 0`, fault node out of range, or PBFT consensus with
+    ///   `n < 3b + 1`;
     /// * [`CsmError::TooManyMachines`] — `d(K−1) + 1 > N`;
     /// * [`CsmError::FieldTooSmall`] — fewer than `N + K` field elements;
     /// * [`CsmError::ShapeMismatch`] — initial state dimensions don't match
@@ -201,6 +205,12 @@ impl<F: Field> CsmClusterBuilder<F> {
                     "fault injected at nonexistent node {id}"
                 )));
             }
+        }
+        if cfg.consensus == ConsensusMode::Pbft && cfg.n < 3 * cfg.assumed_faults + 1 {
+            return Err(CsmError::InvalidConfig(format!(
+                "PBFT consensus needs n >= 3b+1 (n={}, b={})",
+                cfg.n, cfg.assumed_faults
+            )));
         }
         let machine = Arc::new(CodedMachine::new(cfg.n, cfg.k, transition, cfg.decoder)?);
         let engines = (0..cfg.n)
@@ -384,127 +394,91 @@ impl<F: Field> CsmCluster<F> {
 
     // ---------------------------------------------------------------- consensus
 
-    fn consensus_phase(&mut self, commands: Vec<Vec<F>>) -> Result<Vec<Vec<F>>, CsmError> {
-        match self.config.consensus {
-            ConsensusMode::Trusted => Ok(commands),
-            ConsensusMode::DolevStrong => self.consensus_dolev_strong(commands),
-            ConsensusMode::Pbft => self.consensus_pbft(commands),
-        }
-    }
-
-    /// Wraps commands as `Vec<u64>` canonical words for hashing-friendly
-    /// consensus values.
-    fn consensus_dolev_strong(&mut self, commands: Vec<Vec<F>>) -> Result<Vec<Vec<F>>, CsmError> {
-        let n = self.config.n;
-        let f = self.config.assumed_faults;
-        // rotate leaders until an honest one decides the batch
-        for attempt in 0..n {
-            let leader = NodeId(((self.round as usize) + attempt) % n);
-            let value: Vec<Vec<u64>> = commands
-                .iter()
-                .map(|c| c.iter().map(|x| x.to_canonical_u64()).collect())
-                .collect();
-            let behaviors: Vec<DsBehavior<Vec<Vec<u64>>>> = (0..n)
-                .map(|i| {
-                    let fault = self.fault(i);
-                    if NodeId(i) == leader {
-                        if fault.is_byzantine() {
-                            // a Byzantine leader equivocates on the batch
-                            let mut alt = value.clone();
-                            if let Some(first) = alt.first_mut().and_then(|v| v.first_mut()) {
-                                *first = first.wrapping_add(1);
-                            }
-                            DsBehavior::EquivocatingLeader {
-                                a: value.clone(),
-                                b: alt,
-                            }
-                        } else {
-                            DsBehavior::Honest {
-                                proposal: Some(value.clone()),
-                            }
-                        }
-                    } else if fault.is_byzantine() {
-                        DsBehavior::Silent
-                    } else {
-                        DsBehavior::Honest { proposal: None }
-                    }
-                })
-                .collect();
-            let cfg = DsConfig {
-                n,
-                f,
-                leader,
-                delta: 1,
-                seed: self.config.seed ^ self.round ^ (attempt as u64) << 32,
-            };
-            let out = dolev_strong::run_broadcast(&cfg, behaviors);
-            debug_assert!(out.consistent());
-            // take the first honest node's decision
-            let decision = out
-                .decisions
-                .iter()
-                .zip(&out.honest)
-                .find(|(_, &h)| h)
-                .and_then(|(d, _)| d.clone());
-            if let Some(value) = decision {
-                let decided: Vec<Vec<F>> = value
-                    .into_iter()
-                    .map(|c| c.into_iter().map(F::from_u64).collect())
-                    .collect();
-                return Ok(decided);
-            }
-        }
-        Err(CsmError::ConsensusFailed { round: self.round })
-    }
-
-    fn consensus_pbft(&mut self, commands: Vec<Vec<F>>) -> Result<Vec<Vec<F>>, CsmError> {
-        let n = self.config.n;
-        let f = self.config.assumed_faults;
-        if n < 3 * f + 1 {
-            return Err(CsmError::InvalidConfig(format!(
-                "PBFT consensus needs n >= 3b+1 (n={n}, b={f})"
-            )));
-        }
-        let value: Vec<Vec<u64>> = commands
+    /// Agrees on the round's commands through the `csm_consensus::batch`
+    /// machines the gateway ships, run by their lock-step drivers; the
+    /// batch travels as canonical `u64` rows.
+    fn consensus_phase(&self, commands: Vec<Vec<F>>) -> Result<Vec<Vec<F>>, CsmError> {
+        let rows: BatchRows = commands
             .iter()
             .map(|c| c.iter().map(|x| x.to_canonical_u64()).collect())
             .collect();
-        let behaviors: Vec<PbftBehavior<Vec<Vec<u64>>>> = (0..n)
+        let decided = match self.config.consensus {
+            ConsensusMode::Trusted => return Ok(commands),
+            ConsensusMode::DolevStrong => self.consensus_dolev_strong(&rows),
+            ConsensusMode::Pbft => self.consensus_pbft(rows),
+        };
+        decided
+            .map(|rows| rows_to_commands(&rows))
+            .ok_or(CsmError::ConsensusFailed { round: self.round })
+    }
+
+    fn consensus_registry(&self) -> Arc<KeyRegistry> {
+        Arc::new(KeyRegistry::new(self.config.n, self.config.seed))
+    }
+
+    /// Dolev–Strong with a rotating leader. A Byzantine leader equivocates
+    /// (its second batch bumps the first coordinate), Byzantine relayers
+    /// stay silent, and a ⊥ decision moves the batch to the next leader.
+    fn consensus_dolev_strong(&self, rows: &BatchRows) -> Option<BatchRows> {
+        let (n, f) = (self.config.n, self.config.assumed_faults);
+        let registry = self.consensus_registry();
+        let mut alt = rows.clone();
+        if let Some(first) = alt.first_mut().and_then(|c| c.first_mut()) {
+            *first = first.wrapping_add(1);
+        }
+        let honest = (0..n).position(|i| !self.fault(i).is_byzantine())?;
+        for attempt in 0..n {
+            let leader = (self.round as usize + attempt) % n;
+            let conduct: Vec<Conduct> = (0..n)
+                .map(|i| match (self.fault(i).is_byzantine(), i == leader) {
+                    (false, _) => Conduct::Honest,
+                    (true, true) => Conduct::Equivocate(alt.clone()),
+                    (true, false) => Conduct::Silent,
+                })
+                .collect();
+            let decisions = run_ds_lockstep(self.round, f, leader, rows, &conduct, &registry);
+            // every honest node lands on the same decision
+            if let Some(batch) = decisions[honest].clone() {
+                return Some(batch);
+            }
+        }
+        None
+    }
+
+    /// PBFT with primary `round % n`. Byzantine replicas stay silent and
+    /// [`CodedMachine::check_commands`] is the validity predicate.
+    fn consensus_pbft(&self, rows: BatchRows) -> Option<BatchRows> {
+        let n = self.config.n;
+        let cfg = PbftBatchConfig {
+            n,
+            f: self.config.assumed_faults,
+            round: self.round,
+            leader: self.round as usize % n,
+            // lock step: a view times out when the network goes quiet
+            base_timeout: Duration::ZERO,
+        };
+        let conduct: Vec<Conduct> = (0..n)
             .map(|i| {
                 if self.fault(i).is_byzantine() {
-                    PbftBehavior::Silent
+                    Conduct::Silent
                 } else {
-                    PbftBehavior::Honest {
-                        proposal: value.clone(),
-                    }
+                    Conduct::Honest
                 }
             })
             .collect();
-        let cfg = PbftConfig {
-            n,
-            f,
-            delta: 1,
-            gst: 0,
-            base_timeout: 32,
-            seed: self.config.seed ^ self.round.wrapping_mul(0x9E37),
-        };
-        let out = pbft::run_pbft(&cfg, behaviors, 1_000_000);
-        if !out.safe() {
-            return Err(CsmError::ConsensusFailed { round: self.round });
-        }
-        let decision = out
-            .decisions
-            .iter()
-            .zip(&out.honest)
-            .find(|(d, &h)| h && d.is_some())
-            .and_then(|(d, _)| d.clone());
-        match decision {
-            Some(value) => Ok(value
-                .into_iter()
-                .map(|c| c.into_iter().map(F::from_u64).collect())
-                .collect()),
-            None => Err(CsmError::ConsensusFailed { round: self.round }),
-        }
+        let valid =
+            |rows: &[Vec<u64>]| self.machine.check_commands(&rows_to_commands(rows)).is_ok();
+        let decisions = run_pbft_lockstep(
+            &cfg,
+            &vec![rows; n],
+            &conduct,
+            &self.consensus_registry(),
+            &valid,
+        );
+        // honest nodes never split; a split would be a protocol bug, so fail
+        let mut decided = decisions.into_iter().flatten();
+        let batch = decided.next()?;
+        decided.all(|d| d == batch).then_some(batch)
     }
 
     // ---------------------------------------------------------------- encoding
@@ -862,6 +836,13 @@ impl<F: Field> CsmCluster<F> {
     }
 }
 
+/// The commands a batch of canonical `u64` rows carries.
+fn rows_to_commands<F: Field>(rows: &[Vec<u64>]) -> Vec<Vec<F>> {
+    rows.iter()
+        .map(|c| c.iter().copied().map(F::from_u64).collect())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -915,6 +896,20 @@ mod tests {
                 .build(),
             Err(CsmError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn pbft_below_3b_plus_1_is_refused_at_build() {
+        let pbft = |n: usize, b: usize| {
+            CsmClusterBuilder::new(n, 2)
+                .transition(bank_machine::<Fp61>())
+                .initial_states(vec![vec![f(1)], vec![f(2)]])
+                .consensus(ConsensusMode::Pbft)
+                .assumed_faults(b)
+                .build()
+        };
+        assert!(matches!(pbft(6, 2), Err(CsmError::InvalidConfig(_))));
+        assert!(pbft(7, 2).is_ok());
     }
 
     #[test]

@@ -77,9 +77,9 @@ pub enum ConsensusMode {
 
 /// Byzantine behaviour assigned to a node in the *execution phase*.
 ///
-/// (Consensus-phase misbehaviour — equivocating leaders etc. — is
-/// exercised through [`ConsensusMode`] and the `csm-consensus` crate's own
-/// behaviours.)
+/// (Under [`ConsensusMode::DolevStrong`] and [`ConsensusMode::Pbft`], a
+/// Byzantine node also misbehaves in the consensus phase: a Dolev–Strong
+/// leader equivocates, and every other Byzantine voter stays silent.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultSpec {
     /// Follows the protocol.

@@ -1,5 +1,5 @@
 //! The sans-I/O per-round coded-execution engine — the shared execution
-//! spine between the discrete-event simulator ([`crate::CsmCluster`]) and
+//! spine between the modelled cluster ([`crate::CsmCluster`]) and
 //! the real transport runtime (`csm-node`).
 //!
 //! # The event contract

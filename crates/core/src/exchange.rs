@@ -1,28 +1,22 @@
-//! The execution-phase result exchange (§5.2), run over the
-//! discrete-event network simulator with authenticated messages.
+//! The pieces of the execution-phase result exchange (§5.2) that every
+//! node shares: the result behaviours, the canonical result form, the
+//! equivocation schedule and the receiver's word finalization.
 //!
-//! [`crate::CsmCluster`] models the exchange *logically* (every honest
-//! receiver's word is constructed directly), which is exact under the
-//! paper's network models but does not exercise the mechanics. This module
-//! performs the real thing: every node broadcasts its signed result
-//! `g_i`; Byzantine nodes may equivocate (different value per receiver) or
-//! withhold; receivers verify MACs, and finalize their word
+//! Every node broadcasts its signed result `g_i`; Byzantine nodes may
+//! equivocate (a different value per receiver), withhold or impersonate;
+//! receivers verify MACs, and finalize their word
 //!
 //! * at the known delivery deadline (synchronous), or
 //! * upon holding `N − b` results (partially synchronous — a node cannot
 //!   wait for more, §5.2: "the remaining honest nodes should start decoding
 //!   upon receiving N − b computation results to ensure liveness").
 //!
-//! The integration tests check that decoding each receiver's word yields
-//! identical results for all honest receivers — the same invariant the
-//! logical model enforces.
+//! `csm-node`'s `GatewayCore` and `NodeRuntime` run this exchange over the
+//! transport mesh; [`crate::CsmCluster`] models it *logically* (every
+//! honest receiver's word is constructed directly).
 
 use crate::config::SynchronyMode;
 use csm_algebra::Field;
-use csm_network::auth::{KeyRegistry, Signature};
-use csm_network::{Context, NodeId, Process, Simulator, SynchronyModel};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// How a node behaves in the exchange.
 #[derive(Debug, Clone)]
@@ -44,54 +38,29 @@ pub enum ResultBehavior<F> {
     },
 }
 
-/// Configuration of one exchange round.
-#[derive(Debug, Clone)]
-pub struct ExchangeConfig {
-    /// Number of nodes.
-    pub n: usize,
-    /// Network model.
-    pub synchrony: SynchronyMode,
-    /// Provisioned fault bound `b` (partial-synchrony cutoff `N − b`).
-    pub assumed_faults: usize,
-    /// Latency bound Δ.
-    pub delta: u64,
-    /// Global stabilization time (partial synchrony only).
-    pub gst: u64,
-    /// Seed for keys and delivery schedules.
-    pub seed: u64,
-}
-
-type ResultMsg<F> = (usize, Vec<F>, Signature);
-
 /// A receiver's word: slot `i` holds the (first, authenticated) result
 /// received from sender `i`, or `None` for an erasure.
 pub type Word<F> = Vec<Option<Vec<F>>>;
 
-type Board<F> = Rc<RefCell<Vec<Option<Word<F>>>>>;
-
 /// Canonical form of a result message: sender id plus the canonical
-/// `u64` encoding of every field element. The simulator MACs this tuple
-/// directly; the transport runtime uses the same canonical `u64`s as the
-/// wire payload but MACs the encoded frame bytes (which also cover the
-/// round number), so tags from one path do **not** verify on the other —
-/// the shared piece is the field-element canonicalization, not the
-/// signature domain.
+/// `u64` encoding of every field element. The transport runtime sends these
+/// `u64`s as the wire payload (the frame MAC covers the encoded bytes and
+/// the round number).
 pub fn canonical<F: Field>(sender: usize, v: &[F]) -> (usize, Vec<u64>) {
     (sender, v.iter().map(|x| x.to_canonical_u64()).collect())
 }
 
-/// The multiplicative-noise schedule an equivocator uses: receiver `j`
-/// gets the base result perturbed by this value, so any two receivers can
-/// prove the equivocation against each other. Shared by the simulator and
-/// the transport runtime so tests can cross-check both paths.
+/// The additive-noise schedule an equivocator uses: receiver `j` gets the
+/// base result perturbed by this value, so any two receivers can prove the
+/// equivocation against each other. Shared by `GatewayCore` and
+/// `NodeRuntime` so both cast the same equivocator.
 pub fn equivocation_noise(receiver: usize) -> u64 {
     1 + (receiver as u64).wrapping_mul(0x9E37) % 65_521
 }
 
 /// The pure §5.2 receiver finalization state machine, independent of any
-/// I/O substrate. The discrete-event simulator ([`exchange_results`]) and
-/// the real transport runtime (`csm-node`) both drive this one
-/// implementation:
+/// I/O substrate. `csm-node`'s `GatewayCore` and `NodeRuntime` both drive
+/// this one implementation:
 ///
 /// * [`record`](Self::record) — first result from each sender wins; under
 ///   partial synchrony the word freezes as soon as `N − b` results are
@@ -169,146 +138,6 @@ impl<F: Clone> ReceiverCore<F> {
     }
 }
 
-struct ExchangeNode<F> {
-    id: NodeId,
-    n: usize,
-    behavior: ResultBehavior<F>,
-    registry: Rc<KeyRegistry>,
-    core: ReceiverCore<F>,
-    board: Board<F>,
-    deadline: u64,
-}
-
-impl<F: Field> ExchangeNode<F> {
-    fn publish(&mut self) {
-        let mut board = self.board.borrow_mut();
-        if board[self.id.0].is_none() {
-            board[self.id.0] = Some(self.core.word().clone());
-        }
-    }
-
-    fn record(&mut self, from: usize, vector: Vec<F>) {
-        if self.core.record(from, vector) {
-            self.publish();
-        }
-    }
-}
-
-const FINALIZE_TOKEN: u64 = u64::MAX;
-
-impl<F: Field> Process<ResultMsg<F>> for ExchangeNode<F> {
-    fn on_start(&mut self, ctx: &mut Context<ResultMsg<F>>) {
-        ctx.set_timer(self.deadline, FINALIZE_TOKEN);
-        match &self.behavior {
-            ResultBehavior::Honest(g) => {
-                let g = g.clone();
-                let sig = self.registry.sign(self.id, &canonical(self.id.0, &g));
-                // a node trivially "receives" its own result
-                self.record(self.id.0, g.clone());
-                ctx.multicast_others((self.id.0, g, sig));
-            }
-            ResultBehavior::Equivocate(base) => {
-                for j in 0..self.n {
-                    if j == self.id.0 {
-                        continue;
-                    }
-                    let mut v = base.clone();
-                    let noise = F::from_u64(equivocation_noise(j));
-                    for x in v.iter_mut() {
-                        *x += noise;
-                    }
-                    let sig = self.registry.sign(self.id, &canonical(self.id.0, &v));
-                    ctx.send(NodeId(j), (self.id.0, v, sig));
-                }
-            }
-            ResultBehavior::Withhold => {}
-            ResultBehavior::Impersonate { spoof, forged } => {
-                // signs with its own key but claims `spoof` as the sender —
-                // verification against `spoof`'s key must fail everywhere
-                let sig = self.registry.sign(self.id, &canonical(*spoof, forged));
-                let forged_sig = Signature {
-                    signer: NodeId(*spoof),
-                    ..sig
-                };
-                ctx.multicast_others((*spoof, forged.clone(), forged_sig));
-            }
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        _from: NodeId,
-        (sender, vector, sig): ResultMsg<F>,
-        _ctx: &mut Context<ResultMsg<F>>,
-    ) {
-        if sender >= self.n || sig.signer != NodeId(sender) {
-            return;
-        }
-        // authenticated Byzantine model: verify before accepting
-        if !self.registry.verify(&canonical(sender, &vector), &sig) {
-            return;
-        }
-        self.record(sender, vector);
-    }
-
-    fn on_timer(&mut self, token: u64, _ctx: &mut Context<ResultMsg<F>>) {
-        if token == FINALIZE_TOKEN {
-            self.core.on_deadline();
-            self.publish();
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.core.is_finalized()
-    }
-}
-
-/// Runs one exchange: every node broadcasts per its behaviour; returns
-/// each node's finalized word (`words[j][i]` = what receiver `j` holds
-/// from sender `i`).
-///
-/// # Panics
-///
-/// Panics if `behaviors.len() != cfg.n`.
-pub fn exchange_results<F: Field>(
-    cfg: &ExchangeConfig,
-    behaviors: Vec<ResultBehavior<F>>,
-) -> Vec<Word<F>> {
-    assert_eq!(behaviors.len(), cfg.n, "one behaviour per node");
-    let registry = Rc::new(KeyRegistry::new(cfg.n, cfg.seed ^ 0xE8C4));
-    let board: Board<F> = Rc::new(RefCell::new(vec![None; cfg.n]));
-    let model = match cfg.synchrony {
-        SynchronyMode::Synchronous => SynchronyModel::Synchronous { delta: cfg.delta },
-        SynchronyMode::PartiallySynchronous => SynchronyModel::PartiallySynchronous {
-            gst: cfg.gst,
-            delta: cfg.delta,
-        },
-    };
-    // finalization deadline: after every message must have landed
-    let deadline = model.delivery_deadline(0) + 1;
-    let nodes: Vec<Box<dyn Process<ResultMsg<F>>>> = behaviors
-        .into_iter()
-        .enumerate()
-        .map(|(i, behavior)| {
-            Box::new(ExchangeNode {
-                id: NodeId(i),
-                n: cfg.n,
-                behavior,
-                registry: Rc::clone(&registry),
-                core: ReceiverCore::new(cfg.n, cfg.synchrony, cfg.assumed_faults),
-                board: Rc::clone(&board),
-                deadline,
-            }) as Box<dyn Process<ResultMsg<F>>>
-        })
-        .collect();
-    let mut sim = Simulator::new(model, cfg.seed, nodes);
-    sim.run(deadline + cfg.delta + 2);
-    let out = board.borrow();
-    out.iter()
-        .map(|w| w.clone().unwrap_or_else(|| vec![None; cfg.n]))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,107 +145,6 @@ mod tests {
 
     fn f(v: u64) -> Fp61 {
         Fp61::from_u64(v)
-    }
-
-    fn sync_cfg(n: usize, b: usize) -> ExchangeConfig {
-        ExchangeConfig {
-            n,
-            synchrony: SynchronyMode::Synchronous,
-            assumed_faults: b,
-            delta: 1,
-            gst: 0,
-            seed: 42,
-        }
-    }
-
-    #[test]
-    fn all_honest_full_words() {
-        let n = 5;
-        let behaviors: Vec<ResultBehavior<Fp61>> = (0..n)
-            .map(|i| ResultBehavior::Honest(vec![f(i as u64)]))
-            .collect();
-        let words = exchange_results(&sync_cfg(n, 1), behaviors);
-        for (j, w) in words.iter().enumerate() {
-            for (i, r) in w.iter().enumerate() {
-                assert_eq!(
-                    r.as_deref(),
-                    Some(&[f(i as u64)][..]),
-                    "receiver {j} sender {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn withholding_leaves_erasures() {
-        let behaviors: Vec<ResultBehavior<Fp61>> = vec![
-            ResultBehavior::Withhold,
-            ResultBehavior::Honest(vec![f(1)]),
-            ResultBehavior::Honest(vec![f(2)]),
-        ];
-        let words = exchange_results(&sync_cfg(3, 1), behaviors);
-        for j in 1..3 {
-            assert!(words[j][0].is_none());
-            assert!(words[j][1].is_some());
-        }
-    }
-
-    #[test]
-    fn equivocators_send_distinct_values() {
-        let behaviors: Vec<ResultBehavior<Fp61>> = vec![
-            ResultBehavior::Equivocate(vec![f(10)]),
-            ResultBehavior::Honest(vec![f(1)]),
-            ResultBehavior::Honest(vec![f(2)]),
-            ResultBehavior::Honest(vec![f(3)]),
-        ];
-        let words = exchange_results(&sync_cfg(4, 1), behaviors);
-        let v1 = words[1][0].clone().unwrap();
-        let v2 = words[2][0].clone().unwrap();
-        assert_ne!(v1, v2, "equivocation must reach receivers differently");
-    }
-
-    #[test]
-    fn impersonation_is_dropped_by_all() {
-        let behaviors: Vec<ResultBehavior<Fp61>> = vec![
-            ResultBehavior::Impersonate {
-                spoof: 1,
-                forged: vec![f(666)],
-            },
-            ResultBehavior::Honest(vec![f(1)]),
-            ResultBehavior::Honest(vec![f(2)]),
-        ];
-        let words = exchange_results(&sync_cfg(3, 1), behaviors);
-        // the forged "from node 1" message must not displace node 1's own;
-        // node 0 itself sent nothing valid
-        for j in 1..3 {
-            assert_eq!(words[j][1].as_deref(), Some(&[f(1)][..]));
-            assert!(words[j][0].is_none(), "receiver {j} accepted a forgery");
-        }
-    }
-
-    #[test]
-    fn partial_synchrony_cuts_off_at_n_minus_b() {
-        let n = 6;
-        let b = 2;
-        let cfg = ExchangeConfig {
-            n,
-            synchrony: SynchronyMode::PartiallySynchronous,
-            assumed_faults: b,
-            delta: 1,
-            gst: 50,
-            seed: 7,
-        };
-        let behaviors: Vec<ResultBehavior<Fp61>> = (0..n)
-            .map(|i| ResultBehavior::Honest(vec![f(i as u64)]))
-            .collect();
-        let words = exchange_results(&cfg, behaviors);
-        for (j, w) in words.iter().enumerate() {
-            let count = w.iter().filter(|r| r.is_some()).count();
-            assert!(
-                count >= n - b,
-                "receiver {j} finalized with only {count} results"
-            );
-        }
     }
 
     #[test]
@@ -458,20 +186,5 @@ mod tests {
         }
         // synchronous receivers wait for the deadline even with all results
         assert!(!core.is_finalized());
-    }
-
-    #[test]
-    fn deterministic_per_seed() {
-        let behaviors = || -> Vec<ResultBehavior<Fp61>> {
-            vec![
-                ResultBehavior::Equivocate(vec![f(9)]),
-                ResultBehavior::Honest(vec![f(1)]),
-                ResultBehavior::Honest(vec![f(2)]),
-                ResultBehavior::Withhold,
-            ]
-        };
-        let a = exchange_results(&sync_cfg(4, 1), behaviors());
-        let b = exchange_results(&sync_cfg(4, 1), behaviors());
-        assert_eq!(a, b);
     }
 }

@@ -9,9 +9,11 @@
 //!   update as pure calls, shared by the simulator and the `csm-node`
 //!   transport runtime.
 //! * [`CsmClusterBuilder`] / [`CsmCluster`] — the coded cluster (§5, §6):
-//!   the simulator driver over `N` [`RoundEngine`]s, with consensus,
-//!   logical exchange, op accounting, and optionally INTERMIX-verified
-//!   centralized coding.
+//!   the simulator driver over `N` [`RoundEngine`]s, with consensus
+//!   through `csm_consensus::batch`'s lock-step drivers, logical exchange,
+//!   op accounting, and optionally INTERMIX-verified centralized coding.
+//! * [`exchange`] — the §5.2 result behaviours and receiver finalization
+//!   ([`exchange::ReceiverCore`]) the `csm-node` runtimes share.
 //! * [`replication`] — the SMR baselines of §3 with the same interface.
 //! * [`metrics`] — Table 1 / Table 2 formulas as code.
 //! * [`client`] — the `b + 1` matching output-delivery rule.

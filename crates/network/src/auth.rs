@@ -8,10 +8,10 @@
 //! for another signer requires guessing 64 bits.
 //!
 //! This is a **simulation substitute, not cryptography**: the mixer is a
-//! SplitMix64-style permutation, fine for modeling unforgeability inside a
-//! deterministic simulator, unsuitable for real adversaries.
+//! SplitMix64-style permutation, fine for modeling unforgeability in a
+//! reproduction, unsuitable for real adversaries.
 
-use crate::sim::NodeId;
+use crate::NodeId;
 use std::hash::{Hash, Hasher};
 
 /// A keyed 64-bit MAC tag naming its claimed signer.
@@ -21,15 +21,6 @@ pub struct Signature {
     pub signer: NodeId,
     /// The MAC tag.
     pub tag: u64,
-}
-
-/// A message together with a signature over it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Signed<M> {
-    /// The payload.
-    pub msg: M,
-    /// Signature over the payload.
-    pub sig: Signature,
 }
 
 /// SplitMix64 finalizer — a full-avalanche 64-bit permutation.
@@ -69,7 +60,7 @@ impl Hasher for MacHasher {
     }
 }
 
-/// Holds every node's signing key; the simulator's stand-in for a PKI.
+/// Holds every node's signing key; the reproduction's stand-in for a PKI.
 ///
 /// # Examples
 ///
@@ -121,12 +112,6 @@ impl KeyRegistry {
         }
     }
 
-    /// Signs a message and bundles it.
-    pub fn sign_msg<M: Hash + Clone>(&self, signer: NodeId, msg: M) -> Signed<M> {
-        let sig = self.sign(signer, &msg);
-        Signed { msg, sig }
-    }
-
     /// Verifies a signature against a message.
     ///
     /// Returns `false` (rather than panicking) for unknown signers, so a
@@ -138,11 +123,6 @@ impl KeyRegistry {
         let mut h = MacHasher::with_key(key);
         msg.hash(&mut h);
         h.finish() == sig.tag
-    }
-
-    /// Verifies a signed bundle.
-    pub fn verify_msg<M: Hash>(&self, signed: &Signed<M>) -> bool {
-        self.verify(&signed.msg, &signed.sig)
     }
 }
 
@@ -193,16 +173,6 @@ mod tests {
         let b = KeyRegistry::new(2, 2);
         let sig_a = a.sign(NodeId(0), &42u64);
         assert!(!b.verify(&42u64, &sig_a));
-    }
-
-    #[test]
-    fn signed_bundle() {
-        let reg = KeyRegistry::new(2, 9);
-        let signed = reg.sign_msg(NodeId(1), vec![1u8, 2, 3]);
-        assert!(reg.verify_msg(&signed));
-        let mut bad = signed.clone();
-        bad.msg[0] = 9;
-        assert!(!reg.verify_msg(&bad));
     }
 
     #[test]

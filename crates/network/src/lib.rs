@@ -1,31 +1,26 @@
 //! # csm-network
 //!
-//! A deterministic discrete-event network simulator implementing the
-//! paper's two communication models (§2.1):
-//!
-//! * **Synchronous** — a fixed, known upper bound `Δ` on message latency
-//!   between any pair of nodes.
-//! * **Partially synchronous** — unbounded delay until an unknown Global
-//!   Stabilization Time (GST), after which the network is synchronous; a
-//!   node cannot distinguish a failed sender from a slow network.
-//!
-//! plus the paper's failure model: *authenticated Byzantine faults* — nodes
-//! may deviate arbitrarily, but all messages are signed, so impersonation is
-//! detectable (§2.1). Signatures are simulated by a keyed MAC with a
-//! simulator-held key registry ([`auth`]); this substitution is recorded in
-//! `DESIGN.md` — the protocols only use the *unforgeability abstraction*,
+//! Node identity and message authentication for the paper's failure model
+//! (§2.1): *authenticated Byzantine faults*. Nodes may deviate
+//! arbitrarily, but all messages are signed, so impersonation is
+//! detectable. Signatures are simulated by a keyed MAC with a key registry
+//! ([`auth`]). The protocols only use the *unforgeability abstraction*,
 //! which the registry provides exactly.
 //!
-//! The simulator ([`Simulator`]) drives [`Process`] trait objects through an
-//! event queue with per-message delays drawn deterministically from a seeded
-//! RNG, and supports message-level adversarial interposition
-//! ([`adversary`]) for delay/drop/duplication experiments.
+//! The consensus state machines, the transport frame codec and the node
+//! runtime all sign and verify through this crate.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod adversary;
 pub mod auth;
-mod sim;
 
-pub use sim::{Context, Envelope, NodeId, Process, RunOutcome, Simulator, SynchronyModel};
+/// Identifier of a compute node, in `0..n`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NodeId(pub usize);
+
+impl std::fmt::Display for NodeId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "node{}", self.0)
+    }
+}

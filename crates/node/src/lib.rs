@@ -2,11 +2,10 @@
 //!
 //! Hosts one CSM node end-to-end over real I/O: **encode → execute →
 //! exchange → decode**, with the §5.2 result exchange running on a
-//! [`csm_transport::Transport`] (in-process channels or loopback/LAN TCP)
-//! instead of the discrete-event simulator.
+//! [`csm_transport::Transport`] (in-process channels or loopback/LAN TCP).
 //!
 //! * [`csm_core::engine::RoundEngine`] — the sans-I/O coded-execution
-//!   lifecycle (shared with the simulator; *any*
+//!   lifecycle (shared with the modelled `CsmCluster`; *any*
 //!   [`csm_statemachine::PolyTransition`] machine runs here unchanged).
 //! * [`NodeRuntime`] — the blocking exchange protocol driver of the
 //!   script-driven loops (Δ-deadline and `N − b` cutoff finalization over

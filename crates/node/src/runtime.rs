@@ -1,9 +1,9 @@
 //! The node-side §5.2 result-exchange protocol over a real [`Transport`].
 //!
-//! This is the runtime twin of `csm_core::exchange::exchange_results`:
-//! both drive the same [`ReceiverCore`] finalization state machine, but
-//! here messages cross an actual transport (channels or TCP) and the
-//! synchronous Δ-deadline is wall-clock time instead of simulated ticks:
+//! It drives the shared [`ReceiverCore`] finalization state machine (as
+//! [`crate::core::GatewayCore`] does) while messages cross an actual
+//! transport (channels or TCP) and the synchronous Δ-deadline is
+//! wall-clock time:
 //!
 //! * **Synchronous** — the word freezes `Δ` after the send phase starts
 //!   (the model's known latency bound, §2.1).
@@ -11,11 +11,11 @@
 //!   results (§5.2 liveness cutoff), with a hard fallback deadline so a
 //!   silent network cannot wedge the node.
 //!
-//! Byzantine behaviors ([`ResultBehavior`]) are the simulator's:
-//! honest broadcast, per-receiver equivocation (same noise schedule, so
-//! sim-based tests predict runtime behavior exactly), withholding, and
-//! impersonation — which transport-level MAC verification drops before it
-//! ever reaches this module.
+//! Byzantine behaviors ([`ResultBehavior`]) are shared with the gateway
+//! core: honest broadcast, per-receiver equivocation (the same
+//! [`equivocation_noise`] schedule), withholding, and impersonation —
+//! which transport-level MAC verification drops before it ever reaches
+//! this module.
 
 use csm_algebra::Field;
 use csm_core::exchange::{canonical, equivocation_noise, ReceiverCore, ResultBehavior, Word};

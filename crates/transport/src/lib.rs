@@ -1,9 +1,8 @@
 //! # csm-transport
 //!
 //! The real transport substrate for CSM nodes: authenticated,
-//! length-prefixed binary frames ([`Frame`]) moved over actual I/O instead
-//! of the discrete-event simulator in `csm-network`. Two backends
-//! implement the same [`Transport`] interface:
+//! length-prefixed binary frames ([`Frame`]) moved over actual I/O. Two
+//! backends implement the same [`Transport`] interface:
 //!
 //! * [`mem::MemMesh`] — an in-process channel mesh (deterministic-ish,
 //!   zero syscalls; the unit-test and benchmarking substrate), and

@@ -11,9 +11,9 @@
 //!   plans, Berlekamp–Massey (default) and Gao decoders.
 //! * [`statemachine`] — multivariate-polynomial state machines and the
 //!   Appendix-A Boolean compiler.
-//! * [`network`] — deterministic synchronous / partially synchronous network
-//!   simulation with Byzantine interposition.
-//! * [`consensus`] — Dolev–Strong broadcast and PBFT.
+//! * [`network`] — node identity and keyed-MAC message authentication.
+//! * [`consensus`] — Dolev–Strong broadcast and PBFT as sans-I/O batch
+//!   machines, with one lock-step driver each.
 //! * [`intermix`] — the INTERMIX verifiable matrix–vector multiplication.
 //! * [`csm`] — the Coded State Machine cluster, SMR baselines, and metrics.
 //!

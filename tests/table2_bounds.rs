@@ -4,10 +4,16 @@
 //! the boundary (`b` succeeds, `b + 1` fails).
 
 use coded_state_machine::algebra::{Field, Fp61};
+use coded_state_machine::consensus::batch::{
+    run_ds_lockstep, run_pbft_lockstep, BatchRows, Conduct, PbftBatchConfig,
+};
 use coded_state_machine::csm::client::accept_replies;
 use coded_state_machine::csm::metrics::Table2Bounds;
 use coded_state_machine::csm::{CsmClusterBuilder, CsmError, FaultSpec, SynchronyMode};
+use coded_state_machine::network::auth::KeyRegistry;
 use coded_state_machine::statemachine::machines::bank_machine;
+use std::sync::Arc;
+use std::time::Duration;
 
 fn decode_succeeds(n: usize, k: usize, b_inject: usize, sync: SynchronyMode) -> bool {
     let mut builder = CsmClusterBuilder::<Fp61>::new(n, k)
@@ -114,61 +120,51 @@ fn output_delivery_bound_is_tight() {
     }
 }
 
+fn registry(n: usize, seed: u64) -> Arc<KeyRegistry> {
+    Arc::new(KeyRegistry::new(n, seed))
+}
+
 #[test]
 fn consensus_bound_dolev_strong_any_b_below_n() {
-    use coded_state_machine::consensus::dolev_strong::{run_broadcast, DsBehavior, DsConfig};
-    use coded_state_machine::network::NodeId;
     // b + 1 ≤ N: with 4 of 6 nodes Byzantine-silent, broadcast still
     // reaches agreement among the honest (leader honest here).
     let n = 6;
-    let f = 4;
-    let mut behaviors: Vec<DsBehavior<u64>> = vec![DsBehavior::Honest { proposal: Some(55) }];
-    behaviors.push(DsBehavior::Honest { proposal: None });
-    behaviors.extend((2..n).map(|_| DsBehavior::Silent));
-    let out = run_broadcast(
-        &DsConfig {
-            n,
-            f,
-            leader: NodeId(0),
-            delta: 1,
-            seed: 3,
-        },
-        behaviors,
-    );
-    assert!(out.consistent());
-    assert_eq!(out.decisions[1], Some(55));
+    let mut conduct = vec![Conduct::Honest; 2];
+    conduct.resize(n, Conduct::Silent);
+    let batch: BatchRows = vec![vec![55]];
+    let decisions = run_ds_lockstep(0, 4, 0, &batch, &conduct, &registry(n, 3));
+    assert_eq!(decisions[..2], [Some(batch.clone()), Some(batch)]);
 }
 
 #[test]
 fn consensus_bound_pbft_needs_3b_plus_1() {
-    use coded_state_machine::consensus::pbft::{run_pbft, PbftBehavior, PbftConfig};
-    // at n = 3b+1 = 7, b = 2 silent nodes: decides
-    let cfg = PbftConfig {
-        n: 7,
+    let n = 7;
+    let cfg = PbftBatchConfig {
+        n,
         f: 2,
-        delta: 1,
-        gst: 0,
-        base_timeout: 16,
-        seed: 5,
+        round: 0,
+        leader: 0,
+        base_timeout: Duration::from_millis(16),
     };
-    let mut behaviors: Vec<PbftBehavior<u64>> = (0..5)
-        .map(|i| PbftBehavior::Honest { proposal: 10 + i })
-        .collect();
-    behaviors.push(PbftBehavior::Silent);
-    behaviors.push(PbftBehavior::Silent);
-    let out = run_pbft(&cfg, behaviors, 200_000);
-    assert!(out.safe());
-    assert!(out.live());
+    let proposals: Vec<BatchRows> = (0..n as u64).map(|i| vec![vec![10 + i]]).collect();
+    let run = |silent: usize| {
+        let mut conduct = vec![Conduct::Honest; n - silent];
+        conduct.resize(n, Conduct::Silent);
+        let decisions = run_pbft_lockstep(&cfg, &proposals, &conduct, &registry(n, 5), &|_| true);
+        (decisions, n - silent)
+    };
+    // at n = 3b+1 = 7, b = 2 silent nodes: every honest node decides, alike
+    let (decisions, honest) = run(2);
+    assert!(decisions[..honest].iter().all(|d| *d == decisions[0]));
+    assert!(decisions[0].is_some(), "must decide within the bound");
 
-    // with b+1 = 3 silent nodes (exceeding f), the quorum 2f+1 = 5 of 7
-    // can't be reached: protocol stays safe but cannot decide
-    let mut behaviors: Vec<PbftBehavior<u64>> = (0..4)
-        .map(|i| PbftBehavior::Honest { proposal: 10 + i })
-        .collect();
-    behaviors.extend((0..3).map(|_| PbftBehavior::Silent));
-    let out = run_pbft(&cfg, behaviors, 50_000);
-    assert!(out.safe());
-    assert!(!out.live(), "must not decide without quorum");
+    // with b+1 = 3 silent nodes (exceeding f), the quorum ⌈(n+f+1)/2⌉ = 5
+    // of 7 can't be reached: the protocol never splits and cannot decide
+    let (decisions, _) = run(3);
+    assert!(
+        decisions.iter().all(Option::is_none),
+        "must not decide without quorum"
+    );
 }
 
 #[test]

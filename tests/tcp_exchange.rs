@@ -1,9 +1,8 @@
-//! The `networked_exchange.rs` invariants, re-proven over **real loopback
-//! TCP** instead of the discrete-event simulator: the §5.2 exchange runs
-//! through `csm-transport` sockets driven by `csm-node`'s `NodeRuntime`
-//! and the shared sans-I/O `RoundEngine`, under equivocation, withholding,
-//! and impersonation, in both synchrony models — and all honest receivers
-//! decode identical, correct words.
+//! The §5.2 exchange invariants over **real loopback TCP**: the exchange
+//! runs through `csm-transport` sockets driven by `csm-node`'s
+//! `NodeRuntime` and the shared sans-I/O `RoundEngine`, under
+//! equivocation, withholding, and impersonation, in both synchrony models
+//! — and all honest receivers decode identical, correct words.
 
 use coded_state_machine::algebra::Fp61;
 use csm_node::{
@@ -106,24 +105,32 @@ fn tcp_synchronous_equivocator_and_withholder() {
 fn tcp_partial_synchrony_cuts_off_and_decodes() {
     let n = 9;
     let b = 2;
-    let timing = ExchangeTiming::partially_synchronous(b, Duration::from_secs(8));
-    let reports = run_tcp_cluster(n, 2, 3, timing, |i| {
-        if i == 4 {
-            BehaviorKind::Withhold
-        } else {
-            BehaviorKind::Honest
-        }
-    });
-    assert_agreement(&reports, &[4], 3);
-    // each honest receiver froze its word at (or just past) the N − b
-    // cutoff rather than waiting for the full deadline
-    for report in &reports {
-        for commit in report.commits.iter().flatten() {
-            assert!(
-                commit.results_held >= n - b,
-                "node {} finalized below the N - b cutoff",
-                report.id
-            );
+    // a withholder; then two equivocators, whose lies reach the N − b word
+    // (3b + 1 = 7 ≤ N − d(K−1) = 8, so it still decodes)
+    let withholder = |i: usize| match i {
+        4 => BehaviorKind::Withhold,
+        _ => BehaviorKind::Honest,
+    };
+    let equivocators = |i: usize| match i {
+        0 | 1 => BehaviorKind::Equivocate,
+        _ => BehaviorKind::Honest,
+    };
+    let casts: [(&dyn Fn(usize) -> BehaviorKind, &[usize]); 2] =
+        [(&withholder, &[4]), (&equivocators, &[0, 1])];
+    for (behavior_of, byzantine) in casts {
+        let timing = ExchangeTiming::partially_synchronous(b, Duration::from_secs(8));
+        let reports = run_tcp_cluster(n, 2, 3, timing, behavior_of);
+        assert_agreement(&reports, byzantine, 3);
+        // each honest receiver froze its word at (or just past) the N − b
+        // cutoff rather than waiting for the full deadline
+        for report in &reports {
+            for commit in report.commits.iter().flatten() {
+                assert!(
+                    commit.results_held >= n - b,
+                    "node {} finalized below the N - b cutoff",
+                    report.id
+                );
+            }
         }
     }
 }
