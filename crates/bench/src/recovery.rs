@@ -167,7 +167,7 @@ fn bank_spec_for(cfg: &RejoinConfig, behavior: BehaviorKind) -> GatewaySpec<Fp61
 }
 
 fn timing_for(cfg: &RejoinConfig) -> ExchangeTiming {
-    ExchangeTiming::synchronous(cfg.assumed_faults, cfg.delta).with_full_finalize()
+    ExchangeTiming::synchronous(cfg.assumed_faults, cfg.delta)
 }
 
 fn durability_for(cfg: &RejoinConfig, dir: &Path, id: usize) -> DurabilityConfig {
@@ -386,8 +386,12 @@ fn run_rejoin<T: Transport + 'static>(
     // acceptance bar: ≥ post_rounds further commits after the restart
     let mut prober = CsmClient::new(prober_transport, Arc::clone(&registry), client_cfg.clone());
     // scrape right away, while the revived victim is still resyncing:
-    // whoever answers mid-churn must hand back a coherent snapshot
-    let mid_resync_telemetry = prober.scrape(cfg.delta * 4 + Duration::from_millis(500));
+    // whoever answers mid-churn must hand back a coherent snapshot. Nodes
+    // answer at their next round start, and a round the victim was to
+    // lead first waits out the staging timeout (twice `stage_timeout`)
+    let worst_round = gw_cfg.stage_timeout * 2 + cfg.delta;
+    let mid_resync_telemetry =
+        prober.scrape(worst_round + cfg.delta * 4 + Duration::from_millis(500));
     let restart_round = probe_round(&mut prober);
     let target = restart_round + cfg.post_rounds;
     let deadline = Instant::now() + Duration::from_secs(120);

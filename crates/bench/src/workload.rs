@@ -194,7 +194,7 @@ pub fn run_bank_workload_with_faults<T: Transport + 'static>(
     let initial_states: Vec<Vec<Fp61>> = (0..cfg.shards)
         .map(|s| vec![Fp61::from_u64(WorkloadConfig::initial_balance(s))])
         .collect();
-    let timing = ExchangeTiming::synchronous(cfg.assumed_faults, cfg.delta).with_full_finalize();
+    let timing = ExchangeTiming::synchronous(cfg.assumed_faults, cfg.delta);
     let gw_cfg = {
         let mut c = GatewayConfig::new(cfg.cluster, cfg.assumed_faults, &timing)
             .with_consensus(cfg.consensus);
@@ -279,6 +279,12 @@ pub fn run_bank_workload_with_faults<T: Transport + 'static>(
         .collect();
     clients.sort_by_key(|c| c.index);
     let client_elapsed = started.elapsed();
+    // a client accepts at b + 1 replies, so the last command's round may
+    // still be committing at some gateways while others, done with it,
+    // have entered the next round. Stopped now, the latecomers would never
+    // join that round, and the gateways inside it would be left a word
+    // too short to decode reliably. Let every gateway finish first.
+    thread::sleep(cfg.delta * 4);
     // scrape while the gateways are still looping (they answer telemetry
     // requests once per round iteration), then stop the cluster
     let telemetry = match scraper_transport {

@@ -586,7 +586,7 @@ impl<F: Field> RoundEngine<F> {
         self.fault
     }
 
-    /// Next round to execute (commits so far).
+    /// Next round to execute (rounds committed or skipped so far).
     pub fn round(&self) -> u64 {
         self.round
     }
@@ -817,6 +817,13 @@ impl<F: Field> RoundEngine<F> {
         let coded = self.machine.encode_state_at(self.node, &decoded.new_states);
         self.install_state(coded);
         commit
+    }
+
+    /// Ends a round this node could not decode: the coded state stays as
+    /// it was, and the round counter moves on with the cluster's, so the
+    /// next commit carries the round it is committed in.
+    pub fn skip_round(&mut self) {
+        self.round += 1;
     }
 
     /// Decode-then-commit convenience for runtime drivers: `None` if the

@@ -87,6 +87,7 @@ pub(crate) mod token {
         TimerKind::Exchange,
         TimerKind::Pbft,
         TimerKind::Resync,
+        TimerKind::Decode,
     ];
 
     /// A core timer armed during the node's `life`-th life.

@@ -430,8 +430,9 @@ pub fn scale() -> Scenario {
     let mut config = ChaosConfig::new(32, 8, 3);
     config.clients = 1_000;
     config.check_liveness = true;
-    // every exchange waits out Δ, so a round is ~3.5k ticks: the horizon
-    // leaves the 1k-command backlog some forty post-heal rounds to drain
+    // a loaded round is three hops, ~1.5k ticks (its exchange ends on a
+    // certificate, not at Δ): the horizon leaves the 1k-command backlog
+    // about a hundred post-heal rounds to drain
     let mut s = Schedule::quiet(0x5ca1_e000, 240_000);
     s = s.at(
         1_000,

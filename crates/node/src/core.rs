@@ -38,8 +38,8 @@ use crate::{wire_behavior, BehaviorKind};
 use csm_algebra::Field;
 use csm_consensus::batch::{BatchRows, DsBatch, DsRelay, PbftBatch, PbftBatchConfig, PbftBatchMsg};
 use csm_core::digest::digest_results;
-use csm_core::engine::{CodedMachine, RoundCommit, RoundEngine};
-use csm_core::exchange::{equivocation_noise, ReceiverCore, ResultBehavior};
+use csm_core::engine::{CodedMachine, DecodedRound, RoundCommit, RoundEngine};
+use csm_core::exchange::{equivocation_noise, ReceiverCore, ResultBehavior, Word};
 use csm_core::SynchronyMode;
 use csm_network::auth::{KeyRegistry, Signature};
 use csm_network::NodeId;
@@ -92,12 +92,15 @@ pub enum TimerKind {
     Pbft,
     /// State-transfer attempt deadline (`epoch` = the attempt).
     Resync,
+    /// Decode the exchange's word once the events due at this instant are
+    /// absorbed, so results that land together are decoded together.
+    Decode,
 }
 
 impl TimerKind {
     /// Number of timer kinds — at most one timer per kind is ever live,
     /// so a driver may keep one slot per kind.
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 6;
 }
 
 /// Identity of a one-shot timer: the core ignores a fired timer whose id
@@ -201,6 +204,10 @@ enum PhaseState<F: Field> {
         /// When the result went out, and when a result last arrived.
         started: u64,
         last_progress: u64,
+        /// Decodes of the word so far, and whether a `Decode` timer is
+        /// armed.
+        decodes: u64,
+        decode_due: bool,
     },
     /// Durable state transfer in flight. `sticky` triggers (behind or
     /// diverged) re-arm on timeout; a fail-streak or startup trigger
@@ -212,6 +219,31 @@ enum PhaseState<F: Field> {
     },
     /// Stopped for good.
     Halted,
+}
+
+/// How a round's exchange ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ExchangeEnd {
+    /// A decode agreed with `dim + b` usable results ([`RsCode::certifies`]).
+    ///
+    /// [`RsCode::certifies`]: csm_reed_solomon::RsCode::certifies
+    Certified,
+    /// The word can no longer change: all `N` results are held, or the
+    /// partial-synchrony cutoff froze it.
+    Frozen,
+    /// The Exchange timer fired first.
+    Deadline,
+}
+
+/// The word of the last round that committed on a certificate, kept
+/// until the next exchange ends: a result that arrives after the commit
+/// is still checked, so the evidence an early commit skipped is not lost.
+struct LateWord<F> {
+    round: u64,
+    digest: u64,
+    word: Word<F>,
+    /// Every node exposed so far.
+    detected: Vec<usize>,
 }
 
 /// The durable half of a core: the store plus snapshot cadence.
@@ -245,14 +277,14 @@ pub struct GatewayCore<F: Field> {
     recording: Arc<RecordingSink>,
     sink: SharedSink,
 
+    /// Also the one round counter: it advances on every round, committed
+    /// or skipped.
     engine: RoundEngine<F>,
     admission: Admission,
-    /// The wire round counter — advances every round *attempt*, commit
-    /// or not.
-    round: u64,
     round_entered: u64,
     phase: PhaseState<F>,
     commits: VecDeque<Option<RoundCommit<F>>>,
+    late: Option<LateWord<F>>,
     first_recorded_round: u64,
     fail_streak: u32,
     durable: Option<Durable>,
@@ -282,7 +314,7 @@ impl<F: Field> std::fmt::Debug for GatewayCore<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GatewayCore")
             .field("id", &self.id)
-            .field("round", &self.round)
+            .field("round", &self.round())
             .field("stats", &self.admission.stats)
             .finish_non_exhaustive()
     }
@@ -433,10 +465,10 @@ impl<F: Field> GatewayCore<F> {
             sink,
             engine,
             admission,
-            round,
             round_entered: 0,
             phase: PhaseState::Idle,
             commits: VecDeque::new(),
+            late: None,
             first_recorded_round: round,
             fail_streak: 0,
             durable,
@@ -467,7 +499,7 @@ impl<F: Field> GatewayCore<F> {
 
     /// The wire round in progress (or about to start).
     pub fn round(&self) -> u64 {
-        self.round
+        self.engine.round()
     }
 
     /// The admission/reply counters so far.
@@ -536,7 +568,7 @@ impl<F: Field> GatewayCore<F> {
                 if total > *seen {
                     *seen = total;
                     self.sink
-                        .event(self.id, self.round, Some(peer), Incident::MacRejected);
+                        .event(self.id, self.round(), Some(peer), Incident::MacRejected);
                 }
                 counters.push((format!("mac_rejected.peer{peer}"), total));
             }
@@ -553,7 +585,7 @@ impl<F: Field> GatewayCore<F> {
     pub fn telemetry(&self) -> TelemetrySnapshot {
         let mut extra = gateway_counters(&self.admission.stats);
         extra.extend(self.transport_counters.iter().cloned());
-        self.recording.snapshot(self.id, self.round, &extra)
+        self.recording.snapshot(self.id, self.round(), &extra)
     }
 
     /// Consumes the core into the run's report.
@@ -562,7 +594,7 @@ impl<F: Field> GatewayCore<F> {
             id: self.id,
             commits: self.commits.into(),
             first_recorded_round: self.first_recorded_round,
-            rounds: self.round,
+            rounds: self.engine.round(),
             stats: self.admission.stats,
             recovery: self.durable.map(|d| d.info),
         }
@@ -592,7 +624,14 @@ impl<F: Field> GatewayCore<F> {
         }
         self.now = now_us;
         match event {
-            Event::Frame(frame) => self.intake(frame),
+            Event::Frame(frame) => {
+                // work ends an idle pause (see `intake`), once the events
+                // due now are absorbed: commands that land together share
+                // a round
+                if self.intake(frame) && matches!(self.phase, PhaseState::Idle) {
+                    self.set_timer(TimerKind::Next, self.now, 0);
+                }
+            }
             Event::Timer(id) => self.on_timer(id),
         }
         std::mem::take(&mut self.out)
@@ -613,7 +652,7 @@ impl<F: Field> GatewayCore<F> {
     fn set_timer(&mut self, kind: TimerKind, at_us: u64, epoch: u64) {
         let id = TimerId {
             kind,
-            round: self.round,
+            round: self.round(),
             epoch,
         };
         self.out.push(Effect::SetTimer { at_us, id });
@@ -625,37 +664,37 @@ impl<F: Field> GatewayCore<F> {
     }
 
     fn incident(&self, peer: Option<usize>, incident: Incident) {
-        self.sink.event(self.id, self.round, peer, incident);
+        self.sink.event(self.id, self.round(), peer, incident);
     }
 
     fn lap(&self, phase: Phase, from: u64, to: u64) {
         self.sink.phase(
             self.id,
-            self.round,
+            self.round(),
             phase,
             Duration::from_micros(to.saturating_sub(from)),
         );
     }
 
     fn value(&self, name: &str, value: u64) {
-        self.sink.value(self.id, self.round, name, value);
+        self.sink.value(self.id, self.round(), name, value);
     }
 
     fn flight_dump(&self, reason: &str) {
         if let Some(dir) = &self.cfg.flight_dir {
-            if let Err(e) = self.recording.dump(dir, self.id, self.round, reason) {
+            if let Err(e) = self.recording.dump(dir, self.id, self.round(), reason) {
                 csm_telemetry::warn!("node {}: flight dump ({reason}) failed: {e}", self.id);
             }
         }
     }
 
     fn leader(&self) -> usize {
-        (self.round % self.cluster as u64) as usize
+        (self.round() % self.cluster as u64) as usize
     }
 
     /// Whether `round` is the current one or within the lookahead.
     fn in_window(&self, round: u64) -> bool {
-        round >= self.round && round - self.round <= ROUND_LOOKAHEAD
+        round >= self.round() && round - self.round() <= ROUND_LOOKAHEAD
     }
 
     /// The shared batch-validity predicate (client MACs, shape, dedup
@@ -674,8 +713,10 @@ impl<F: Field> GatewayCore<F> {
 
     /// Routes one authenticated frame: current-round protocol traffic is
     /// consumed at once, the rest is buffered within the bounds above or
-    /// dropped.
-    fn intake(&mut self, frame: Frame) {
+    /// dropped. Returns whether the frame is work that should end an idle
+    /// pause: a peer's protocol frame for this node's round or a later
+    /// one, or a new command this node is to propose next.
+    fn intake(&mut self, frame: Frame) -> bool {
         let from = frame.sig.signer.0;
         let from_cluster = from < self.cluster;
         match frame.payload {
@@ -689,18 +730,19 @@ impl<F: Field> GatewayCore<F> {
                     || !self.in_window(round)
                     || rows_weight(&commands) > PENDING_MAX_VALUES
                 {
-                    return;
+                    return false;
                 }
                 let votes = self.stages.entry(round).or_default();
                 if votes.contains_key(&from) {
-                    return; // first vote per (round, signer) wins
+                    return false; // first vote per (round, signer) wins
                 }
                 votes.insert(from, commands);
-                if round == self.round
+                if round == self.round()
                     && matches!(self.phase, PhaseState::Staging(Staging::Echo { .. }))
                 {
                     self.on_stage_vote(from);
                 }
+                true
             }
             Payload::BatchRelay { round, .. }
             | Payload::BatchVote { round, .. }
@@ -710,9 +752,9 @@ impl<F: Field> GatewayCore<F> {
                     || !self.in_window(round)
                     || consensus_weight(&frame.payload) > PENDING_MAX_VALUES
                 {
-                    return;
+                    return false;
                 }
-                if round == self.round
+                if round == self.round()
                     && matches!(
                         self.phase,
                         PhaseState::Staging(Staging::Ds { .. } | Staging::Pbft { .. })
@@ -725,21 +767,25 @@ impl<F: Field> GatewayCore<F> {
                         slot.push(frame);
                     }
                 }
+                true
             }
             Payload::Result {
                 round,
                 sender,
                 values,
             } => {
-                if !from_cluster
-                    || sender != from as u64
-                    || !self.in_window(round)
-                    || values.len() > PENDING_MAX_VALUES
-                {
-                    return;
+                if !from_cluster || sender != from as u64 || values.len() > PENDING_MAX_VALUES {
+                    return false;
                 }
                 let vector: Vec<F> = values.iter().map(|&v| F::from_u64(v)).collect();
-                if round == self.round {
+                if self.late.as_ref().is_some_and(|late| late.round == round) {
+                    self.record_late(from, vector);
+                    return false;
+                }
+                if !self.in_window(round) {
+                    return false;
+                }
+                if round == self.round() {
                     if let PhaseState::Exchanging {
                         receiver,
                         last_progress,
@@ -750,9 +796,9 @@ impl<F: Field> GatewayCore<F> {
                         receiver.record(from, vector);
                         if receiver.results_held() > held {
                             *last_progress = self.now;
-                            self.check_exchange_done();
+                            self.word_grew();
                         }
-                        return;
+                        return false;
                     }
                 }
                 self.results
@@ -760,6 +806,7 @@ impl<F: Field> GatewayCore<F> {
                     .or_default()
                     .entry(from)
                     .or_insert(vector);
+                true
             }
             Payload::Commit {
                 round,
@@ -768,18 +815,21 @@ impl<F: Field> GatewayCore<F> {
             } => {
                 // commit gossip trails its round: keep a window behind
                 // the current round as well as ahead of it
-                let near = round <= self.round.saturating_add(ROUND_LOOKAHEAD)
-                    && round.saturating_add(ROUND_LOOKAHEAD) >= self.round;
-                if from_cluster && sender == from as u64 && near {
-                    self.commit_votes
-                        .entry(round)
-                        .or_default()
-                        .entry(from)
-                        .or_insert(digest);
+                let near = round <= self.round().saturating_add(ROUND_LOOKAHEAD)
+                    && round.saturating_add(ROUND_LOOKAHEAD) >= self.round();
+                if !from_cluster || sender != from as u64 || !near {
+                    return false;
                 }
+                self.commit_votes
+                    .entry(round)
+                    .or_default()
+                    .entry(from)
+                    .or_insert(digest);
+                round >= self.round()
             }
             Payload::Submit {
                 client,
+                seq,
                 ref command,
                 ..
             } => {
@@ -787,27 +837,30 @@ impl<F: Field> GatewayCore<F> {
                 // *client* id — nodes cannot pose as clients, and one
                 // client cannot queue a command in another's name
                 if client != from as u64 || from_cluster || command.len() > PENDING_MAX_VALUES {
-                    return;
+                    return false;
                 }
                 if self.submit_inbox.len() >= CLIENT_INBOX_CAP {
                     self.admission.stats.inbox_dropped += 1;
-                    return;
+                    return false;
                 }
                 self.submit_inbox.push(frame);
+                self.leader() == self.id && self.admission.is_new(client, seq)
             }
             Payload::Query { client, .. } => {
-                if client != from as u64 || from_cluster {
-                    return;
-                }
-                if self.query_inbox.len() < QUERY_INBOX_CAP {
+                if client == from as u64
+                    && !from_cluster
+                    && self.query_inbox.len() < QUERY_INBOX_CAP
+                {
                     self.query_inbox.push(frame);
                 }
+                false
             }
             Payload::StateRequest { from_round } => {
                 // one slot per requesting peer, last request wins
                 if from_cluster && from != self.id {
                     self.state_requests.insert(from, from_round);
                 }
+                false
             }
             Payload::StateChunk {
                 round,
@@ -815,7 +868,7 @@ impl<F: Field> GatewayCore<F> {
                 results,
             } => {
                 if !from_cluster || rows_weight(&results) > PENDING_MAX_VALUES {
-                    return;
+                    return false;
                 }
                 if let PhaseState::Resyncing { chunks, .. } = &mut self.phase {
                     chunks.insert(
@@ -828,6 +881,7 @@ impl<F: Field> GatewayCore<F> {
                     );
                     self.try_install_transfer();
                 }
+                false
             }
             Payload::TelemetryRequest { nonce } => {
                 // any registered identity may scrape (telemetry is
@@ -835,17 +889,18 @@ impl<F: Field> GatewayCore<F> {
                 if from != self.id {
                     self.telemetry_requests.insert(from, nonce);
                 }
+                false
             }
             // replies are client-bound; pings carry nothing
             Payload::Reply { .. }
             | Payload::QueryReply { .. }
             | Payload::TelemetryReply { .. }
-            | Payload::Ping { .. } => {}
+            | Payload::Ping { .. } => false,
         }
     }
 
     fn on_timer(&mut self, id: TimerId) {
-        if id.round != self.round {
+        if id.round != self.round() {
             return; // armed in a round this node has left
         }
         match (id.kind, &self.phase) {
@@ -869,7 +924,8 @@ impl<F: Field> GatewayCore<F> {
                 // no view-change quorum yet re-votes after another timeout
                 self.drive_pbft(true, |pbft, valid| pbft.on_timeout(valid));
             }
-            (TimerKind::Exchange, PhaseState::Exchanging { .. }) => self.finish_exchange(true),
+            (TimerKind::Decode, PhaseState::Exchanging { .. }) => self.decode_exchange(false),
+            (TimerKind::Exchange, PhaseState::Exchanging { .. }) => self.decode_exchange(true),
             (
                 TimerKind::Resync,
                 PhaseState::Resyncing {
@@ -897,11 +953,11 @@ impl<F: Field> GatewayCore<F> {
     /// Begins the next round: prune buffers, serve read-only requests,
     /// run the divergence check, admit clients, then stage the batch.
     fn start_round(&mut self) {
-        if self.round >= self.cfg.max_rounds {
+        if self.round() >= self.cfg.max_rounds {
             return self.halt(HaltReason::MaxRounds);
         }
         self.round_entered = self.now;
-        let round = self.round;
+        let round = self.round();
         self.stages.retain(|&r, _| r >= round);
         self.consensus.retain(|&r, _| r >= round);
         self.results.retain(|&r, _| r >= round);
@@ -984,7 +1040,7 @@ impl<F: Field> GatewayCore<F> {
     /// used when it leads (or, under PBFT view changes, becomes primary)
     /// — and replays staging traffic that arrived early.
     fn enter_staging(&mut self, proposal: BatchRows) {
-        let (round, me, leader) = (self.round, self.id, self.leader());
+        let (round, me, leader) = (self.round(), self.id, self.leader());
         let leading = me == leader;
         match self.cfg.consensus {
             ConsensusKind::LeaderEcho => {
@@ -1107,7 +1163,7 @@ impl<F: Field> GatewayCore<F> {
     }
 
     fn replay_consensus_buffer(&mut self) {
-        for frame in self.consensus.remove(&self.round).unwrap_or_default() {
+        for frame in self.consensus.remove(&self.round()).unwrap_or_default() {
             self.on_consensus_frame(frame);
         }
     }
@@ -1117,7 +1173,7 @@ impl<F: Field> GatewayCore<F> {
     /// distinct voters agree on (Byzantine votes differ and simply count
     /// toward no quorum).
     fn on_stage_vote(&mut self, voter: usize) {
-        let (round, me, entered) = (self.round, self.id, self.round_entered);
+        let (round, me, entered) = (self.round(), self.id, self.round_entered);
         let PhaseState::Staging(Staging::Echo { echoed_at }) = &self.phase else {
             return;
         };
@@ -1181,7 +1237,7 @@ impl<F: Field> GatewayCore<F> {
                 let ds_round = (elapsed / micros(self.cfg.consensus_delta).max(1)) as usize;
                 if let Some(fwd) = ds.on_relay(DsRelay { rows, chain }, ds_round) {
                     *last_needed = self.now;
-                    let payload = relay_payload(self.round, &fwd);
+                    let payload = relay_payload(self.round(), &fwd);
                     self.broadcast(payload);
                 }
             }
@@ -1219,7 +1275,7 @@ impl<F: Field> GatewayCore<F> {
             *view_started = self.now;
         }
         for msg in &out {
-            self.broadcast(pbft_to_wire(self.round, msg));
+            self.broadcast(pbft_to_wire(self.round(), msg));
         }
         if view != view_before {
             // the abandoned view's wait is view-change cost
@@ -1294,7 +1350,7 @@ impl<F: Field> GatewayCore<F> {
         }
 
         let sink = Arc::clone(&self.sink);
-        let mut span = RoundSpan::start(sink.as_ref(), self.id, self.round);
+        let mut span = RoundSpan::start(sink.as_ref(), self.id, self.round());
         // group the agreed rows into per-shard command programs, in row
         // order; idle shards run the empty program (a no-op)
         let mut programs: Vec<Vec<Vec<F>>> = vec![Vec::new(); self.machine.k()];
@@ -1314,7 +1370,7 @@ impl<F: Field> GatewayCore<F> {
         );
         span.mark(Phase::Execute);
 
-        let (round, me) = (self.round, self.id);
+        let (round, me) = (self.round(), self.id);
         let mut receiver = ReceiverCore::new(self.cluster, self.timing.synchrony, self.faults);
         match behavior {
             ResultBehavior::Honest(g) => {
@@ -1347,6 +1403,8 @@ impl<F: Field> GatewayCore<F> {
             batch,
             started: self.now,
             last_progress: self.now,
+            decodes: 0,
+            decode_due: false,
         };
         let wait = match self.timing.synchrony {
             SynchronyMode::Synchronous => self.timing.delta,
@@ -1355,71 +1413,125 @@ impl<F: Field> GatewayCore<F> {
             SynchronyMode::PartiallySynchronous => self.timing.max_wait,
         };
         self.set_timer(TimerKind::Exchange, self.now + micros(wait), 0);
-        self.check_exchange_done();
+        self.word_grew();
     }
 
-    /// Ends the exchange early when the word can no longer change: the
-    /// partial-synchrony cutoff fired, or (opted in) all `N` results are
-    /// held.
-    fn check_exchange_done(&mut self) {
-        let PhaseState::Exchanging { receiver, .. } = &self.phase else {
+    /// The word grew, or the exchange began. A frozen word (all `N`
+    /// results, or the partial-synchrony cutoff) is decoded at once. A
+    /// word holding `dim + b` results may already certify: it is decoded
+    /// once the events due at this instant are absorbed (a `Decode` timer
+    /// at `now`), so results that land together cost one decode.
+    fn word_grew(&mut self) {
+        let PhaseState::Exchanging {
+            receiver,
+            decode_due,
+            ..
+        } = &mut self.phase
+        else {
             return;
         };
-        let full = self.timing.finalize_on_full && receiver.results_held() == self.cluster;
-        if receiver.is_finalized() || full {
-            self.finish_exchange(false);
+        let held = receiver.results_held();
+        if receiver.is_finalized() || held == self.cluster {
+            return self.decode_exchange(false);
+        }
+        let certifiable = held >= self.machine.code().dim() + self.faults;
+        if certifiable && !std::mem::replace(decode_due, true) {
+            self.set_timer(TimerKind::Decode, self.now, 0);
         }
     }
 
-    /// Word final: decode-and-commit, or count the failure — with the
-    /// log append before anything that acknowledges the round.
-    fn finish_exchange(&mut self, waited_out: bool) {
+    /// Decodes the word as it stands. A decode that certifies, or one of
+    /// a frozen word or at the deadline, ends the exchange; any other is
+    /// discarded and the wait goes on. Each decode but the deadline's
+    /// sees a word grown since the last, so a round decodes at most
+    /// `N − dim − b + 1` times: once per result count from `dim + b` to
+    /// `N`, and once at the deadline if the word never filled.
+    fn decode_exchange(&mut self, deadline: bool) {
         let PhaseState::Exchanging {
-            mut receiver,
+            receiver,
+            decodes,
+            decode_due,
+            ..
+        } = &mut self.phase
+        else {
+            return;
+        };
+        *decode_due = false;
+        *decodes += 1;
+        let frozen = receiver.is_finalized() || receiver.results_held() == self.cluster;
+        let sink = Arc::clone(&self.sink);
+        let mut span = RoundSpan::start(sink.as_ref(), self.id, self.engine.round());
+        let decoded = self.engine.decode(receiver.word()).ok();
+        // the union of the error positions is wrong in some coordinate, so
+        // every coordinate's decode agrees with all the other usable results
+        let code = self.machine.code();
+        let certified = decoded.as_ref().is_some_and(|d| {
+            let agreeing = d.results_held.saturating_sub(d.detected_error_nodes.len());
+            code.certifies(agreeing, self.faults)
+        });
+        let end = if certified {
+            ExchangeEnd::Certified
+        } else if frozen {
+            ExchangeEnd::Frozen
+        } else if deadline {
+            ExchangeEnd::Deadline
+        } else {
+            return;
+        };
+        span.mark(Phase::Decode);
+        self.finish_exchange(end, decoded, span);
+    }
+
+    /// Ends the exchange on `decoded`: commit it, or count the failure —
+    /// with the log append before anything that acknowledges the round —
+    /// then pace the next round.
+    fn finish_exchange(
+        &mut self,
+        end: ExchangeEnd,
+        decoded: Option<DecodedRound<F>>,
+        mut span: RoundSpan<'_>,
+    ) {
+        let PhaseState::Exchanging {
+            receiver,
             batch,
             started,
             last_progress,
+            decodes,
+            ..
         } = std::mem::replace(&mut self.phase, PhaseState::Idle)
         else {
             return;
         };
-        receiver.on_deadline();
+        let round = self.round();
+        self.late = None;
         self.lap(Phase::Exchange, started, self.now);
         // Δ-slack: how long the window kept waiting after the last result
         // it accepted; a window that ended early has none to reclaim
-        let slack = if waited_out {
+        let slack = if end == ExchangeEnd::Deadline {
+            self.admission.stats.exchange_fallbacks += 1;
             self.now - last_progress
         } else {
             0
         };
         self.value("slack.exchange", slack);
+        self.value("decode_attempts", decodes);
 
-        let sink = Arc::clone(&self.sink);
-        let mut span = RoundSpan::start(sink.as_ref(), self.id, self.round);
-        let word = receiver.into_word();
-        // the pre-commit coded state, for the log's state delta
-        let prev_state = self
-            .durable
-            .as_ref()
-            .map(|_| self.engine.coded_state().to_vec());
-        let commit = self.engine.commit_word(&word);
-        span.mark(Phase::Decode);
-        if let Some(c) = &commit {
-            for &peer in &c.detected_error_nodes {
-                // Byzantine detection fell out of the decode (§5.2):
-                // attribute it, and keep the evidence ring on the first
-                // sighting of each peer
-                self.incident(Some(peer), Incident::EquivocationDetected);
-                if self.dumped_peers.insert(peer) {
-                    self.flight_dump("byzantine-detected");
-                }
+        let commit = if let Some(decoded) = decoded {
+            for &peer in &decoded.detected_error_nodes {
+                self.expose(round, peer);
             }
+            // the pre-commit coded state, for the log's state delta
+            let prev_state = self
+                .durable
+                .as_ref()
+                .map(|_| self.engine.coded_state().to_vec());
+            let c = self.engine.commit(&decoded);
             // local bookkeeping first, so a snapshot taken with the
             // append already reflects this round's batch (the truncated
             // log cannot rebuild it)
             let mut replies = Vec::with_capacity(batch.len());
             for entry in &batch {
-                let reply = reply_payload(entry, c);
+                let reply = reply_payload(entry, &c);
                 let evicted = self.admission.record_done(
                     entry,
                     reply.clone(),
@@ -1427,11 +1539,21 @@ impl<F: Field> GatewayCore<F> {
                     self.cfg.reply_cache_cap,
                 );
                 for client in evicted {
-                    self.incident(None, Incident::ReplyCacheEviction { client });
+                    let incident = Incident::ReplyCacheEviction { client };
+                    self.sink.event(self.id, round, None, incident);
                 }
                 replies.push((entry.client, reply));
             }
             self.admission.stats.commands_committed += batch.len() as u64;
+            // a copy of a command this round committed that reached the
+            // inbox after the round began (a peer's frame pulled this node
+            // in first) is answered by the replies below; left there, the
+            // next admission pass would answer it again as a retry
+            let done: BTreeSet<(u64, u64)> = batch.iter().map(|e| (e.client, e.seq)).collect();
+            self.submit_inbox.retain(|frame| match frame.payload {
+                Payload::Submit { client, seq, .. } => !done.contains(&(client, seq)),
+                _ => true,
+            });
             if let Some(prev) = prev_state {
                 let delta = self
                     .engine
@@ -1440,13 +1562,13 @@ impl<F: Field> GatewayCore<F> {
                     .zip(&prev)
                     .map(|(new, old)| (*new - *old).to_canonical_u64())
                     .collect();
-                if !self.log_commit(c, encode_batch(&batch), delta) {
+                if !self.log_commit(&c, encode_batch(&batch), delta) {
                     return self.halt(HaltReason::StoreFault);
                 }
                 span.mark(Phase::WalFsync);
             }
             self.broadcast(Payload::Commit {
-                round: self.round,
+                round,
                 sender: self.id as u64,
                 digest: c.digest,
             });
@@ -1458,6 +1580,15 @@ impl<F: Field> GatewayCore<F> {
             }
             span.mark(Phase::Reply);
             self.fail_streak = 0;
+            if end == ExchangeEnd::Certified {
+                self.late = Some(LateWord {
+                    round,
+                    digest: c.digest,
+                    word: receiver.into_word(),
+                    detected: c.detected_error_nodes.clone(),
+                });
+            }
+            Some(c)
         } else {
             self.fail_streak += 1;
             self.incident(None, Incident::DecodeFailure);
@@ -1465,7 +1596,9 @@ impl<F: Field> GatewayCore<F> {
                 self.dumped_decode_failure = true;
                 self.flight_dump("decode-failure");
             }
-        }
+            self.engine.skip_round();
+            None
+        };
         span.finish_after(Duration::from_micros(self.now - self.round_entered));
         self.commits.push_back(commit);
         // a long-lived gateway keeps a trailing window of history only
@@ -1473,16 +1606,81 @@ impl<F: Field> GatewayCore<F> {
             self.commits.pop_front();
             self.first_recorded_round += 1;
         }
-        self.round += 1;
-        // an empty round over a fast mesh would otherwise spin the
-        // staging/exchange machinery at network speed; a round that
-        // carried commands starts the next one at once
-        let pause = if batch.is_empty() {
-            micros(self.cfg.idle_pause)
+        // an empty round is paced as if its exchange had waited out the
+        // deadline, so an idle cluster runs no more rounds than one whose
+        // words never certify; a round that carried commands, or a leader
+        // holding some, starts the next one at once (and so does a peer's
+        // protocol frame for it: `step`)
+        let at = if batch.is_empty() && !self.leads_with_work() {
+            let waited = match self.timing.synchrony {
+                SynchronyMode::Synchronous => self.now.max(started + micros(self.timing.delta)),
+                SynchronyMode::PartiallySynchronous => self.now,
+            };
+            waited + micros(self.cfg.idle_pause)
         } else {
-            0
+            self.now
         };
-        self.set_timer(TimerKind::Next, self.now + pause, 0);
+        self.set_timer(TimerKind::Next, at, 0);
+    }
+
+    /// A result for the round that last committed on a certificate: record
+    /// it into the kept word and decode the word again. Every sender this
+    /// exposes is reported as if the commit's own decode had found it. The
+    /// commit stands: with at most `b` liars the grown word still decodes
+    /// to what was committed, and a re-decode that does not (more than
+    /// `b` liars) attributes nothing.
+    fn record_late(&mut self, from: usize, vector: Vec<F>) {
+        let Some(late) = self.late.as_mut() else {
+            return;
+        };
+        if late.word[from].is_some() {
+            return; // first result per sender wins
+        }
+        late.word[from] = Some(vector);
+        let Ok(recheck) = self.machine.decode_word(&late.word, &late.detected) else {
+            return;
+        };
+        if recheck.digest() != late.digest {
+            return;
+        }
+        let exposed: Vec<usize> = recheck
+            .detected_error_nodes
+            .iter()
+            .copied()
+            .filter(|peer| !late.detected.contains(peer))
+            .collect();
+        late.detected = recheck.detected_error_nodes;
+        let round = late.round;
+        // the round's record describes the word as it finally stood
+        if let Some(Some(commit)) = self.commits.back_mut() {
+            commit.results_held = recheck.results_held;
+            commit.detected_error_nodes.clone_from(&late.detected);
+        }
+        for peer in exposed {
+            self.expose(round, peer);
+        }
+    }
+
+    /// Byzantine detection fell out of a decode (§5.2): attribute it to
+    /// `round`, and keep the evidence ring on the first sighting of each
+    /// peer.
+    fn expose(&mut self, round: u64, peer: usize) {
+        self.sink
+            .event(self.id, round, Some(peer), Incident::EquivocationDetected);
+        if self.dumped_peers.insert(peer) {
+            self.flight_dump("byzantine-detected");
+        }
+    }
+
+    /// Whether this node leads the current round and holds commands to
+    /// propose: queued ones, or new ones in its inbox.
+    fn leads_with_work(&self) -> bool {
+        let new = |frame: &Frame| match frame.payload {
+            Payload::Submit { client, seq, .. } => self.admission.is_new(client, seq),
+            _ => false,
+        };
+        self.leader() == self.id
+            && (self.admission.has_pending() || self.submit_inbox.iter().any(new))
     }
 
     /// Appends the committed round to the fsynced log, then installs the
@@ -1541,7 +1739,7 @@ impl<F: Field> GatewayCore<F> {
     /// The earliest strictly-past round in the window for which `b + 1`
     /// peers announced a common digest this node does not hold.
     fn check_desynced(&self) -> Option<u64> {
-        (self.round.saturating_sub(DESYNC_WINDOW)..self.round)
+        (self.round().saturating_sub(DESYNC_WINDOW)..self.round())
             .filter(|&past| past >= self.first_recorded_round)
             .find(|&past| {
                 let own = self
@@ -1673,8 +1871,8 @@ impl<F: Field> GatewayCore<F> {
         self.end_startup(Some(round));
         // history before the transfer is no longer this node's to vouch
         self.commits.clear();
+        self.late = None;
         self.first_recorded_round = next;
-        self.round = next;
         self.fail_streak = 0;
         self.phase = PhaseState::Idle;
         self.set_timer(TimerKind::Next, self.now, 0);
@@ -1764,7 +1962,7 @@ impl<F: Field> GatewayCore<F> {
                 Payload::TelemetryReply {
                     nonce,
                     node: self.id as u64,
-                    round: self.round,
+                    round: self.round(),
                     snapshot: snapshot.clone(),
                 },
             );
@@ -1784,6 +1982,7 @@ fn gateway_counters(stats: &GatewayStats) -> Vec<(String, u64)> {
         ("replies_sent", stats.replies_sent),
         ("commands_committed", stats.commands_committed),
         ("stage_fallbacks", stats.stage_fallbacks),
+        ("exchange_fallbacks", stats.exchange_fallbacks),
         ("empty_rounds", stats.empty_rounds),
         ("rejected_quota", stats.rejected_quota),
         ("inbox_dropped", stats.inbox_dropped),

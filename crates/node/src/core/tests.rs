@@ -5,10 +5,12 @@
 use super::*;
 use crate::cluster_registry;
 use csm_algebra::Fp61;
+use csm_core::digest::splitmix64;
 use csm_core::DecoderKind;
 use csm_statemachine::machines::bank_machine;
 use csm_storage::store::WAL_FILE;
 use csm_storage::WriteAheadLog;
+use csm_telemetry::{ReplaySink, Sink};
 use csm_transport::{PreparedCertWire, PHASE_PREPARE};
 use std::path::{Path, PathBuf};
 
@@ -17,8 +19,8 @@ const B: usize = 1;
 const CLIENTS: usize = 2;
 const LATENCY: u64 = 500;
 
-/// Everything needed to build cores of one `N = 4`, `K = 2`, `b = 1`
-/// bank cluster with two client identities (ids 4 and 5).
+/// Everything needed to build cores of one `K = 2` bank cluster with two
+/// client identities (ids `N` and `N + 1`).
 struct Rig {
     registry: Arc<KeyRegistry>,
     timing: ExchangeTiming,
@@ -26,15 +28,20 @@ struct Rig {
     cfg: GatewayConfig,
 }
 
+/// The `N = 4`, `b = 1` rig.
 fn rig(consensus: ConsensusKind) -> Rig {
-    let machine = CodedMachine::new(N, 2, bank_machine(), DecoderKind::default()).unwrap();
-    let timing = ExchangeTiming::synchronous(B, Duration::from_micros(2_000));
-    let mut cfg = GatewayConfig::new(N, B, &timing).with_consensus(consensus);
+    sized_rig(N, B, consensus)
+}
+
+fn sized_rig(n: usize, b: usize, consensus: ConsensusKind) -> Rig {
+    let machine = CodedMachine::new(n, 2, bank_machine(), DecoderKind::default()).unwrap();
+    let timing = ExchangeTiming::synchronous(b, Duration::from_micros(2_000));
+    let mut cfg = GatewayConfig::new(n, b, &timing).with_consensus(consensus);
     cfg.stage_timeout = Duration::from_micros(8_000);
     cfg.consensus_delta = Duration::from_micros(4_000);
     cfg.flight_dir = None;
     Rig {
-        registry: cluster_registry(N + CLIENTS, 11),
+        registry: cluster_registry(n + CLIENTS, 11),
         timing,
         spec: GatewaySpec {
             machine: Arc::new(machine),
@@ -569,4 +576,278 @@ fn telemetry_and_state_requests_are_served_at_the_next_round_start() {
     assert!(sent
         .iter()
         .any(|p| matches!(p, Payload::QueryReply { qid: 3, value, .. } if value[..] == [105])));
+}
+
+// -- the exchange: certificates, late evidence, the round counter ----------
+
+/// Node `me` of `r`'s leader-echo cluster, past round 0's staging on the
+/// empty batch and collecting the word.
+fn exchanging(r: &Rig, me: usize) -> GatewayCore<Fp61> {
+    let mut core = r.core(me, None);
+    let (at, next) = timer(&core.start(0), TimerKind::Next);
+    core.step(at, Event::Timer(next));
+    for voter in (0..r.cfg.cluster).filter(|&v| v != me) {
+        let vote = Payload::Stage {
+            round: 0,
+            sender: voter as u64,
+            commands: Vec::new(),
+        };
+        core.step(at, Event::Frame(r.sign(voter, vote)));
+        if matches!(core.phase, PhaseState::Exchanging { .. }) {
+            return core;
+        }
+    }
+    panic!("the echo quorum never formed");
+}
+
+/// `node`'s honest coded result for `programs` on the genesis states.
+fn honest_result(r: &Rig, node: usize, programs: &[Vec<Vec<Fp61>>]) -> Vec<u64> {
+    RoundEngine::new(Arc::clone(&r.spec.machine), node, &r.spec.initial_states)
+        .unwrap()
+        .execute_batched(programs)
+        .unwrap()
+        .iter()
+        .map(|x| x.to_canonical_u64())
+        .collect()
+}
+
+/// `values` shifted by `by` in every coordinate: a lie.
+fn shifted(values: &[u64], by: u64) -> Vec<u64> {
+    let by = Fp61::from_u64(by);
+    values
+        .iter()
+        .map(|&v| (Fp61::from_u64(v) + by).to_canonical_u64())
+        .collect()
+}
+
+/// Delivers `sender`'s round-`round` result at `at` and then, like a
+/// driver with nothing else due, the `Decode` timer it may arm.
+fn deliver_result(
+    r: &Rig,
+    core: &mut GatewayCore<Fp61>,
+    at: u64,
+    round: u64,
+    sender: usize,
+    values: Vec<u64>,
+) -> Vec<Effect> {
+    let result = Payload::Result {
+        round,
+        sender: sender as u64,
+        values,
+    };
+    let mut effects = core.step(at, Event::Frame(r.sign(sender, result)));
+    let decode = effects.iter().find_map(|e| match e {
+        Effect::SetTimer { at_us, id } if id.kind == TimerKind::Decode => Some((*at_us, *id)),
+        _ => None,
+    });
+    if let Some((due, id)) = decode {
+        effects.extend(core.step(due, Event::Timer(id)));
+    }
+    effects
+}
+
+/// How often `sink` saw `peer` exposed.
+fn exposures(sink: &ReplaySink, peer: usize) -> usize {
+    sink.event_log()
+        .iter()
+        .filter(|(_, _, p, e)| *p == Some(peer) && *e == Incident::EquivocationDetected)
+        .count()
+}
+
+#[test]
+fn a_result_after_a_certified_commit_still_exposes_its_sender() {
+    // N = 8, K = 2 (dim 2), b = 2: four results certify
+    let mut r = sized_rig(8, 2, ConsensusKind::LeaderEcho);
+    let sink = Arc::new(ReplaySink::new());
+    r.cfg = r.cfg.clone().with_sink(Arc::clone(&sink) as SharedSink);
+    let (me, equivocator) = (7, 0);
+    let empty = vec![Vec::new(); 2];
+    let mut core = exchanging(&r, me);
+    let mut commits = Vec::new();
+    for peer in [2, 3, 4] {
+        let effects = deliver_result(&r, &mut core, 600, 0, peer, honest_result(&r, peer, &empty));
+        commits.extend(committed(&effects));
+    }
+    assert_eq!(commits.len(), 1, "four results certify the word");
+    assert_eq!(exposures(&sink, equivocator), 0);
+
+    // the equivocator's result lands after the commit: exposed once
+    let lie = shifted(&honest_result(&r, equivocator, &empty), 1);
+    let effects = deliver_result(&r, &mut core, 700, 0, equivocator, lie);
+    assert!(committed(&effects).is_empty(), "the commit stands");
+    assert_eq!(exposures(&sink, equivocator), 1);
+    // an honest late result exposes nobody
+    let effects = deliver_result(&r, &mut core, 800, 0, 5, honest_result(&r, 5, &empty));
+    assert!(committed(&effects).is_empty());
+    assert_eq!(
+        sink.event_log()
+            .iter()
+            .filter(|(_, _, _, e)| *e == Incident::EquivocationDetected)
+            .count(),
+        1
+    );
+    // the round's record holds the word as it finally stood
+    let record = core
+        .commits
+        .back()
+        .cloned()
+        .flatten()
+        .expect("round 0 committed");
+    assert_eq!(record.digest, commits[0].1);
+    assert_eq!(record.detected_error_nodes, vec![equivocator]);
+    assert_eq!(record.results_held, 6);
+    assert_eq!(core.stats().exchange_fallbacks, 0);
+}
+
+#[test]
+fn a_failed_round_leaves_one_round_counter() {
+    // node 1 hears no result in round 0, so its word fails to decode at
+    // the deadline; then it leads round 1 and commits a command there.
+    // The reply must name the round its commit gossip names.
+    let r = rig(ConsensusKind::LeaderEcho);
+    let mut core = exchanging(&r, 1);
+    let deadline = TimerId {
+        kind: TimerKind::Exchange,
+        round: 0,
+        epoch: 0,
+    };
+    let effects = core.step(10_000, Event::Timer(deadline));
+    assert!(committed(&effects).is_empty(), "round 0 does not decode");
+    assert_eq!(core.round(), 1);
+
+    // a command wakes the idle leader of round 1
+    let effects = core.step(10_000, Event::Frame(r.submit(4, 0, 7)));
+    let (at, next) = timer(&effects, TimerKind::Next);
+    let effects = core.step(at, Event::Timer(next));
+    let rows = effects
+        .iter()
+        .find_map(|e| match e {
+            Effect::Broadcast(Frame {
+                payload: Payload::Stage { commands, .. },
+                ..
+            }) => Some(commands.clone()),
+            _ => None,
+        })
+        .expect("the leader proposes");
+    for voter in [2, 3] {
+        let echo = Payload::Stage {
+            round: 1,
+            sender: voter as u64,
+            commands: rows.clone(),
+        };
+        core.step(at, Event::Frame(r.sign(voter, echo)));
+    }
+    let programs = vec![vec![vec![Fp61::from_u64(7)]], Vec::new()];
+    let mut effects = Vec::new();
+    for peer in [2, 3] {
+        let values = honest_result(&r, peer, &programs);
+        effects.extend(deliver_result(&r, &mut core, at + 500, 1, peer, values));
+    }
+    let reply_rounds: Vec<u64> = effects
+        .iter()
+        .filter_map(|e| match e {
+            Effect::Send {
+                frame:
+                    Frame {
+                        payload: Payload::Reply { round, .. },
+                        ..
+                    },
+                ..
+            } => Some(*round),
+            _ => None,
+        })
+        .collect();
+    let commits = committed(&effects);
+    assert_eq!(commits.len(), 1, "round 1 commits");
+    assert_eq!(reply_rounds, vec![commits[0].0]);
+    assert_eq!(commits[0].0, 1);
+    assert_eq!(core.round(), 2);
+}
+
+/// The next draw below `bound` from the splitmix64 stream at `seed`.
+fn draw(seed: &mut u64, bound: u64) -> u64 {
+    *seed = splitmix64(*seed);
+    *seed % bound
+}
+
+/// `nodes` in a random order drawn from `seed`.
+fn shuffled(seed: &mut u64, mut nodes: Vec<usize>) -> Vec<usize> {
+    for i in (1..nodes.len()).rev() {
+        nodes.swap(i, draw(seed, i as u64 + 1) as usize);
+    }
+    nodes
+}
+
+/// A sink that keeps every `decode_attempts` sample.
+#[derive(Debug, Default)]
+struct Attempts(std::sync::Mutex<Vec<u64>>);
+
+impl Sink for Attempts {
+    fn phase(&self, _: usize, _: u64, _: Phase, _: Duration) {}
+
+    fn event(&self, _: usize, _: u64, _: Option<usize>, _: Incident) {}
+
+    fn value(&self, _: usize, _: u64, name: &str, value: u64) {
+        if name == "decode_attempts" {
+            self.0.lock().unwrap().push(value);
+        }
+    }
+}
+
+#[test]
+fn certified_commits_are_the_commits_at_the_deadline() {
+    // N = 8, dim 2, b = 2, node 7 observing: up to b liars, silent or
+    // colluding on one wrong polynomial that also passes through one
+    // honest result (the most a wrong decode can be made to agree with),
+    // and the rest honest, arriving one at a time in a random order. The
+    // commit must be the decode of the word as it stands at Δ, it must
+    // come before Δ, and it takes at most N − dim − b + 1 decodes.
+    let (n, b, me) = (8, 2, 7);
+    let mut r = sized_rig(n, b, ConsensusKind::LeaderEcho);
+    let attempts = Arc::new(Attempts::default());
+    r.cfg = r.cfg.clone().with_sink(Arc::clone(&attempts) as SharedSink);
+    let machine = Arc::clone(&r.spec.machine);
+    let alphas = machine.codebook().alphas().to_vec();
+    let empty = vec![Vec::new(); 2];
+    let seed = &mut 0x5EED_u64;
+    for case in 0..200 {
+        let peers = shuffled(seed, (0..n).filter(|&p| p != me).collect());
+        let (liars, honest) = peers.split_at(draw(seed, b as u64 + 1) as usize);
+        // W = truth + c·(z − α_h): wrong everywhere but at honest node h
+        let (c, h) = (Fp61::from_u64(1 + draw(seed, 1_000)), honest[0]);
+        let silent = draw(seed, 2) == 0;
+        let mut word: Word<Fp61> = vec![None; n];
+        let field = |values: &[u64]| values.iter().map(|&v| Fp61::from_u64(v)).collect();
+        word[me] = Some(field(&honest_result(&r, me, &empty)));
+        let mut core = exchanging(&r, me);
+        let mut commits = Vec::new();
+        for (i, peer) in shuffled(seed, peers.clone()).into_iter().enumerate() {
+            let mut values = honest_result(&r, peer, &empty);
+            if liars.contains(&peer) {
+                if silent {
+                    continue;
+                }
+                let lie = c * (alphas[peer] - alphas[h]);
+                values = shifted(&values, lie.to_canonical_u64());
+            }
+            word[peer] = Some(field(&values));
+            let at = 600 + i as u64;
+            commits.extend(committed(&deliver_result(
+                &r, &mut core, at, 0, peer, values,
+            )));
+        }
+        let at_delta = machine.decode_word(&word, &[]).expect("≤ b liars decode");
+        assert_eq!(commits, vec![(0, at_delta.digest())], "case {case}");
+        assert_eq!(core.stats().exchange_fallbacks, 0, "case {case}");
+        let decodes = attempts
+            .0
+            .lock()
+            .unwrap()
+            .pop()
+            .expect("one exchange ended");
+        assert!(
+            decodes <= (n - 2 - b + 1) as u64,
+            "case {case}: {decodes} decodes"
+        );
+    }
 }

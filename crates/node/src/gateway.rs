@@ -243,11 +243,20 @@ pub struct GatewayConfig {
     /// the normal shutdown path).
     pub max_rounds: u64,
     /// How many trailing rounds of commit records the report retains — a
-    /// long-lived gateway must not grow history without bound.
+    /// long-lived gateway must not grow history without bound. Rounds
+    /// that carry commands run at network speed, so the default is 512
+    /// rounds (about 0.2 MB per node at `K = 2`), not a span of time.
     pub commit_history: usize,
-    /// Pause after a round whose batch was empty (inbound frames are
-    /// still absorbed), so an idle cluster does not spin the staging and
-    /// exchange machinery at network speed.
+    /// Pause after a round whose batch was empty, counted from where an
+    /// exchange that waited out its deadline would have ended. Work ends
+    /// it early — a command for the leader to propose, or a peer's
+    /// protocol frame for the node's round or a later one
+    /// (`docs/PROTOCOL.md` §10) — so it only sets how often an idle
+    /// cluster runs a round. The default `3Δ/2` keeps that to about one
+    /// round per `3Δ`: rounds that end on a certificate leave a cluster
+    /// idle for longer, and a shorter pause would fill that time with more
+    /// empty rounds than a cluster whose exchanges all wait Δ runs in
+    /// total.
     pub idle_pause: Duration,
     /// Maximum *pending* commands per client: a single flooding client
     /// fills its own quota, not the shared queue, so it cannot starve
@@ -274,8 +283,8 @@ pub struct GatewayConfig {
     /// Must exceed **one-hop network latency plus honest round-entry
     /// skew**: relay rounds are indexed off each node's own clock from
     /// the moment it enters the round, and honest nodes can enter up to
-    /// an exchange Δ apart (one may finalize its previous word early on
-    /// a full result set while another waits out the deadline). The
+    /// an exchange Δ apart (one may commit its previous word early on a
+    /// decoding certificate while another waits out the deadline). The
     /// default is `2·Δ_exchange + 20 ms` so a full skew plus a delivery
     /// still lands inside one relay round.
     pub consensus_delta: Duration,
@@ -316,8 +325,8 @@ impl GatewayConfig {
             batch_cap: 1,
             stage_timeout: timing.delta * 4 + Duration::from_millis(500),
             max_rounds: u64::MAX,
-            commit_history: 1 << 16,
-            idle_pause: timing.delta / 4,
+            commit_history: 512,
+            idle_pause: timing.delta * 3 / 2,
             client_quota: 64,
             reply_cache_cap: 4096,
             consensus: ConsensusKind::default(),
@@ -411,6 +420,10 @@ pub struct GatewayStats {
     pub commands_committed: u64,
     /// Rounds that executed the empty batch because no quorum formed.
     pub stage_fallbacks: u64,
+    /// Exchanges ended by the Exchange timer: before the deadline no
+    /// decode of the word certified it and the word never froze (full,
+    /// or at the partial-synchrony cutoff).
+    pub exchange_fallbacks: u64,
     /// Rounds whose agreed batch was empty (idle or fallback).
     pub empty_rounds: u64,
     /// Submissions dropped at the per-client pending quota.
@@ -669,6 +682,18 @@ impl Admission {
             self.stats.admitted += 1;
         }
         replays
+    }
+
+    /// Whether a command is queued for the next proposal.
+    pub(crate) fn has_pending(&self) -> bool {
+        !self.queue.is_empty()
+    }
+
+    /// Whether `(client, seq)` would be new work: above the client's
+    /// dedup horizon and not already queued.
+    pub(crate) fn is_new(&self, client: u64, seq: u64) -> bool {
+        self.horizon.get(&client).is_none_or(|&done| done < seq)
+            && !self.queued.contains(&(client, seq))
     }
 
     /// The leader's proposal: up to `batch_cap` pending commands per

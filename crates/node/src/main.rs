@@ -557,9 +557,8 @@ fn cmd_gateway(rest: &[String]) {
     let initial_states: Vec<Vec<csm_algebra::Fp61>> = (0..common.k as u64)
         .map(|s| vec![csm_algebra::Fp61::from_u64(100 * (s + 1))])
         .collect();
-    // same synchrony selection as run/launch (--partial-sync honored),
-    // plus full-word early finalization for client-facing latency
-    let timing = timing(&common).with_full_finalize();
+    // same synchrony selection as run/launch (--partial-sync honored)
+    let timing = timing(&common);
     let gw_cfg = GatewayConfig::new(common.n, common.faults, &timing).with_consensus(consensus);
     let stop = StdArc::new(AtomicBool::new(false));
 
@@ -793,7 +792,7 @@ fn cmd_audit(rest: &[String]) {
     let initial_states: Vec<Vec<csm_algebra::Fp61>> = (0..common.k as u64)
         .map(|s| vec![csm_algebra::Fp61::from_u64(100 * (s + 1))])
         .collect();
-    let timing = timing(&common).with_full_finalize();
+    let timing = timing(&common);
     let gw_cfg = GatewayConfig::new(common.n, common.faults, &timing).with_consensus(consensus);
     let stop = StdArc::new(AtomicBool::new(false));
 

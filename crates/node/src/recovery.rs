@@ -131,9 +131,11 @@ pub(crate) struct Replayed<F> {
 }
 
 /// Replays `snapshot + log`: starts from the snapshot (or the genesis
-/// encoding), applies each consecutive record's coded-state delta and
-/// folds its batch into the dedup horizons, and stops at the first gap
-/// or malformed delta.
+/// encoding), applies each later record's coded-state delta and folds its
+/// batch into the dedup horizons, and stops at the first malformed delta.
+/// A gap in the record rounds is a round the node could not decode: it
+/// committed nothing and its coded state did not move, so the next
+/// record's delta applies on top of the previous one's.
 pub(crate) fn replay_local<F: Field>(
     machine: &CodedMachine<F>,
     recovered: &Recovered,
@@ -156,8 +158,8 @@ pub(crate) fn replay_local<F: Field>(
             // and log truncation): already folded into the snapshot
             continue;
         }
-        if rec.round != next || rec.state_delta.len() != sd {
-            break; // chain gap or malformed delta: stop at the last valid round
+        if rec.state_delta.len() != sd {
+            break; // malformed delta: stop at the last valid round
         }
         for (x, &d) in state.iter_mut().zip(&rec.state_delta) {
             *x += F::from_u64(d);
@@ -281,22 +283,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A chain gap (missing round) stops replay at the last valid round
-    /// — later records must not be folded into state or horizons.
+    /// A gap in the record rounds is a round the node skipped (its word
+    /// did not decode): replay steps over it, and stops only at a record
+    /// it cannot apply.
     #[test]
-    fn replay_stops_at_a_chain_gap() {
+    fn replay_steps_over_skipped_rounds() {
         let m = machine();
         let dir = scratch("gap");
         let genesis: Vec<Fp61> = vec![Fp61::from_u64(0)];
         {
             let (mut store, _) = NodeStore::open(&dir, 1).unwrap();
-            for (round, delta) in [(0u64, 1u64), (1, 2), (3, 4)] {
+            // round 2 was skipped; round 4's delta is malformed
+            for (round, delta) in [(0u64, vec![1u64]), (1, vec![2]), (3, vec![4]), (4, vec![])] {
                 store
                     .append_commit(&CommitRecord {
                         round,
                         digest: round,
                         batch: vec![vec![8, round, 0, 0, 1]],
-                        state_delta: vec![delta],
+                        state_delta: delta,
                         protocol: 0,
                         batch_cap: 1,
                     })
@@ -305,12 +309,10 @@ mod tests {
         }
         let (_, recovered) = NodeStore::open(&dir, 1).unwrap();
         let replayed = replay_local::<Fp61>(&m, &recovered, genesis);
-        assert_eq!(
-            replayed.next_round, 2,
-            "round 3 is unreachable past the gap"
-        );
-        assert_eq!(replayed.coded_state, vec![Fp61::from_u64(3)]);
-        assert_eq!(replayed.horizons.get(&8), Some(&1));
+        assert_eq!(replayed.next_round, 4, "round 3 follows the skipped round");
+        assert_eq!(replayed.records, 3);
+        assert_eq!(replayed.coded_state, vec![Fp61::from_u64(7)]);
+        assert_eq!(replayed.horizons.get(&8), Some(&3));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

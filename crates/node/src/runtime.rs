@@ -51,11 +51,14 @@ pub struct ExchangeTiming {
     /// Hard upper bound on any wait (partial-synchrony fallback so a dead
     /// network cannot wedge the node).
     pub max_wait: Duration,
-    /// Freeze the word as soon as results from *all* `N` senders are held:
-    /// a full word cannot change, so waiting out the Δ-deadline adds
-    /// latency and no information. Off by default — with it on, rounds
-    /// complete at network speed when every node is live, which changes
-    /// the staging-overlap economics pipelining benchmarks measure.
+    /// [`NodeRuntime`] only: freeze the word as soon as results from
+    /// *all* `N` senders are held — a full word cannot change, so waiting
+    /// out the Δ-deadline adds latency and no information. Off by default
+    /// — with it on, rounds complete at network speed when every node is
+    /// live, which changes the staging-overlap economics pipelining
+    /// benchmarks measure. The gateway core ignores it: it always ends an
+    /// exchange on a full word or on a decoding certificate
+    /// (`docs/PROTOCOL.md` §6).
     pub finalize_on_full: bool,
 }
 

@@ -349,6 +349,24 @@ impl<F: Field> RsCode<F> {
     pub fn tau_threshold(&self) -> usize {
         (self.len() + self.dim).div_ceil(2)
     }
+
+    /// Whether a polynomial of degree `< dim` that agrees with `agreeing`
+    /// received symbols is certainly the true one when at most `b` of the
+    /// senders lie: `agreeing ≥ dim + b`.
+    ///
+    /// Proof: at most `b` of the agreeing symbols come from liars, so at
+    /// least `dim` come from honest senders, whose symbols all lie on the
+    /// true polynomial. Two polynomials of degree `< dim` that agree on
+    /// `dim` points are equal. Nothing here depends on how many symbols
+    /// are still missing or on when they would arrive, so a receiver may
+    /// commit on the certificate without waiting for the rest of the word.
+    ///
+    /// The bound is tight: `b` liars plus `dim − 1` honest symbols can be
+    /// fitted by a wrong polynomial, giving it `dim + b − 1` agreeing
+    /// symbols.
+    pub fn certifies(&self, agreeing: usize, b: usize) -> bool {
+        agreeing >= self.dim + b
+    }
 }
 
 #[cfg(test)]

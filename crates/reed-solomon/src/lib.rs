@@ -55,6 +55,14 @@
 //! the guess through the same symbols would have, so a refuted plan goes
 //! straight to [`RsCode::solve`].
 //!
+//! ## Certificates
+//!
+//! A receiver does not need the whole word to know its decoding is right:
+//! a polynomial that agrees with `dim + b` received symbols, at most `b`
+//! of them from liars, agrees with `dim` honest ones and is therefore the
+//! true polynomial ([`RsCode::certifies`]). That is what lets a CSM node
+//! commit an exchange before its deadline.
+//!
 //! ## Example
 //!
 //! ```

@@ -214,8 +214,84 @@ fn planned_equals<F: Field>(
     }
 }
 
+/// A codeword of a random code with at most `b` liars among its senders,
+/// of which a receiver holds an arbitrary subset: `(n, dim, b, message,
+/// liars, held, shift)`.
+fn partial_word(
+) -> impl Strategy<Value = (usize, usize, usize, Vec<u64>, Vec<usize>, Vec<bool>, u64)> {
+    (4usize..20)
+        .prop_flat_map(|n| (Just(n), 1usize..n))
+        .prop_flat_map(|(n, dim)| (Just(n), Just(dim), 0..=n - dim))
+        .prop_flat_map(|(n, dim, b)| {
+            (
+                Just(n),
+                Just(dim),
+                Just(b),
+                prop::collection::vec(any::<u64>(), dim),
+                prop::collection::vec(0usize..n, 0..=b),
+                prop::collection::vec(any::<bool>(), n),
+                1u64..1 << 60,
+            )
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever subset of the word has arrived, a decode that agrees with
+    /// `dim + b` of the held symbols is the true message — even when the
+    /// liars collude on one wrong polynomial that also passes through
+    /// `dim − 1` honest symbols.
+    #[test]
+    fn a_certified_decode_is_the_true_message(
+        (n, dim, b, message, liars, held, shift) in partial_word(),
+    ) {
+        let points: Vec<Fp61> = distinct_elements(0, n);
+        let code = RsCode::new(points.clone(), dim).unwrap();
+        let msg: Vec<Fp61> = message.iter().map(|&m| Fp61::from_u64(m)).collect();
+        let truth = Poly::new(msg.clone());
+        let honest: Vec<Fp61> = (0..n)
+            .filter(|i| !liars.contains(i))
+            .take(dim - 1)
+            .map(|i| points[i])
+            .collect();
+        let wrong = truth.clone() + Poly::from_roots(&honest).scale(Fp61::from_u64(shift));
+        let word: Vec<Option<Fp61>> = (0..n)
+            .map(|i| {
+                let poly = if liars.contains(&i) { &wrong } else { &truth };
+                held[i].then(|| poly.eval(points[i]))
+            })
+            .collect();
+        if let Ok(decoded) = code.decode(&word) {
+            let present = word.iter().flatten().count();
+            let agreeing = present - decoded.error_positions().len();
+            if code.certifies(agreeing, b) {
+                prop_assert_eq!(decoded.message(), &msg[..]);
+            }
+        }
+    }
+
+    /// One symbol short of the threshold is not enough: `b` liars and
+    /// `dim − 1` honest symbols all lie on a wrong polynomial, which the
+    /// decoder returns with `dim + b − 1` agreeing symbols.
+    #[test]
+    fn certificates_are_tight((n, dim, b, message, _, _, shift) in partial_word()) {
+        prop_assume!(b >= 1);
+        let points: Vec<Fp61> = distinct_elements(0, n);
+        let code = RsCode::new(points.clone(), dim).unwrap();
+        let truth = Poly::new(message.iter().map(|&m| Fp61::from_u64(m)).collect());
+        // the wrong polynomial agrees with the truth at the first dim − 1
+        // points and nowhere else
+        let bump = Poly::from_roots(&points[..dim - 1]).scale(Fp61::from_u64(shift));
+        let wrong = truth.clone() + bump;
+        let word: Vec<Option<Fp61>> = (0..n)
+            .map(|i| (i < dim - 1 + b).then(|| wrong.eval(points[i])))
+            .collect();
+        let decoded = code.decode(&word).unwrap();
+        prop_assert!(decoded.error_positions().is_empty());
+        prop_assert_ne!(decoded.poly(), &truth);
+        prop_assert!(!code.certifies(dim + b - 1, b));
+    }
 
     #[test]
     fn bm_decodes_within_radius_fp61(s in scenario()) {

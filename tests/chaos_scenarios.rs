@@ -318,8 +318,9 @@ fn sim_nodes_report_the_telemetry_a_live_gateway_does() {
             );
         }
         // waiting phases run on the virtual clock: a synchronous
-        // exchange is exactly Δ = 2 000 ticks (µs) here
-        assert_eq!(snap.phase("exchange").map(|p| p.p50_us / 100), Some(20));
+        // exchange ends on its certificate once the peers' results land,
+        // one 500-tick hop after it began, not at Δ = 2 000 ticks (µs)
+        assert_eq!(snap.phase("exchange").map(|p| p.p50_us / 100), Some(5));
         for counter in [
             "admitted",
             "commands_committed",
@@ -336,6 +337,44 @@ fn sim_nodes_report_the_telemetry_a_live_gateway_does() {
     // the restarted nodes went through the state transfer, and say so
     let resynced: u64 = telemetry.iter().map(|(_, s)| s.counter("resyncs")).sum();
     assert!(resynced >= 2, "both restarted nodes resynced");
+}
+
+#[test]
+fn only_missing_results_make_an_exchange_wait_out_delta() {
+    use csm_chaos::{BehaviorKind, ChaosEvent, Schedule};
+    // every node's count of exchanges the Exchange timer ended
+    let fallbacks = |config: &ChaosConfig, schedule: &Schedule| -> Vec<u64> {
+        let (run, telemetry) = run_schedule_with_telemetry(config, schedule);
+        assert!(run.clean(), "{:?}", run.violations);
+        assert!(run.total_committed() > 0);
+        let counts = telemetry
+            .iter()
+            .map(|(_, s)| s.counter("exchange_fallbacks"));
+        counts.collect()
+    };
+    let load = |seed| {
+        (0..6).fold(Schedule::quiet(seed, 120_000), |s, i| {
+            let burst = ChaosEvent::Burst {
+                first_client: 0,
+                clients: 3,
+                commands: 1,
+                probe: i == 5,
+            };
+            s.at(1_000 + 15_000 * i, burst)
+        })
+    };
+    // all honest: every word certifies (or fills) before Δ
+    let honest = fallbacks(&ChaosConfig::new(4, 2, 1), &load(0x0FA1));
+    assert_eq!(honest, vec![0; 4]);
+    // an equivocator and a withholder: no word is ever full, and each
+    // still certifies on the six honest results
+    let mut byzantine = ChaosConfig::new(8, 4, 2);
+    byzantine.behaviors = vec![(0, BehaviorKind::Equivocate), (1, BehaviorKind::Withhold)];
+    assert_eq!(fallbacks(&byzantine, &load(0x0FA2)), vec![0; 8]);
+    // a node cut off from its peers has nothing to certify: it waits Δ
+    let s = scenarios::partition_heal();
+    let cut_off = fallbacks(&s.config, &s.schedule);
+    assert!(cut_off.iter().sum::<u64>() > 0, "{cut_off:?}");
 }
 
 #[test]

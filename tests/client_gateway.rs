@@ -94,9 +94,10 @@ fn byzantine_cluster_commits_all_and_no_wrong_output_is_accepted() {
     for peer in audit.scorecard.accused() {
         assert!(byzantine.contains(&peer), "honest node {peer} accused");
     }
-    // the withholder makes every honest node wait out the exchange Δ
+    // the withholder keeps every word one result short of full, yet no
+    // honest node waits out the exchange Δ: the word certifies first
     let slack = audit.timeline.slack_p50_us("exchange");
-    assert!(slack.is_some_and(|us| us > 0), "exchange slack {slack:?}");
+    assert_eq!(slack, Some(0), "exchange slack");
     // an honest probe attributes both kinds of evidence to the cast
     let (_, probe) = outcome
         .telemetry
@@ -152,8 +153,7 @@ fn aggressive_retries_stay_idempotent() {
             behavior: BehaviorKind::Honest,
             staging_fault: csm_node::StagingFault::None,
         };
-        let timing = csm_node::ExchangeTiming::synchronous(cfg2.assumed_faults, cfg2.delta)
-            .with_full_finalize();
+        let timing = csm_node::ExchangeTiming::synchronous(cfg2.assumed_faults, cfg2.delta);
         let gw = csm_node::GatewayConfig::new(cfg2.cluster, cfg2.assumed_faults, &timing);
         handles.push(std::thread::spawn(move || {
             csm_node::run_gateway(transport, registry, timing, &spec, &gw, &stop)
@@ -263,8 +263,7 @@ fn read_only_queries_observe_only_committed_state() {
             },
             staging_fault: csm_node::StagingFault::None,
         };
-        let timing = csm_node::ExchangeTiming::synchronous(b, Duration::from_millis(40))
-            .with_full_finalize();
+        let timing = csm_node::ExchangeTiming::synchronous(b, Duration::from_millis(40));
         let gw = csm_node::GatewayConfig::new(cluster, b, &timing);
         handles.push(std::thread::spawn(move || {
             csm_node::run_gateway(transport, registry, timing, &spec, &gw, &stop)
@@ -334,8 +333,7 @@ fn flood_is_rejected_without_losing_the_admitted_commands() {
             behavior: BehaviorKind::Honest,
             staging_fault: csm_node::StagingFault::None,
         };
-        let timing = csm_node::ExchangeTiming::synchronous(b, Duration::from_millis(30))
-            .with_full_finalize();
+        let timing = csm_node::ExchangeTiming::synchronous(b, Duration::from_millis(30));
         let mut gw = csm_node::GatewayConfig::new(cluster, b, &timing);
         gw.queue_cap = 4;
         handles.push(std::thread::spawn(move || {
