@@ -282,8 +282,13 @@ pub fn run_bank_workload_with_faults<T: Transport + 'static>(
     // a client accepts at b + 1 replies, so the last command's round may
     // still be committing at some gateways while others, done with it,
     // have entered the next round. Stopped now, the latecomers would never
-    // join that round, and the gateways inside it would be left a word
-    // too short to decode reliably. Let every gateway finish first.
+    // join that round, and a gateway inside it can be left a word of
+    // `dim` results, one of them the equivocator's, which the deadline
+    // commits unchecked. This wait masks that open hole (about 5 % of
+    // `consensus_backends_survive_execution_phase_byzantines_too` runs
+    // without it); the ignored core test
+    // `a_deadline_word_of_dim_results_commits_no_lie` keeps it visible
+    // until the deadline path checks its word.
     thread::sleep(cfg.delta * 4);
     // scrape while the gateways are still looping (they answer telemetry
     // requests once per round iteration), then stop the cluster

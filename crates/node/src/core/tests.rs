@@ -10,7 +10,7 @@ use csm_core::DecoderKind;
 use csm_statemachine::machines::bank_machine;
 use csm_storage::store::WAL_FILE;
 use csm_storage::WriteAheadLog;
-use csm_telemetry::{ReplaySink, Sink};
+use csm_telemetry::ReplaySink;
 use csm_transport::{PreparedCertWire, PHASE_PREPARE};
 use std::path::{Path, PathBuf};
 
@@ -778,22 +778,6 @@ fn shuffled(seed: &mut u64, mut nodes: Vec<usize>) -> Vec<usize> {
     nodes
 }
 
-/// A sink that keeps every `decode_attempts` sample.
-#[derive(Debug, Default)]
-struct Attempts(std::sync::Mutex<Vec<u64>>);
-
-impl Sink for Attempts {
-    fn phase(&self, _: usize, _: u64, _: Phase, _: Duration) {}
-
-    fn event(&self, _: usize, _: u64, _: Option<usize>, _: Incident) {}
-
-    fn value(&self, _: usize, _: u64, name: &str, value: u64) {
-        if name == "decode_attempts" {
-            self.0.lock().unwrap().push(value);
-        }
-    }
-}
-
 #[test]
 fn certified_commits_are_the_commits_at_the_deadline() {
     // N = 8, dim 2, b = 2, node 7 observing: up to b liars, silent or
@@ -803,9 +787,7 @@ fn certified_commits_are_the_commits_at_the_deadline() {
     // commit must be the decode of the word as it stands at Δ, it must
     // come before Δ, and it takes at most N − dim − b + 1 decodes.
     let (n, b, me) = (8, 2, 7);
-    let mut r = sized_rig(n, b, ConsensusKind::LeaderEcho);
-    let attempts = Arc::new(Attempts::default());
-    r.cfg = r.cfg.clone().with_sink(Arc::clone(&attempts) as SharedSink);
+    let r = sized_rig(n, b, ConsensusKind::LeaderEcho);
     let machine = Arc::clone(&r.spec.machine);
     let alphas = machine.codebook().alphas().to_vec();
     let empty = vec![Vec::new(); 2];
@@ -839,15 +821,79 @@ fn certified_commits_are_the_commits_at_the_deadline() {
         let at_delta = machine.decode_word(&word, &[]).expect("≤ b liars decode");
         assert_eq!(commits, vec![(0, at_delta.digest())], "case {case}");
         assert_eq!(core.stats().exchange_fallbacks, 0, "case {case}");
-        let decodes = attempts
-            .0
-            .lock()
-            .unwrap()
-            .pop()
-            .expect("one exchange ended");
+        let decodes = core.decode_attempts;
         assert!(
             decodes <= (n - 2 - b + 1) as u64,
             "case {case}: {decodes} decodes"
         );
+    }
+}
+
+#[test]
+fn one_peer_spraying_future_rounds_does_not_speed_up_an_idle_cluster() {
+    // an idle cluster; in the sprayed run node 3 also sends every other
+    // node a Stage for each of the next few rounds past the receiver's,
+    // every 500 µs. Were any peer's frame enough to wake an idle node,
+    // that alone would run empty rounds at network speed. As it is, one
+    // peer is evidence only for the rounds it leads: every fourth.
+    const HORIZON: u64 = 200_000;
+    let r = rig(ConsensusKind::LeaderEcho);
+    let rounds = |spray: bool| {
+        let mut cluster = Cluster::new(&r, None);
+        for now in (500..=HORIZON).step_by(500) {
+            cluster.run(now, |_, _| {});
+            for to in (0..N - 1).filter(|_| spray) {
+                let current = cluster.cores[to].round();
+                for round in current + 1..=current + 4 {
+                    let stage = Payload::Stage {
+                        round,
+                        sender: 3,
+                        commands: Vec::new(),
+                    };
+                    cluster.push(now, to, Event::Frame(r.sign(3, stage)));
+                }
+            }
+        }
+        cluster.cores[1].round()
+    };
+    let (quiet, sprayed) = (rounds(false), rounds(true));
+    // skipping every fourth pause runs about 4/3 as many rounds; waking
+    // on any frame ran more than four times as many
+    assert!(quiet >= 10, "{quiet} rounds");
+    assert!(
+        sprayed * 2 <= quiet * 3,
+        "{quiet} rounds quiet, {sprayed} sprayed"
+    );
+}
+
+#[test]
+#[ignore = "known hole: a deadline decode of exactly dim results commits unchecked"]
+fn a_deadline_word_of_dim_results_commits_no_lie() {
+    // N = 8, K = 2 (dim 2), b = 2: node 7 hears only the equivocator
+    // before Δ, so its word is its own result and one lie. That word
+    // interpolates to a wrong polynomial with nothing to check it
+    // against; the deadline must not commit it. A cluster stopped while
+    // some nodes are mid-round leaves them exactly here.
+    let r = sized_rig(8, 2, ConsensusKind::LeaderEcho);
+    let (me, equivocator) = (7, 0);
+    let empty = vec![Vec::new(); 2];
+    let mut core = exchanging(&r, me);
+    let lie = shifted(&honest_result(&r, equivocator, &empty), 1);
+    let mut effects = deliver_result(&r, &mut core, 600, 0, equivocator, lie);
+    let deadline = TimerId {
+        kind: TimerKind::Exchange,
+        round: 0,
+        epoch: 0,
+    };
+    effects.extend(core.step(10_000, Event::Timer(deadline)));
+    let honest: Word<Fp61> = (0..8)
+        .map(|node| {
+            let values = honest_result(&r, node, &empty);
+            Some(values.iter().map(|&v| Fp61::from_u64(v)).collect())
+        })
+        .collect();
+    let truth = r.spec.machine.decode_word(&honest, &[]).unwrap().digest();
+    for (round, digest) in committed(&effects) {
+        assert_eq!((round, digest), (0, truth), "a lie was committed");
     }
 }

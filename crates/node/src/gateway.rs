@@ -249,9 +249,9 @@ pub struct GatewayConfig {
     pub commit_history: usize,
     /// Pause after a round whose batch was empty, counted from where an
     /// exchange that waited out its deadline would have ended. Work ends
-    /// it early — a command for the leader to propose, or a peer's
-    /// protocol frame for the node's round or a later one
-    /// (`docs/PROTOCOL.md` §10) — so it only sets how often an idle
+    /// it early — a command for the leader to propose, or protocol frames
+    /// for the node's round or a later one from its leader or from `b + 1`
+    /// peers (`docs/PROTOCOL.md` §10) — so it only sets how often an idle
     /// cluster runs a round. The default `3Δ/2` keeps that to about one
     /// round per `3Δ`: rounds that end on a certificate leave a cluster
     /// idle for longer, and a shorter pause would fill that time with more
