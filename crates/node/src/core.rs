@@ -301,6 +301,13 @@ pub struct GatewayCore<F: Field> {
     /// The highest round each peer has sent a protocol frame for: the
     /// evidence that wakes an idle node (`peers_moved_on`).
     peer_rounds: Vec<Option<u64>>,
+    /// `Submit`s in the inbox above their client's dedup horizon and not
+    /// queued, and when the first of them arrived: what a leader batches
+    /// before it starts its round (`work_start`).
+    new_submits: usize,
+    work_since: Option<u64>,
+    /// When the `Next` timer armed last is due.
+    next_at: u64,
 
     // incident bookkeeping
     dumped_peers: BTreeSet<usize>,
@@ -487,6 +494,9 @@ impl<F: Field> GatewayCore<F> {
             state_requests: BTreeMap::new(),
             telemetry_requests: BTreeMap::new(),
             peer_rounds: vec![None; cluster],
+            new_submits: 0,
+            work_since: None,
+            next_at: 0,
             dumped_peers: BTreeSet::new(),
             dumped_decode_failure: false,
             seen_bad_mac: BTreeMap::new(),
@@ -633,9 +643,11 @@ impl<F: Field> GatewayCore<F> {
         self.now = now_us;
         match event {
             Event::Frame(frame) => {
-                // work ends an idle pause (see `intake`)
+                // work may end an idle pause early (see `intake`)
                 if self.intake(frame) && matches!(self.phase, PhaseState::Idle) {
-                    self.set_timer(TimerKind::Next, self.now, 0);
+                    if let Some(at) = self.idle_start().filter(|&at| at < self.next_at) {
+                        self.set_timer(TimerKind::Next, at, 0);
+                    }
                 }
             }
             Event::Timer(id) => self.on_timer(id),
@@ -656,6 +668,9 @@ impl<F: Field> GatewayCore<F> {
     }
 
     fn set_timer(&mut self, kind: TimerKind, at_us: u64, epoch: u64) {
+        if kind == TimerKind::Next {
+            self.next_at = at_us;
+        }
         let id = TimerId {
             kind,
             round: self.round(),
@@ -719,9 +734,10 @@ impl<F: Field> GatewayCore<F> {
 
     /// Routes one authenticated frame: current-round protocol traffic is
     /// consumed at once, the rest is buffered within the bounds above or
-    /// dropped. Returns whether the frame is work that should end an idle
-    /// pause: a new command this node is to propose next, or a peer's
-    /// protocol frame that completes the evidence of `peers_moved_on`.
+    /// dropped. Returns whether the frame is work that may end an idle
+    /// pause (`idle_start`): a new command this node is to propose next,
+    /// or a peer's protocol frame that completes the evidence of
+    /// `peers_moved_on`.
     fn intake(&mut self, frame: Frame) -> bool {
         let from = frame.sig.signer.0;
         let from_cluster = from < self.cluster;
@@ -850,7 +866,12 @@ impl<F: Field> GatewayCore<F> {
                     return false;
                 }
                 self.submit_inbox.push(frame);
-                self.leader() == self.id && self.admission.is_new(client, seq)
+                if !self.admission.is_new(client, seq) {
+                    return false;
+                }
+                self.new_submits += 1;
+                self.work_since.get_or_insert(self.now);
+                self.leader() == self.id
             }
             Payload::Query { client, .. } => {
                 if client == from as u64
@@ -993,6 +1014,7 @@ impl<F: Field> GatewayCore<F> {
         }
 
         let frames = std::mem::take(&mut self.submit_inbox);
+        (self.new_submits, self.work_since) = (0, None);
         let scope = EventScope {
             sink: self.sink.as_ref(),
             node: self.id,
@@ -1563,6 +1585,16 @@ impl<F: Field> GatewayCore<F> {
                 Payload::Submit { client, seq, .. } => !done.contains(&(client, seq)),
                 _ => true,
             });
+            // and the horizons moved: count again what is still new
+            let new_submits = self
+                .submit_inbox
+                .iter()
+                .filter(|f| self.new_submit(f))
+                .count();
+            self.new_submits = new_submits;
+            if new_submits == 0 {
+                self.work_since = None;
+            }
             if let Some(prev) = prev_state {
                 let delta = self
                     .engine
@@ -1615,20 +1647,17 @@ impl<F: Field> GatewayCore<F> {
             self.commits.pop_front();
             self.first_recorded_round += 1;
         }
-        // an empty round is paced as if its exchange had waited out the
+        // the next round is paced as if this exchange had waited out the
         // deadline, so an idle cluster runs no more rounds than one whose
-        // words never certify; a round that carried commands, a leader
-        // holding some, or a node whose peers have moved on starts the
-        // next one at once (and so does such work arriving later: `step`)
-        let at = if batch.is_empty() && !self.leads_with_work() && !self.peers_moved_on() {
-            let waited = match self.timing.synchrony {
-                SynchronyMode::Synchronous => self.now.max(started + micros(self.timing.delta)),
-                SynchronyMode::PartiallySynchronous => self.now,
-            };
-            waited + micros(self.cfg.idle_pause)
-        } else {
-            self.now
+        // words never certify; commands for this node to lead, or peers
+        // that have moved on, start it sooner (and so does such work
+        // arriving later: `step`)
+        let waited = match self.timing.synchrony {
+            SynchronyMode::Synchronous => self.now.max(started + micros(self.timing.delta)),
+            SynchronyMode::PartiallySynchronous => self.now,
         };
+        let paced = waited + micros(self.cfg.idle_pause);
+        let at = self.idle_start().map_or(paced, |at| at.min(paced));
         self.set_timer(TimerKind::Next, at, 0);
     }
 
@@ -1681,15 +1710,59 @@ impl<F: Field> GatewayCore<F> {
         }
     }
 
-    /// Whether this node leads the current round and holds commands to
-    /// propose: queued ones, or new ones in its inbox.
-    fn leads_with_work(&self) -> bool {
-        let new = |frame: &Frame| match frame.payload {
+    /// Whether `frame` is a `Submit` above its client's dedup horizon and
+    /// not queued.
+    fn new_submit(&self, frame: &Frame) -> bool {
+        match frame.payload {
             Payload::Submit { client, seq, .. } => self.admission.is_new(client, seq),
             _ => false,
-        };
-        self.leader() == self.id
-            && (self.admission.has_pending() || self.submit_inbox.iter().any(new))
+        }
+    }
+
+    /// When an idle node starts its round ahead of its pacing: at once if
+    /// its peers have moved on, else when its own commands say
+    /// (`work_start`).
+    fn idle_start(&self) -> Option<u64> {
+        if self.peers_moved_on() {
+            Some(self.now)
+        } else {
+            self.work_start()
+        }
+    }
+
+    /// When this node, if it leads the current round, starts it for the
+    /// commands it holds. Commands queued at an earlier round start, or a
+    /// round's worth of new ones (`K · batch_cap`), start it at once.
+    /// Fewer new ones start it `batch_window` after the first of them
+    /// arrived: commands that clients sent on the same replies share one
+    /// round, and a command's latency is the window plus the round rather
+    /// than the outcome of a race between its `Submit` and the leader's
+    /// previous commit.
+    fn work_start(&self) -> Option<u64> {
+        if self.leader() != self.id {
+            return None;
+        }
+        if self.admission.has_pending() || self.new_submits >= self.machine.k() * self.batch_cap {
+            return Some(self.now);
+        }
+        self.work_since
+            .map(|since| self.now.max(since + self.batch_window()))
+    }
+
+    /// How long a leader holding less than a round's worth of new
+    /// commands waits for more: `Δ/5` under synchrony; nothing under
+    /// partial synchrony, where `Δ` is only the fallback deadline.
+    ///
+    /// Starting at once instead made a closed loop's throughput the sum of
+    /// its rounds' CPU work and thread wake-ups: on the benchmark's
+    /// `live_byz` cluster (2-vCPU VM) 0.6 ms per command, varying by up
+    /// to a quarter from run to run. With the window a command takes
+    /// `Δ/5 + 0.6 ms` and runs differ by under 1 %.
+    fn batch_window(&self) -> u64 {
+        match self.timing.synchrony {
+            SynchronyMode::Synchronous => micros(self.timing.delta) / 5,
+            SynchronyMode::PartiallySynchronous => 0,
+        }
     }
 
     /// Records that peer `from` sent a protocol frame for `round`, and

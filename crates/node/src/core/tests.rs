@@ -764,6 +764,66 @@ fn a_failed_round_leaves_one_round_counter() {
     assert_eq!(core.round(), 2);
 }
 
+#[test]
+fn an_idle_leader_waits_a_window_for_a_round_of_commands() {
+    // node 1, idle after round 0 failed at 10 000 µs, leads round 1. Its
+    // pacing alone would start the round at 13 000 µs (Δ = 2 000 µs,
+    // idle pause 3 000 µs); the batch window is Δ/5 = 400 µs, and a
+    // round's worth is K · batch_cap = 2 commands.
+    let r = rig(ConsensusKind::LeaderEcho);
+    let idle_leader = || {
+        let mut core = exchanging(&r, 1);
+        let deadline = TimerId {
+            kind: TimerKind::Exchange,
+            round: 0,
+            epoch: 0,
+        };
+        let (paced, _) = timer(&core.step(10_000, Event::Timer(deadline)), TimerKind::Next);
+        assert_eq!((core.round(), paced), (1, 13_000));
+        core
+    };
+    // one command: the round starts a window after it arrived
+    let mut core = idle_leader();
+    let effects = core.step(10_100, Event::Frame(r.submit(4, 0, 7)));
+    assert_eq!(timer(&effects, TimerKind::Next).0, 10_500);
+    // a second fills the round: it starts at once
+    let effects = core.step(10_200, Event::Frame(r.submit(5, 0, 3)));
+    let (at, next) = timer(&effects, TimerKind::Next);
+    assert_eq!(at, 10_200);
+
+    // the round commits both; node 1 does not lead round 2 and holds
+    // nothing, so the round that carried commands is followed at its
+    // pacing, not at once
+    let effects = core.step(at, Event::Timer(next));
+    let rows = effects
+        .iter()
+        .find_map(|e| match e {
+            Effect::Broadcast(Frame {
+                payload: Payload::Stage { commands, .. },
+                ..
+            }) => Some(commands.clone()),
+            _ => None,
+        })
+        .expect("the leader proposes");
+    for voter in [2, 3] {
+        let echo = Payload::Stage {
+            round: 1,
+            sender: voter as u64,
+            commands: rows.clone(),
+        };
+        core.step(at, Event::Frame(r.sign(voter, echo)));
+    }
+    let programs = vec![vec![vec![Fp61::from_u64(7)]], vec![vec![Fp61::from_u64(3)]]];
+    let mut effects = Vec::new();
+    for peer in [2, 3] {
+        let values = honest_result(&r, peer, &programs);
+        effects.extend(deliver_result(&r, &mut core, at + 500, 1, peer, values));
+    }
+    assert_eq!(committed(&effects).len(), 1, "round 1 commits");
+    assert_eq!(core.stats().commands_committed, 2);
+    assert_eq!(timer(&effects, TimerKind::Next).0, at + 2_000 + 3_000);
+}
+
 /// The next draw below `bound` from the splitmix64 stream at `seed`.
 fn draw(seed: &mut u64, bound: u64) -> u64 {
     *seed = splitmix64(*seed);

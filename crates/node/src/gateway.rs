@@ -247,11 +247,12 @@ pub struct GatewayConfig {
     /// that carry commands run at network speed, so the default is 512
     /// rounds (about 0.2 MB per node at `K = 2`), not a span of time.
     pub commit_history: usize,
-    /// Pause after a round whose batch was empty, counted from where an
-    /// exchange that waited out its deadline would have ended. Work ends
-    /// it early — a command for the leader to propose, or protocol frames
-    /// for the node's round or a later one from its leader or from `b + 1`
-    /// peers (`docs/PROTOCOL.md` §10) — so it only sets how often an idle
+    /// Pause after a round, counted from where an exchange that waited
+    /// out its deadline would have ended. Work ends it early — commands
+    /// for the leader to propose (after a batch window of `Δ/5` unless a
+    /// round's worth is held), or protocol frames for the node's round or
+    /// a later one from its leader or from `b + 1` peers
+    /// (`docs/PROTOCOL.md` §10) — so it only sets how often an idle
     /// cluster runs a round. The default `3Δ/2` keeps that to about one
     /// round per `3Δ`: rounds that end on a certificate leave a cluster
     /// idle for longer, and a shorter pause would fill that time with more

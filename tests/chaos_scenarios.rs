@@ -268,7 +268,10 @@ fn a_crashed_node_does_nothing_until_restarted() {
         commands: 1,
         probe: false,
     };
-    let schedule = Schedule::quiet(0xdead, 120_000)
+    // the horizon leaves the survivors time to run well past the crashed
+    // node: a round that carried commands does not start the next one at
+    // once, so after the load their rounds come one per paced pause
+    let schedule = Schedule::quiet(0xdead, 180_000)
         .at(1_000, burst.clone())
         .at(30_000, ChaosEvent::Crash { node: 3 })
         .at(60_000, burst);
@@ -276,7 +279,12 @@ fn a_crashed_node_does_nothing_until_restarted() {
     assert!(run.clean(), "{:?}", run.violations);
     let (dead, live) = (&run.nodes[3], &run.nodes[0]);
     assert!(!dead.alive);
-    assert!(dead.final_round + 10 < live.final_round, "it stopped early");
+    assert!(
+        dead.final_round + 10 < live.final_round,
+        "it stopped early: round {} against {}",
+        dead.final_round,
+        live.final_round
+    );
     assert!(dead.digest_history.keys().all(|&r| r < dead.final_round));
     assert!(
         run.events
