@@ -11,9 +11,9 @@
 //!   wait for more, §5.2: "the remaining honest nodes should start decoding
 //!   upon receiving N − b computation results to ensure liveness").
 //!
-//! `csm-node`'s `GatewayCore` and `NodeRuntime` run this exchange over the
-//! transport mesh; [`crate::CsmCluster`] models it *logically* (every
-//! honest receiver's word is constructed directly).
+//! `csm-node`'s `GatewayCore` runs this exchange over the transport
+//! mesh; [`crate::CsmCluster`] models it *logically* (every honest
+//! receiver's word is constructed directly).
 
 use crate::config::SynchronyMode;
 use csm_algebra::Field;
@@ -52,21 +52,21 @@ pub fn canonical<F: Field>(sender: usize, v: &[F]) -> (usize, Vec<u64>) {
 
 /// The additive-noise schedule an equivocator uses: receiver `j` gets the
 /// base result perturbed by this value, so any two receivers can prove the
-/// equivocation against each other. Shared by `GatewayCore` and
-/// `NodeRuntime` so both cast the same equivocator.
+/// equivocation against each other. `GatewayCore`'s wall-clock and
+/// virtual-clock drivers therefore cast the same equivocator.
 pub fn equivocation_noise(receiver: usize) -> u64 {
     1 + (receiver as u64).wrapping_mul(0x9E37) % 65_521
 }
 
 /// The pure §5.2 receiver finalization state machine, independent of any
-/// I/O substrate. `csm-node`'s `GatewayCore` and `NodeRuntime` both drive
-/// this one implementation:
+/// I/O substrate; `csm-node`'s `GatewayCore` drives it.
 ///
 /// * [`record`](Self::record) — first result from each sender wins; under
 ///   partial synchrony the word freezes as soon as `N − b` results are
 ///   held (§5.2 liveness cutoff).
-/// * [`on_deadline`](Self::on_deadline) — under synchrony the word
-///   freezes at the known delivery deadline Δ.
+/// * Under synchrony the word never freezes itself: the driver decodes
+///   it as it stands at the known delivery deadline Δ (or earlier, once
+///   it certifies).
 #[derive(Debug, Clone)]
 pub struct ReceiverCore<F> {
     synchrony: SynchronyMode,
@@ -110,13 +110,6 @@ impl<F: Clone> ReceiverCore<F> {
         false
     }
 
-    /// The Δ-deadline fired: freeze the word regardless of how many
-    /// results are held (synchronous model; also the partial-synchrony
-    /// fallback when the cutoff is never reached).
-    pub fn on_deadline(&mut self) {
-        self.finalized = true;
-    }
-
     /// Whether the word is frozen.
     pub fn is_finalized(&self) -> bool {
         self.finalized
@@ -156,10 +149,6 @@ mod tests {
         assert_eq!(core.word()[1].as_deref(), Some(&[f(10)][..]));
         assert_eq!(core.results_held(), 1);
         assert!(!core.is_finalized());
-        core.on_deadline();
-        assert!(core.is_finalized());
-        assert!(!core.record(2, vec![f(2)])); // post-finalization ignored
-        assert_eq!(core.results_held(), 1);
     }
 
     #[test]
@@ -174,6 +163,9 @@ mod tests {
         // the (N - b)-th result freezes the word
         assert!(core.record(n - b - 1, vec![f(9)]));
         assert!(core.is_finalized());
+        assert_eq!(core.results_held(), n - b);
+        // results after the freeze are ignored
+        assert!(!core.record(n - 1, vec![f(2)]));
         assert_eq!(core.results_held(), n - b);
     }
 

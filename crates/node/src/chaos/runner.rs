@@ -17,9 +17,8 @@ use crate::chaos::schedule::{ChaosEvent, Schedule};
 use crate::chaos::token;
 use crate::consensus::{ConsensusKind, StagingFault};
 use crate::core::{Effect, Event as CoreEvent, GatewayCore, HaltReason};
-use crate::gateway::{GatewayConfig, GatewaySpec};
+use crate::gateway::{ExchangeTiming, GatewayConfig, GatewaySpec};
 use crate::recovery::DurabilityConfig;
-use crate::runtime::ExchangeTiming;
 use crate::BehaviorKind;
 use csm_algebra::{Field, Fp61};
 use csm_core::engine::CodedMachine;

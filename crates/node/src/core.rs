@@ -30,16 +30,16 @@ use crate::consensus::{
 };
 use crate::gateway::{
     batch_valid, chunk_after_fault, decode_batch, encode_batch, reply_after_fault, reply_payload,
-    Admission, BatchEntry, EventScope, GatewayConfig, GatewayReport, GatewaySpec, GatewayStats,
+    Admission, BatchEntry, EventScope, ExchangeTiming, GatewayConfig, GatewayReport, GatewaySpec,
+    GatewayStats,
 };
 use crate::recovery::{replay_local, store_fingerprint, DurabilityConfig, RecoveryInfo};
-use crate::runtime::{result_payload, ExchangeTiming};
-use crate::{wire_behavior, BehaviorKind};
+use crate::BehaviorKind;
 use csm_algebra::Field;
 use csm_consensus::batch::{BatchRows, DsBatch, DsRelay, PbftBatch, PbftBatchConfig, PbftBatchMsg};
 use csm_core::digest::digest_results;
 use csm_core::engine::{CodedMachine, DecodedRound, RoundCommit, RoundEngine};
-use csm_core::exchange::{equivocation_noise, ReceiverCore, ResultBehavior, Word};
+use csm_core::exchange::{canonical, equivocation_noise, ReceiverCore, ResultBehavior, Word};
 use csm_core::SynchronyMode;
 use csm_network::auth::{KeyRegistry, Signature};
 use csm_network::NodeId;
@@ -372,6 +372,38 @@ fn digest_tallies(votes: &BTreeMap<usize, u64>, me: usize) -> BTreeMap<u64, usiz
         }
     }
     tallies
+}
+
+/// Maps a node's behavior to its exchange-round broadcast instruction for
+/// the honest coded result `g`.
+fn wire_behavior<F: Field>(
+    id: usize,
+    n: usize,
+    result_dim: usize,
+    behavior: BehaviorKind,
+    g: Vec<F>,
+) -> ResultBehavior<F> {
+    match behavior {
+        BehaviorKind::Honest => ResultBehavior::Honest(g),
+        BehaviorKind::Equivocate => {
+            ResultBehavior::Equivocate(g.into_iter().map(|x| x + F::from_u64(77)).collect())
+        }
+        BehaviorKind::Withhold => ResultBehavior::Withhold,
+        BehaviorKind::Impersonate => ResultBehavior::Impersonate {
+            spoof: (id + 1) % n,
+            forged: vec![F::from_u64(0xBAD); result_dim],
+        },
+    }
+}
+
+/// Encodes a result vector for the wire in canonical `u64` form.
+fn result_payload<F: Field>(round: u64, sender: usize, values: &[F]) -> Payload {
+    let (_, canon) = canonical(sender, values);
+    Payload::Result {
+        round,
+        sender: sender as u64,
+        values: canon,
+    }
 }
 
 impl<F: Field> GatewayCore<F> {

@@ -4,9 +4,10 @@
 
 use super::*;
 use crate::cluster_registry;
-use csm_algebra::Fp61;
+use csm_algebra::{Fp61, Gf2_16};
 use csm_core::digest::splitmix64;
 use csm_core::DecoderKind;
+use csm_statemachine::boolean::counter_machine;
 use csm_statemachine::machines::bank_machine;
 use csm_storage::store::WAL_FILE;
 use csm_storage::WriteAheadLog;
@@ -323,8 +324,10 @@ fn buffers_keep_one_frame_per_signer_and_inboxes_are_capped() {
 }
 
 /// The in-test driver: a cluster of cores over a fixed-latency queue.
-struct Cluster {
-    cores: Vec<GatewayCore<Fp61>>,
+/// Like a transport, it drops any frame whose MAC does not verify.
+struct Cluster<F: Field = Fp61> {
+    cores: Vec<GatewayCore<F>>,
+    registry: Arc<KeyRegistry>,
     queue: BTreeMap<(u64, u64), (usize, Event)>,
     seq: u64,
     /// `(node, now, event)` for every step taken, and what it returned.
@@ -335,14 +338,23 @@ struct Cluster {
 
 impl Cluster {
     fn new(r: &Rig, dir: Option<&Path>) -> Self {
+        let cores = (0..N).map(|id| r.core(id, dir)).collect();
+        Cluster::of(cores, Arc::clone(&r.registry))
+    }
+}
+
+impl<F: Field> Cluster<F> {
+    /// Starts `cores` (node `i` at index `i`) at time 0.
+    fn of(cores: Vec<GatewayCore<F>>, registry: Arc<KeyRegistry>) -> Self {
         let mut cluster = Cluster {
-            cores: (0..N).map(|id| r.core(id, dir)).collect(),
+            cores,
+            registry,
             queue: BTreeMap::new(),
             seq: 0,
             log: Vec::new(),
             replies: Vec::new(),
         };
-        for id in 0..N {
+        for id in 0..cluster.cores.len() {
             let effects = cluster.cores[id].start(0);
             cluster.perform(id, 0, effects);
         }
@@ -355,14 +367,15 @@ impl Cluster {
     }
 
     fn perform(&mut self, from: usize, now: u64, effects: Vec<Effect>) {
+        let n = self.cores.len();
         for effect in effects {
             match effect {
-                Effect::Send { to, frame } if to < N => {
+                Effect::Send { to, frame } if to < n => {
                     self.push(now + LATENCY, to, Event::Frame(frame));
                 }
                 Effect::Send { frame, .. } => self.replies.push(frame),
                 Effect::Broadcast(frame) => {
-                    for to in (0..N).filter(|&to| to != from) {
+                    for to in (0..n).filter(|&to| to != from) {
                         self.push(now + LATENCY, to, Event::Frame(frame.clone()));
                     }
                 }
@@ -374,7 +387,7 @@ impl Cluster {
 
     /// Every node receives `frame` (a client broadcast) at `at`.
     fn client_broadcast(&mut self, at: u64, frame: &Frame) {
-        for to in 0..N {
+        for to in 0..self.cores.len() {
             self.push(at, to, Event::Frame(frame.clone()));
         }
     }
@@ -387,6 +400,9 @@ impl Cluster {
                 break;
             }
             let (_, (to, event)) = self.queue.pop_first().expect("peeked");
+            if matches!(&event, Event::Frame(frame) if !frame.verify(&self.registry)) {
+                continue;
+            }
             let effects = self.cores[to].step(now, event.clone());
             check(to, &effects);
             self.log.push((to, now, event, effects.clone()));
@@ -955,5 +971,171 @@ fn a_deadline_word_of_dim_results_commits_no_lie() {
     let truth = r.spec.machine.decode_word(&honest, &[]).unwrap().digest();
     for (round, digest) in committed(&effects) {
         assert_eq!((round, digest), (0, truth), "a lie was committed");
+    }
+}
+
+#[test]
+fn partial_synchrony_certifies_before_the_cutoff_and_exposes_both_liars() {
+    // N = 9, K = 2 (dim 2), b = 2, partially synchronous: the word
+    // freezes at N − b = 7 results, and max_wait is only the fallback.
+    // Nodes 0 and 1 lie, the rest are honest; the liars' results land
+    // first. Four agreeing results certify, which takes three honest
+    // results beside node 8's own: the fifth delivery.
+    let (n, b, me) = (9, 2, 8);
+    let max_wait = Duration::from_micros(20_000);
+    let mut r = sized_rig(n, b, ConsensusKind::LeaderEcho);
+    r.timing = ExchangeTiming::partially_synchronous(b, max_wait);
+    let mut cfg = GatewayConfig::new(n, b, &r.timing).with_consensus(ConsensusKind::LeaderEcho);
+    cfg.stage_timeout = r.cfg.stage_timeout;
+    cfg.consensus_delta = r.cfg.consensus_delta;
+    cfg.flight_dir = None;
+    r.cfg = cfg;
+    let empty = vec![Vec::new(); 2];
+    let mut core = exchanging(&r, me);
+    // peer p's result lands at 600 + 100·p, the liars' first
+    let (committed_at, effects) = (0..n)
+        .filter(|&p| p != me)
+        .find_map(|peer| {
+            let mut values = honest_result(&r, peer, &empty);
+            if peer < 2 {
+                values = shifted(&values, 1 + peer as u64);
+            }
+            let at = 600 + 100 * peer as u64;
+            let effects = deliver_result(&r, &mut core, at, 0, peer, values);
+            (!committed(&effects).is_empty()).then_some((at, effects))
+        })
+        .expect("the word certifies");
+    let honest: Word<Fp61> = (0..n)
+        .map(|node| {
+            let values = honest_result(&r, node, &empty);
+            Some(values.iter().map(|&v| Fp61::from_u64(v)).collect())
+        })
+        .collect();
+    let truth = r.spec.machine.decode_word(&honest, &[]).unwrap().digest();
+    assert_eq!(committed(&effects), vec![(0, truth)], "the true digest");
+    assert_eq!(committed_at, 1_000, "certified on the fifth delivery");
+    let record = core.commits.back().cloned().flatten().expect("round 0");
+    assert_eq!(record.detected_error_nodes, vec![0, 1], "both liars");
+    assert_eq!(core.stats().exchange_fallbacks, 0);
+    // committed before max_wait, and the next round is paced from the
+    // commit: a partially synchronous node has no Δ to wait out
+    assert!(committed_at < micros(max_wait));
+    let pause = micros(r.cfg.idle_pause);
+    assert_eq!(timer(&effects, TimerKind::Next).0, committed_at + pause);
+}
+
+#[test]
+fn a_degree_three_machine_over_gf2_16_commits_the_uncoded_results() {
+    // the Appendix-A 2-bit counter compiled to GF(2¹⁶): degree 3, so
+    // the code dimension is 4 at K = 2. N = 10, b = 2, node 3 withholds
+    // and node 6 forges its results in node 7's name. Two clients (ids
+    // 10 and 11, one per shard) each submit five increment bits; every
+    // round an honest node commits must equal the uncoded execution of
+    // the commands its replies place in that round.
+    let (n, b, byzantine) = (10, 2, [3usize, 6]);
+    let machine = Arc::new(
+        CodedMachine::new(
+            n,
+            2,
+            counter_machine(2).compile::<Gf2_16>(),
+            DecoderKind::default(),
+        )
+        .unwrap(),
+    );
+    assert_eq!(machine.code().dim(), 4);
+    let registry = cluster_registry(n + CLIENTS, 11);
+    let timing = ExchangeTiming::synchronous(b, Duration::from_micros(2_000));
+    let mut cfg = GatewayConfig::new(n, b, &timing);
+    cfg.stage_timeout = Duration::from_micros(8_000);
+    cfg.consensus_delta = Duration::from_micros(4_000);
+    cfg.flight_dir = None;
+    let initial_states = vec![vec![Gf2_16::ZERO; 2]; 2];
+    let cores = (0..n)
+        .map(|id| {
+            let spec = GatewaySpec {
+                machine: Arc::clone(&machine),
+                initial_states: initial_states.clone(),
+                behavior: match id {
+                    3 => BehaviorKind::Withhold,
+                    6 => BehaviorKind::Impersonate,
+                    _ => BehaviorKind::Honest,
+                },
+                staging_fault: StagingFault::None,
+            };
+            GatewayCore::new(id, Arc::clone(&registry), timing.clone(), &spec, &cfg, None)
+        })
+        .collect();
+    let mut cluster = Cluster::of(cores, Arc::clone(&registry));
+    let command = |client: usize, seq: u64| u64::from(!(seq + client as u64).is_multiple_of(3));
+    for seq in 0..5 {
+        for client in n..n + CLIENTS {
+            let submit = Payload::Submit {
+                shard: (client % 2) as u64,
+                client: client as u64,
+                seq,
+                command: vec![command(client, seq)],
+            };
+            let frame = Frame::sign(submit, &registry, NodeId(client));
+            cluster.client_broadcast(1_000 + 7_000 * seq + client as u64, &frame);
+        }
+    }
+    cluster.run(300_000, |_, _| {});
+
+    // the round each command committed in, from the honest replies
+    let mut placed: BTreeMap<u64, BTreeMap<usize, u64>> = BTreeMap::new();
+    for frame in cluster
+        .replies
+        .iter()
+        .filter(|f| !byzantine.contains(&f.sig.signer.0))
+    {
+        if let Payload::Reply {
+            shard,
+            round,
+            client,
+            seq,
+            ..
+        } = frame.payload
+        {
+            let bit = command(client as usize, seq);
+            let prior = placed.entry(round).or_default().insert(shard as usize, bit);
+            assert!(
+                prior.is_none_or(|p| p == bit),
+                "one command per shard and round"
+            );
+        }
+    }
+    let placed_count: usize = placed.values().map(BTreeMap::len).sum();
+    assert_eq!(placed_count, 5 * CLIENTS, "every command was answered");
+
+    // the uncoded reference, round by round
+    let transition = machine.transition();
+    let sd = transition.state_dim();
+    let last = cluster.cores.iter().map(GatewayCore::round).max().unwrap();
+    let mut states = initial_states;
+    let mut reference = BTreeMap::new();
+    for round in 0..last {
+        let results: Vec<Vec<Gf2_16>> = (0..2)
+            .map(|shard| {
+                let bit = placed.get(&round).and_then(|p| p.get(&shard)).copied();
+                let x = vec![Gf2_16::from_u64(bit.unwrap_or(0))];
+                transition.apply_flat(&states[shard], &x).unwrap()
+            })
+            .collect();
+        states = results.iter().map(|r| r[..sd].to_vec()).collect();
+        reference.insert(round, results);
+    }
+    for core in cluster.cores.iter().filter(|c| !byzantine.contains(&c.id)) {
+        assert_eq!(core.stats().commands_committed, 5 * CLIENTS as u64);
+        assert!(core.commits.len() > 5, "node {} ran rounds", core.id);
+        for commit in &core.commits {
+            let commit = commit.as_ref().expect("every round decodes");
+            assert_eq!(
+                Some(&commit.results),
+                reference.get(&commit.round),
+                "node {} round {}",
+                core.id,
+                commit.round
+            );
+        }
     }
 }

@@ -5,10 +5,10 @@
 //! [`Transport`] that delivers frames and due timers to the core and
 //! performs the effects it returns.
 //!
-//! This is the layer that turns a CSM cluster from a script-driven
-//! protocol exercise into a request-serving system (§1/§3 deployment
-//! model): external clients broadcast signed [`Payload::Submit`] frames to
-//! the nodes, the per-round leader batches pending commands into
+//! This is the layer that makes a CSM cluster a request-serving system
+//! (§1/§3 deployment model): external clients broadcast signed
+//! [`Payload::Submit`] frames to the nodes, the per-round leader batches
+//! pending commands into
 //! per-shard command *programs* (up to [`GatewayConfig::batch_cap`]
 //! commands per shard, slots filled round-robin across clients), the
 //! batch is agreed via the existing staged-vote machinery, every shard
@@ -20,12 +20,10 @@
 //!
 //! # Batch agreement
 //!
-//! Unlike the script-driven loops ([`crate::run_node`],
-//! [`crate::run_pipelined`]), client-fed batches differ between nodes (a
-//! submission may not have reached everyone when a round starts), so the
-//! batch must be *agreed*, not derived. Agreement is **pluggable**
-//! ([`GatewayConfig::consensus`], driven by the staging phase of
-//! [`crate::core::GatewayCore`]):
+//! Client-fed batches differ between nodes (a submission may not have
+//! reached everyone when a round starts), so the batch must be *agreed*,
+//! not derived. Agreement is **pluggable** ([`GatewayConfig::consensus`],
+//! driven by the staging phase of [`crate::core::GatewayCore`]):
 //!
 //! * [`ConsensusKind::LeaderEcho`] — the round's rotating leader
 //!   (`round mod N`) proposes its pending batch as its [`Payload::Stage`]
@@ -43,9 +41,9 @@
 //!
 //! Whatever the backend decides, an undecidable round falls back to the
 //! **empty batch** — a deterministic fallback every honest node shares
-//! (falling back to one's *own* pending batch, as the script-driven
-//! pipeline does, would diverge). Execution-phase Byzantine behaviors
-//! ([`BehaviorKind`]) are orthogonal to staging-phase faults
+//! (falling back to one's *own* pending batch would diverge).
+//! Execution-phase Byzantine behaviors ([`BehaviorKind`]) are orthogonal
+//! to staging-phase faults
 //! ([`crate::consensus::StagingFault`]); the full protocol stack is
 //! specified in `docs/PROTOCOL.md`.
 //!
@@ -62,9 +60,9 @@
 
 use crate::consensus::{ConsensusKind, StagingFault};
 use crate::core::{Effect, Event as CoreEvent, GatewayCore, TimerId, TimerKind};
-use crate::runtime::ExchangeTiming;
 use crate::{BehaviorKind, CodedMachine, RoundCommit};
 use csm_algebra::Field;
+use csm_core::SynchronyMode;
 use csm_network::auth::KeyRegistry;
 use csm_network::NodeId;
 use csm_telemetry::{Event, RecordingSink, SharedSink, Sink};
@@ -211,6 +209,51 @@ pub(crate) fn batch_valid<F: Field>(
             .iter()
             .all(|e| horizon.get(&e.client).is_none_or(|&s| s < e.seq))
     })
+}
+
+/// Timing and synchrony parameters of the exchange.
+#[derive(Debug, Clone)]
+pub struct ExchangeTiming {
+    /// Network model.
+    pub synchrony: SynchronyMode,
+    /// Provisioned fault bound `b` (partial-synchrony cutoff `N − b`).
+    pub assumed_faults: usize,
+    /// The latency bound Δ as wall-clock time (synchronous finalization
+    /// deadline).
+    pub delta: Duration,
+    /// Hard upper bound on any wait (partial-synchrony fallback so a dead
+    /// network cannot wedge the node).
+    pub max_wait: Duration,
+}
+
+impl ExchangeTiming {
+    /// Synchronous timing with latency bound `delta`.
+    pub fn synchronous(assumed_faults: usize, delta: Duration) -> Self {
+        ExchangeTiming {
+            synchrony: SynchronyMode::Synchronous,
+            assumed_faults,
+            delta,
+            max_wait: delta * 4 + Duration::from_secs(2),
+        }
+    }
+
+    /// Partially synchronous timing cutting off at `N − assumed_faults`.
+    pub fn partially_synchronous(assumed_faults: usize, max_wait: Duration) -> Self {
+        ExchangeTiming {
+            synchrony: SynchronyMode::PartiallySynchronous,
+            assumed_faults,
+            delta: max_wait,
+            max_wait,
+        }
+    }
+
+    /// Returns the timing unchanged. The gateway always ends an exchange
+    /// on a full word or on a decoding certificate (`docs/PROTOCOL.md`
+    /// §6), so there is nothing left to enable; the method stays because
+    /// the repository benchmark (`benchmark/src/live.rs`) still calls it.
+    pub fn with_full_finalize(self) -> Self {
+        self
+    }
 }
 
 /// Gateway tuning knobs.
@@ -1015,6 +1058,15 @@ mod tests {
 
     fn registry() -> KeyRegistry {
         KeyRegistry::new(10, 5)
+    }
+
+    #[test]
+    fn timing_constructors() {
+        let s = ExchangeTiming::synchronous(2, Duration::from_millis(100));
+        assert_eq!(s.synchrony, SynchronyMode::Synchronous);
+        let p = ExchangeTiming::partially_synchronous(2, Duration::from_secs(1));
+        assert_eq!(p.synchrony, SynchronyMode::PartiallySynchronous);
+        assert_eq!(p.delta, p.max_wait);
     }
 
     fn test_scope() -> EventScope<'static> {

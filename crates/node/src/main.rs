@@ -1,21 +1,12 @@
-//! The `csm-node` binary: hosts one CSM node end-to-end over TCP, or
-//! launches a whole loopback cluster as separate OS processes.
+//! The `csm-node` binary: hosts a client-serving CSM cluster over
+//! loopback TCP, audits one, or runs the deterministic chaos harness.
 //!
 //! ```text
-//! # one node (usually spawned by `launch`):
-//! csm-node run --id 0 --n 8 --k 2 --faults 1 --rounds 5 --seed 42 \
-//!              --ports 42100,42101,...  [--machine counter] \
-//!              [--behavior equivocate] [--partial-sync]
-//!
-//! # a full multi-process cluster on loopback:
-//! csm-node launch --n 8 --k 2 --faults 1 --rounds 5 --seed 42 \
-//!                 [--machine bank|counter|auction] \
-//!                 [--byzantine 0:equivocate] [--partial-sync]
-//!
 //! # a client-serving gateway cluster on loopback TCP, with a
 //! # selectable batch-consensus backend:
 //! csm-node gateway --n 8 --k 4 --faults 2 --clients 8 --commands 2 \
-//!                  --consensus pbft [--staging-fault 0:equivocate]
+//!                  --consensus pbft [--staging-fault 0:equivocate] \
+//!                  [--partial-sync]
 //!
 //! # the same loopback cluster under the client-side auditor: runs a
 //! # Byzantine workload, scrapes every gateway's telemetry, and prints
@@ -25,11 +16,13 @@
 //!                [--format text|json|prometheus]
 //! ```
 //!
-//! `launch` spawns `n` child `csm-node run` processes, collects their
-//! per-round commit digests from stdout, and exits non-zero unless every
-//! honest node committed every round with identical digests. The
-//! `--machine` flag selects which `csm-statemachine` workload the shared
-//! `RoundEngine` runs — the runtime is machine-agnostic.
+//! `gateway` hosts a whole client-serving bank cluster over loopback TCP
+//! (gateway node threads plus closed-loop `csm-client` endpoints),
+//! agreeing each round's batch with the backend selected by
+//! `--consensus` (`leader-echo` | `dolev-strong` | `pbft`), and exits
+//! non-zero unless every client command commits and every pair of honest
+//! nodes agrees on every commit digest — including under an injected
+//! `--staging-fault` (a leader equivocating on or withholding the batch).
 //!
 //! `audit` reuses the same loopback cluster shape but hands the scraped
 //! telemetry to `csm-auditor`: the default cast (node 0 equivocating,
@@ -46,99 +39,41 @@
 //! csm-node chaos --scenario kv_chaos  # one scenario (--list to see all)
 //! csm-node chaos --seed 7 --random 25 # 25 random schedules from seed 7
 //! ```
-//!
-//! `gateway` hosts a whole client-serving bank cluster over loopback TCP
-//! (gateway node threads plus closed-loop `csm-client` endpoints),
-//! agreeing each round's batch with the backend selected by
-//! `--consensus` (`leader-echo` | `dolev-strong` | `pbft`), and exits
-//! non-zero unless every client command commits and every pair of honest
-//! nodes agrees on every commit digest — including under an injected
-//! `--staging-fault` (a leader equivocating on or withholding the batch).
 
 use csm_algebra::Field;
-use csm_network::NodeId;
-use csm_node::{
-    auction_spec, bank_spec, cluster_registry, counter_spec, run_node, BehaviorKind, EngineSpec,
-    ExchangeTiming, NodeReport,
-};
-use csm_transport::tcp::TcpTransport;
+use csm_node::{BehaviorKind, ExchangeTiming};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader};
-use std::net::{SocketAddr, TcpListener};
-use std::process::{Command, Stdio};
-use std::str::FromStr;
-use std::sync::Arc;
 use std::time::Duration;
-
-/// Which `csm-statemachine` workload the engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MachineKind {
-    Bank,
-    Counter,
-    Auction,
-}
-
-impl FromStr for MachineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "bank" => Ok(MachineKind::Bank),
-            "counter" => Ok(MachineKind::Counter),
-            "auction" => Ok(MachineKind::Auction),
-            other => Err(format!(
-                "unknown machine {other:?} (want bank|counter|auction)"
-            )),
-        }
-    }
-}
-
-impl MachineKind {
-    fn as_str(&self) -> &'static str {
-        match self {
-            MachineKind::Bank => "bank",
-            MachineKind::Counter => "counter",
-            MachineKind::Auction => "auction",
-        }
-    }
-}
 
 #[derive(Debug, Clone)]
 struct CommonArgs {
     n: usize,
     k: usize,
     faults: usize,
-    rounds: u64,
     seed: u64,
     partial_sync: bool,
     delta_ms: u64,
-    machine: MachineKind,
 }
 
 impl Default for CommonArgs {
     fn default() -> Self {
         CommonArgs {
             n: 8,
-            k: 2,
-            faults: 1,
-            rounds: 5,
+            k: 4,
+            faults: 2,
             seed: 42,
             partial_sync: false,
             delta_ms: 250,
-            machine: MachineKind::Bank,
         }
     }
 }
 
 fn usage() -> ! {
     csm_telemetry::error!(
-        "usage:\n  csm-node run --id I --ports P0,P1,.. [--n N --k K --faults B --rounds R \
-         --seed S --machine M --behavior KIND --partial-sync --delta-ms D]\n  csm-node launch \
-         [--n N --k K --faults B --rounds R --seed S --machine M --byzantine ID:KIND \
-         --partial-sync --delta-ms D]\n  csm-node gateway [--n N --k K --faults B --seed S \
-         --delta-ms D --clients M --commands C --consensus leader-echo|dolev-strong|pbft \
+        "usage:\n  csm-node gateway [--n N --k K --faults B --seed S --delta-ms D \
+         --partial-sync --clients M --commands C --consensus leader-echo|dolev-strong|pbft \
          --staging-fault ID:equivocate|withhold]\n  csm-node audit [--n N --k K --faults B \
-         --seed S --delta-ms D --clients M --commands C --consensus KIND \
+         --seed S --delta-ms D --partial-sync --clients M --commands C --consensus KIND \
          --byzantine ID:KIND --format text|json|prometheus]\n  csm-node chaos [--scenario \
          NAME|all | --list | --seed S --random COUNT --n N --clients M --durable \
          --consensus KIND]\n  (all subcommands: --log-level \
@@ -152,15 +87,8 @@ fn parse_common(args: &mut CommonArgs, flag: &str, value: &str) -> bool {
         "--n" => args.n = value.parse().expect("--n"),
         "--k" => args.k = value.parse().expect("--k"),
         "--faults" => args.faults = value.parse().expect("--faults"),
-        "--rounds" => args.rounds = value.parse().expect("--rounds"),
         "--seed" => args.seed = value.parse().expect("--seed"),
         "--delta-ms" => args.delta_ms = value.parse().expect("--delta-ms"),
-        "--machine" => {
-            args.machine = value.parse().unwrap_or_else(|e| {
-                csm_telemetry::error!("--machine: {e}");
-                std::process::exit(2);
-            })
-        }
         "--log-level" => match csm_telemetry::LogLevel::from_str_opt(value) {
             Some(level) => csm_telemetry::logger::set_level(level),
             None => {
@@ -190,13 +118,10 @@ fn timing(args: &CommonArgs) -> ExchangeTiming {
 fn main() {
     // stderr diagnostics run through the leveled logger: `CSM_LOG` sets
     // the default, `--log-level` (any subcommand) overrides it. Stable
-    // machine-readable stdout lines (`COMMIT ...`, `DONE ...`, cluster
-    // verdicts) are unaffected.
+    // stdout lines (per-client commits, cluster verdicts) are unaffected.
     csm_telemetry::logger::init_from_env();
     let argv: Vec<String> = std::env::args().collect();
     match argv.get(1).map(String::as_str) {
-        Some("run") => cmd_run(&argv[2..]),
-        Some("launch") => cmd_launch(&argv[2..]),
         Some("gateway") => cmd_gateway(&argv[2..]),
         Some("audit") => cmd_audit(&argv[2..]),
         Some("chaos") => cmd_chaos(&argv[2..]),
@@ -340,127 +265,6 @@ fn cmd_chaos(rest: &[String]) {
     }
 }
 
-fn cmd_run(rest: &[String]) {
-    let mut common = CommonArgs::default();
-    let mut id: Option<usize> = None;
-    let mut ports: Vec<u16> = Vec::new();
-    let mut behavior = BehaviorKind::Honest;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--partial-sync" {
-            common.partial_sync = true;
-            continue;
-        }
-        let value = it.next().unwrap_or_else(|| usage());
-        if parse_common(&mut common, flag, value) {
-            continue;
-        }
-        match flag.as_str() {
-            "--id" => id = Some(value.parse().expect("--id")),
-            "--ports" => {
-                ports = value
-                    .split(',')
-                    .map(|p| p.parse().expect("--ports"))
-                    .collect()
-            }
-            "--behavior" => {
-                behavior = value.parse().unwrap_or_else(|e| {
-                    csm_telemetry::error!("--behavior: {e}");
-                    std::process::exit(2);
-                })
-            }
-            _ => usage(),
-        }
-    }
-    let id = id.unwrap_or_else(|| usage());
-    if ports.len() != common.n || id >= common.n {
-        csm_telemetry::error!("need exactly --n ports and --id < --n");
-        std::process::exit(2);
-    }
-
-    let registry = cluster_registry(common.n, common.seed);
-    let listen: SocketAddr = format!("127.0.0.1:{}", ports[id]).parse().expect("addr");
-    let transport =
-        TcpTransport::bind(NodeId(id), Arc::clone(&registry), listen).unwrap_or_else(|e| {
-            csm_telemetry::error!("node {id}: bind {listen} failed: {e}");
-            std::process::exit(1);
-        });
-    let addrs: Vec<SocketAddr> = ports
-        .iter()
-        .map(|p| format!("127.0.0.1:{p}").parse().expect("addr"))
-        .collect();
-    transport.set_peer_addrs(&addrs);
-    if let Err(e) = transport.connect_all(Duration::from_secs(10)) {
-        csm_telemetry::error!("node {id}: connect failed: {e}");
-        std::process::exit(1);
-    }
-
-    let report = match common.machine {
-        MachineKind::Bank => run_spec(
-            transport,
-            registry,
-            &common,
-            bank_spec(common.n, common.k, common.seed, common.rounds, behavior),
-        ),
-        MachineKind::Counter => run_spec(
-            transport,
-            registry,
-            &common,
-            counter_spec(common.n, common.k, 2, common.seed, common.rounds, behavior),
-        ),
-        MachineKind::Auction => run_spec(
-            transport,
-            registry,
-            &common,
-            auction_spec(common.n, common.k, common.seed, common.rounds, behavior),
-        ),
-    };
-    for (round, digest, held) in &report.commits {
-        // machine-readable line the launcher parses
-        println!(
-            "COMMIT node={} round={round} digest={digest:#018x} held={held}",
-            report.id
-        );
-    }
-    let committed = report.commits.len() as u64;
-    println!(
-        "DONE node={} committed={}/{}",
-        report.id, committed, common.rounds
-    );
-    if behavior == BehaviorKind::Honest && committed < common.rounds {
-        std::process::exit(1);
-    }
-}
-
-/// Field-erased summary of a run (the launcher only needs digests).
-struct RunSummary {
-    id: usize,
-    /// `(round, digest, results_held)` of every committed round.
-    commits: Vec<(u64, u64, usize)>,
-}
-
-fn run_spec<F: Field>(
-    transport: TcpTransport,
-    registry: Arc<csm_network::auth::KeyRegistry>,
-    common: &CommonArgs,
-    spec: Result<EngineSpec<F>, csm_core::CsmError>,
-) -> RunSummary {
-    let spec = spec.unwrap_or_else(|e| {
-        csm_telemetry::error!("invalid machine configuration: {e}");
-        std::process::exit(2);
-    });
-    let report: NodeReport<F> = run_node(transport, registry, timing(common), &spec);
-    RunSummary {
-        id: report.id,
-        commits: report
-            .commits
-            .iter()
-            .flatten()
-            .map(|c| (c.round, c.digest, c.results_held))
-            .collect(),
-    }
-}
-
 /// Hosts a whole client-serving gateway cluster over loopback TCP in one
 /// process: `n` gateway node threads plus `clients` closed-loop
 /// `csm-client` endpoints driving a bank workload, with the round-batch
@@ -475,11 +279,7 @@ fn cmd_gateway(rest: &[String]) {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc as StdArc;
 
-    let mut common = CommonArgs {
-        k: 4,
-        faults: 2,
-        ..CommonArgs::default()
-    };
+    let mut common = CommonArgs::default();
     let mut clients = 8usize;
     let mut commands = 2usize;
     let mut consensus = ConsensusKind::LeaderEcho;
@@ -557,7 +357,6 @@ fn cmd_gateway(rest: &[String]) {
     let initial_states: Vec<Vec<csm_algebra::Fp61>> = (0..common.k as u64)
         .map(|s| vec![csm_algebra::Fp61::from_u64(100 * (s + 1))])
         .collect();
-    // same synchrony selection as run/launch (--partial-sync honored)
     let timing = timing(&common);
     let gw_cfg = GatewayConfig::new(common.n, common.faults, &timing).with_consensus(consensus);
     let stop = StdArc::new(AtomicBool::new(false));
@@ -683,11 +482,7 @@ fn cmd_audit(rest: &[String]) {
         Prometheus,
     }
 
-    let mut common = CommonArgs {
-        k: 4,
-        faults: 2,
-        ..CommonArgs::default()
-    };
+    let mut common = CommonArgs::default();
     let mut clients = 8usize;
     let mut commands = 2usize;
     let mut consensus = ConsensusKind::LeaderEcho;
@@ -957,174 +752,6 @@ fn cmd_audit(rest: &[String]) {
             Format::Text => println!("cluster audit FAILED"),
             Format::Json | Format::Prometheus => csm_telemetry::error!("cluster audit FAILED"),
         }
-        std::process::exit(1);
-    }
-}
-
-/// Reserves `n` distinct loopback ports by briefly binding them.
-fn reserve_ports(n: usize) -> Vec<u16> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("reserve port"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr").port())
-        .collect()
-}
-
-fn cmd_launch(rest: &[String]) {
-    let mut common = CommonArgs::default();
-    let mut byzantine: BTreeMap<usize, BehaviorKind> = BTreeMap::new();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--partial-sync" {
-            common.partial_sync = true;
-            continue;
-        }
-        let value = it.next().unwrap_or_else(|| usage());
-        if parse_common(&mut common, flag, value) {
-            continue;
-        }
-        match flag.as_str() {
-            "--byzantine" => {
-                let (id, kind) = value.split_once(':').unwrap_or_else(|| usage());
-                byzantine.insert(
-                    id.parse().expect("--byzantine id"),
-                    kind.parse().unwrap_or_else(|e| {
-                        csm_telemetry::error!("--byzantine: {e}");
-                        std::process::exit(2);
-                    }),
-                );
-            }
-            _ => usage(),
-        }
-    }
-    if byzantine.is_empty() {
-        byzantine.insert(0, BehaviorKind::Equivocate);
-    }
-    if byzantine.len() > common.faults {
-        csm_telemetry::error!(
-            "{} Byzantine nodes exceed the provisioned fault bound b = {} (raise --faults)",
-            byzantine.len(),
-            common.faults
-        );
-        std::process::exit(2);
-    }
-
-    let ports = reserve_ports(common.n);
-    let ports_arg = ports
-        .iter()
-        .map(u16::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    let exe = std::env::current_exe().expect("current exe");
-
-    println!(
-        "launching {} csm-node processes on loopback (machine={}, k={}, b={}, rounds={}, {}), \
-         byzantine: {:?}",
-        common.n,
-        common.machine.as_str(),
-        common.k,
-        common.faults,
-        common.rounds,
-        if common.partial_sync {
-            "partial-sync"
-        } else {
-            "synchronous"
-        },
-        byzantine
-    );
-
-    let children: Vec<_> = (0..common.n)
-        .map(|id| {
-            let behavior = byzantine.get(&id).copied().unwrap_or(BehaviorKind::Honest);
-            let behavior_arg = match behavior {
-                BehaviorKind::Honest => "honest",
-                BehaviorKind::Equivocate => "equivocate",
-                BehaviorKind::Withhold => "withhold",
-                BehaviorKind::Impersonate => "impersonate",
-            };
-            let mut cmd = Command::new(&exe);
-            cmd.arg("run")
-                .args(["--id", &id.to_string()])
-                .args(["--n", &common.n.to_string()])
-                .args(["--k", &common.k.to_string()])
-                .args(["--faults", &common.faults.to_string()])
-                .args(["--rounds", &common.rounds.to_string()])
-                .args(["--seed", &common.seed.to_string()])
-                .args(["--delta-ms", &common.delta_ms.to_string()])
-                .args(["--machine", common.machine.as_str()])
-                .args(["--ports", &ports_arg])
-                .args(["--behavior", behavior_arg])
-                .args(["--log-level", csm_telemetry::logger::level().as_str()])
-                .stdout(Stdio::piped())
-                .stderr(Stdio::inherit());
-            if common.partial_sync {
-                cmd.arg("--partial-sync");
-            }
-            csm_telemetry::debug!("spawning node {id} ({behavior_arg}) on port {}", ports[id]);
-            (id, cmd.spawn().expect("spawn child node"))
-        })
-        .collect();
-
-    // digests[round] -> node -> digest value
-    let mut digests: BTreeMap<u64, BTreeMap<usize, String>> = BTreeMap::new();
-    let mut failures = Vec::new();
-    for (id, mut child) in children {
-        let stdout = child.stdout.take().expect("piped stdout");
-        for line in BufReader::new(stdout).lines() {
-            let line = line.expect("child stdout");
-            println!("[node {id}] {line}");
-            if let Some(rest) = line.strip_prefix("COMMIT ") {
-                let mut round = None;
-                let mut digest = None;
-                for field in rest.split_whitespace() {
-                    if let Some(v) = field.strip_prefix("round=") {
-                        round = v.parse::<u64>().ok();
-                    } else if let Some(v) = field.strip_prefix("digest=") {
-                        digest = Some(v.to_string());
-                    }
-                }
-                if let (Some(r), Some(d)) = (round, digest) {
-                    digests.entry(r).or_default().insert(id, d);
-                }
-            }
-        }
-        let status = child.wait().expect("child exit status");
-        if !status.success() {
-            failures.push(id);
-        }
-    }
-
-    let honest: Vec<usize> = (0..common.n)
-        .filter(|i| !byzantine.contains_key(i))
-        .collect();
-    let mut ok = failures.is_empty();
-    for round in 0..common.rounds {
-        let row = digests.get(&round);
-        let values: Vec<&String> = honest
-            .iter()
-            .filter_map(|i| row.and_then(|r| r.get(i)))
-            .collect();
-        if values.len() != honest.len() || values.windows(2).any(|w| w[0] != w[1]) {
-            println!("round {round}: HONEST NODES DISAGREE OR MISSING: {row:?}");
-            ok = false;
-        } else {
-            println!(
-                "round {round}: {} honest nodes committed digest {}",
-                values.len(),
-                values[0]
-            );
-        }
-    }
-    if ok {
-        println!(
-            "cluster OK: {} rounds committed identically by {} honest nodes",
-            common.rounds,
-            honest.len()
-        );
-    } else {
-        println!("cluster FAILED (exit statuses: {failures:?})");
         std::process::exit(1);
     }
 }

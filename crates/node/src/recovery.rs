@@ -34,8 +34,7 @@
 //!    rejoins at the cluster's round.
 
 use crate::core::GatewayCore;
-use crate::gateway::{drive, GatewayConfig, GatewayReport, GatewaySpec};
-use crate::runtime::ExchangeTiming;
+use crate::gateway::{drive, ExchangeTiming, GatewayConfig, GatewayReport, GatewaySpec};
 use crate::CodedMachine;
 use csm_algebra::Field;
 use csm_core::digest::splitmix64;

@@ -16,8 +16,6 @@
 /// their durations sum to ≈ [`Phase::Round`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
-    /// Staged-batch wait (leader-echo voting / pipelining window).
-    Stage,
     /// The whole batch-agreement call, whatever the backend.
     Consensus,
     /// Leader proposal / PBFT pre-prepare (sub-phase).
@@ -47,8 +45,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 13] = [
-        Phase::Stage,
+    pub const ALL: [Phase; 12] = [
         Phase::Consensus,
         Phase::ConsensusPropose,
         Phase::ConsensusRelay,
@@ -66,7 +63,6 @@ impl Phase {
     /// The snapshot/dump schema name of this phase.
     pub fn as_str(&self) -> &'static str {
         match self {
-            Phase::Stage => "stage",
             Phase::Consensus => "consensus",
             Phase::ConsensusPropose => "consensus.propose",
             Phase::ConsensusRelay => "consensus.relay",
@@ -230,7 +226,6 @@ mod tests {
         assert!(Phase::Consensus.is_top_level());
         assert!(!Phase::ConsensusPropose.is_top_level());
         assert!(!Phase::Round.is_top_level());
-        assert!(!Phase::Stage.is_top_level());
     }
 
     #[test]

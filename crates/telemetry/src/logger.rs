@@ -8,8 +8,8 @@
 //! filtered-out calls cost one relaxed atomic load.
 //!
 //! Log lines go to stderr so the binaries' stable stdout contract
-//! (`COMMIT …` / `DONE …` / `cluster OK` lines parsed by the launch
-//! subcommand and CI) is untouched.
+//! (per-client commit lines and the `… OK` / `… FAILED` verdicts CI
+//! reads) is untouched.
 
 use std::fmt;
 use std::io::Write;

@@ -124,8 +124,8 @@ pub enum Payload {
         values: Vec<u64>,
     },
     /// A commit announcement: the sender finalized `round` with the given
-    /// digest of its decoded outputs (used by launchers/monitors to check
-    /// honest-node agreement).
+    /// digest of its decoded outputs (how nodes check honest-node
+    /// agreement and detect that they diverged).
     Commit {
         /// Committed round number.
         round: u64,
@@ -139,10 +139,8 @@ pub enum Payload {
         /// Echoed nonce.
         nonce: u64,
     },
-    /// A staged command batch for a *future* round — the §2.2 pipelining
-    /// carrier: nodes vote on round `t + 1`'s batch while round `t`'s
-    /// execution phase is still in flight, so the consensus/staging
-    /// latency overlaps execution instead of serializing with it.
+    /// A staged command batch for a round: the leader-echo leader's
+    /// proposal, and each follower's bit-for-bit echo of it.
     Stage {
         /// The round this batch is for.
         round: u64,

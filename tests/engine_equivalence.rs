@@ -1,19 +1,14 @@
-//! Guards the `RoundEngine` extraction from two directions:
+//! Guards the `RoundEngine` extraction: a `RoundEngine` per node, driven
+//! step-by-step through the sans-I/O event contract (encode → execute →
+//! fault → logical exchange → decode → commit), is output-equivalent to
+//! `CsmCluster::step` across random machines, fault assignments, and
+//! synchrony modes: same decoded outputs and next states, same detected
+//! Byzantine nodes, same per-node coded states after every round, and
+//! the same commit digest the gateway would gossip — whichever of the
+//! three decoders each side runs.
 //!
-//! 1. **Property test** — a `RoundEngine` per node, driven step-by-step
-//!    through the sans-I/O event contract (encode → execute → fault →
-//!    logical exchange → decode → commit), is output-equivalent to
-//!    `CsmCluster::step` across random machines, fault assignments, and
-//!    synchrony modes: same decoded outputs and next states, same
-//!    detected Byzantine nodes, same per-node coded states after every
-//!    round, and the same commit digest the real runtime would gossip —
-//!    whichever of the three decoders each side runs.
-//!
-//! 2. **Byzantine behaviors over real TCP** — withhold and impersonate
-//!    nodes run a *non-bank* machine (the compiled Boolean counter over
-//!    GF(2¹⁶)) through the engine on real sockets, and the honest
-//!    majority still commits identical states matching the uncoded
-//!    reference execution.
+//! The same engine behind the shipping round loop, on a second field and
+//! a degree-3 machine, is checked by `csm-node`'s gateway-core tests.
 
 use coded_state_machine::algebra::{Field, Fp61, Gf2_16};
 use coded_state_machine::csm::engine::{sim_receiver_word, CodedMachine, RoundEngine};
@@ -24,17 +19,10 @@ use coded_state_machine::statemachine::machines::{
     auction_machine, bank_machine, interest_machine, kv_machine, power_machine,
 };
 use coded_state_machine::statemachine::PolyTransition;
-use csm_node::ExchangeTiming;
-use csm_node::{cluster_registry, counter_spec, run_node, BehaviorKind, NodeReport};
-use csm_transport::tcp::TcpMesh;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
-
-// ------------------------------------------------------------------ part 1
 
 #[derive(Debug, Clone, Copy)]
 enum MachineKind {
@@ -241,85 +229,5 @@ proptest! {
     #[test]
     fn engine_matches_cluster_step_gf2m(s in scenario()) {
         run_equivalence::<Gf2_16>(&s)?;
-    }
-}
-
-// ------------------------------------------------------------------ part 2
-
-/// Withhold + impersonate nodes run the Boolean counter machine (degree 3
-/// over GF(2¹⁶)) through the engine on real TCP; the honest majority
-/// commits identical states equal to the uncoded reference execution.
-#[test]
-fn tcp_nonbank_machine_survives_withhold_and_impersonate() {
-    let n = 10;
-    let k = 2;
-    let rounds = 3;
-    let byzantine = [3usize, 6];
-    let registry = cluster_registry(n, 909);
-    let mesh = TcpMesh::launch_loopback(Arc::clone(&registry)).expect("bind loopback mesh");
-    let handles: Vec<_> = mesh
-        .into_iter()
-        .enumerate()
-        .map(|(i, transport)| {
-            let registry = Arc::clone(&registry);
-            let behavior = match i {
-                3 => BehaviorKind::Withhold,
-                6 => BehaviorKind::Impersonate,
-                _ => BehaviorKind::Honest,
-            };
-            let spec = counter_spec(n, k, 2, 909, rounds, behavior).expect("valid counter spec");
-            let timing = ExchangeTiming::synchronous(2, Duration::from_millis(300));
-            thread::spawn(move || run_node(transport, registry, timing, &spec))
-        })
-        .collect();
-    let mut reports: Vec<NodeReport<Gf2_16>> = handles
-        .into_iter()
-        .map(|h| h.join().expect("node thread"))
-        .collect();
-    reports.sort_by_key(|r| r.id);
-
-    // honest agreement on every round's digest
-    for round in 0..rounds as usize {
-        let digests: Vec<u64> = reports
-            .iter()
-            .filter(|r| !byzantine.contains(&r.id))
-            .map(|r| {
-                r.commits[round]
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("node {} missed round {round}", r.id))
-                    .digest
-            })
-            .collect();
-        assert_eq!(digests.len(), n - byzantine.len());
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "round {round}: honest digests diverge"
-        );
-    }
-
-    // decoded states equal the uncoded reference execution
-    let spec = counter_spec(n, k, 2, 909, rounds, BehaviorKind::Honest).unwrap();
-    let mut states = spec.initial_states.clone();
-    let sd = spec.machine.transition().state_dim();
-    for round in 0..rounds {
-        let cmds = spec.commands(round);
-        let expected: Vec<Vec<Gf2_16>> = states
-            .iter()
-            .zip(&cmds)
-            .map(|(s, x)| spec.machine.transition().apply_flat(s, x).unwrap())
-            .collect();
-        for report in reports.iter().filter(|r| !byzantine.contains(&r.id)) {
-            let commit = report.commits[round as usize].as_ref().unwrap();
-            assert_eq!(
-                &commit.results, &expected,
-                "node {} round {round} decoded the true results",
-                report.id
-            );
-            // withholder's slot is an erasure; impersonator's forged
-            // frames were dropped by MAC verification, so its slot is
-            // empty too
-            assert_eq!(commit.results_held, n - 2);
-        }
-        states = expected.iter().map(|r| r[..sd].to_vec()).collect();
     }
 }

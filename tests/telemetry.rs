@@ -1,8 +1,9 @@
 //! End-to-end tests of the telemetry layer (`docs/OBSERVABILITY.md`):
-//! instrumentation must be *deterministic* (same seed, same mesh → the
-//! same phase/event sequences, so traces are reproducible evidence) and
 //! the flight recorder must leave a parseable post-mortem naming the
-//! Byzantine peer after a real incident.
+//! Byzantine peer after a real incident, scrapes taken mid-view-change
+//! and mid-resync must be well formed, and live and simulated gateways
+//! must emit the same event alphabet. (Trace determinism is the chaos
+//! harness's replay contract: `tests/chaos_scenarios.rs`.)
 
 use csm_algebra::Fp61;
 use csm_bench::recovery::{
@@ -11,8 +12,8 @@ use csm_bench::recovery::{
 use csm_bench::workload::{run_mem_workload, verify_bank_outcome, WorkloadConfig};
 use csm_client::{ClientConfig, CsmClient};
 use csm_node::{
-    bank_spec, cluster_registry, mesh_registry, run_gateway, run_node_with_sink, BehaviorKind,
-    CodedMachine, ConsensusKind, ExchangeTiming, GatewayConfig, GatewaySpec, StagingFault,
+    mesh_registry, run_gateway, BehaviorKind, CodedMachine, ConsensusKind, ExchangeTiming,
+    GatewayConfig, GatewaySpec, StagingFault,
 };
 use csm_statemachine::machines::bank_machine;
 use csm_telemetry::{Event, FlightDump, Phase, ReplaySink, SharedSink, TelemetrySnapshot};
@@ -22,80 +23,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-type PhaseLog = Vec<(usize, u64, Phase)>;
 type EventLog = Vec<(usize, u64, Option<usize>, Event)>;
-
-/// Runs an 8-node mesh (node 0 equivocating on results) with one
-/// [`ReplaySink`] per node and returns each node's timestamp-free
-/// phase/event logs, by node id.
-fn replay_run(seed: u64) -> Vec<(PhaseLog, EventLog)> {
-    let n = 8;
-    let rounds = 3;
-    let registry = cluster_registry(n, seed);
-    let base = bank_spec(n, 2, seed, rounds, BehaviorKind::Honest).expect("valid spec");
-    let mesh = MemMesh::build(Arc::clone(&registry));
-    let mut handles = Vec::new();
-    for (id, transport) in mesh.into_iter().enumerate() {
-        let registry = Arc::clone(&registry);
-        let mut spec = base.clone();
-        if id == 0 {
-            spec.behavior = BehaviorKind::Equivocate;
-        }
-        handles.push(thread::spawn(move || {
-            let sink = Arc::new(ReplaySink::new());
-            let timing = ExchangeTiming::synchronous(1, Duration::from_millis(80));
-            let report = run_node_with_sink(
-                transport,
-                registry,
-                timing,
-                &spec,
-                Arc::clone(&sink) as SharedSink,
-            );
-            (report.id, sink.phase_log(), sink.event_log())
-        }));
-    }
-    let mut logs: Vec<(usize, PhaseLog, EventLog)> = handles
-        .into_iter()
-        .map(|h| h.join().expect("node thread"))
-        .collect();
-    logs.sort_by_key(|(id, _, _)| *id);
-    logs.into_iter()
-        .map(|(_, phases, events)| (phases, events))
-        .collect()
-}
-
-#[test]
-fn same_seed_runs_trace_identically() {
-    let first = replay_run(77);
-    let second = replay_run(77);
-    assert_eq!(
-        first, second,
-        "same-seed runs must produce identical per-node traces"
-    );
-    // and the traces contain real evidence: every honest node pinned the
-    // equivocator in every round, through a fully-marked round span
-    for (id, (phases, events)) in first.iter().enumerate() {
-        if id == 0 {
-            continue;
-        }
-        for round in 0..3u64 {
-            let expected: PhaseLog = [Phase::Execute, Phase::Exchange, Phase::Decode, Phase::Round]
-                .iter()
-                .map(|p| (id, round, *p))
-                .collect();
-            let from: Vec<_> = phases
-                .iter()
-                .filter(|(_, r, _)| *r == round)
-                .copied()
-                .collect();
-            assert_eq!(from, expected, "node {id} round {round} phase order");
-            assert!(
-                events.contains(&(id, round, Some(0), Event::EquivocationDetected)),
-                "node {id} round {round} must detect the equivocator"
-            );
-        }
-    }
-}
 
 #[test]
 fn gateway_incident_leaves_a_flight_dump_naming_the_equivocator() {
