@@ -386,9 +386,10 @@ fn run_rejoin<T: Transport + 'static>(
     // acceptance bar: ≥ post_rounds further commits after the restart
     let mut prober = CsmClient::new(prober_transport, Arc::clone(&registry), client_cfg.clone());
     // scrape right away, while the revived victim is still resyncing:
-    // whoever answers mid-churn must hand back a coherent snapshot. Nodes
-    // answer at their next round start, and a round the victim was to
-    // lead first waits out the staging timeout (twice `stage_timeout`)
+    // whoever answers mid-churn must hand back a coherent snapshot. A node
+    // between rounds with no work answers at once; one mid-round answers
+    // at its next round start, and a round the victim was to lead first
+    // waits out the staging timeout (twice `stage_timeout`)
     let worst_round = gw_cfg.stage_timeout * 2 + cfg.delta;
     let mid_resync_telemetry =
         prober.scrape(worst_round + cfg.delta * 4 + Duration::from_millis(500));
@@ -402,6 +403,10 @@ fn run_rejoin<T: Transport + 'static>(
             "cluster stopped committing after the restart ({final_round}/{target})"
         );
         thread::sleep(Duration::from_millis(25));
+        // a cluster with no commands runs no rounds: once the clients are
+        // done the prober supplies the work, zero deposits that leave
+        // every balance where the clients' receipts put it
+        let _ = prober.submit(0, vec![0]);
         final_round = probe_round(&mut prober);
     }
 

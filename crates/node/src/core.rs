@@ -194,7 +194,8 @@ struct ChunkEntry {
 
 /// What the core is doing between events.
 enum PhaseState<F: Field> {
-    /// Waiting for the next-round pacing timer.
+    /// Between rounds: waiting for the `Next` timer or, with none armed,
+    /// quiescent until work or peers wake it.
     Idle,
     /// Agreeing on the round's batch.
     Staging(Staging),
@@ -306,8 +307,9 @@ pub struct GatewayCore<F: Field> {
     /// before it starts its round (`work_start`).
     new_submits: usize,
     work_since: Option<u64>,
-    /// When the `Next` timer armed last is due.
-    next_at: u64,
+    /// When the `Next` timer armed last is due; `None` once an idle node
+    /// holding no work arms none: it is quiescent.
+    next_at: Option<u64>,
 
     // incident bookkeeping
     dumped_peers: BTreeSet<usize>,
@@ -528,7 +530,7 @@ impl<F: Field> GatewayCore<F> {
             peer_rounds: vec![None; cluster],
             new_submits: 0,
             work_since: None,
-            next_at: 0,
+            next_at: None,
             dumped_peers: BTreeSet::new(),
             dumped_decode_failure: false,
             seen_bad_mac: BTreeMap::new(),
@@ -675,10 +677,23 @@ impl<F: Field> GatewayCore<F> {
         self.now = now_us;
         match event {
             Event::Frame(frame) => {
-                // work may end an idle pause early (see `intake`)
+                // work may end an idle pause early, or wake a quiescent
+                // node (see `intake`)
                 if self.intake(frame) && matches!(self.phase, PhaseState::Idle) {
-                    if let Some(at) = self.idle_start().filter(|&at| at < self.next_at) {
-                        self.set_timer(TimerKind::Next, at, 0);
+                    match self.next_at {
+                        Some(next) => {
+                            if let Some(at) = self.idle_start().filter(|&at| at < next) {
+                                self.set_timer(TimerKind::Next, at, 0);
+                            }
+                        }
+                        // no pause to cut short: a node that does not
+                        // lead waits out the longest one a round leaves
+                        // (Δ, then the idle pause), in case its leader
+                        // is silent
+                        None => {
+                            let pause = micros(self.timing.delta) + micros(self.cfg.idle_pause);
+                            self.pace(self.now + pause);
+                        }
                     }
                 }
             }
@@ -701,7 +716,7 @@ impl<F: Field> GatewayCore<F> {
 
     fn set_timer(&mut self, kind: TimerKind, at_us: u64, epoch: u64) {
         if kind == TimerKind::Next {
-            self.next_at = at_us;
+            self.next_at = Some(at_us);
         }
         let id = TimerId {
             kind,
@@ -767,9 +782,10 @@ impl<F: Field> GatewayCore<F> {
     /// Routes one authenticated frame: current-round protocol traffic is
     /// consumed at once, the rest is buffered within the bounds above or
     /// dropped. Returns whether the frame is work that may end an idle
-    /// pause (`idle_start`): a new command this node is to propose next,
-    /// or a peer's protocol frame that completes the evidence of
-    /// `peers_moved_on`.
+    /// pause or wake a quiescent node (`step`): a new command, or a
+    /// peer's protocol frame that completes the evidence of
+    /// `peers_moved_on`. A quiescent node answers retries and read-only
+    /// requests at once: it has no round start to serve them at.
     fn intake(&mut self, frame: Frame) -> bool {
         let from = frame.sig.signer.0;
         let from_cluster = from < self.cluster;
@@ -899,11 +915,13 @@ impl<F: Field> GatewayCore<F> {
                 }
                 self.submit_inbox.push(frame);
                 if !self.admission.is_new(client, seq) {
+                    // a retry of a committed command
+                    self.serve_if_quiescent();
                     return false;
                 }
                 self.new_submits += 1;
                 self.work_since.get_or_insert(self.now);
-                self.leader() == self.id
+                true
             }
             Payload::Query { client, .. } => {
                 if client == from as u64
@@ -911,6 +929,7 @@ impl<F: Field> GatewayCore<F> {
                     && self.query_inbox.len() < QUERY_INBOX_CAP
                 {
                     self.query_inbox.push(frame);
+                    self.serve_if_quiescent();
                 }
                 false
             }
@@ -918,6 +937,7 @@ impl<F: Field> GatewayCore<F> {
                 // one slot per requesting peer, last request wins
                 if from_cluster && from != self.id {
                     self.state_requests.insert(from, from_round);
+                    self.serve_if_quiescent();
                 }
                 false
             }
@@ -947,6 +967,7 @@ impl<F: Field> GatewayCore<F> {
                 // read-only and self-reported); one slot per requester
                 if from != self.id {
                     self.telemetry_requests.insert(from, nonce);
+                    self.serve_if_quiescent();
                 }
                 false
             }
@@ -963,7 +984,12 @@ impl<F: Field> GatewayCore<F> {
             return; // armed in a round this node has left
         }
         match (id.kind, &self.phase) {
-            (TimerKind::Next, PhaseState::Idle) => self.start_round(),
+            // a quiescent node armed none: whatever fires is stale
+            (TimerKind::Next, PhaseState::Idle)
+                if self.next_at.is_some_and(|at| at <= self.now) =>
+            {
+                self.start_round()
+            }
             (TimerKind::Stage, PhaseState::Staging(Staging::Echo { .. })) => {
                 self.finish_staging(None)
             }
@@ -1045,12 +1071,30 @@ impl<F: Field> GatewayCore<F> {
             return self.halt(HaltReason::Desync { witness_round });
         }
 
+        self.admit_inbox();
+        if self.behavior == BehaviorKind::Equivocate {
+            // wire-level misbehavior to go with the result equivocation:
+            // each round, forge one frame in the next peer's name. Honest
+            // receivers drop it on MAC failure and attribute the
+            // rejection to the *claimed* signer.
+            let victim = NodeId((self.id + 1) % self.cluster);
+            let ping = Payload::Ping { nonce: round };
+            let forged = Frame::forge(ping, &self.registry, NodeId(self.id), victim);
+            self.out.push(Effect::Broadcast(forged));
+        }
+        let proposal = encode_batch(&self.admission.build_batch(self.machine.k(), self.batch_cap));
+        self.enter_staging(proposal);
+    }
+
+    /// Runs the admission pass over the `Submit` inbox: new commands are
+    /// queued, retries of committed ones answered from the reply cache.
+    fn admit_inbox(&mut self) {
         let frames = std::mem::take(&mut self.submit_inbox);
         (self.new_submits, self.work_since) = (0, None);
         let scope = EventScope {
             sink: self.sink.as_ref(),
             node: self.id,
-            round,
+            round: self.round(),
         };
         let replays = self.admission.admit(
             frames,
@@ -1066,18 +1110,6 @@ impl<F: Field> GatewayCore<F> {
                 self.send(client as usize, payload);
             }
         }
-        if self.behavior == BehaviorKind::Equivocate {
-            // wire-level misbehavior to go with the result equivocation:
-            // each round, forge one frame in the next peer's name. Honest
-            // receivers drop it on MAC failure and attribute the
-            // rejection to the *claimed* signer.
-            let victim = NodeId((self.id + 1) % self.cluster);
-            let ping = Payload::Ping { nonce: round };
-            let forged = Frame::forge(ping, &self.registry, NodeId(self.id), victim);
-            self.out.push(Effect::Broadcast(forged));
-        }
-        let proposal = encode_batch(&self.admission.build_batch(self.machine.k(), self.batch_cap));
-        self.enter_staging(proposal);
     }
 
     /// The equivocating-leader fan-out every backend shares: the honest
@@ -1679,18 +1711,16 @@ impl<F: Field> GatewayCore<F> {
             self.commits.pop_front();
             self.first_recorded_round += 1;
         }
-        // the next round is paced as if this exchange had waited out the
-        // deadline, so an idle cluster runs no more rounds than one whose
-        // words never certify; commands for this node to lead, or peers
-        // that have moved on, start it sooner (and so does such work
-        // arriving later: `step`)
+        // a node holding work paces its next round as if this exchange
+        // had waited out the deadline; commands for this node to lead, or
+        // peers that have moved on, start it sooner. A node holding none
+        // runs no round until such work arrives (`step`): an empty round
+        // would only cost a whole exchange and a commit wave
         let waited = match self.timing.synchrony {
             SynchronyMode::Synchronous => self.now.max(started + micros(self.timing.delta)),
             SynchronyMode::PartiallySynchronous => self.now,
         };
-        let paced = waited + micros(self.cfg.idle_pause);
-        let at = self.idle_start().map_or(paced, |at| at.min(paced));
-        self.set_timer(TimerKind::Next, at, 0);
+        self.pace(waited + micros(self.cfg.idle_pause));
     }
 
     /// A result for the round that last committed on a certificate: record
@@ -1748,6 +1778,32 @@ impl<F: Field> GatewayCore<F> {
         match frame.payload {
             Payload::Submit { client, seq, .. } => self.admission.is_new(client, seq),
             _ => false,
+        }
+    }
+
+    /// Arms the `Next` timer for `paced`, or sooner (`idle_start`). A node
+    /// with no work whose peers have not moved on arms none: it stays
+    /// quiescent until a frame wakes it (`step`), and serves what waits
+    /// for a round start now, and later arrivals at once.
+    fn pace(&mut self, paced: u64) {
+        if let Some(at) = self.idle_start() {
+            return self.set_timer(TimerKind::Next, at.min(paced), 0);
+        }
+        // work: commands queued at an earlier round start, or new ones
+        if self.admission.has_pending() || self.new_submits > 0 {
+            return self.set_timer(TimerKind::Next, paced, 0);
+        }
+        self.next_at = None;
+        self.serve_if_quiescent();
+    }
+
+    /// A quiescent node has no round start coming to serve at: it
+    /// answers retried commands from the reply cache (all its inbox holds,
+    /// as a new command would be work) and read-only requests at once.
+    fn serve_if_quiescent(&mut self) {
+        if matches!(self.phase, PhaseState::Idle) && self.next_at.is_none() {
+            self.admit_inbox();
+            self.serve_requests();
         }
     }
 
@@ -1973,7 +2029,9 @@ impl<F: Field> GatewayCore<F> {
 
     /// Re-encodes the verified plaintext states at this node's own
     /// evaluation point (recovery needs peers' words, not a trusted copy
-    /// of its own), checkpoints them, and rejoins at the cluster's round.
+    /// of its own), checkpoints them, and rejoins at the cluster's round:
+    /// at once if it holds work or its peers are already in that round,
+    /// else quiescent like them, so it does not run a round alone.
     ///
     /// The transfer carries state but not the skipped rounds' batches,
     /// so the checkpointed horizons may lag for clients that committed
@@ -2009,7 +2067,7 @@ impl<F: Field> GatewayCore<F> {
         self.first_recorded_round = next;
         self.fail_streak = 0;
         self.phase = PhaseState::Idle;
-        self.set_timer(TimerKind::Next, self.now, 0);
+        self.pace(self.now);
     }
 
     /// Closes the startup catch-up (if this was it), recording how long

@@ -114,6 +114,13 @@ fn buffered(core: &GatewayCore<Fp61>) -> usize {
         + core.telemetry_requests.len()
 }
 
+/// Whether `effects` arm a timer of `kind`.
+fn arms(effects: &[Effect], kind: TimerKind) -> bool {
+    effects
+        .iter()
+        .any(|e| matches!(e, Effect::SetTimer { id, .. } if id.kind == kind))
+}
+
 /// The one-shot timer of `kind` among `effects`.
 fn timer(effects: &[Effect], kind: TimerKind) -> (u64, TimerId) {
     effects
@@ -546,11 +553,16 @@ fn the_log_holds_a_round_before_any_effect_acknowledges_it() {
 }
 
 #[test]
-fn telemetry_and_state_requests_are_served_at_the_next_round_start() {
+fn telemetry_and_state_requests_are_served_while_idle() {
+    // once its command commits the cluster holds no work and runs no
+    // round; node 1 answers each read-only request, and a retry of the
+    // committed command, in the step that delivers it, with no round
+    // started for it
     let r = rig(ConsensusKind::LeaderEcho);
     let mut cluster = Cluster::new(&r, None);
     cluster.client_broadcast(1_000, &r.submit(4, 0, 5));
     cluster.run(20_000, |_, _| {});
+    let round = cluster.cores[1].round();
     let scrape = r.sign(5, Payload::TelemetryRequest { nonce: 42 });
     let request = r.sign(2, Payload::StateRequest { from_round: 0 });
     let query = r.sign(
@@ -561,37 +573,37 @@ fn telemetry_and_state_requests_are_served_at_the_next_round_start() {
             qid: 3,
         },
     );
-    for frame in [scrape, request, query] {
-        cluster.push(20_001, 1, Event::Frame(frame));
+    let retry = r.submit(4, 0, 5);
+    let mut sent = Vec::new();
+    for frame in [scrape, request, query, retry] {
+        let effects = cluster.cores[1].step(20_001, Event::Frame(frame));
+        let [Effect::Send { frame, .. }] = &effects[..] else {
+            panic!("one answer and nothing else: {effects:?}");
+        };
+        sent.push(frame.payload.clone());
     }
-    cluster.run(40_000, |_, _| {});
-    let node1 = cluster.log.iter().filter(|(to, ..)| *to == 1);
-    let sent: Vec<&Payload> = node1
-        .flat_map(|(.., effects)| effects)
-        .filter_map(|e| match e {
-            Effect::Send { frame, .. } => Some(&frame.payload),
-            _ => None,
-        })
-        .collect();
-    let snapshot = sent
-        .iter()
-        .find_map(|p| match p {
-            Payload::TelemetryReply {
-                nonce: 42,
-                snapshot,
-                ..
-            } => Some(TelemetrySnapshot::from_json(snapshot).expect("snapshot parses")),
-            _ => None,
-        })
-        .expect("the scrape was answered");
+    assert_eq!(cluster.cores[1].round(), round, "no round started");
+    let snapshot = match &sent[0] {
+        Payload::TelemetryReply {
+            nonce: 42,
+            snapshot,
+            ..
+        } => TelemetrySnapshot::from_json(snapshot).expect("snapshot parses"),
+        other => panic!("the scrape was not answered: {other:?}"),
+    };
     assert_eq!(snapshot.counter("commands_committed"), 1);
     assert!(snapshot.phase("exchange").is_some());
-    assert!(sent
-        .iter()
-        .any(|p| matches!(p, Payload::StateChunk { results, .. } if results.len() == 2)));
-    assert!(sent
-        .iter()
-        .any(|p| matches!(p, Payload::QueryReply { qid: 3, value, .. } if value[..] == [105])));
+    assert!(matches!(&sent[1], Payload::StateChunk { results, .. } if results.len() == 2));
+    assert!(matches!(&sent[2], Payload::QueryReply { qid: 3, value, .. } if value[..] == [105]));
+    assert!(matches!(
+        &sent[3],
+        Payload::Reply {
+            client: 4,
+            seq: 0,
+            ..
+        }
+    ));
+    assert_eq!(cluster.cores[1].stats().replayed, 1);
 }
 
 // -- the exchange: certificates, late evidence, the round counter ----------
@@ -782,10 +794,10 @@ fn a_failed_round_leaves_one_round_counter() {
 
 #[test]
 fn an_idle_leader_waits_a_window_for_a_round_of_commands() {
-    // node 1, idle after round 0 failed at 10 000 µs, leads round 1. Its
-    // pacing alone would start the round at 13 000 µs (Δ = 2 000 µs,
-    // idle pause 3 000 µs); the batch window is Δ/5 = 400 µs, and a
-    // round's worth is K · batch_cap = 2 commands.
+    // node 1, idle after round 0 failed at 10 000 µs, leads round 1. It
+    // holds no commands, so it arms no round at all; the batch window is
+    // Δ/5 = 400 µs (Δ = 2 000 µs), and a round's worth is K · batch_cap
+    // = 2 commands.
     let r = rig(ConsensusKind::LeaderEcho);
     let idle_leader = || {
         let mut core = exchanging(&r, 1);
@@ -794,8 +806,9 @@ fn an_idle_leader_waits_a_window_for_a_round_of_commands() {
             round: 0,
             epoch: 0,
         };
-        let (paced, _) = timer(&core.step(10_000, Event::Timer(deadline)), TimerKind::Next);
-        assert_eq!((core.round(), paced), (1, 13_000));
+        let effects = core.step(10_000, Event::Timer(deadline));
+        assert_eq!(core.round(), 1);
+        assert!(!arms(&effects, TimerKind::Next), "{effects:?}");
         core
     };
     // one command: the round starts a window after it arrived
@@ -808,8 +821,7 @@ fn an_idle_leader_waits_a_window_for_a_round_of_commands() {
     assert_eq!(at, 10_200);
 
     // the round commits both; node 1 does not lead round 2 and holds
-    // nothing, so the round that carried commands is followed at its
-    // pacing, not at once
+    // nothing, so it runs no round after the one that carried commands
     let effects = core.step(at, Event::Timer(next));
     let rows = effects
         .iter()
@@ -837,7 +849,113 @@ fn an_idle_leader_waits_a_window_for_a_round_of_commands() {
     }
     assert_eq!(committed(&effects).len(), 1, "round 1 commits");
     assert_eq!(core.stats().commands_committed, 2);
-    assert_eq!(timer(&effects, TimerKind::Next).0, at + 2_000 + 3_000);
+    assert!(!arms(&effects, TimerKind::Next), "{effects:?}");
+    // a command for round 2, which node 1 does not lead, starts it after
+    // the longest pause a round leaves (Δ + idle pause 3 000 µs) unless
+    // the leader pulls it in first
+    let effects = core.step(at + 600, Event::Frame(r.submit(4, 1, 9)));
+    assert_eq!(timer(&effects, TimerKind::Next).0, at + 600 + 2_000 + 3_000);
+}
+
+#[test]
+fn an_idle_cluster_is_silent() {
+    // once its one command has committed the cluster holds no work: for
+    // 200Δ no node advances a round, sends a frame or arms a timer
+    let r = rig(ConsensusKind::LeaderEcho);
+    let mut cluster = Cluster::new(&r, None);
+    cluster.client_broadcast(1_000, &r.submit(4, 0, 5));
+    cluster.run(20_000, |_, _| {});
+    assert!(cluster
+        .cores
+        .iter()
+        .all(|c| c.stats().commands_committed == 1));
+    let rounds =
+        |cluster: &Cluster| -> Vec<u64> { cluster.cores.iter().map(GatewayCore::round).collect() };
+    let before = rounds(&cluster);
+    let quiet_until = 20_000 + 200 * micros(r.timing.delta);
+    cluster.run(quiet_until, |node, effects| {
+        let loud = effects.iter().any(|e| {
+            matches!(
+                e,
+                Effect::Send { .. } | Effect::Broadcast(_) | Effect::SetTimer { .. }
+            )
+        });
+        assert!(!loud, "node {node}: {effects:?}");
+    });
+    assert_eq!(rounds(&cluster), before);
+}
+
+#[test]
+fn a_silent_leader_does_not_strand_work() {
+    // the quiet cluster rests in round 1, whose leader (node 1) withholds
+    // its proposals. A command reaches every node: the followers, which
+    // do not lead, start the round after the longest pause a round
+    // leaves, and get past the leader in the time their backend's
+    // staging takes — PBFT's view-0 timeout (`stage_timeout`), after
+    // which the next primary commits the command in that round; the
+    // leader-echo proposal and echo waits (2 · `stage_timeout`), after
+    // which the next round's leader proposes it at once; two Dolev–Strong
+    // windows of (b + 2) relay rounds, as every round runs its whole one
+    for consensus in [
+        ConsensusKind::Pbft,
+        ConsensusKind::LeaderEcho,
+        ConsensusKind::DolevStrong,
+    ] {
+        let r = rig(consensus);
+        let stage_timeout = micros(r.cfg.stage_timeout);
+        let staging = match consensus {
+            ConsensusKind::Pbft => stage_timeout,
+            ConsensusKind::LeaderEcho => 2 * stage_timeout,
+            ConsensusKind::DolevStrong => 2 * micros(r.cfg.consensus_delta) * (B as u64 + 2),
+        };
+        let cores = (0..N)
+            .map(|id| {
+                let spec = GatewaySpec {
+                    staging_fault: if id == 1 {
+                        StagingFault::WithholdBatch
+                    } else {
+                        StagingFault::None
+                    },
+                    ..r.spec.clone()
+                };
+                let timing = r.timing.clone();
+                GatewayCore::new(id, Arc::clone(&r.registry), timing, &spec, &r.cfg, None)
+            })
+            .collect();
+        let mut cluster = Cluster::of(cores, Arc::clone(&r.registry));
+        let submitted = 40_000;
+        cluster.run(submitted, |_, _| {});
+        assert!(cluster.cores.iter().all(|c| c.round() == 1), "{consensus}");
+        cluster.client_broadcast(submitted, &r.submit(4, 0, 5));
+        cluster.run(200_000, |_, _| {});
+        // when the client holds b + 1 replies
+        let acked = cluster
+            .log
+            .iter()
+            .filter(|(.., effects)| {
+                effects.iter().any(|e| {
+                    matches!(
+                        e,
+                        Effect::Send {
+                            frame: Frame {
+                                payload: Payload::Reply { client: 4, .. },
+                                ..
+                            },
+                            ..
+                        }
+                    )
+                })
+            })
+            .nth(B)
+            .map(|(_, now, ..)| *now)
+            .unwrap_or_else(|| panic!("{consensus}: the command never committed"));
+        let pause = micros(r.timing.delta) + micros(r.cfg.idle_pause);
+        assert!(
+            acked - submitted <= 2 * pause + staging,
+            "{consensus}: acked {} µs after submission",
+            acked - submitted
+        );
+    }
 }
 
 /// The next draw below `bound` from the splitmix64 stream at `seed`.
@@ -907,38 +1025,46 @@ fn certified_commits_are_the_commits_at_the_deadline() {
 
 #[test]
 fn one_peer_spraying_future_rounds_does_not_speed_up_an_idle_cluster() {
-    // an idle cluster; in the sprayed run node 3 also sends every other
+    // an idle cluster; in the sprayed run one peer also sends every other
     // node a Stage for each of the next few rounds past the receiver's,
     // every 500 µs. Were any peer's frame enough to wake an idle node,
     // that alone would run empty rounds at network speed. As it is, one
-    // peer is evidence only for the rounds it leads: every fourth.
+    // peer is evidence only for the rounds it leads, so the sprayer is
+    // the leader of the round the quiet cluster rests in.
     const HORIZON: u64 = 200_000;
     let r = rig(ConsensusKind::LeaderEcho);
-    let rounds = |spray: bool| {
+    let rounds = |sprayer: Option<usize>| {
         let mut cluster = Cluster::new(&r, None);
         for now in (500..=HORIZON).step_by(500) {
             cluster.run(now, |_, _| {});
-            for to in (0..N - 1).filter(|_| spray) {
+            let Some(sprayer) = sprayer else { continue };
+            for to in (0..N).filter(|&to| to != sprayer) {
                 let current = cluster.cores[to].round();
                 for round in current + 1..=current + 4 {
                     let stage = Payload::Stage {
                         round,
-                        sender: 3,
+                        sender: sprayer as u64,
                         commands: Vec::new(),
                     };
-                    cluster.push(now, to, Event::Frame(r.sign(3, stage)));
+                    cluster.push(now, to, Event::Frame(r.sign(sprayer, stage)));
                 }
             }
         }
-        cluster.cores[1].round()
+        let rounds: Vec<u64> = cluster.cores.iter().map(GatewayCore::round).collect();
+        assert!(rounds.iter().all(|&round| round == rounds[0]), "{rounds:?}");
+        rounds[0]
     };
-    let (quiet, sprayed) = (rounds(false), rounds(true));
-    // skipping every fourth pause runs about 4/3 as many rounds; waking
-    // on any frame ran more than four times as many
-    assert!(quiet >= 10, "{quiet} rounds");
+    // the quiet cluster runs its boot round, then rests in the next
+    let quiet = rounds(None);
+    assert_eq!(quiet, 1, "a quiet cluster stays at its round");
+    let sprayer = (quiet % N as u64) as usize;
+    let sprayed = rounds(Some(sprayer));
+    let led = (quiet..sprayed)
+        .filter(|&round| round % N as u64 == sprayer as u64)
+        .count() as u64;
     assert!(
-        sprayed * 2 <= quiet * 3,
-        "{quiet} rounds quiet, {sprayed} sprayed"
+        sprayed - quiet <= led,
+        "{quiet} rounds quiet, {sprayed} sprayed by node {sprayer}"
     );
 }
 
@@ -992,6 +1118,8 @@ fn partial_synchrony_certifies_before_the_cutoff_and_exposes_both_liars() {
     r.cfg = cfg;
     let empty = vec![Vec::new(); 2];
     let mut core = exchanging(&r, me);
+    // a command for a later round: the node holds work to pace
+    core.step(500, Event::Frame(r.submit(n, 0, 5)));
     // peer p's result lands at 600 + 100·p, the liars' first
     let (committed_at, effects) = (0..n)
         .filter(|&p| p != me)
@@ -1017,8 +1145,9 @@ fn partial_synchrony_certifies_before_the_cutoff_and_exposes_both_liars() {
     let record = core.commits.back().cloned().flatten().expect("round 0");
     assert_eq!(record.detected_error_nodes, vec![0, 1], "both liars");
     assert_eq!(core.stats().exchange_fallbacks, 0);
-    // committed before max_wait, and the next round is paced from the
-    // commit: a partially synchronous node has no Δ to wait out
+    // committed before max_wait, and a node holding work paces its next
+    // round from the commit: a partially synchronous node has no Δ to
+    // wait out
     assert!(committed_at < micros(max_wait));
     let pause = micros(r.cfg.idle_pause);
     assert_eq!(timer(&effects, TimerKind::Next).0, committed_at + pause);

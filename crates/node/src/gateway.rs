@@ -290,17 +290,17 @@ pub struct GatewayConfig {
     /// that carry commands run at network speed, so the default is 512
     /// rounds (about 0.2 MB per node at `K = 2`), not a span of time.
     pub commit_history: usize,
-    /// Pause after a round, counted from where an exchange that waited
-    /// out its deadline would have ended. Work ends it early — commands
-    /// for the leader to propose (after a batch window of `Δ/5` unless a
-    /// round's worth is held), or protocol frames for the node's round or
-    /// a later one from its leader or from `b + 1` peers
-    /// (`docs/PROTOCOL.md` §10) — so it only sets how often an idle
-    /// cluster runs a round. The default `3Δ/2` keeps that to about one
-    /// round per `3Δ`: rounds that end on a certificate leave a cluster
-    /// idle for longer, and a shorter pause would fill that time with more
-    /// empty rounds than a cluster whose exchanges all wait Δ runs in
-    /// total.
+    /// Pause after a round for a node that holds commands its leader has
+    /// not started a round for, counted from where an exchange that
+    /// waited out its deadline would have ended; a node holding none runs
+    /// no round at all until work or its peers wake it, and one woken by
+    /// a `Submit` for a round it does not lead waits `Δ` plus this pause.
+    /// Work ends it early — commands for the leader to propose (after a
+    /// batch window of `Δ/5` unless a round's worth is held), or protocol
+    /// frames for the node's round or a later one from its leader or from
+    /// `b + 1` peers (`docs/PROTOCOL.md` §10) — so it only bounds how long
+    /// a silent or crashed leader can hold commands back before the
+    /// followers start the round without it. Default `3Δ/2`.
     pub idle_pause: Duration,
     /// Maximum *pending* commands per client: a single flooding client
     /// fills its own quota, not the shared queue, so it cannot starve
