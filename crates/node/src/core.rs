@@ -696,6 +696,8 @@ impl<F: Field> GatewayCore<F> {
                         }
                     }
                 }
+                // a quiescent node has no round start to serve at
+                self.serve_if_quiescent();
             }
             Event::Timer(id) => self.on_timer(id),
         }
@@ -784,8 +786,7 @@ impl<F: Field> GatewayCore<F> {
     /// dropped. Returns whether the frame is work that may end an idle
     /// pause or wake a quiescent node (`step`): a new command, or a
     /// peer's protocol frame that completes the evidence of
-    /// `peers_moved_on`. A quiescent node answers retries and read-only
-    /// requests at once: it has no round start to serve them at.
+    /// `peers_moved_on`.
     fn intake(&mut self, frame: Frame) -> bool {
         let from = frame.sig.signer.0;
         let from_cluster = from < self.cluster;
@@ -915,8 +916,6 @@ impl<F: Field> GatewayCore<F> {
                 }
                 self.submit_inbox.push(frame);
                 if !self.admission.is_new(client, seq) {
-                    // a retry of a committed command
-                    self.serve_if_quiescent();
                     return false;
                 }
                 self.new_submits += 1;
@@ -929,7 +928,6 @@ impl<F: Field> GatewayCore<F> {
                     && self.query_inbox.len() < QUERY_INBOX_CAP
                 {
                     self.query_inbox.push(frame);
-                    self.serve_if_quiescent();
                 }
                 false
             }
@@ -937,7 +935,6 @@ impl<F: Field> GatewayCore<F> {
                 // one slot per requesting peer, last request wins
                 if from_cluster && from != self.id {
                     self.state_requests.insert(from, from_round);
-                    self.serve_if_quiescent();
                 }
                 false
             }
@@ -967,7 +964,6 @@ impl<F: Field> GatewayCore<F> {
                 // read-only and self-reported); one slot per requester
                 if from != self.id {
                     self.telemetry_requests.insert(from, nonce);
-                    self.serve_if_quiescent();
                 }
                 false
             }
@@ -988,7 +984,7 @@ impl<F: Field> GatewayCore<F> {
             (TimerKind::Next, PhaseState::Idle)
                 if self.next_at.is_some_and(|at| at <= self.now) =>
             {
-                self.start_round()
+                self.start_or_hand_off()
             }
             (TimerKind::Stage, PhaseState::Staging(Staging::Echo { .. })) => {
                 self.finish_staging(None)
@@ -1084,6 +1080,35 @@ impl<F: Field> GatewayCore<F> {
         }
         let proposal = encode_batch(&self.admission.build_batch(self.machine.k(), self.batch_cap));
         self.enter_staging(proposal);
+    }
+
+    /// Starts the round the `Next` timer was armed for. A node that starts
+    /// it on its own clock (it does not lead the round, and no peer has
+    /// moved on) holding commands first sends them to the round's leader:
+    /// its peers may have fallen quiet without them (a client sent them
+    /// to this node alone, or they came as its peers finished their last
+    /// round). Left alone in the round, the node would fail it and later
+    /// meet commits for a round it does not hold; with the commands, the
+    /// leader starts the round within the node's staging wait, and its
+    /// peers follow the leader.
+    fn start_or_hand_off(&mut self) {
+        let work = self.admission.has_pending() || self.new_submits > 0;
+        if work && self.idle_start().is_none() {
+            self.hand_off();
+        }
+        self.start_round()
+    }
+
+    /// Sends every new command this node holds, as its client signed it,
+    /// to the round's leader, which holds it as if the client had sent it.
+    fn hand_off(&mut self) {
+        let leader = self.leader();
+        let fresh = self.submit_inbox.iter().filter(|f| self.new_submit(f));
+        let queued = self.admission.pending().map(BatchEntry::submit_frame);
+        let frames: Vec<Frame> = fresh.cloned().chain(queued).collect();
+        for frame in frames {
+            self.out.push(Effect::Send { to: leader, frame });
+        }
     }
 
     /// Runs the admission pass over the `Submit` inbox: new commands are

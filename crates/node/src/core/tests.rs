@@ -958,6 +958,52 @@ fn a_silent_leader_does_not_strand_work() {
     }
 }
 
+#[test]
+fn a_command_sent_to_one_follower_commits_without_a_halt() {
+    // client 5 sends one command to node 3 alone, which leads neither the
+    // round the quiet cluster rests in (1) nor the next: once while the
+    // cluster is quiet, once while it runs a round for client 4's
+    // broadcast. Started on node 3's clock alone, a round would find no
+    // peer in it, fail, and later meet `b + 1` commits for a round the
+    // node does not hold: a plain node halts. Handed to the round's
+    // leader as node 3 starts, the command brings the leader, and the
+    // others after it, into the round: every node commits both commands
+    for consensus in [
+        ConsensusKind::LeaderEcho,
+        ConsensusKind::DolevStrong,
+        ConsensusKind::Pbft,
+    ] {
+        for busy in [false, true] {
+            let r = rig(consensus);
+            let mut cluster = Cluster::new(&r, None);
+            let quiet = 40_000;
+            cluster.run(quiet, |_, _| {});
+            assert!(cluster.cores.iter().all(|c| c.round() == 1), "{consensus}");
+            if busy {
+                cluster.client_broadcast(quiet, &r.submit(4, 0, 5));
+                cluster.push(quiet + 1_000, 3, Event::Frame(r.submit(5, 0, 7)));
+            } else {
+                cluster.push(quiet, 3, Event::Frame(r.submit(5, 0, 7)));
+                cluster.client_broadcast(quiet + 60_000, &r.submit(4, 0, 5));
+            }
+            let mut halted = Vec::new();
+            cluster.run(400_000, |node, effects| {
+                if effects.iter().any(|e| matches!(e, Effect::Halt(_))) {
+                    halted.push(node);
+                }
+            });
+            let case = format!("{consensus}, busy: {busy}");
+            assert!(halted.is_empty(), "{case}: nodes {halted:?} halted");
+            let committed: Vec<u64> = cluster
+                .cores
+                .iter()
+                .map(|c| c.stats().commands_committed)
+                .collect();
+            assert_eq!(committed, vec![2; N], "{case}");
+        }
+    }
+}
+
 /// The next draw below `bound` from the splitmix64 stream at `seed`.
 fn draw(seed: &mut u64, bound: u64) -> u64 {
     *seed = splitmix64(*seed);

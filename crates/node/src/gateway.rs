@@ -103,6 +103,17 @@ impl BatchEntry {
         }
     }
 
+    /// The `Submit` frame the client signed for this entry.
+    pub(crate) fn submit_frame(&self) -> Frame {
+        Frame {
+            payload: self.submit_payload(),
+            sig: csm_network::auth::Signature {
+                signer: NodeId(self.client as usize),
+                tag: self.sig_tag,
+            },
+        }
+    }
+
     /// Verifies the client's MAC over the claimed submission.
     pub fn verify(&self, registry: &KeyRegistry) -> bool {
         use csm_transport::Wire;
@@ -731,6 +742,11 @@ impl Admission {
     /// Whether a command is queued for the next proposal.
     pub(crate) fn has_pending(&self) -> bool {
         !self.queue.is_empty()
+    }
+
+    /// The queued commands, in arrival order.
+    pub(crate) fn pending(&self) -> impl Iterator<Item = &BatchEntry> {
+        self.queue.iter()
     }
 
     /// Whether `(client, seq)` would be new work: above the client's
