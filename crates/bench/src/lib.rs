@@ -13,15 +13,11 @@
 //! | `fig_boolean` | Appendix A — Boolean machines through CSM |
 //! | `fig_random_allocation` | §7 — random sharding vs CSM under a dynamic adversary |
 //!
-//! Criterion microbenchmarks live in `benches/`. The [`workload`] and
-//! [`recovery`] modules are the client-workload and kill-and-rejoin
-//! harnesses the integration tests and examples drive. Performance
-//! numbers come from the repo benchmark (`benchmark/`), not from here.
+//! Criterion microbenchmarks live in `benches/`. Performance numbers
+//! come from the repo benchmark (`benchmark/`), not from here; the
+//! wall-clock cluster harness is `csm_node::workload`.
 
 #![warn(missing_docs)]
-
-pub mod recovery;
-pub mod workload;
 
 use csm_algebra::OpCounts;
 

@@ -41,6 +41,16 @@ pub fn small_commands(stream: u64, _shard: usize, input_dim: usize) -> Vec<u64> 
         .collect()
 }
 
+/// Bank deposits that name their shard: every coordinate is
+/// `1000 · (shard + 1)`. From the chaos genesis balance `1 + shard`, a
+/// balance of shard `s` stays `≡ 1 + s (mod 1000)`, so an acknowledged
+/// output says which shard committed it, and the shard's acknowledged
+/// balances must climb by exactly its deposit — a lost, replayed or
+/// misrouted command breaks the chain.
+pub fn shard_deposits(_stream: u64, shard: usize, input_dim: usize) -> Vec<u64> {
+    vec![1000 * (shard as u64 + 1); input_dim]
+}
+
 /// One in-flight command awaiting its `b + 1` reply quorum.
 #[derive(Debug)]
 struct Pending {

@@ -18,7 +18,7 @@ use crate::chaos::token;
 use crate::consensus::{ConsensusKind, StagingFault};
 use crate::core::{Effect, Event as CoreEvent, GatewayCore, HaltReason};
 use crate::gateway::{ExchangeTiming, GatewayConfig, GatewaySpec};
-use crate::recovery::DurabilityConfig;
+use crate::recovery::{DurabilityConfig, RecoveryInfo};
 use crate::BehaviorKind;
 use csm_algebra::{Field, Fp61};
 use csm_core::engine::CodedMachine;
@@ -241,6 +241,9 @@ pub struct NodeOutcome {
     /// Every digest the node ever committed, per wire round (survives
     /// resyncs — the audit's split witness).
     pub digest_history: BTreeMap<u64, Vec<u64>>,
+    /// What the current life's recovery path did (durable nodes that are
+    /// up at the horizon); its durations are virtual.
+    pub recovery: Option<RecoveryInfo>,
 }
 
 /// Everything a finished run exposes to tests and the CLI. Two runs of
@@ -756,6 +759,7 @@ fn audit(sim: &mut Sim<'_>, schedule: &Schedule, events: Vec<TraceEntry>) -> Cha
                 + n.core.as_ref().map_or(0, |c| c.stats().commands_committed),
             final_round: n.core.as_ref().map_or(n.last_round, GatewayCore::round),
             digest_history: std::mem::take(&mut n.digest_history),
+            recovery: n.core.as_ref().and_then(|c| c.recovery().cloned()),
         })
         .collect();
 

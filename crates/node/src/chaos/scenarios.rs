@@ -8,6 +8,7 @@
 //! documented in `docs/PROTOCOL.md` §5.1: which configurations fail-stop
 //! a victim, and which contain the fault to a wasted round.
 
+use crate::chaos::client::shard_deposits;
 use crate::chaos::runner::{ChaosConfig, MachineSpec};
 use crate::chaos::schedule::{ChaosEvent, Schedule};
 use crate::consensus::{ConsensusKind, StagingFault};
@@ -147,6 +148,38 @@ pub fn churn_during_resync() -> Scenario {
     Scenario {
         name: "churn_during_resync",
         summary: "second crash lands during a state transfer; both nodes rejoin losslessly",
+        config,
+        schedule: s,
+    }
+}
+
+/// Kill and rejoin under a Byzantine cast: in a durable `N = 8`, `K = 2`,
+/// `b = 2` cluster with node 0 equivocating (on results, replies and
+/// served state chunks), honest node 5 crashes under load, restarts from
+/// `snapshot + WAL` while the load goes on, catches up through the
+/// `b + 1`-verified state transfer, and commits with the cluster. One
+/// command per shard per round and [`shard_deposits`] make every
+/// acknowledged output a checkable step of its shard's balance chain.
+/// Bursts are `8Δ` apart, longer than a round whose leader is down
+/// takes, so each client has one command in flight at a time, like a
+/// closed-loop client: a client with commands in flight on both shards
+/// can see a later one commit first, which strands the earlier one below
+/// its dedup horizon.
+pub fn kill_rejoin() -> Scenario {
+    let mut config = ChaosConfig::new(8, 2, 2);
+    config.durable = true;
+    config.check_liveness = true;
+    config.batch_cap = 1;
+    config.behaviors = vec![(0, BehaviorKind::Equivocate)];
+    config.command_gen = shard_deposits;
+    let mut s = Schedule::quiet(0xd15c, 150_000);
+    s = load(s, 1_000, 16_000, 6, 4);
+    s = s.at(20_000, ChaosEvent::Crash { node: 5 });
+    s = s.at(44_000, ChaosEvent::Restart { node: 5 });
+    s = probe(s, 110_000, 4);
+    Scenario {
+        name: "kill_rejoin",
+        summary: "honest node killed under load beside an equivocator; rejoins on its shard chains",
         config,
         schedule: s,
     }
@@ -497,6 +530,7 @@ pub fn all() -> Vec<Scenario> {
         partition_heal(),
         partition_view_change(),
         churn_during_resync(),
+        kill_rejoin(),
         asymmetric_delay_leader(),
         overload_byzantine(),
         leader_echo_desync(),

@@ -31,7 +31,7 @@ use crate::consensus::{
 use crate::gateway::{
     batch_valid, chunk_after_fault, decode_batch, encode_batch, reply_after_fault, reply_payload,
     Admission, BatchEntry, EventScope, ExchangeTiming, GatewayConfig, GatewayReport, GatewaySpec,
-    GatewayStats,
+    GatewayStats, REPLY_CACHE_CAP, TELEMETRY_REPLY_MAX_BYTES,
 };
 use crate::recovery::{replay_local, store_fingerprint, DurabilityConfig, RecoveryInfo};
 use crate::BehaviorKind;
@@ -487,7 +487,7 @@ impl<F: Field> GatewayCore<F> {
                 },
             }
         });
-        let recording = Arc::new(RecordingSink::with_capacity(cfg.flight_ring));
+        let recording = Arc::new(RecordingSink::new());
         let sink: SharedSink = match &cfg.sink {
             Some(extra) => Arc::new(TeeSink::new(vec![
                 Arc::clone(&recording) as SharedSink,
@@ -574,6 +574,11 @@ impl<F: Field> GatewayCore<F> {
             PhaseState::Exchanging { .. }
                 | PhaseState::Staging(Staging::Echo { .. } | Staging::Ds { .. })
         )
+    }
+
+    /// What the recovery path did (durable cores only).
+    pub fn recovery(&self) -> Option<&RecoveryInfo> {
+        self.durable.as_ref().map(|d| &d.info)
     }
 
     /// Whether a state transfer is in flight.
@@ -1656,7 +1661,7 @@ impl<F: Field> GatewayCore<F> {
                     entry,
                     reply.clone(),
                     self.batch_cap,
-                    self.cfg.reply_cache_cap,
+                    REPLY_CACHE_CAP,
                 );
                 for client in evicted {
                     let incident = Incident::ReplyCacheEviction { client };
@@ -2170,9 +2175,7 @@ impl<F: Field> GatewayCore<F> {
         if requests.is_empty() {
             return;
         }
-        let snapshot = self
-            .telemetry()
-            .to_bounded_json(self.cfg.telemetry_reply_max_bytes);
+        let snapshot = self.telemetry().to_bounded_json(TELEMETRY_REPLY_MAX_BYTES);
         for (peer, nonce) in requests {
             self.send(
                 peer,

@@ -65,7 +65,7 @@ use csm_algebra::Field;
 use csm_core::SynchronyMode;
 use csm_network::auth::KeyRegistry;
 use csm_network::NodeId;
-use csm_telemetry::{Event, RecordingSink, SharedSink, Sink};
+use csm_telemetry::{Event, SharedSink, Sink};
 use csm_transport::{Frame, Payload, RecvError, Transport};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
@@ -222,6 +222,25 @@ pub(crate) fn batch_valid<F: Field>(
     })
 }
 
+/// Maximum cached reply payloads across all clients. A cached reply is
+/// dropped as soon as its client implicitly acknowledges it (by
+/// submitting a higher sequence number); this cap bounds the
+/// never-acknowledging worst case. Eviction order tracks the agreed
+/// batches, which are identical on honest nodes — so past the cap, an
+/// evicted client's retry is deduplicated (never re-executed) but may be
+/// answered by *no* node and fail with `NoQuorum`: the cap trades that
+/// client's retry availability for bounded memory.
+pub const REPLY_CACHE_CAP: usize = 4096;
+
+/// Hard cap on the serialized `TelemetrySnapshot` a scrape reply may
+/// carry. A long-lived gateway accretes counters without bound, so the
+/// snapshot is shed deterministically to fit
+/// ([`TelemetrySnapshot::to_bounded_json`]) — a scrape can never produce
+/// an unbounded frame.
+///
+/// [`TelemetrySnapshot::to_bounded_json`]: csm_telemetry::TelemetrySnapshot::to_bounded_json
+pub const TELEMETRY_REPLY_MAX_BYTES: usize = 256 << 10;
+
 /// Timing and synchrony parameters of the exchange.
 #[derive(Debug, Clone)]
 pub struct ExchangeTiming {
@@ -317,17 +336,6 @@ pub struct GatewayConfig {
     /// fills its own quota, not the shared queue, so it cannot starve
     /// other clients' admission.
     pub client_quota: usize,
-    /// Maximum cached reply payloads across all clients. A cached reply
-    /// is dropped as soon as its client implicitly acknowledges it (by
-    /// submitting a higher sequence number); this cap bounds the
-    /// never-acknowledging worst case. Eviction order tracks the agreed
-    /// batches, which are identical on honest nodes — so past the cap,
-    /// an evicted client's retry is deduplicated (never re-executed) but
-    /// may be answered by *no* node and fail with `NoQuorum`: the cap
-    /// trades that client's retry availability for bounded memory. Size
-    /// it above the expected number of concurrently-unacknowledged
-    /// clients.
-    pub reply_cache_cap: usize,
     /// Which batch-consensus backend agrees each round's batch. Every
     /// honest node of a cluster must configure the same backend.
     pub consensus: ConsensusKind,
@@ -345,8 +353,9 @@ pub struct GatewayConfig {
     pub consensus_delta: Duration,
     /// Extra telemetry sink teed with the gateway's internal recording
     /// sink (e.g. a `ReplaySink` for determinism tests). The gateway
-    /// always aggregates into its own [`RecordingSink`] regardless —
-    /// this only adds a second consumer of the same stream.
+    /// always aggregates into its own
+    /// [`RecordingSink`](csm_telemetry::RecordingSink) regardless — this
+    /// only adds a second consumer of the same stream.
     pub sink: Option<SharedSink>,
     /// Directory for Byzantine flight-recorder dumps. When set, the
     /// gateway writes its recent-event ring to a timestamped JSON file
@@ -354,18 +363,6 @@ pub struct GatewayConfig {
     /// first decoder-identified Byzantine peer. Defaults from the
     /// `CSM_FLIGHT_DIR` environment variable; `None` disables dumps.
     pub flight_dir: Option<PathBuf>,
-    /// Capacity of the flight-recorder event ring the gateway's internal
-    /// [`RecordingSink`] keeps (clamped to at least 1). The ring bounds
-    /// incident-history memory; counters and histograms are unaffected.
-    pub flight_ring: usize,
-    /// Hard cap on the serialized `TelemetrySnapshot` a scrape reply may
-    /// carry. A long-lived gateway accretes counters without bound, so
-    /// the snapshot is shed deterministically to fit
-    /// ([`TelemetrySnapshot::to_bounded_json`]) — a scrape can never
-    /// produce an unbounded frame.
-    ///
-    /// [`TelemetrySnapshot::to_bounded_json`]: csm_telemetry::TelemetrySnapshot::to_bounded_json
-    pub telemetry_reply_max_bytes: usize,
 }
 
 impl GatewayConfig {
@@ -383,13 +380,10 @@ impl GatewayConfig {
             commit_history: 512,
             idle_pause: timing.delta * 3 / 2,
             client_quota: 64,
-            reply_cache_cap: 4096,
             consensus: ConsensusKind::default(),
             consensus_delta: timing.delta * 2 + Duration::from_millis(20),
             sink: None,
             flight_dir: std::env::var_os("CSM_FLIGHT_DIR").map(PathBuf::from),
-            flight_ring: RecordingSink::RING_CAPACITY,
-            telemetry_reply_max_bytes: 256 << 10,
         }
     }
 
@@ -414,19 +408,6 @@ impl GatewayConfig {
     /// Sets the flight-recorder dump directory (builder-style).
     pub fn with_flight_dir(mut self, dir: PathBuf) -> Self {
         self.flight_dir = Some(dir);
-        self
-    }
-
-    /// Sets the flight-recorder ring capacity (builder-style).
-    pub fn with_flight_ring(mut self, capacity: usize) -> Self {
-        self.flight_ring = capacity;
-        self
-    }
-
-    /// Caps the serialized snapshot size of scrape replies
-    /// (builder-style).
-    pub fn with_telemetry_reply_max_bytes(mut self, max_bytes: usize) -> Self {
-        self.telemetry_reply_max_bytes = max_bytes;
         self
     }
 
@@ -500,7 +481,7 @@ pub struct GatewayStats {
     pub wal_appends: u64,
     /// Coded-state snapshots installed (durable mode).
     pub snapshots: u64,
-    /// Cached replies evicted by the global [`GatewayConfig::reply_cache_cap`]
+    /// Cached replies evicted by the global [`REPLY_CACHE_CAP`]
     /// (never-acknowledging clients past the cap lose retry availability).
     pub reply_cache_evictions: u64,
     /// The node detected (via `b + 1` peers agreeing on a commit digest
@@ -522,7 +503,7 @@ pub struct GatewayStats {
 /// never cause a committed command to re-execute; an evicted retry is
 /// merely unanswered (and since honest nodes evict in the same
 /// batch-derived order, unanswered by all of them — see
-/// [`GatewayConfig::reply_cache_cap`]).
+/// [`REPLY_CACHE_CAP`]).
 #[derive(Debug, Default)]
 struct ReplyCache {
     by_client: BTreeMap<u64, BTreeMap<u64, Payload>>,
@@ -1285,12 +1266,7 @@ mod tests {
                 seq,
                 output: vec![seq, seq],
             };
-            adm.record_done(
-                &entry(&reg, 8, seq, 0, vec![1]),
-                reply,
-                1,
-                cfg.reply_cache_cap,
-            );
+            adm.record_done(&entry(&reg, 8, seq, 0, vec![1]), reply, 1, REPLY_CACHE_CAP);
             // retry of the just-committed command is answered from cache
             let replays = adm.admit(vec![submit(seq)], 1, 1, &cfg, &test_scope());
             assert_eq!(replays.len(), 1, "seq {seq} replay");
@@ -1330,7 +1306,7 @@ mod tests {
                     &entry(&reg, 8, seq, 0, vec![1]),
                     reply,
                     cap as usize,
-                    cfg.reply_cache_cap,
+                    REPLY_CACHE_CAP,
                 );
             }
             for i in 0..cap {
@@ -1381,12 +1357,7 @@ mod tests {
             seq: 1,
             output: vec![1],
         };
-        adm.record_done(
-            &entry(&reg, 8, 1, 1, vec![1]),
-            reply,
-            1,
-            cfg.reply_cache_cap,
-        );
+        adm.record_done(&entry(&reg, 8, 1, 1, vec![1]), reply, 1, REPLY_CACHE_CAP);
         assert_eq!(adm.horizon.get(&8), Some(&1));
 
         // the leapfrogged seq 0 is gone root and branch: not in the

@@ -21,6 +21,9 @@
 //!   periodic coded-state snapshots, crash recovery).
 //! * [`chaos`] — the core's virtual-clock driver: whole-cluster fault
 //!   schedules over a seeded fabric, replayable bit-for-bit.
+//! * [`workload`] — the wall-clock cluster harness: gateway threads plus
+//!   closed-loop `csm-client` endpoints on one mesh, and the bank-chain
+//!   verdict (the `csm-node gateway` / `audit` subcommands run on it).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -30,6 +33,7 @@ pub mod consensus;
 pub mod core;
 pub mod gateway;
 pub mod recovery;
+pub mod workload;
 
 pub use consensus::{ConsensusKind, StagingFault};
 pub use core::GatewayCore;

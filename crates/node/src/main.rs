@@ -40,11 +40,12 @@
 //! csm-node chaos --seed 7 --random 25 # 25 random schedules from seed 7
 //! ```
 
-use csm_algebra::Field;
-use csm_node::{BehaviorKind, ExchangeTiming};
+use csm_node::workload::{run_tcp_workload_with_faults, verify_bank_outcome, WorkloadConfig};
+use csm_node::{BehaviorKind, ConsensusKind, StagingFault};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+/// The loopback cluster's shape, shared by `gateway` and `audit`.
 #[derive(Debug, Clone)]
 struct CommonArgs {
     n: usize,
@@ -53,6 +54,9 @@ struct CommonArgs {
     seed: u64,
     partial_sync: bool,
     delta_ms: u64,
+    clients: usize,
+    commands: usize,
+    consensus: ConsensusKind,
 }
 
 impl Default for CommonArgs {
@@ -64,7 +68,46 @@ impl Default for CommonArgs {
             seed: 42,
             partial_sync: false,
             delta_ms: 250,
+            clients: 8,
+            commands: 2,
+            consensus: ConsensusKind::LeaderEcho,
         }
+    }
+}
+
+impl CommonArgs {
+    /// The workload these flags describe; exits 2 on a shape the code or
+    /// the consensus backend cannot host.
+    fn workload(&self, scrape: bool) -> WorkloadConfig {
+        let cfg = WorkloadConfig {
+            cluster: self.n,
+            shards: self.k,
+            assumed_faults: self.faults,
+            clients: self.clients,
+            commands_per_client: self.commands,
+            delta: Duration::from_millis(self.delta_ms.max(1)),
+            partial_sync: self.partial_sync,
+            batch_cap: 1,
+            seed: self.seed,
+            consensus: self.consensus,
+            scrape,
+            flight_dir: None,
+        };
+        if let Err(e) = cfg.machine() {
+            csm_telemetry::error!("invalid cluster shape: {e}");
+            std::process::exit(2);
+        }
+        let min = self.consensus.min_cluster(self.faults);
+        if self.n < min {
+            csm_telemetry::error!(
+                "--consensus {} needs a cluster of at least {min} for --faults {} (got --n {})",
+                self.consensus,
+                self.faults,
+                self.n
+            );
+            std::process::exit(2);
+        }
+        cfg
     }
 }
 
@@ -89,6 +132,14 @@ fn parse_common(args: &mut CommonArgs, flag: &str, value: &str) -> bool {
         "--faults" => args.faults = value.parse().expect("--faults"),
         "--seed" => args.seed = value.parse().expect("--seed"),
         "--delta-ms" => args.delta_ms = value.parse().expect("--delta-ms"),
+        "--clients" => args.clients = value.parse().expect("--clients"),
+        "--commands" => args.commands = value.parse().expect("--commands"),
+        "--consensus" => {
+            args.consensus = value.parse().unwrap_or_else(|e| {
+                csm_telemetry::error!("--consensus: {e}");
+                std::process::exit(2);
+            })
+        }
         "--log-level" => match csm_telemetry::LogLevel::from_str_opt(value) {
             Some(level) => csm_telemetry::logger::set_level(level),
             None => {
@@ -101,18 +152,6 @@ fn parse_common(args: &mut CommonArgs, flag: &str, value: &str) -> bool {
         _ => return false,
     }
     true
-}
-
-fn timing(args: &CommonArgs) -> ExchangeTiming {
-    if args.partial_sync {
-        // the N − b cutoff drives finalization; --delta-ms scales the
-        // hard fallback so a dead network cannot wedge a round
-        // (40 × the default 250ms Δ = the former fixed 10s fallback)
-        let fallback = Duration::from_millis(args.delta_ms.max(1)) * 40;
-        ExchangeTiming::partially_synchronous(args.faults, fallback)
-    } else {
-        ExchangeTiming::synchronous(args.faults, Duration::from_millis(args.delta_ms))
-    }
 }
 
 fn main() {
@@ -269,20 +308,10 @@ fn cmd_chaos(rest: &[String]) {
 /// process: `n` gateway node threads plus `clients` closed-loop
 /// `csm-client` endpoints driving a bank workload, with the round-batch
 /// agreement backend selected by `--consensus`. Exits non-zero unless
-/// every command commits and honest commit digests agree.
+/// every command commits on the reference balance chain and honest
+/// commit digests agree.
 fn cmd_gateway(rest: &[String]) {
-    use csm_client::{ClientConfig, CsmClient};
-    use csm_node::{
-        mesh_registry, run_gateway, ConsensusKind, GatewayConfig, GatewaySpec, StagingFault,
-    };
-    use csm_transport::tcp::TcpMesh;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc as StdArc;
-
     let mut common = CommonArgs::default();
-    let mut clients = 8usize;
-    let mut commands = 2usize;
-    let mut consensus = ConsensusKind::LeaderEcho;
     let mut staging: BTreeMap<usize, StagingFault> = BTreeMap::new();
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
@@ -295,14 +324,6 @@ fn cmd_gateway(rest: &[String]) {
             continue;
         }
         match flag.as_str() {
-            "--clients" => clients = value.parse().expect("--clients"),
-            "--commands" => commands = value.parse().expect("--commands"),
-            "--consensus" => {
-                consensus = value.parse().unwrap_or_else(|e| {
-                    csm_telemetry::error!("--consensus: {e}");
-                    std::process::exit(2);
-                })
-            }
             "--staging-fault" => {
                 let (id, kind) = value.split_once(':').unwrap_or_else(|| usage());
                 let fault = match kind {
@@ -318,144 +339,39 @@ fn cmd_gateway(rest: &[String]) {
             _ => usage(),
         }
     }
-    if common.n < consensus.min_cluster(common.faults) {
-        csm_telemetry::error!(
-            "--consensus {consensus} needs a cluster of at least {} for --faults {} (got --n {})",
-            consensus.min_cluster(common.faults),
-            common.faults,
-            common.n
-        );
-        std::process::exit(2);
-    }
+    let cfg = common.workload(false);
     println!(
         "gateway cluster: N = {}, K = {}, b = {}, {} clients x {} commands, consensus = {}, \
          staging faults: {staging:?}",
-        common.n, common.k, common.faults, clients, commands, consensus
+        common.n, common.k, common.faults, common.clients, common.commands, common.consensus
     );
 
-    let registry = mesh_registry(common.n, clients, common.seed);
-    let transports = TcpMesh::launch_loopback(StdArc::clone(&registry)).unwrap_or_else(|e| {
-        csm_telemetry::error!("loopback mesh failed to bind: {e}");
-        std::process::exit(1);
-    });
-    csm_telemetry::info!(
-        "loopback mesh up: {} gateway + {clients} client endpoints",
-        common.n
+    let outcome = run_tcp_workload_with_faults(
+        &cfg,
+        |_| BehaviorKind::Honest,
+        |id| staging.get(&id).copied().unwrap_or(StagingFault::None),
     );
-    let machine = StdArc::new(
-        csm_node::CodedMachine::<csm_algebra::Fp61>::new(
-            common.n,
-            common.k,
-            csm_statemachine::machines::bank_machine(),
-            csm_core::DecoderKind::default(),
-        )
-        .unwrap_or_else(|e| {
-            csm_telemetry::error!("invalid cluster shape: {e}");
-            std::process::exit(2);
-        }),
-    );
-    let initial_states: Vec<Vec<csm_algebra::Fp61>> = (0..common.k as u64)
-        .map(|s| vec![csm_algebra::Fp61::from_u64(100 * (s + 1))])
-        .collect();
-    let timing = timing(&common);
-    let gw_cfg = GatewayConfig::new(common.n, common.faults, &timing).with_consensus(consensus);
-    let stop = StdArc::new(AtomicBool::new(false));
-
-    let mut transports = transports;
-    let client_transports = transports.split_off(common.n);
-    let mut node_handles = Vec::new();
-    for (id, transport) in transports.into_iter().enumerate() {
-        let registry = StdArc::clone(&registry);
-        let timing = timing.clone();
-        let gw_cfg = gw_cfg.clone();
-        let stop = StdArc::clone(&stop);
-        let spec = GatewaySpec {
-            machine: StdArc::clone(&machine),
-            initial_states: initial_states.clone(),
-            behavior: BehaviorKind::Honest,
-            staging_fault: staging.get(&id).copied().unwrap_or(StagingFault::None),
-        };
-        csm_telemetry::debug!(
-            "gateway {id}: starting (staging fault {:?})",
-            spec.staging_fault
-        );
-        node_handles.push(std::thread::spawn(move || {
-            run_gateway(transport, registry, timing, &spec, &gw_cfg, &stop)
-        }));
-    }
-
-    let client_cfg = ClientConfig {
-        cluster: common.n,
-        assumed_faults: common.faults,
-        reply_timeout: Duration::from_millis(common.delta_ms) * 8 + Duration::from_millis(500),
-        max_attempts: 20,
-    };
-    let shards = common.k;
-    let mut client_handles = Vec::new();
-    for (index, transport) in client_transports.into_iter().enumerate() {
-        let registry = StdArc::clone(&registry);
-        let client_cfg = client_cfg.clone();
-        client_handles.push(std::thread::spawn(move || {
-            let mut client = CsmClient::new(transport, registry, client_cfg);
-            let shard = (index % shards) as u64;
-            let mut ok = 0usize;
-            for i in 0..commands {
-                let amount = 1 + ((index as u64 * 31 + i as u64 * 7) % 97);
-                match client.submit(shard, vec![amount]) {
-                    Ok(receipt) => {
-                        ok += 1;
-                        println!(
-                            "client {index}: seq {} committed in round {} ({} matching replies)",
-                            receipt.seq, receipt.round, receipt.matching
-                        );
-                    }
-                    Err(e) => csm_telemetry::warn!("client {index}: {e}"),
-                }
-            }
-            ok
-        }));
-    }
-
-    let committed: usize = client_handles
-        .into_iter()
-        .map(|h| h.join().expect("client thread"))
-        .sum();
-    stop.store(true, Ordering::Relaxed);
-    let reports: Vec<_> = node_handles
-        .into_iter()
-        .map(|h| h.join().expect("gateway thread"))
-        .collect();
-
-    // honest digest agreement, keyed by absolute round
-    let faulty: Vec<usize> = staging.keys().copied().collect();
-    let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut ok = committed == clients * commands;
-    if !ok {
-        csm_telemetry::error!("only {committed}/{} commands committed", clients * commands);
-    }
-    for report in reports.iter().filter(|r| !faulty.contains(&r.id)) {
-        for (round, digest) in report.digests() {
-            match reference.get(&round) {
-                None => {
-                    reference.insert(round, digest);
-                }
-                Some(&expected) if expected != digest => {
-                    csm_telemetry::error!("round {round}: node {} diverges", report.id);
-                    ok = false;
-                }
-                Some(_) => {}
-            }
+    for c in &outcome.clients {
+        for receipt in &c.receipts {
+            println!(
+                "client {}: seq {} committed in round {} ({} matching replies)",
+                c.index, receipt.seq, receipt.round, receipt.matching
+            );
         }
     }
-    if ok {
-        println!(
-            "gateway cluster OK: {committed} commands committed under {consensus}, honest \
-             digests agree on {} rounds",
-            reference.len()
-        );
-    } else {
-        println!("gateway cluster FAILED");
-        std::process::exit(1);
+    let faulty: Vec<usize> = staging.keys().copied().collect();
+    match verify_bank_outcome(&cfg, &outcome, &faulty) {
+        Ok(rounds) => println!(
+            "gateway cluster OK: {} commands committed under {}, honest digests agree \
+             on {rounds} rounds",
+            outcome.committed(),
+            common.consensus
+        ),
+        Err(e) => {
+            csm_telemetry::error!("{e}");
+            println!("gateway cluster FAILED");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -463,17 +379,13 @@ fn cmd_gateway(rest: &[String]) {
 /// node 0 equivocating, node 1 withholding), scrapes every node's
 /// telemetry through a dedicated client endpoint, and prints the merged
 /// `csm-auditor` cluster audit in the selected `--format`. Exits
-/// non-zero unless every command commits, honest digests agree, every
-/// equivocator ends convicted by `b + 1` distinct reporters on
-/// cryptographically attributed evidence, and no node outside the cast
-/// is accused (bar the documented mac-only forge-victim artifact).
+/// non-zero unless every command commits on the reference balance
+/// chain, honest digests agree, every equivocator ends convicted by
+/// `b + 1` distinct reporters on cryptographically attributed evidence,
+/// and no node outside the cast is accused (bar the documented mac-only
+/// forge-victim artifact).
 fn cmd_audit(rest: &[String]) {
     use csm_auditor::{AuditConfig, ClusterAudit};
-    use csm_client::{ClientConfig, CsmClient};
-    use csm_node::{mesh_registry, run_gateway, ConsensusKind, GatewayConfig, GatewaySpec};
-    use csm_transport::tcp::TcpMesh;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc as StdArc;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Format {
@@ -483,9 +395,6 @@ fn cmd_audit(rest: &[String]) {
     }
 
     let mut common = CommonArgs::default();
-    let mut clients = 8usize;
-    let mut commands = 2usize;
-    let mut consensus = ConsensusKind::LeaderEcho;
     let mut byzantine: BTreeMap<usize, BehaviorKind> = BTreeMap::new();
     let mut format = Format::Text;
     let mut it = rest.iter();
@@ -499,14 +408,6 @@ fn cmd_audit(rest: &[String]) {
             continue;
         }
         match flag.as_str() {
-            "--clients" => clients = value.parse().expect("--clients"),
-            "--commands" => commands = value.parse().expect("--commands"),
-            "--consensus" => {
-                consensus = value.parse().unwrap_or_else(|e| {
-                    csm_telemetry::error!("--consensus: {e}");
-                    std::process::exit(2);
-                })
-            }
             "--byzantine" => {
                 let (id, kind) = value.split_once(':').unwrap_or_else(|| usage());
                 byzantine.insert(
@@ -549,115 +450,31 @@ fn cmd_audit(rest: &[String]) {
         csm_telemetry::error!("--byzantine id must be < --n {}", common.n);
         std::process::exit(2);
     }
-    if common.n < consensus.min_cluster(common.faults) {
-        csm_telemetry::error!(
-            "--consensus {consensus} needs a cluster of at least {} for --faults {} (got --n {})",
-            consensus.min_cluster(common.faults),
-            common.faults,
-            common.n
-        );
-        std::process::exit(2);
-    }
+    // the scraper is one extra endpoint past the clients
+    let cfg = common.workload(true);
     csm_telemetry::info!(
-        "audit run: N = {}, K = {}, b = {}, {clients} clients x {commands} commands, \
-         consensus = {consensus}, byzantine cast: {byzantine:?}",
+        "audit run: N = {}, K = {}, b = {}, {} clients x {} commands, consensus = {}, \
+         byzantine cast: {byzantine:?}",
         common.n,
         common.k,
-        common.faults
+        common.faults,
+        common.clients,
+        common.commands,
+        common.consensus
     );
 
-    // one extra endpoint past the clients: the auditor's scraper
-    let registry = mesh_registry(common.n, clients + 1, common.seed);
-    let transports = TcpMesh::launch_loopback(StdArc::clone(&registry)).unwrap_or_else(|e| {
-        csm_telemetry::error!("loopback mesh failed to bind: {e}");
-        std::process::exit(1);
-    });
-    let machine = StdArc::new(
-        csm_node::CodedMachine::<csm_algebra::Fp61>::new(
-            common.n,
-            common.k,
-            csm_statemachine::machines::bank_machine(),
-            csm_core::DecoderKind::default(),
-        )
-        .unwrap_or_else(|e| {
-            csm_telemetry::error!("invalid cluster shape: {e}");
-            std::process::exit(2);
-        }),
+    let outcome = run_tcp_workload_with_faults(
+        &cfg,
+        |id| byzantine.get(&id).copied().unwrap_or(BehaviorKind::Honest),
+        |_| StagingFault::None,
     );
-    let initial_states: Vec<Vec<csm_algebra::Fp61>> = (0..common.k as u64)
-        .map(|s| vec![csm_algebra::Fp61::from_u64(100 * (s + 1))])
-        .collect();
-    let timing = timing(&common);
-    let gw_cfg = GatewayConfig::new(common.n, common.faults, &timing).with_consensus(consensus);
-    let stop = StdArc::new(AtomicBool::new(false));
-
-    let mut transports = transports;
-    let mut client_transports = transports.split_off(common.n);
-    let scraper_transport = client_transports.pop().expect("scraper endpoint");
-    let mut node_handles = Vec::new();
-    for (id, transport) in transports.into_iter().enumerate() {
-        let registry = StdArc::clone(&registry);
-        let timing = timing.clone();
-        let gw_cfg = gw_cfg.clone();
-        let stop = StdArc::clone(&stop);
-        let spec = GatewaySpec {
-            machine: StdArc::clone(&machine),
-            initial_states: initial_states.clone(),
-            behavior: byzantine.get(&id).copied().unwrap_or(BehaviorKind::Honest),
-            staging_fault: csm_node::StagingFault::None,
-        };
-        node_handles.push(std::thread::spawn(move || {
-            run_gateway(transport, registry, timing, &spec, &gw_cfg, &stop)
-        }));
-    }
-
-    let client_cfg = ClientConfig {
-        cluster: common.n,
-        assumed_faults: common.faults,
-        reply_timeout: Duration::from_millis(common.delta_ms) * 8 + Duration::from_millis(500),
-        max_attempts: 20,
-    };
-    let shards = common.k;
-    let mut client_handles = Vec::new();
-    for (index, transport) in client_transports.into_iter().enumerate() {
-        let registry = StdArc::clone(&registry);
-        let client_cfg = client_cfg.clone();
-        client_handles.push(std::thread::spawn(move || {
-            let mut client = CsmClient::new(transport, registry, client_cfg);
-            let shard = (index % shards) as u64;
-            let mut ok = 0usize;
-            for i in 0..commands {
-                let amount = 1 + ((index as u64 * 31 + i as u64 * 7) % 97);
-                if client.submit(shard, vec![amount]).is_ok() {
-                    ok += 1;
-                }
-            }
-            ok
-        }));
-    }
-    let committed: usize = client_handles
-        .into_iter()
-        .map(|h| h.join().expect("client thread"))
-        .sum();
-
-    // scrape while the gateways are still looping (they answer telemetry
-    // once per round iteration), then wind the cluster down
-    let snapshots = {
-        let mut scraper = CsmClient::new(scraper_transport, StdArc::clone(&registry), client_cfg);
-        scraper.scrape(Duration::from_millis(common.delta_ms) * 16 + Duration::from_secs(2))
-    };
-    stop.store(true, Ordering::Relaxed);
-    let reports: Vec<_> = node_handles
-        .into_iter()
-        .map(|h| h.join().expect("gateway thread"))
-        .collect();
-
+    let snapshots = &outcome.telemetry;
     let audit = ClusterAudit::build(
         AuditConfig {
             cluster: common.n,
             assumed_faults: common.faults,
         },
-        &snapshots,
+        snapshots,
     );
     match format {
         Format::Text => print!("{}", audit.render_text()),
@@ -665,28 +482,15 @@ fn cmd_audit(rest: &[String]) {
         Format::Prometheus => print!("{}", audit.render_prometheus()),
     }
 
-    // verdict: workload committed, honest digests agree, and the
-    // scorecard names exactly the cast (plus at most the mac-only
-    // forge-victim artifact an equivocator's impersonation creates)
-    let mut ok = committed == clients * commands;
-    if !ok {
-        csm_telemetry::error!("only {committed}/{} commands committed", clients * commands);
-    }
+    // verdict: workload committed on the reference chain, honest digests
+    // agree, and the scorecard names exactly the cast (plus at most the
+    // mac-only forge-victim artifact an equivocator's impersonation
+    // creates)
     let cast: Vec<usize> = byzantine.keys().copied().collect();
-    let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
-    for report in reports.iter().filter(|r| !cast.contains(&r.id)) {
-        for (round, digest) in report.digests() {
-            match reference.get(&round) {
-                None => {
-                    reference.insert(round, digest);
-                }
-                Some(&expected) if expected != digest => {
-                    csm_telemetry::error!("round {round}: node {} diverges", report.id);
-                    ok = false;
-                }
-                Some(_) => {}
-            }
-        }
+    let mut ok = true;
+    if let Err(e) = verify_bank_outcome(&cfg, &outcome, &cast) {
+        csm_telemetry::error!("{e}");
+        ok = false;
     }
     if snapshots.len() < common.n {
         csm_telemetry::error!("scrape heard {}/{} nodes", snapshots.len(), common.n);
@@ -739,8 +543,9 @@ fn cmd_audit(rest: &[String]) {
     // document and take their verdict via stderr + the exit status
     if ok {
         let verdict = format!(
-            "cluster audit OK: {committed} commands committed, convicted peers {:?} \
+            "cluster audit OK: {} commands committed, convicted peers {:?} \
              (cast {byzantine:?})",
+            outcome.committed(),
             audit.convicted_peers()
         );
         match format {

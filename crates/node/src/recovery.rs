@@ -282,6 +282,88 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The wall-clock durable driver end to end: a command committed by a
+    /// `run_durable_gateway` cluster is on every committer's store, and a
+    /// node started again on its store resumes past genesis.
+    #[test]
+    fn durable_driver_persists_a_commit_across_a_restart() {
+        use crate::{mesh_registry, BehaviorKind, StagingFault};
+        use csm_client::{ClientConfig, CsmClient};
+        use csm_transport::mem::MemMesh;
+        use std::sync::atomic::Ordering;
+
+        let (n, b) = (8, 2);
+        let registry = mesh_registry(n, 1, 3);
+        let mut transports = MemMesh::build(Arc::clone(&registry));
+        let client = transports.pop().expect("client endpoint");
+        let timing = ExchangeTiming::synchronous(b, Duration::from_millis(20));
+        let cfg = GatewayConfig::new(n, b, &timing);
+        let spec = GatewaySpec {
+            machine: Arc::new(machine()),
+            initial_states: vec![vec![Fp61::from_u64(100)], vec![Fp61::from_u64(200)]],
+            behavior: BehaviorKind::Honest,
+            staging_fault: StagingFault::None,
+        };
+        let root = scratch("durable-driver");
+        let durability = |id: usize| DurabilityConfig::new(root.join(format!("node-{id}")));
+        let stop = Arc::new(AtomicBool::new(false));
+        let nodes: Vec<_> = transports
+            .into_iter()
+            .enumerate()
+            .map(|(id, transport)| {
+                let (registry, timing) = (Arc::clone(&registry), timing.clone());
+                let (spec, cfg, stop) = (spec.clone(), cfg.clone(), Arc::clone(&stop));
+                let durability = durability(id);
+                std::thread::spawn(move || {
+                    run_durable_gateway(
+                        transport,
+                        registry,
+                        timing,
+                        &spec,
+                        &cfg,
+                        &durability,
+                        &stop,
+                    )
+                })
+            })
+            .collect();
+        let mut client = CsmClient::new(
+            client,
+            Arc::clone(&registry),
+            ClientConfig::new(n, b, Duration::from_secs(2)),
+        );
+        let receipt = client.submit(1, vec![5]).expect("the command commits");
+        assert_eq!(receipt.output, vec![205, 205]);
+        stop.store(true, Ordering::Relaxed);
+        let lives: Vec<_> = nodes
+            .into_iter()
+            .map(|h| h.join().expect("gateway thread"))
+            .collect();
+        // the stop is already raised: each restart recovers its store and
+        // returns before running a round
+        let mut resumed = 0;
+        for (id, (report, transport)) in lives.into_iter().enumerate() {
+            if report.digests().is_empty() {
+                continue; // stopped before it committed the round
+            }
+            let registry = Arc::clone(&registry);
+            let (again, _) = run_durable_gateway(
+                transport,
+                registry,
+                timing.clone(),
+                &spec,
+                &cfg,
+                &durability(id),
+                &stop,
+            );
+            let recovery = again.recovery.expect("durable report");
+            assert!(recovery.recovered_round > 0, "node {id}: {recovery:?}");
+            resumed += 1;
+        }
+        assert!(resumed > b, "the reply quorum's nodes committed");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     /// A gap in the record rounds is a round the node skipped (its word
     /// did not decode): replay steps over it, and stops only at a record
     /// it cannot apply.

@@ -1,21 +1,22 @@
-//! Shared closed-loop client-workload harness: spawns a gateway cluster
-//! (`csm_node::run_gateway`) plus `M` concurrent `csm_client` endpoints on
-//! one transport mesh, drives a bank workload to completion, and verifies
+//! The wall-clock cluster harness: spawns a gateway cluster
+//! ([`run_gateway`]) plus `M` concurrent `csm_client` endpoints on one
+//! transport mesh, drives a bank workload to completion, and verifies
 //! end-to-end correctness (every accepted output matches the reference
 //! bank execution, honest nodes agree on every committed digest).
 //!
-//! Used by the `client_cluster` and `cluster_audit` examples and the
-//! client, consensus and telemetry integration tests.
+//! The `csm-node gateway` and `csm-node audit` subcommands are thin calls
+//! into it, as are the `client_cluster` and `cluster_audit` examples and
+//! the client, consensus, TCP and telemetry integration tests.
 
-use csm_algebra::{Field, Fp61};
-use csm_client::{ClientConfig, CsmClient, Receipt};
-use csm_core::metrics::LatencyHistogram;
-use csm_core::DecoderKind;
-use csm_network::auth::KeyRegistry;
-use csm_node::{
+use crate::{
     mesh_registry, run_gateway, BehaviorKind, CodedMachine, ConsensusKind, ExchangeTiming,
     GatewayConfig, GatewayReport, GatewaySpec, StagingFault,
 };
+use csm_algebra::{Field, Fp61};
+use csm_client::{ClientConfig, CsmClient, Receipt};
+use csm_core::metrics::LatencyHistogram;
+use csm_core::{CsmError, DecoderKind};
+use csm_network::auth::KeyRegistry;
 use csm_statemachine::machines::bank_machine;
 use csm_telemetry::TelemetrySnapshot;
 use csm_transport::mem::MemMesh;
@@ -42,10 +43,13 @@ pub struct WorkloadConfig {
     pub clients: usize,
     /// Deposits each client submits (sequentially — closed loop).
     pub commands_per_client: usize,
-    /// The exchange Δ.
+    /// The exchange Δ. It also scales the harness's own waits (client
+    /// reply timeout, wind-down, scrape) in both synchrony modes.
     pub delta: Duration,
-    /// Gateway admission cap.
-    pub queue_cap: usize,
+    /// Whether the gateways finalize at the partial-synchrony `N − b`
+    /// cutoff instead of the synchronous Δ deadline (see
+    /// [`WorkloadConfig::timing`]).
+    pub partial_sync: bool,
     /// Commands the leader aggregates per shard per round (the gateway's
     /// [`GatewayConfig::batch_cap`]); `1` is the classic
     /// one-command-per-shard round.
@@ -96,6 +100,33 @@ impl WorkloadConfig {
             })
             .sum()
     }
+
+    /// The coded bank machine the cluster runs.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `(cluster, shards)` is outside the code's bounds.
+    pub fn machine(&self) -> Result<CodedMachine<Fp61>, CsmError> {
+        CodedMachine::new(
+            self.cluster,
+            self.shards,
+            bank_machine(),
+            DecoderKind::default(),
+        )
+    }
+
+    /// The gateways' exchange timing. Under partial synchrony the `N − b`
+    /// cutoff drives finalization and the hard fallback is `40 Δ`, so a
+    /// dead network cannot wedge a round; the timing's own `delta` is then
+    /// that fallback, which is why the harness scales its waits from
+    /// [`WorkloadConfig::delta`] instead.
+    pub fn timing(&self) -> ExchangeTiming {
+        if self.partial_sync {
+            ExchangeTiming::partially_synchronous(self.assumed_faults, self.delta * 40)
+        } else {
+            ExchangeTiming::synchronous(self.assumed_faults, self.delta)
+        }
+    }
 }
 
 /// One client's view of the run.
@@ -118,8 +149,6 @@ pub struct WorkloadOutcome {
     pub clients: Vec<ClientOutcome>,
     /// Per-node gateway reports, by node id.
     pub nodes: Vec<GatewayReport<Fp61>>,
-    /// Wall clock from first submission to last node joined.
-    pub elapsed: Duration,
     /// Wall clock until the last *client* finished (the throughput
     /// denominator — node shutdown drains are excluded).
     pub client_elapsed: Duration,
@@ -161,16 +190,11 @@ pub fn one_equivocator_one_withholder(id: usize) -> BehaviorKind {
 }
 
 /// Runs the workload over prebuilt transports (`cluster` node endpoints
-/// followed by `clients` client endpoints, as `MemMesh::build` /
+/// followed by the clients and the scraper, as `MemMesh::build` /
 /// `TcpMesh::launch_loopback` lay them out), with per-node wire
 /// behaviors and *staging* faults: how the consensus-backend tests inject
 /// a leader that equivocates on (or withholds) the batch itself.
-///
-/// # Panics
-///
-/// Panics if the transport count is not `cluster + clients` or a thread
-/// dies.
-pub fn run_bank_workload_with_faults<T: Transport + 'static>(
+fn run_bank_workload<T: Transport + 'static>(
     transports: Vec<T>,
     registry: Arc<KeyRegistry>,
     cfg: &WorkloadConfig,
@@ -183,27 +207,21 @@ pub fn run_bank_workload_with_faults<T: Transport + 'static>(
         "mesh must host the cluster, every client, and the scraper"
     );
     let machine = Arc::new(
-        CodedMachine::<Fp61>::new(
-            cfg.cluster,
-            cfg.shards,
-            bank_machine(),
-            DecoderKind::default(),
-        )
-        .expect("workload shape within Theorem-1 bounds"),
+        cfg.machine()
+            .expect("workload shape within Theorem-1 bounds"),
     );
     let initial_states: Vec<Vec<Fp61>> = (0..cfg.shards)
         .map(|s| vec![Fp61::from_u64(WorkloadConfig::initial_balance(s))])
         .collect();
-    let timing = ExchangeTiming::synchronous(cfg.assumed_faults, cfg.delta);
+    let timing = cfg.timing();
     let gw_cfg = {
-        let mut c = GatewayConfig::new(cfg.cluster, cfg.assumed_faults, &timing)
-            .with_consensus(cfg.consensus);
-        c.queue_cap = cfg.queue_cap;
-        c.batch_cap = cfg.batch_cap.max(1);
-        if let Some(dir) = &cfg.flight_dir {
-            c = c.with_flight_dir(dir.clone());
+        let c = GatewayConfig::new(cfg.cluster, cfg.assumed_faults, &timing)
+            .with_consensus(cfg.consensus)
+            .with_batch_cap(cfg.batch_cap.max(1));
+        match &cfg.flight_dir {
+            Some(dir) => c.with_flight_dir(dir.clone()),
+            None => c,
         }
-        c
     };
     let stop = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
@@ -245,20 +263,20 @@ pub fn run_bank_workload_with_faults<T: Transport + 'static>(
     for (index, transport) in client_transports.into_iter().enumerate() {
         let registry = Arc::clone(&registry);
         let client_cfg = client_cfg.clone();
-        let cfg = cfg.clone();
+        let shard = cfg.shard_of(index) as u64;
+        let commands = cfg.commands_per_client;
         client_handles.push(
             thread::Builder::new()
                 .name(format!("csm-client-{index}"))
                 .spawn(move || {
                     let mut client = CsmClient::new(transport, registry, client_cfg);
-                    let shard = cfg.shard_of(index) as u64;
                     let mut outcome = ClientOutcome {
                         index,
-                        receipts: Vec::with_capacity(cfg.commands_per_client),
+                        receipts: Vec::with_capacity(commands),
                         failures: 0,
                         latencies: LatencyHistogram::new(),
                     };
-                    for i in 0..cfg.commands_per_client {
+                    for i in 0..commands {
                         match client.submit(shard, vec![WorkloadConfig::amount(index, i)]) {
                             Ok(receipt) => {
                                 outcome.latencies.record(receipt.latency);
@@ -273,11 +291,10 @@ pub fn run_bank_workload_with_faults<T: Transport + 'static>(
         );
     }
 
-    let mut clients: Vec<ClientOutcome> = client_handles
+    let clients: Vec<ClientOutcome> = client_handles
         .into_iter()
         .map(|h| h.join().expect("client thread"))
         .collect();
-    clients.sort_by_key(|c| c.index);
     let client_elapsed = started.elapsed();
     // a client accepts at b + 1 replies, so the last command's round may
     // still be committing at some gateways while others, done with it,
@@ -300,15 +317,13 @@ pub fn run_bank_workload_with_faults<T: Transport + 'static>(
         None => Vec::new(),
     };
     stop.store(true, Ordering::Relaxed);
-    let mut nodes: Vec<GatewayReport<Fp61>> = node_handles
+    let nodes: Vec<GatewayReport<Fp61>> = node_handles
         .into_iter()
         .map(|h| h.join().expect("gateway thread"))
         .collect();
-    nodes.sort_by_key(|r| r.id);
     WorkloadOutcome {
         clients,
         nodes,
-        elapsed: started.elapsed(),
         client_elapsed,
         telemetry,
     }
@@ -330,11 +345,16 @@ pub fn run_mem_workload_with_faults(
 ) -> WorkloadOutcome {
     let registry = mesh_registry(cfg.cluster, cfg.endpoints() - cfg.cluster, cfg.seed);
     let transports = MemMesh::build(Arc::clone(&registry));
-    run_bank_workload_with_faults(transports, registry, cfg, behavior_of, staging_fault_of)
+    run_bank_workload(transports, registry, cfg, behavior_of, staging_fault_of)
 }
 
 /// Runs the workload on a loopback TCP mesh (real sockets end to end),
 /// with per-node staging faults.
+///
+/// # Panics
+///
+/// Panics if the loopback mesh cannot bind, the shape is outside the
+/// code's bounds ([`WorkloadConfig::machine`]), or a thread dies.
 pub fn run_tcp_workload_with_faults(
     cfg: &WorkloadConfig,
     behavior_of: impl Fn(usize) -> BehaviorKind,
@@ -342,7 +362,7 @@ pub fn run_tcp_workload_with_faults(
 ) -> WorkloadOutcome {
     let registry = mesh_registry(cfg.cluster, cfg.endpoints() - cfg.cluster, cfg.seed);
     let transports = TcpMesh::launch_loopback(Arc::clone(&registry)).expect("bind loopback mesh");
-    run_bank_workload_with_faults(transports, registry, cfg, behavior_of, staging_fault_of)
+    run_bank_workload(transports, registry, cfg, behavior_of, staging_fault_of)
 }
 
 /// Verifies the outcome against the reference bank execution:
@@ -355,14 +375,19 @@ pub fn run_tcp_workload_with_faults(
 ///   same *post-round* balance — no accepted output can deviate from
 ///   the honest state machine, and no command can be lost or applied
 ///   twice without the chain breaking;
-/// * honest nodes' commit digests agree round by round.
+/// * nodes outside `byzantine` agree on the digest of every round any two
+///   of them committed, keyed by absolute round (reports only retain a
+///   trailing window, and nodes may stop on different rounds). A round's
+///   reference is the first report that committed it, so two nodes that
+///   disagree on a round a third never reached still fail.
 ///
-/// Returns a human-readable error on the first violation.
+/// Returns how many rounds the honest nodes committed, or a
+/// human-readable error on the first violation.
 pub fn verify_bank_outcome(
     cfg: &WorkloadConfig,
     outcome: &WorkloadOutcome,
     byzantine: &[usize],
-) -> Result<(), String> {
+) -> Result<usize, String> {
     for c in &outcome.clients {
         if c.failures > 0 || c.receipts.len() != cfg.commands_per_client {
             return Err(format!(
@@ -415,19 +440,8 @@ pub fn verify_bank_outcome(
             ));
         }
     }
-    digests_agree(outcome.nodes.iter().filter(|r| !byzantine.contains(&r.id)))
-}
-
-/// Checks that `reports` agree on the digest of every round any two of
-/// them committed, keyed by absolute round (reports only retain a trailing
-/// window, and nodes may stop on different rounds). A round's reference
-/// is the first report that committed it, so two nodes that disagree on a
-/// round a third never reached still fail.
-pub(crate) fn digests_agree<'a>(
-    reports: impl IntoIterator<Item = &'a GatewayReport<Fp61>>,
-) -> Result<(), String> {
     let mut reference: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
-    for report in reports {
+    for report in outcome.nodes.iter().filter(|r| !byzantine.contains(&r.id)) {
         for (round, digest) in report.digests() {
             let (holder, expected) = *reference.entry(round).or_insert((report.id, digest));
             if expected != digest {
@@ -438,36 +452,47 @@ pub(crate) fn digests_agree<'a>(
             }
         }
     }
-    Ok(())
+    Ok(reference.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn small_mem_workload_commits_and_verifies() {
-        let cfg = WorkloadConfig {
+    fn config(
+        clients: usize,
+        commands_per_client: usize,
+        batch_cap: usize,
+        seed: u64,
+    ) -> WorkloadConfig {
+        WorkloadConfig {
             cluster: 6,
             shards: 2,
             assumed_faults: 1,
-            clients: 4,
-            commands_per_client: 2,
+            clients,
+            commands_per_client,
             delta: Duration::from_millis(40),
-            queue_cap: 64,
-            batch_cap: 1,
-            seed: 11,
+            partial_sync: false,
+            batch_cap,
+            seed,
             consensus: ConsensusKind::LeaderEcho,
             scrape: true,
             flight_dir: None,
-        };
-        let outcome = run_mem_workload(&cfg, |id| {
-            if id == 0 {
-                BehaviorKind::Equivocate
-            } else {
-                BehaviorKind::Honest
-            }
-        });
+        }
+    }
+
+    fn node_0_equivocates(id: usize) -> BehaviorKind {
+        if id == 0 {
+            BehaviorKind::Equivocate
+        } else {
+            BehaviorKind::Honest
+        }
+    }
+
+    #[test]
+    fn small_mem_workload_commits_and_verifies() {
+        let cfg = config(4, 2, 1, 11);
+        let outcome = run_mem_workload(&cfg, node_0_equivocates);
         verify_bank_outcome(&cfg, &outcome, &[0]).expect("outcome verifies");
         assert_eq!(outcome.committed(), 8);
         assert!(outcome.merged_latencies().p99() > Duration::ZERO);
@@ -487,27 +512,8 @@ mod tests {
         // above 1 their waves land in the same round as one per-shard
         // program, and the round-grouped verifier still reproduces the
         // reference balance chain command by command
-        let cfg = WorkloadConfig {
-            cluster: 6,
-            shards: 2,
-            assumed_faults: 1,
-            clients: 6,
-            commands_per_client: 3,
-            delta: Duration::from_millis(40),
-            queue_cap: 64,
-            batch_cap: 8,
-            seed: 12,
-            consensus: ConsensusKind::LeaderEcho,
-            scrape: true,
-            flight_dir: None,
-        };
-        let outcome = run_mem_workload(&cfg, |id| {
-            if id == 0 {
-                BehaviorKind::Equivocate
-            } else {
-                BehaviorKind::Honest
-            }
-        });
+        let cfg = config(6, 3, 8, 12);
+        let outcome = run_mem_workload(&cfg, node_0_equivocates);
         verify_bank_outcome(&cfg, &outcome, &[0]).expect("outcome verifies");
         assert_eq!(outcome.committed(), 18);
         // aggregation really happened (some round carried a multi-command
@@ -546,7 +552,7 @@ mod tests {
                 .collect(),
             first_recorded_round: 0,
             rounds: digests.len() as u64,
-            stats: csm_node::GatewayStats::default(),
+            stats: crate::GatewayStats::default(),
             recovery: None,
         }
     }
@@ -557,17 +563,8 @@ mod tests {
         // round 1 and committed different digests for it
         let cfg = WorkloadConfig {
             cluster: 5,
-            shards: 2,
-            assumed_faults: 1,
             clients: 0,
-            commands_per_client: 0,
-            delta: Duration::from_millis(40),
-            queue_cap: 64,
-            batch_cap: 1,
-            seed: 0,
-            consensus: ConsensusKind::LeaderEcho,
-            scrape: false,
-            flight_dir: None,
+            ..config(0, 0, 1, 0)
         };
         let mut outcome = WorkloadOutcome {
             clients: Vec::new(),
@@ -577,7 +574,6 @@ mod tests {
                 report(3, &[(0, 7), (1, 8)]),
                 report(4, &[(0, 7), (1, 9)]),
             ],
-            elapsed: Duration::ZERO,
             client_elapsed: Duration::ZERO,
             telemetry: Vec::new(),
         };
@@ -585,6 +581,7 @@ mod tests {
         assert!(err.contains("round 1"), "{err}");
         // the Byzantine node's digests are not held against the others
         outcome.nodes.pop();
-        verify_bank_outcome(&cfg, &outcome, &[0]).expect("the remaining honest nodes agree");
+        let rounds = verify_bank_outcome(&cfg, &outcome, &[0]).expect("the rest agree");
+        assert_eq!(rounds, 2, "the honest nodes committed rounds 0 and 1");
     }
 }

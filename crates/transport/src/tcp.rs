@@ -101,9 +101,13 @@ impl TcpTransport {
         self.local_addr
     }
 
-    /// Registers one peer's listen address.
+    /// Registers one peer's listen address. A connection to its previous
+    /// address is dropped, so the next send dials the new one (a peer that
+    /// restarted on a fresh port is reached at once, not after a send into
+    /// the dead socket fails).
     pub fn set_peer_addr(&self, peer: NodeId, addr: SocketAddr) {
         self.peer_addrs.lock().expect("peer_addrs poisoned")[peer.0] = Some(addr);
+        *self.outbound[peer.0].lock().expect("outbound poisoned") = None;
     }
 
     /// Registers every peer's listen address (index = node id).
@@ -404,6 +408,32 @@ mod tests {
             let got = node.recv_timeout(Duration::from_secs(2)).unwrap();
             assert_eq!(got.sig.signer, NodeId(2));
         }
+    }
+
+    #[test]
+    fn tcp_redials_a_peer_rebound_on_a_fresh_port() {
+        let (mut nodes, reg) = mesh(2);
+        let ping = |nonce| Frame::sign(Payload::Ping { nonce }, &reg, NodeId(0));
+        nodes[0].send(NodeId(1), ping(1)).unwrap();
+        assert_eq!(
+            nodes[1].recv_timeout(Duration::from_secs(2)).unwrap(),
+            ping(1)
+        );
+        // node 1 dies with its sockets and comes back on another port
+        drop(nodes.pop());
+        let reborn = TcpTransport::bind(
+            NodeId(1),
+            Arc::new(reg.clone()),
+            "127.0.0.1:0".parse().unwrap(),
+        )
+        .unwrap();
+        nodes[0].set_peer_addr(NodeId(1), reborn.local_addr());
+        // the very next send reaches it: no frame goes into the dead socket
+        nodes[0].send(NodeId(1), ping(2)).unwrap();
+        assert_eq!(
+            reborn.recv_timeout(Duration::from_secs(2)).unwrap(),
+            ping(2)
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! ```
 
 use csm_auditor::{AuditConfig, ClusterAudit};
-use csm_bench::workload::{
+use csm_node::workload::{
     one_equivocator_one_withholder, run_mem_workload, verify_bank_outcome, WorkloadConfig,
 };
 use std::time::Duration;
@@ -24,7 +24,7 @@ fn main() {
         clients: 8,
         commands_per_client: 2,
         delta: Duration::from_millis(40),
-        queue_cap: 4096,
+        partial_sync: false,
         batch_cap: 1,
         seed: 17,
         consensus: csm_node::ConsensusKind::LeaderEcho,

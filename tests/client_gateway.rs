@@ -8,7 +8,7 @@
 //! aggressive client retries, and admission backpressure under a flood.
 
 use csm_auditor::{AuditConfig, ClusterAudit};
-use csm_bench::workload::{
+use csm_node::workload::{
     one_equivocator_one_withholder, run_mem_workload, verify_bank_outcome, WorkloadConfig,
 };
 use csm_node::{mesh_registry, BehaviorKind, GatewayStats};
@@ -24,7 +24,7 @@ fn config(cluster: usize, shards: usize, b: usize, clients: usize, cmds: usize) 
         clients,
         commands_per_client: cmds,
         delta: Duration::from_millis(40),
-        queue_cap: 4096,
+        partial_sync: false,
         batch_cap: 1,
         seed: 23,
         consensus: csm_node::ConsensusKind::LeaderEcho,
@@ -33,7 +33,7 @@ fn config(cluster: usize, shards: usize, b: usize, clients: usize, cmds: usize) 
     }
 }
 
-fn total_stats(outcome: &csm_bench::workload::WorkloadOutcome) -> GatewayStats {
+fn total_stats(outcome: &csm_node::workload::WorkloadOutcome) -> GatewayStats {
     let mut total = GatewayStats::default();
     for n in &outcome.nodes {
         total.admitted += n.stats.admitted;

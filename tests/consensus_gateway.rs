@@ -13,12 +13,12 @@
 //! honest nodes agree on every commit digest.
 
 use csm_algebra::{Field, Fp61};
-use csm_bench::workload::{
-    run_mem_workload_with_faults, run_tcp_workload_with_faults, verify_bank_outcome, WorkloadConfig,
-};
 use csm_network::NodeId;
 use csm_node::core::{Effect, Event, GatewayCore, TimerKind};
 use csm_node::gateway::{encode_batch, BatchEntry};
+use csm_node::workload::{
+    run_mem_workload_with_faults, run_tcp_workload_with_faults, verify_bank_outcome, WorkloadConfig,
+};
 use csm_node::{
     BehaviorKind, CodedMachine, ConsensusKind, ExchangeTiming, GatewayConfig, GatewaySpec,
     RoundEngine, StagingFault,
@@ -37,7 +37,7 @@ fn config(cluster: usize, b: usize, clients: usize, consensus: ConsensusKind) ->
         clients,
         commands_per_client: 2,
         delta: Duration::from_millis(40),
-        queue_cap: 4096,
+        partial_sync: false,
         batch_cap: 1,
         seed: 29,
         consensus,
@@ -78,7 +78,7 @@ fn overcap_leader(id: usize) -> StagingFault {
 /// Shared assertions: the run verifies end to end (every command
 /// committed exactly once on the reference balance chain, honest digests
 /// agree round by round) and no honest node fail-stopped on divergence.
-fn assert_no_split(cfg: &WorkloadConfig, outcome: &csm_bench::workload::WorkloadOutcome) {
+fn assert_no_split(cfg: &WorkloadConfig, outcome: &csm_node::workload::WorkloadOutcome) {
     verify_bank_outcome(cfg, outcome, &[]).expect("outcome verifies");
     for node in &outcome.nodes {
         assert!(

@@ -1,13 +1,12 @@
-//! End-to-end crash-recovery tests: a durable gateway cluster survives a
-//! hard kill + restart of an honest node under a live Byzantine workload
-//! (zero lost committed commands), and the `b + 1`-verified state
-//! transfer resists corrupted chunks from Byzantine peers.
+//! Crash-recovery tests: a durable cluster survives a hard kill + restart
+//! of an honest node under a live Byzantine workload (zero lost committed
+//! commands, on the chaos harness's virtual clock), and the
+//! `b + 1`-verified state transfer resists corrupted chunks from
+//! Byzantine peers.
 
 use csm_algebra::{Field, Fp61};
 use csm_auditor::{AuditConfig, ClusterAudit};
-use csm_bench::recovery::{
-    one_equivocator, run_mem_rejoin, scratch_dir, verify_rejoin_outcome, RejoinConfig,
-};
+use csm_chaos::{run_schedule_with_telemetry, scenarios, ChaosRun};
 use csm_core::digest::digest_results;
 use csm_core::DecoderKind;
 use csm_network::NodeId;
@@ -19,32 +18,95 @@ use csm_node::{
 use csm_statemachine::machines::bank_machine;
 use csm_storage::NodeStore;
 use csm_transport::{Frame, Payload};
+use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A fresh scratch directory for one test's store.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("csm-recovery-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// Zero lost committed commands, on `kill_rejoin`'s bank chains: shard
+/// `s` starts at `1 + s` and every deposit to it is `1000 · (s + 1)`,
+/// so an acked balance names its shard, and the shard's acked balances,
+/// sorted, must be exactly `initial + deposit · j` for `j = 1..=acked`.
+fn assert_bank_chains(run: &ChaosRun, shards: usize) {
+    let mut balances: Vec<Vec<u64>> = vec![Vec::new(); shards];
+    for (ack, output) in &run.acked {
+        // the bank result is the flat (S', Y) pair, both = new balance
+        assert!(
+            output.len() == 2 && output[0] == output[1],
+            "{ack:?}: malformed bank output {output:?}"
+        );
+        let shard = (output[0] % 1000) as usize;
+        assert!(
+            (1..=shards).contains(&shard),
+            "{ack:?}: balance {} names no shard",
+            output[0]
+        );
+        balances[shard - 1].push(output[0]);
+    }
+    for (shard, acked) in balances.iter_mut().enumerate() {
+        acked.sort_unstable();
+        let (initial, deposit) = (1 + shard as u64, 1000 * (shard as u64 + 1));
+        let chain: Vec<u64> = (1..=acked.len() as u64)
+            .map(|j| initial + deposit * j)
+            .collect();
+        assert_eq!(
+            *acked, chain,
+            "shard {shard}: a committed command was lost or replayed"
+        );
+    }
+}
 
 #[test]
 fn mem_cluster_survives_kill_and_rejoin() {
     // N = 8, K = 2, b = 2, node 0 equivocating on results, replies, and
-    // state chunks; honest node 5 is hard-killed mid-workload, restarts
-    // from its store, catches up, and the cluster commits ≥ 3 further
-    // rounds with every accepted output on the reference balance chain.
-    let dir = scratch_dir("mem-test");
-    let cfg = RejoinConfig::small(0xD15C);
-    let outcome = run_mem_rejoin(&dir, &cfg, one_equivocator);
-    verify_rejoin_outcome(&cfg, &outcome, &[0]).expect("rejoin outcome verifies");
-    let recovery = outcome
-        .post_report
-        .recovery
-        .as_ref()
-        .expect("recovery info");
+    // state chunks; honest node 5 is hard-killed under load, restarts
+    // from its store, catches up, and commits further rounds with the
+    // cluster, every accepted output on the reference balance chain.
+    let s = scenarios::kill_rejoin();
+    let (victim, cfg) = (5, &s.config);
+    let (run, telemetry) = run_schedule_with_telemetry(cfg, &s.schedule);
+    assert!(run.clean(), "{:?}", run.violations);
+    // every command of the six load bursts and the probe is acked
+    assert_eq!(run.acked.len(), 7 * 4, "every submitted command commits");
+    assert_bank_chains(&run, cfg.shards);
+    // honest digests agree on every round, across both of the victim's
+    // lives (a node's digest history spans its restarts)
+    let mut reference: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
+    for node in run.nodes.iter().filter(|n| cfg.is_honest(n.node)) {
+        for (&round, digests) in &node.digest_history {
+            for &digest in digests {
+                let (holder, expected) = *reference.entry(round).or_insert((node.node, digest));
+                assert_eq!(
+                    digest, expected,
+                    "round {round}: node {} vs node {holder}",
+                    node.node
+                );
+            }
+        }
+    }
+    let rejoined = &run.nodes[victim];
+    let recovery = rejoined.recovery.as_ref().expect("recovery info");
     // the victim held durable state and resumed from it (not genesis)
     assert!(
         recovery.recovered_round > 0,
         "local replay should recover past genesis: {recovery:?}"
     );
+    // and it commits with the cluster after the rejoin
+    let rejoined_at = recovery
+        .startup_transfer
+        .map_or(recovery.recovered_round, |round| round + 1);
+    let after = rejoined.digest_history.range(rejoined_at..).count();
     assert!(
-        outcome.final_round >= outcome.restart_round + cfg.post_rounds,
-        "cluster must keep committing after the rejoin"
+        after >= 3,
+        "victim committed {after} rounds after the rejoin"
     );
     // the snapshot cadence bounds the log a restart replays
     assert!(
@@ -53,18 +115,18 @@ fn mem_cluster_survives_kill_and_rejoin() {
         recovery.wal_records_replayed,
         cfg.snapshot_interval
     );
-    // the pre-wind-down scrape convicts the equivocator, and only it, on
+    // the horizon scrape convicts the equivocator, and only it, on
     // cryptographically attributed evidence from > b distinct reporters
     let audit = ClusterAudit::build(
         AuditConfig {
             cluster: cfg.cluster,
-            assumed_faults: cfg.assumed_faults,
+            assumed_faults: cfg.faults,
         },
-        &outcome.telemetry,
+        &telemetry,
     );
     assert_eq!(audit.scorecard.sound_convicted(), vec![0]);
     let reporters = audit.scorecard.score(0).expect("convicted").reporters();
-    assert!(reporters.len() > cfg.assumed_faults, "{reporters:?}");
+    assert!(reporters.len() > cfg.faults, "{reporters:?}");
     // the equivocator forges in node 1's name: the victim may carry
     // claimed-signer (mac_rejected) evidence, nobody else any
     for peer in audit.scorecard.peers.iter().filter(|p| p.peer != 0) {
@@ -79,7 +141,6 @@ fn mem_cluster_survives_kill_and_rejoin() {
         audit.timeline.slack_p50_us("exchange").is_some(),
         "no exchange Δ-slack samples"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Advances an all-honest coded bank cluster through `rounds` rounds,

@@ -6,7 +6,7 @@
 //! honest node, and every exchange ends on a decoding certificate rather
 //! than waiting out Δ.
 
-use csm_bench::workload::{
+use csm_node::workload::{
     one_equivocator_one_withholder, run_tcp_workload_with_faults, verify_bank_outcome,
     WorkloadConfig, WorkloadOutcome,
 };
@@ -21,7 +21,7 @@ fn config(cluster: usize, b: usize) -> WorkloadConfig {
         clients: 4,
         commands_per_client: 3,
         delta: Duration::from_millis(100),
-        queue_cap: 4096,
+        partial_sync: false,
         batch_cap: 1,
         seed: 1234,
         consensus: ConsensusKind::LeaderEcho,

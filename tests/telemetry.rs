@@ -6,11 +6,11 @@
 //! harness's replay contract: `tests/chaos_scenarios.rs`.)
 
 use csm_algebra::Fp61;
-use csm_bench::recovery::{
-    one_equivocator, run_mem_rejoin, scratch_dir, verify_rejoin_outcome, RejoinConfig,
+use csm_chaos::{
+    run_schedule, run_schedule_with_telemetry, scenarios, ChaosConfig, ChaosEvent, Schedule,
 };
-use csm_bench::workload::{run_mem_workload, verify_bank_outcome, WorkloadConfig};
 use csm_client::{ClientConfig, CsmClient};
+use csm_node::workload::{run_mem_workload, verify_bank_outcome, WorkloadConfig};
 use csm_node::{
     mesh_registry, run_gateway, BehaviorKind, CodedMachine, ConsensusKind, ExchangeTiming,
     GatewayConfig, GatewaySpec, StagingFault,
@@ -37,7 +37,7 @@ fn gateway_incident_leaves_a_flight_dump_naming_the_equivocator() {
         clients: 2,
         commands_per_client: 2,
         delta: Duration::from_millis(40),
-        queue_cap: 64,
+        partial_sync: false,
         batch_cap: 1,
         seed: 13,
         consensus: csm_node::ConsensusKind::LeaderEcho,
@@ -277,33 +277,45 @@ fn scrape_mid_view_change_is_well_formed() {
 
 #[test]
 fn scrape_mid_resync_is_well_formed() {
-    // the kill-and-rejoin harness scrapes once immediately after the
-    // victim's restart — while it is replaying its WAL and pulling state
-    // chunks — and once at steady state; both must be coherent
-    let dir = scratch_dir("telemetry-mid-resync");
-    let cfg = RejoinConfig::small(0x5C4A);
-    let outcome = run_mem_rejoin(&dir, &cfg, one_equivocator);
-    verify_rejoin_outcome(&cfg, &outcome, &[0]).expect("rejoin outcome verifies");
+    // the kill-and-rejoin scenario scraped twice: with the horizon just
+    // after node 5's restart — it has asked for state chunks, and none
+    // can land before a 500-tick hop each way — and at the end of the
+    // schedule, in steady state; both scrapes must be coherent
+    let s = scenarios::kill_rejoin();
+    let victim = 5;
+    let restart = s
+        .schedule
+        .events
+        .iter()
+        .find_map(|(tick, e)| (*e == ChaosEvent::Restart { node: victim }).then_some(*tick))
+        .expect("the scenario restarts node 5");
+    let (run, telemetry) = run_schedule_with_telemetry(&s.config, &s.schedule);
+    assert!(run.clean(), "{:?}", run.violations);
+    let cut = Schedule {
+        horizon: restart + 500,
+        ..s.schedule.clone()
+    };
+    let (mid, mid_resync_telemetry) = run_schedule_with_telemetry(&s.config, &cut);
+    assert!(mid.clean(), "{:?}", mid.violations);
     assert!(
-        !outcome.mid_resync_telemetry.is_empty(),
+        mid.nodes[victim].alive && mid.nodes[victim].resyncs < run.nodes[victim].resyncs,
+        "the cut lands inside node {victim}'s state transfer"
+    );
+    assert!(
+        !mid_resync_telemetry.is_empty(),
         "nobody answered the mid-resync scrape"
     );
-    for (node, snap) in &outcome.mid_resync_telemetry {
+    for (node, snap) in &mid_resync_telemetry {
         assert_snapshot_well_formed(*node, snap);
     }
-    for (node, snap) in &outcome.telemetry {
+    for (node, snap) in &telemetry {
         assert_snapshot_well_formed(*node, snap);
     }
     // at most one snapshot per node per scrape (duplicates would mean a
     // torn multi-reply merge)
-    let mut ids: Vec<usize> = outcome
-        .mid_resync_telemetry
-        .iter()
-        .map(|(id, _)| *id)
-        .collect();
+    let mut ids: Vec<usize> = mid_resync_telemetry.iter().map(|(id, _)| *id).collect();
     ids.dedup();
-    assert_eq!(ids.len(), outcome.mid_resync_telemetry.len());
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(ids.len(), mid_resync_telemetry.len());
 }
 
 /// The per-committed-round event alphabet: for every `(node, round)` the
@@ -410,7 +422,6 @@ fn live_and_simulated_gateways_emit_the_same_event_alphabet() {
     let live = committed_round_alphabet(&replay.event_log(), live_committed);
 
     // -- simulated -------------------------------------------------------
-    use csm_chaos::{run_schedule, ChaosConfig, ChaosEvent, Schedule};
     let mut config = ChaosConfig::new(cluster, shards, b);
     config.clients = clients;
     let burst = ChaosEvent::Burst {
