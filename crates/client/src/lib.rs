@@ -4,9 +4,10 @@
 //! broadcasts a signed command to the `N`-node cluster and accepts the
 //! output only after **`b + 1` bit-identical replies** from distinct
 //! nodes — with at most `b` Byzantine nodes, any `b + 1` matching replies
-//! include an honest one, so the accepted value is correct. The matching
-//! rule itself is [`csm_core::client::accept_replies`]; this crate runs
-//! it over a real [`csm_transport::Transport`].
+//! include an honest one, so the accepted value is correct.
+//! [`ClientCore`] is the one client state machine that applies this
+//! rule, with no clock and no transport, and [`CsmClient`] drives it over
+//! a real [`csm_transport::Transport`].
 //!
 //! Clients share the nodes' transport mesh and key registry: ids
 //! `0..cluster` are nodes, ids `cluster..` are clients (see
@@ -15,18 +16,22 @@
 //! a Byzantine node cannot submit commands in a client's name.
 //!
 //! Submission is **at-least-once with idempotent admission**: a client
-//! that times out re-sends the same `(client, seq)` command, the node-side
-//! gateway deduplicates and answers retries of committed commands from a
-//! reply cache, and the sequence number only advances once accepted — so
-//! a command is executed at most once however many times it is sent.
+//! that times out re-sends the same `(client, seq)` command, and the
+//! node-side gateway deduplicates and answers retries of committed
+//! commands from a reply cache, so a command is executed at most once
+//! however many times it is sent. Every command takes a fresh sequence
+//! number, and one that is given up keeps its number spent: a late reply
+//! to it cannot be taken for the reply to a later command.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use csm_core::client::{accept_replies, DeliveryStatus};
+mod core;
+
+pub use crate::core::{Accepted, ClientCore, Ticket};
 use csm_network::auth::KeyRegistry;
 use csm_telemetry::TelemetrySnapshot;
-use csm_transport::{Frame, Payload, RecvError, Transport};
+use csm_transport::{Frame, Payload, Transport};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,11 +61,6 @@ impl ClientConfig {
             reply_timeout,
             max_attempts: 10,
         }
-    }
-
-    /// The acceptance threshold `b + 1`.
-    pub fn need(&self) -> usize {
-        self.assumed_faults + 1
     }
 }
 
@@ -108,7 +108,8 @@ pub struct QueryReceipt {
 pub enum ClientError {
     /// No value reached `b + 1` matching replies within every attempt
     /// (`seq` is the command's sequence number, or the query id for a
-    /// read-only query).
+    /// read-only query). The number stays spent: the client's next
+    /// request takes a fresh one.
     NoQuorum {
         /// The command's sequence number (or query id).
         seq: u64,
@@ -130,14 +131,14 @@ impl fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// One client endpoint: submits commands and enforces the `b + 1` rule.
+/// One client endpoint: drives a [`ClientCore`] over a transport, with
+/// `max_attempts` sends that each wait `reply_timeout` for the quorum.
 #[derive(Debug)]
 pub struct CsmClient<T: Transport> {
     transport: T,
     registry: Arc<KeyRegistry>,
     cfg: ClientConfig,
-    next_seq: u64,
-    next_qid: u64,
+    core: ClientCore,
     next_nonce: u64,
 }
 
@@ -149,18 +150,17 @@ impl<T: Transport> CsmClient<T> {
     ///
     /// Panics if the endpoint id is a cluster node id.
     pub fn new(transport: T, registry: Arc<KeyRegistry>, cfg: ClientConfig) -> Self {
-        assert!(
-            transport.local_id().0 >= cfg.cluster,
-            "client id {} collides with the cluster 0..{}",
-            transport.local_id().0,
-            cfg.cluster
+        let core = ClientCore::new(
+            transport.local_id(),
+            cfg.cluster,
+            cfg.assumed_faults,
+            Arc::clone(&registry),
         );
         CsmClient {
             transport,
             registry,
             cfg,
-            next_seq: 0,
-            next_qid: 0,
+            core,
             next_nonce: 0,
         }
     }
@@ -170,76 +170,35 @@ impl<T: Transport> CsmClient<T> {
         self.transport.local_id().0 as u64
     }
 
-    /// The next sequence number to be used.
+    /// The sequence number the next [`CsmClient::submit`] uses.
     pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.core.next_seq()
     }
 
     /// Submits `command` (canonical field elements) to `shard` on every
     /// cluster node and blocks until `b + 1` nodes reply with the same
-    /// `(round, output)`, retrying per the config. The sequence number
-    /// advances only on acceptance, so retries and re-submissions after
-    /// an error stay idempotent.
+    /// `(round, output)`, retrying per the config. Every call takes a
+    /// fresh sequence number; retries within the call re-send the same
+    /// `(client, seq)`, which nodes execute at most once.
     ///
     /// # Errors
     ///
     /// [`ClientError::NoQuorum`] when every attempt times out short of
-    /// the quorum — the command may or may not have committed; re-calling
-    /// re-uses the same sequence number and cannot double-execute.
+    /// the quorum — the command may or may not have committed, and its
+    /// sequence number is spent: a late reply to it can never settle a
+    /// later command.
     pub fn submit(&mut self, shard: u64, command: Vec<u64>) -> Result<Receipt, ClientError> {
-        let seq = self.next_seq;
-        let me = self.transport.local_id();
-        let frame = Frame::sign(
-            Payload::Submit {
-                shard,
-                client: me.0 as u64,
-                seq,
-                command,
-            },
-            &self.registry,
-            me,
-        );
+        let (seq, frame) = self.core.submit(shard, command);
         let started = Instant::now();
-        // first (round, output) per replying node, kept across attempts —
-        // replies to an earlier attempt still count toward the quorum
-        let mut by_node: Vec<Option<(u64, Vec<u64>)>> = vec![None; self.cfg.cluster];
-        let mut best = 0;
-        for attempt in 1..=self.cfg.max_attempts {
-            let _ = self.transport.broadcast_upto(self.cfg.cluster, &frame);
-            let deadline = Instant::now() + self.cfg.reply_timeout;
-            loop {
-                match accept_replies(&by_node, self.cfg.need()) {
-                    DeliveryStatus::Accepted {
-                        value: (round, output),
-                        matching,
-                    } => {
-                        self.next_seq += 1;
-                        return Ok(Receipt {
-                            shard,
-                            seq,
-                            round,
-                            output,
-                            matching,
-                            latency: started.elapsed(),
-                            attempts: attempt,
-                        });
-                    }
-                    DeliveryStatus::Failed { best_matching } => best = best.max(best_matching),
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match self.transport.recv_timeout(deadline - now) {
-                    Ok(reply) => self.record(&mut by_node, shard, seq, reply),
-                    Err(RecvError::Timeout) => break,
-                    Err(RecvError::Disconnected) => break,
-                }
-            }
-        }
-        Err(ClientError::NoQuorum {
+        let accepted = self.settle(Ticket::Submit(seq), frame)?;
+        Ok(Receipt {
+            shard,
             seq,
-            best_matching: best,
+            round: accepted.round,
+            output: accepted.output,
+            matching: accepted.matching,
+            latency: started.elapsed(),
+            attempts: accepted.attempts,
         })
     }
 
@@ -265,60 +224,50 @@ impl<T: Transport> CsmClient<T> {
     /// the quorum — e.g. nodes sit at different committed rounds during
     /// an active burst; retrying is always safe (reads have no effects).
     pub fn query(&mut self, shard: u64) -> Result<QueryReceipt, ClientError> {
-        let qid = self.next_qid;
-        self.next_qid += 1;
-        let me = self.transport.local_id();
-        let frame = Frame::sign(
-            Payload::Query {
-                shard,
-                client: me.0 as u64,
-                qid,
-            },
-            &self.registry,
-            me,
-        );
+        let (qid, frame) = self.core.query(shard);
         let started = Instant::now();
-        let mut best = 0;
+        let accepted = self.settle(Ticket::Query(qid), frame)?;
+        Ok(QueryReceipt {
+            shard,
+            qid,
+            round: accepted.round,
+            value: accepted.output,
+            matching: accepted.matching,
+            latency: started.elapsed(),
+            attempts: accepted.attempts,
+        })
+    }
+
+    /// Sends `frame` up to `max_attempts` times, each time feeding the
+    /// core replies for `reply_timeout`, until it accepts `ticket`.
+    fn settle(&mut self, ticket: Ticket, mut frame: Frame) -> Result<Accepted, ClientError> {
         for attempt in 1..=self.cfg.max_attempts {
-            // unlike submissions, replies are not pooled across attempts:
-            // nodes answer from their *current* committed round, so a
-            // fresh attempt re-samples a consistent quorum
-            let mut by_node: Vec<Option<(u64, Vec<u64>)>> = vec![None; self.cfg.cluster];
+            if attempt > 1 {
+                frame = self
+                    .core
+                    .retry(ticket)
+                    .expect("an unsettled ticket is pending");
+            }
             let _ = self.transport.broadcast_upto(self.cfg.cluster, &frame);
             let deadline = Instant::now() + self.cfg.reply_timeout;
-            loop {
-                match accept_replies(&by_node, self.cfg.need()) {
-                    DeliveryStatus::Accepted {
-                        value: (round, value),
-                        matching,
-                    } => {
-                        return Ok(QueryReceipt {
-                            shard,
-                            qid,
-                            round,
-                            value,
-                            matching,
-                            latency: started.elapsed(),
-                            attempts: attempt,
-                        });
-                    }
-                    DeliveryStatus::Failed { best_matching } => best = best.max(best_matching),
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match self.transport.recv_timeout(deadline - now) {
-                    Ok(reply) => self.record_query(&mut by_node, shard, qid, reply),
-                    Err(RecvError::Timeout) => break,
-                    Err(RecvError::Disconnected) => break,
+            while let Some(reply) = self.recv_until(deadline) {
+                if let Some(accepted) = self.core.on_frame(reply) {
+                    return Ok(accepted);
                 }
             }
         }
+        let (Ticket::Submit(seq) | Ticket::Query(seq)) = ticket;
         Err(ClientError::NoQuorum {
-            seq: qid,
-            best_matching: best,
+            seq,
+            best_matching: self.core.give_up(ticket).unwrap_or(0),
         })
+    }
+
+    /// The next frame to arrive before `deadline`; `None` once it has
+    /// passed or the transport is gone.
+    fn recv_until(&self, deadline: Instant) -> Option<Frame> {
+        let wait = deadline.checked_duration_since(Instant::now())?;
+        self.transport.recv_timeout(wait).ok()
     }
 
     /// Scrapes the cluster's telemetry: broadcasts a signed
@@ -344,13 +293,8 @@ impl<T: Transport> CsmClient<T> {
         let mut answered = 0usize;
         let deadline = Instant::now() + timeout;
         while answered < self.cfg.cluster {
-            let now = Instant::now();
-            if now >= deadline {
+            let Some(frame) = self.recv_until(deadline) else {
                 break;
-            }
-            let frame = match self.transport.recv_timeout(deadline - now) {
-                Ok(frame) => frame,
-                Err(RecvError::Timeout) | Err(RecvError::Disconnected) => break,
             };
             let Payload::TelemetryReply {
                 nonce: r_nonce,
@@ -379,65 +323,5 @@ impl<T: Transport> CsmClient<T> {
             .enumerate()
             .filter_map(|(node, snap)| snap.map(|s| (node, s)))
             .collect()
-    }
-
-    /// Records one inbound frame if it is a query reply from a cluster
-    /// node to this query; anything else is dropped. First reply per node
-    /// wins.
-    fn record_query(
-        &self,
-        by_node: &mut [Option<(u64, Vec<u64>)>],
-        shard: u64,
-        qid: u64,
-        frame: Frame,
-    ) {
-        let Payload::QueryReply {
-            shard: r_shard,
-            round,
-            client,
-            qid: r_qid,
-            value,
-        } = frame.payload
-        else {
-            return;
-        };
-        let node = frame.sig.signer.0;
-        if node >= self.cfg.cluster
-            || client != self.id()
-            || r_qid != qid
-            || r_shard != shard
-            || by_node[node].is_some()
-        {
-            return;
-        }
-        by_node[node] = Some((round, value));
-    }
-
-    /// Records one inbound frame if it is a reply from a cluster node to
-    /// this command; anything else (stray gossip, stale replies) is
-    /// dropped. First reply per node wins — an honest node only ever
-    /// sends one, so a Byzantine node cannot improve its count by
-    /// spamming.
-    fn record(&self, by_node: &mut [Option<(u64, Vec<u64>)>], shard: u64, seq: u64, frame: Frame) {
-        let Payload::Reply {
-            shard: r_shard,
-            round,
-            client,
-            seq: r_seq,
-            output,
-        } = frame.payload
-        else {
-            return;
-        };
-        let node = frame.sig.signer.0;
-        if node >= self.cfg.cluster
-            || client != self.id()
-            || r_seq != seq
-            || r_shard != shard
-            || by_node[node].is_some()
-        {
-            return;
-        }
-        by_node[node] = Some((round, output));
     }
 }

@@ -1,16 +1,19 @@
-//! The simulated client swarm: seeded load generation, `b + 1`-matching
-//! acknowledgement tracking, and retry-until-acked — the client side of
-//! the exactly-once contract, on the virtual clock.
+//! The simulated client swarm: seeded load generation and
+//! retry-until-acked on the virtual clock, around one
+//! [`ClientCore`] per client — the state machine `CsmClient` ships.
 //!
 //! Clients are transport endpoints `cluster..cluster + clients`; each
 //! command is a `Submit` broadcast to every node, acknowledged once
-//! `b + 1` distinct nodes return byte-identical `Reply` payloads for the
-//! `(client, seq)` (one of them is then guaranteed honest, which is what
-//! the S2 no-lost-ack check leans on). Unacked commands rebroadcast on a
-//! retry timer; the reply cache and dedup horizons on the node side make
-//! the retries idempotent.
+//! `b + 1` distinct nodes return the same `(round, output)` for the
+//! `(client, seq)` (one of them is then honest, which is what the S2
+//! checks lean on). Unacked commands rebroadcast on a retry timer; the
+//! reply cache and dedup horizons on the node side make the retries
+//! idempotent. SimNet does not authenticate, so the swarm verifies each
+//! reply's MAC before its core sees it, as a transport would.
 
+use crate::chaos::runner::ChaosConfig;
 use crate::chaos::token;
+use csm_client::{Accepted, ClientCore, Ticket};
 use csm_network::auth::KeyRegistry;
 use csm_network::NodeId;
 use csm_transport::sim::SimNet;
@@ -51,38 +54,18 @@ pub fn shard_deposits(_stream: u64, shard: usize, input_dim: usize) -> Vec<u64> 
     vec![1000 * (shard as u64 + 1); input_dim]
 }
 
-/// One in-flight command awaiting its `b + 1` reply quorum.
-#[derive(Debug)]
-struct Pending {
-    shard: u64,
-    command: Vec<u64>,
-    probe: bool,
-    /// Reply votes: identical output bytes → the distinct nodes sending
-    /// them.
-    votes: BTreeMap<Vec<u64>, BTreeSet<usize>>,
-    retries: u32,
-}
-
-/// Per-client submission state.
-#[derive(Debug, Default)]
-struct ClientState {
-    next_seq: u64,
-    pending: BTreeMap<u64, Pending>,
-}
-
 /// The whole swarm, addressed by client *index* (endpoint id minus the
 /// cluster size).
 #[derive(Debug)]
 pub(crate) struct ClientSwarm {
     cluster: usize,
-    faults: usize,
     shards: usize,
     input_dim: usize,
     seed: u64,
     registry: Arc<KeyRegistry>,
     command_gen: CommandGen,
     retry_interval: u64,
-    clients: BTreeMap<usize, ClientState>,
+    clients: Vec<ClientCore>,
 
     /// Acked `(client_endpoint_id, seq) → agreed output` — the S2
     /// ground truth.
@@ -90,72 +73,47 @@ pub(crate) struct ClientSwarm {
     /// The subset of submitted `(client_endpoint_id, seq)` belonging to
     /// probe bursts (the S3 liveness obligation).
     pub(crate) probe_submitted: BTreeSet<(u64, u64)>,
-    /// Commands that exhausted their retries without an ack quorum.
-    pub(crate) gave_up: BTreeSet<(u64, u64)>,
-    /// Replies whose outputs disagreed across `b + 1` quorums — never
-    /// expected; recorded for the harness.
-    pub(crate) conflicting_acks: u64,
 }
 
 impl ClientSwarm {
-    #[allow(clippy::too_many_arguments)]
+    /// `config.clients` clients of `input_dim`-wide commands, seeded by
+    /// `seed`, each re-sending an unacked command every `retry_interval`
+    /// ticks.
     pub(crate) fn new(
-        cluster: usize,
-        faults: usize,
-        shards: usize,
+        config: &ChaosConfig,
         input_dim: usize,
         seed: u64,
         registry: Arc<KeyRegistry>,
-        command_gen: CommandGen,
         retry_interval: u64,
     ) -> Self {
+        let clients = (config.cluster..config.cluster + config.clients)
+            .map(|id| {
+                ClientCore::new(
+                    NodeId(id),
+                    config.cluster,
+                    config.faults,
+                    Arc::clone(&registry),
+                )
+            })
+            .collect();
         ClientSwarm {
-            cluster,
-            faults,
-            shards,
+            cluster: config.cluster,
+            shards: config.shards,
             input_dim,
             seed,
             registry,
-            command_gen,
+            command_gen: config.command_gen,
             retry_interval: retry_interval.max(1),
-            clients: BTreeMap::new(),
+            clients,
             acked: BTreeMap::new(),
             probe_submitted: BTreeSet::new(),
-            gave_up: BTreeSet::new(),
-            conflicting_acks: 0,
         }
     }
 
-    /// The transport endpoint id of client index `idx`.
-    fn endpoint(&self, idx: usize) -> usize {
-        self.cluster + idx
-    }
-
-    fn submit_frame(&self, idx: usize, seq: u64, shard: u64, command: &[u64]) -> Frame {
-        let endpoint = self.endpoint(idx);
-        Frame::sign(
-            Payload::Submit {
-                shard,
-                client: endpoint as u64,
-                seq,
-                command: command.to_vec(),
-            },
-            &self.registry,
-            NodeId(endpoint),
-        )
-    }
-
-    fn broadcast_submit(
-        &self,
-        net: &mut SimNet,
-        idx: usize,
-        seq: u64,
-        shard: u64,
-        command: &[u64],
-    ) {
-        let frame = self.submit_frame(idx, seq, shard, command);
-        let endpoint = self.endpoint(idx);
-        net.broadcast_upto(endpoint, self.cluster, &frame);
+    /// Arms client `idx`'s retry timer for `seq`.
+    fn arm_retry(&self, net: &mut SimNet, idx: usize, seq: u64) {
+        let tok = token::pack(token::K_RETRY, 0, idx as u64, seq);
+        net.set_timer(self.cluster + idx, net.now() + self.retry_interval, tok);
     }
 
     /// Fires one burst: clients `first..first + count` each submit
@@ -169,37 +127,21 @@ impl ClientSwarm {
         probe: bool,
     ) {
         for idx in first..first + count {
+            let endpoint = self.cluster + idx;
             for _ in 0..commands {
-                let state = self.clients.entry(idx).or_default();
-                let seq = state.next_seq;
-                state.next_seq += 1;
+                let core = &mut self.clients[idx];
                 let stream = self
                     .seed
                     .wrapping_mul(0x0100_0000_01B3)
-                    .wrapping_add(((idx as u64) << 24) | seq);
+                    .wrapping_add(((idx as u64) << 24) | core.next_seq());
                 let shard = (stream >> 7) % self.shards as u64;
                 let command = (self.command_gen)(stream, shard as usize, self.input_dim);
-                state.pending.insert(
-                    seq,
-                    Pending {
-                        shard,
-                        command: command.clone(),
-                        probe,
-                        votes: BTreeMap::new(),
-                        retries: 0,
-                    },
-                );
+                let (seq, frame) = core.submit(shard, command);
                 if probe {
-                    self.probe_submitted
-                        .insert((self.endpoint(idx) as u64, seq));
+                    self.probe_submitted.insert((endpoint as u64, seq));
                 }
-                self.broadcast_submit(net, idx, seq, shard, &command);
-                let endpoint = self.endpoint(idx);
-                net.set_timer(
-                    endpoint,
-                    net.now() + self.retry_interval,
-                    token::pack(token::K_RETRY, 0, idx as u64, seq),
-                );
+                net.broadcast_upto(endpoint, self.cluster, &frame);
+                self.arm_retry(net, idx, seq);
             }
         }
     }
@@ -207,109 +149,53 @@ impl ClientSwarm {
     /// Client `idx` broadcasts a `Submit` naming client `victim` (at the
     /// victim's next sequence number) under its own MAC.
     pub(crate) fn spoof(&mut self, net: &mut SimNet, idx: usize, victim: usize) {
-        let seq = self.clients.get(&victim).map_or(0, |state| state.next_seq);
         let frame = Frame::sign(
             Payload::Submit {
                 shard: 0,
-                client: self.endpoint(victim) as u64,
-                seq,
+                client: (self.cluster + victim) as u64,
+                seq: self.clients[victim].next_seq(),
                 command: (self.command_gen)(self.seed, 0, self.input_dim),
             },
             &self.registry,
-            NodeId(self.endpoint(idx)),
+            NodeId(self.cluster + idx),
         );
-        net.broadcast_upto(self.endpoint(idx), self.cluster, &frame);
+        net.broadcast_upto(self.cluster + idx, self.cluster, &frame);
     }
 
     /// A frame delivered to client endpoint `owner`.
     pub(crate) fn on_frame(&mut self, owner: usize, frame: Frame) {
-        if owner < self.cluster {
-            return;
-        }
-        let idx = owner - self.cluster;
         if !frame.verify(&self.registry) {
             return;
         }
-        let from = frame.sig.signer.0;
-        if from >= self.cluster {
-            return; // clients only trust node replies
-        }
-        let Payload::Reply {
-            client,
-            seq,
+        let core = &mut self.clients[owner - self.cluster];
+        if let Some(Accepted {
+            ticket: Ticket::Submit(seq),
             output,
             ..
-        } = frame.payload
-        else {
-            return;
-        };
-        if client != owner as u64 {
-            return;
-        }
-        let quorum = self.faults + 1;
-        let Some(state) = self.clients.get_mut(&idx) else {
-            return;
-        };
-        let Some(pending) = state.pending.get_mut(&seq) else {
-            return;
-        };
-        pending.votes.entry(output).or_default().insert(from);
-        let agreed = pending
-            .votes
-            .iter()
-            .find(|(_, nodes)| nodes.len() >= quorum)
-            .map(|(output, _)| output.clone());
-        if let Some(output) = agreed {
-            if pending.votes.len() > 1 {
-                // another output also collected votes — fine below b+1,
-                // but two *quorums* would be a reply-integrity break
-                let quorums = pending
-                    .votes
-                    .values()
-                    .filter(|nodes| nodes.len() >= quorum)
-                    .count();
-                if quorums > 1 {
-                    self.conflicting_acks += 1;
-                }
-            }
-            state.pending.remove(&seq);
+        }) = core.on_frame(frame)
+        {
             self.acked.insert((owner as u64, seq), output);
         }
     }
 
-    /// A retry timer fired for client endpoint `owner`.
+    /// A retry timer fired for client endpoint `owner`: re-send the
+    /// command unless it is acked, or give up on it after
+    /// `MAX_CLIENT_RETRIES` — probes carry the S3 liveness-on-heal
+    /// obligation, so they are re-driven until the horizon; only load
+    /// traffic gives up.
     pub(crate) fn on_timer(&mut self, net: &mut SimNet, owner: usize, tok: u64) {
-        if token::kind(tok) != token::K_RETRY || owner < self.cluster {
-            return;
-        }
-        let idx = token::a(tok) as usize;
-        let seq = token::b(tok);
-        if idx + self.cluster != owner {
-            return;
-        }
-        let Some(state) = self.clients.get_mut(&idx) else {
-            return;
-        };
-        let Some(pending) = state.pending.get_mut(&seq) else {
+        let (idx, seq) = (owner - self.cluster, token::b(tok));
+        let (core, ticket) = (&mut self.clients[idx], Ticket::Submit(seq));
+        let Some(attempts) = core.attempts(ticket) else {
             return; // acked meanwhile
         };
-        pending.retries += 1;
-        if pending.retries > MAX_CLIENT_RETRIES && !pending.probe {
-            // probes carry the S3 liveness-on-heal obligation, so they
-            // are re-driven until the horizon; only load traffic gives
-            // up.
-            state.pending.remove(&seq);
-            self.gave_up.insert((owner as u64, seq));
+        if attempts > MAX_CLIENT_RETRIES && !self.probe_submitted.contains(&(owner as u64, seq)) {
+            core.give_up(ticket);
             return;
         }
-        let shard = pending.shard;
-        let command = pending.command.clone();
-        self.broadcast_submit(net, idx, seq, shard, &command);
-        net.set_timer(
-            owner,
-            net.now() + self.retry_interval,
-            token::pack(token::K_RETRY, 0, idx as u64, seq),
-        );
+        let frame = core.retry(ticket).expect("the ticket is pending");
+        net.broadcast_upto(owner, self.cluster, &frame);
+        self.arm_retry(net, idx, seq);
     }
 
     /// Probe `(client, seq)` pairs not yet acknowledged — must be empty

@@ -32,9 +32,11 @@
 //! * **S2 — no lost acknowledged command.** A client acknowledgement
 //!   requires `b + 1` matching replies, hence at least one honest
 //!   committer: every acked `(client, seq)` must appear in some honest
-//!   node's committed ledger. Durable restarts additionally assert the
-//!   replayed dedup horizons cover everything the node replied to
-//!   before crashing (WAL-before-ack made durable).
+//!   node's committed ledger, and some honest node must have replied the
+//!   acked output (`WrongAck` otherwise: more than `b` nodes lied
+//!   alike). Durable restarts additionally assert the replayed dedup
+//!   horizons cover everything the node replied to before crashing
+//!   (WAL-before-ack made durable).
 //! * **S3 — liveness on heal.** Every generated schedule ends with a
 //!   full heal followed by a *probe* burst; scenarios assert the probe
 //!   is fully acknowledged by the horizon.

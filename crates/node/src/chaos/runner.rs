@@ -199,11 +199,14 @@ pub enum Violation {
         /// The acked sequence number.
         seq: u64,
     },
-    /// A client collected `b + 1` matching replies for two *different*
-    /// outputs of one command.
-    ConflictingAcks {
-        /// How many commands double-acked.
-        count: u64,
+    /// An acknowledged command's output is one no honest node replied
+    /// (S2): its `b + 1` quorum had no honest member, so more than `b`
+    /// nodes lied alike.
+    WrongAck {
+        /// The acked client (transport endpoint id).
+        client: u64,
+        /// The acked sequence number.
+        seq: u64,
     },
     /// A restarted node's replayed dedup horizons did not cover a reply
     /// it sent before crashing (the WAL-before-ack contract).
@@ -325,9 +328,6 @@ struct SimNode {
     /// Every digest it ever broadcast, per wire round (survives resyncs:
     /// the witness of contained splits).
     digest_history: BTreeMap<u64, Vec<u64>>,
-    /// Every `(client, seq)` it ever replied to — an honest node replies
-    /// exactly to what it committed.
-    ever_committed: BTreeSet<(u64, u64)>,
     /// Max seq replied per client: WAL-before-ack means the horizons a
     /// restart recovers must cover this.
     replied: BTreeMap<u64, u64>,
@@ -352,6 +352,10 @@ struct Sim<'a> {
     net: SimNet,
     nodes: Vec<SimNode>,
     swarm: ClientSwarm,
+    /// Every output an honest node replied, per `(client, seq)` — an
+    /// honest node replies exactly to what it committed, with what it
+    /// computed (the S2 witness).
+    honest_replies: BTreeMap<(u64, u64), Vec<Vec<u64>>>,
     /// The frame whose MAC was verified last. The fabric delivers a
     /// broadcast's copies back to back, and a copy equal to a verified
     /// frame needs no second MAC.
@@ -426,8 +430,19 @@ impl Sim<'_> {
             let node = &mut self.nodes[id];
             match effect {
                 Effect::Send { to, frame } => {
-                    if let Payload::Reply { client, seq, .. } = frame.payload {
-                        node.ever_committed.insert((client, seq));
+                    if let Payload::Reply {
+                        client,
+                        seq,
+                        ref output,
+                        ..
+                    } = frame.payload
+                    {
+                        if self.config.is_honest(id) {
+                            let outputs = self.honest_replies.entry((client, seq)).or_default();
+                            if !outputs.contains(output) {
+                                outputs.push(output.clone());
+                            }
+                        }
                         let h = node.replied.entry(client).or_insert(0);
                         *h = (*h).max(seq);
                     }
@@ -612,13 +627,10 @@ fn run(
         );
     }
     let swarm = ClientSwarm::new(
-        config.cluster,
-        config.faults,
-        config.shards,
+        config,
         machine.transition().input_dim(),
         schedule.seed,
         Arc::clone(&registry),
-        config.command_gen,
         (delta * 8).as_micros() as u64,
     );
     let mut sim = Sim {
@@ -637,6 +649,7 @@ fn run(
         net,
         nodes: (0..config.cluster).map(|_| SimNode::default()).collect(),
         swarm,
+        honest_replies: BTreeMap::new(),
         verified: None,
     };
     for id in 0..config.cluster {
@@ -680,11 +693,11 @@ fn run(
     (run, telemetry)
 }
 
-/// The post-run audit: S1 over vouched digests, S2 over the ack set,
-/// recovery-horizon assertions, conflicting-ack detection, and S3 when
-/// the config asks for it. The run takes each node's digest history and the
-/// swarm's ack map out of `sim` (nothing reads them afterwards), so the
-/// run's high-water mark never holds them twice.
+/// The post-run audit: S1 over vouched digests, S2 over the ack set and
+/// its outputs, recovery-horizon assertions, and S3 when the config asks
+/// for it. The run takes each node's digest history and the swarm's ack
+/// map out of `sim` (nothing reads them afterwards), so the run's
+/// high-water mark never holds them twice.
 fn audit(sim: &mut Sim<'_>, schedule: &Schedule, events: Vec<TraceEntry>) -> ChaosRun {
     let (config, nodes, swarm) = (sim.config, &mut sim.nodes, &mut sim.swarm);
     let mut violations = Vec::new();
@@ -708,19 +721,16 @@ fn audit(sim: &mut Sim<'_>, schedule: &Schedule, events: Vec<TraceEntry>) -> Cha
         }
     }
 
-    // S2: every acked (client, seq) is in some honest node's ledger
-    for &(client, seq) in swarm.acked.keys() {
-        let witnessed = honest
-            .iter()
-            .any(|&n| nodes[n].ever_committed.contains(&(client, seq)));
-        if !witnessed {
-            violations.push(Violation::LostAck { client, seq });
+    // S2: every acked (client, seq) is in some honest node's ledger, and
+    // some honest node replied the acked output
+    for (&(client, seq), acked) in &swarm.acked {
+        match sim.honest_replies.get(&(client, seq)) {
+            None => violations.push(Violation::LostAck { client, seq }),
+            Some(outputs) if !outputs.contains(acked) => {
+                violations.push(Violation::WrongAck { client, seq });
+            }
+            Some(_) => {}
         }
-    }
-    if swarm.conflicting_acks > 0 {
-        violations.push(Violation::ConflictingAcks {
-            count: swarm.conflicting_acks,
-        });
     }
     for node in nodes.iter() {
         for detail in &node.recovery_violations {

@@ -696,7 +696,8 @@ impl<F: Field> GatewayCore<F> {
                         // (Δ, then the idle pause), in case its leader
                         // is silent
                         None => {
-                            let pause = micros(self.timing.delta) + micros(self.cfg.idle_pause);
+                            let pause =
+                                micros(self.timing.delta) + micros(self.timing.idle_pause());
                             self.pace(self.now + pause);
                         }
                     }
@@ -1750,7 +1751,7 @@ impl<F: Field> GatewayCore<F> {
             SynchronyMode::Synchronous => self.now.max(started + micros(self.timing.delta)),
             SynchronyMode::PartiallySynchronous => self.now,
         };
-        self.pace(waited + micros(self.cfg.idle_pause));
+        self.pace(waited + micros(self.timing.idle_pause()));
     }
 
     /// A result for the round that last committed on a certificate: record

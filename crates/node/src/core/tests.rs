@@ -949,7 +949,7 @@ fn a_silent_leader_does_not_strand_work() {
             .nth(B)
             .map(|(_, now, ..)| *now)
             .unwrap_or_else(|| panic!("{consensus}: the command never committed"));
-        let pause = micros(r.timing.delta) + micros(r.cfg.idle_pause);
+        let pause = micros(r.timing.delta) + micros(r.timing.idle_pause());
         assert!(
             acked - submitted <= 2 * pause + staging,
             "{consensus}: acked {} µs after submission",
@@ -1195,7 +1195,7 @@ fn partial_synchrony_certifies_before_the_cutoff_and_exposes_both_liars() {
     // round from the commit: a partially synchronous node has no Δ to
     // wait out
     assert!(committed_at < micros(max_wait));
-    let pause = micros(r.cfg.idle_pause);
+    let pause = micros(r.timing.idle_pause());
     assert_eq!(timer(&effects, TimerKind::Next).0, committed_at + pause);
 }
 

@@ -277,6 +277,21 @@ impl ExchangeTiming {
         }
     }
 
+    /// `3Δ/2`: the pause after a round for a node that holds commands
+    /// its leader has not started a round for, counted from where an
+    /// exchange that waited out its deadline would have ended; a node
+    /// holding none runs no round at all until work or its peers wake
+    /// it, and one woken by a `Submit` for a round it does not lead waits
+    /// `Δ` plus this pause. Work ends it early — commands for the leader
+    /// to propose (after a batch window of `Δ/5` unless a round's worth
+    /// is held), or protocol frames for the node's round or a later one
+    /// from its leader or from `b + 1` peers (`docs/PROTOCOL.md` §10) —
+    /// so it only bounds how long a silent or crashed leader can hold
+    /// commands back before the followers start the round without it.
+    pub fn idle_pause(&self) -> Duration {
+        self.delta * 3 / 2
+    }
+
     /// Returns the timing unchanged. The gateway always ends an exchange
     /// on a full word or on a decoding certificate (`docs/PROTOCOL.md`
     /// §6), so there is nothing left to enable; the method stays because
@@ -320,18 +335,6 @@ pub struct GatewayConfig {
     /// that carry commands run at network speed, so the default is 512
     /// rounds (about 0.2 MB per node at `K = 2`), not a span of time.
     pub commit_history: usize,
-    /// Pause after a round for a node that holds commands its leader has
-    /// not started a round for, counted from where an exchange that
-    /// waited out its deadline would have ended; a node holding none runs
-    /// no round at all until work or its peers wake it, and one woken by
-    /// a `Submit` for a round it does not lead waits `Δ` plus this pause.
-    /// Work ends it early — commands for the leader to propose (after a
-    /// batch window of `Δ/5` unless a round's worth is held), or protocol
-    /// frames for the node's round or a later one from its leader or from
-    /// `b + 1` peers (`docs/PROTOCOL.md` §10) — so it only bounds how long
-    /// a silent or crashed leader can hold commands back before the
-    /// followers start the round without it. Default `3Δ/2`.
-    pub idle_pause: Duration,
     /// Maximum *pending* commands per client: a single flooding client
     /// fills its own quota, not the shared queue, so it cannot starve
     /// other clients' admission.
@@ -378,7 +381,6 @@ impl GatewayConfig {
             stage_timeout: timing.delta * 4 + Duration::from_millis(500),
             max_rounds: u64::MAX,
             commit_history: 512,
-            idle_pause: timing.delta * 3 / 2,
             client_quota: 64,
             consensus: ConsensusKind::default(),
             consensus_delta: timing.delta * 2 + Duration::from_millis(20),

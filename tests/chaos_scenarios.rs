@@ -257,6 +257,65 @@ fn spoofed_submit_costs_no_liveness() {
 }
 
 #[test]
+fn s2_flags_an_ack_of_an_output_no_honest_node_replied() {
+    // one equivocator beyond the model: nodes 0 and 1 add 77 to every
+    // reply, and the honest nodes' replies reach the clients six hops
+    // late, so each client's first b + 1 = 2 matching replies are the
+    // liars'. The cluster commits honestly; the clients accept the lie.
+    // S2 must see it: the command is in honest ledgers, its output in
+    // no honest reply.
+    use csm_chaos::{BehaviorKind, ChaosEvent, LinkState, Schedule};
+    let (nodes, clients) = (8, 4);
+    let mut config = ChaosConfig::new(nodes, 2, 1);
+    config.clients = clients;
+    config.behaviors = vec![(0, BehaviorKind::Equivocate), (1, BehaviorKind::Equivocate)];
+    config.command_gen = csm_node::chaos::client::shard_deposits;
+    let slow = LinkState {
+        latency: 3_000,
+        ..LinkState::default()
+    };
+    let mut schedule = Schedule::quiet(0x77, 150_000);
+    for from in 2..nodes {
+        for to in nodes..nodes + clients {
+            let link = ChaosEvent::SetLink {
+                from,
+                to,
+                link: slow,
+            };
+            schedule = schedule.at(0, link);
+        }
+    }
+    for i in 0..6 {
+        let burst = ChaosEvent::Burst {
+            first_client: 0,
+            clients,
+            commands: 1,
+            probe: false,
+        };
+        schedule = schedule.at(1_000 + 16_000 * i, burst);
+    }
+    let run = run_schedule(&config, &schedule);
+    assert_eq!(run.acked.len(), 6 * clients, "every command is acked");
+    // shard s's balances stay ≡ 1 + s (mod 1000) on the honest chain
+    let wrong: Vec<(u64, u64)> = run
+        .acked
+        .iter()
+        .filter(|(_, output)| output[0] % 1000 > 2)
+        .map(|(&key, _)| key)
+        .collect();
+    assert!(!wrong.is_empty(), "the liars' replies must win some acks");
+    let flagged: Vec<(u64, u64)> = run
+        .violations
+        .iter()
+        .map(|v| match v {
+            Violation::WrongAck { client, seq } => (*client, *seq),
+            other => panic!("only wrong acks expected, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(flagged, wrong, "S2 flags exactly the wrong acks");
+}
+
+#[test]
 fn a_crashed_node_does_nothing_until_restarted() {
     // a plain crash drops the node's core: nothing is stepped, so nothing
     // is sent, armed, committed, or traced on its behalf afterwards

@@ -5,7 +5,8 @@
 //!
 //! Covers the honest path, the Byzantine path (equivocator + withholder
 //! corrupting both results and replies), submission idempotence under
-//! aggressive client retries, and admission backpressure under a flood.
+//! aggressive client retries, admission backpressure under a flood, and
+//! that a given-up command's late reply never settles the next command.
 
 use csm_auditor::{AuditConfig, ClusterAudit};
 use csm_node::workload::{
@@ -404,4 +405,65 @@ fn flood_is_rejected_without_losing_the_admitted_commands() {
             .collect();
         assert!(digests.windows(2).all(|w| w[0] == w[1]), "round {round}");
     }
+}
+
+#[test]
+fn a_late_reply_never_settles_a_later_command() {
+    // one scripted node, b = 0: the client gives up on its first command
+    // after one attempt, the node's reply to it lands afterwards, and the
+    // client's next command on the same shard must not take that reply
+    // for its own — its seq is fresh, so the stale reply names another
+    let registry = mesh_registry(1, 1, 41);
+    let mut mesh = MemMesh::build(std::sync::Arc::clone(&registry));
+    let client_tx = mesh.split_off(1).remove(0);
+    let node = mesh.remove(0);
+    let client_id = client_tx.local_id();
+    let mut cfg = csm_client::ClientConfig::new(1, 0, Duration::from_millis(50));
+    cfg.max_attempts = 1;
+    let mut client = csm_client::CsmClient::new(client_tx, std::sync::Arc::clone(&registry), cfg);
+
+    let first = client.submit(0, vec![5]);
+    assert_eq!(
+        first,
+        Err(csm_client::ClientError::NoQuorum {
+            seq: 0,
+            best_matching: 0
+        })
+    );
+    let Ok(Frame {
+        payload: Payload::Submit {
+            client: id, seq, ..
+        },
+        ..
+    }) = node.recv_timeout(Duration::from_secs(1))
+    else {
+        panic!("the node must receive the first command");
+    };
+    let late = Payload::Reply {
+        shard: 0,
+        round: 0,
+        client: id,
+        seq,
+        output: vec![105],
+    };
+    let late = Frame::sign(late, &registry, node.local_id());
+    node.send(client_id, late).unwrap();
+
+    let second = client.submit(0, vec![7]);
+    assert_eq!(
+        second,
+        Err(csm_client::ClientError::NoQuorum {
+            seq: 1,
+            best_matching: 0
+        }),
+        "the reply to seq 0 settled the command after it"
+    );
+    let Ok(Frame {
+        payload: Payload::Submit { seq, command, .. },
+        ..
+    }) = node.recv_timeout(Duration::from_secs(1))
+    else {
+        panic!("the node must receive the second command");
+    };
+    assert_eq!((seq, command), (1, vec![7]), "a given-up seq stays spent");
 }
