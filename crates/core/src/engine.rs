@@ -18,8 +18,9 @@
 //! 2. **exchange** — *driver-owned*. The simulator constructs every
 //!    receiver's word logically ([`sim_receiver_word`]); the runtime runs
 //!    the §5.2 protocol over real sockets
-//!    (`csm_core::exchange::ReceiverCore`). The engine only defines *what*
-//!    a Byzantine node injects, via [`RoundEngine::result_action`].
+//!    (`csm_core::exchange::ReceiverCore`). The engine only defines the
+//!    result a faulty node sends, via [`RoundEngine::apply_result_fault`];
+//!    per-receiver equivocation noise belongs to the exchange driver.
 //! 3. **ψ (decode)** — [`RoundEngine::decode`]: Reed–Solomon-recover every
 //!    machine's plaintext `(S_k(t+1), Y_k(t))` from a finalized word,
 //!    identifying erroneous broadcasters as a side effect.
@@ -502,22 +503,6 @@ pub struct RoundCommit<F> {
     pub detected_error_nodes: Vec<usize>,
 }
 
-/// What a node hands its exchange driver for broadcasting: the sans-I/O
-/// expression of the execution-phase fault model. Per-receiver
-/// perturbation (equivocation noise schedules) and wire-level attacks
-/// (impersonation) are the driver's business.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResultAction<F> {
-    /// Broadcast this vector to everyone (honest, or an already-corrupted
-    /// variant for [`FaultSpec::CorruptResult`] / [`FaultSpec::OffsetResult`]).
-    Broadcast(Vec<F>),
-    /// Send a differently-perturbed copy of this base vector to each
-    /// receiver.
-    Equivocate(Vec<F>),
-    /// Send nothing.
-    Withhold,
-}
-
 /// One node's stateful view of the coded cluster: its coded state, its
 /// fault behavior, and its round counter, over a shared [`CodedMachine`].
 #[derive(Debug, Clone)]
@@ -757,19 +742,6 @@ impl<F: Field> RoundEngine<F> {
                 Some(g.into_iter().map(|x| x + F::from_u64(0xBAD)).collect())
             }
             FaultSpec::Withhold => None,
-        }
-    }
-
-    /// Applies this node's result fault as a broadcast instruction for an
-    /// exchange driver.
-    pub fn result_action<R: Rng + ?Sized>(&self, g: Vec<F>, rng: &mut R) -> ResultAction<F> {
-        match self.fault {
-            FaultSpec::Equivocate => ResultAction::Equivocate(g),
-            FaultSpec::Withhold => ResultAction::Withhold,
-            _ => match self.apply_result_fault(g, rng) {
-                Some(v) => ResultAction::Broadcast(v),
-                None => ResultAction::Withhold,
-            },
         }
     }
 
@@ -1061,10 +1033,6 @@ mod tests {
             .unwrap()
             .with_fault(FaultSpec::Withhold);
         assert_eq!(withhold.apply_result_fault(g.clone(), &mut rng), None);
-        assert_eq!(
-            withhold.result_action(g.clone(), &mut rng),
-            ResultAction::Withhold
-        );
         let offset = RoundEngine::new(Arc::clone(&m), 2, &states)
             .unwrap()
             .with_fault(FaultSpec::OffsetResult);
@@ -1072,13 +1040,12 @@ mod tests {
             offset.apply_result_fault(g.clone(), &mut rng),
             Some(vec![f(10) + f(0xBAD), f(20) + f(0xBAD)])
         );
+        // an equivocator's base is the honest result: the exchange driver
+        // perturbs it per receiver
         let equiv = RoundEngine::new(Arc::clone(&m), 3, &states)
             .unwrap()
             .with_fault(FaultSpec::Equivocate);
-        assert_eq!(
-            equiv.result_action(g.clone(), &mut rng),
-            ResultAction::Equivocate(g)
-        );
+        assert_eq!(equiv.apply_result_fault(g.clone(), &mut rng), Some(g));
     }
 
     #[test]

@@ -43,5 +43,5 @@ pub use cluster::{CsmCluster, CsmClusterBuilder, RoundOps, RoundReport};
 pub use codebook::Codebook;
 pub use config::{CodingMode, ConsensusMode, CsmConfig, DecoderKind, FaultSpec, SynchronyMode};
 pub use digest::digest_results;
-pub use engine::{CodedMachine, DecodedRound, ResultAction, RoundCommit, RoundEngine};
+pub use engine::{CodedMachine, DecodedRound, RoundCommit, RoundEngine};
 pub use error::CsmError;

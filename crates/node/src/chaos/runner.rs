@@ -9,16 +9,18 @@
 //! transport's MAC check (verified here, before delivery), and the
 //! process — a crash drops a node's core (the store keeps what was
 //! fsynced), a restart builds a fresh one over the same directory, a
-//! pause buffers its events. The audit's witnesses are derived from the
-//! effects each node was seen to perform, never from core internals.
+//! pause buffers its events. Stores are real `csm-storage` files written
+//! by [`crate::recovery::persist`]. The audit's witnesses are derived
+//! from the effects each node was seen to perform, never from core
+//! internals.
 
 use crate::chaos::client::{small_commands, ClientSwarm, CommandGen};
 use crate::chaos::schedule::{ChaosEvent, Schedule};
 use crate::chaos::token;
 use crate::consensus::{ConsensusKind, StagingFault};
-use crate::core::{Effect, Event as CoreEvent, GatewayCore, HaltReason};
+use crate::core::{Effect, Event as CoreEvent, GatewayCore, HaltReason, Record};
 use crate::gateway::{ExchangeTiming, GatewayConfig, GatewaySpec};
-use crate::recovery::{DurabilityConfig, RecoveryInfo};
+use crate::recovery::{open_store, persist, DurabilityConfig, RecoveryInfo};
 use crate::BehaviorKind;
 use csm_algebra::{Field, Fp61};
 use csm_core::engine::CodedMachine;
@@ -28,6 +30,7 @@ use csm_statemachine::machines::{
     auction_machine, bank_machine, interest_machine, kv_machine, power_machine,
 };
 use csm_statemachine::PolyTransition;
+use csm_storage::NodeStore;
 use csm_telemetry::{Event, Phase, SharedSink, Sink, TelemetrySnapshot};
 use csm_transport::sim::{LinkState, SimEvent, SimNet};
 use csm_transport::{Frame, Payload};
@@ -35,7 +38,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Distinguishes chaos store directories across runs in one process.
 static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -88,8 +91,8 @@ pub struct ChaosConfig {
     /// Committed rounds between snapshots (durable mode).
     pub snapshot_interval: u64,
     /// Inject the torn-snapshot fault: `(node, ordinal)` crashes that
-    /// node at its `ordinal`-th (1-based) snapshot install, after the
-    /// WAL append and before the install lands.
+    /// node instead of performing its `ordinal`-th (1-based, across
+    /// lives) interval snapshot, after the WAL append.
     pub torn_snapshot: Option<(usize, u64)>,
     /// Per-node wire behavior overrides (default honest).
     pub behaviors: Vec<(usize, BehaviorKind)>,
@@ -311,6 +314,8 @@ enum PausedItem {
 struct SimNode {
     /// `None` while crashed.
     core: Option<GatewayCore<Fp61>>,
+    /// The open store of a durable node's current life.
+    store: Option<NodeStore>,
     /// Restart count; timers armed by an earlier life are dead.
     life: u64,
     paused: bool,
@@ -333,9 +338,10 @@ struct SimNode {
     replied: BTreeMap<u64, u64>,
     /// Recovery-contract breaches detected on restart (should be empty).
     recovery_violations: Vec<String>,
+    /// Interval snapshots performed, across lives.
+    snapshots: u64,
     /// Totals carried over from earlier lives.
     committed: u64,
-    snapshots: u64,
     last_round: u64,
 }
 
@@ -347,8 +353,6 @@ struct Sim<'a> {
     timing: ExchangeTiming,
     gateway: GatewayConfig,
     store_root: PathBuf,
-    /// The pending torn-snapshot fault, until it fires.
-    torn_snapshot: Option<(usize, u64)>,
     net: SimNet,
     nodes: Vec<SimNode>,
     swarm: ClientSwarm,
@@ -371,11 +375,14 @@ impl Sim<'_> {
             staging_fault: self.config.staging_fault_of(id),
             ..self.spec.clone()
         };
-        let delta = self.timing.delta;
-        let durability = self.config.durable.then(|| DurabilityConfig {
-            dir: self.store_root.join(format!("node{id}")),
-            snapshot_interval: self.config.snapshot_interval,
-            transfer_timeout: delta * 8,
+        let durable = self.config.durable.then(|| {
+            let durability = DurabilityConfig {
+                dir: self.store_root.join(format!("node{id}")),
+                snapshot_interval: self.config.snapshot_interval,
+                transfer_timeout: self.timing.delta * 8,
+            };
+            let opened = open_store(&durability, &spec, id).expect("open chaos store");
+            (durability, opened)
         });
         let mut core = GatewayCore::new(
             id,
@@ -383,9 +390,10 @@ impl Sim<'_> {
             self.timing.clone(),
             &spec,
             &self.gateway,
-            durability.as_ref(),
+            durable.as_ref().map(|(d, (_, recovered))| (d, recovered)),
         );
         let node = &mut self.nodes[id];
+        node.store = durable.map(|(_, (store, _))| store);
         // WAL-before-ack, recovered: everything this node ever replied
         // to must be covered by the replayed dedup horizons
         for (&client, &seq) in &node.replied {
@@ -395,9 +403,6 @@ impl Sim<'_> {
                     "node {id}: replied to client {client} seq {seq} but recovered horizon {recovered:?}"
                 ));
             }
-        }
-        if let Some((_, ordinal)) = self.torn_snapshot.filter(|&(n, _)| n == id) {
-            core.fail_snapshot_at(ordinal.saturating_sub(node.snapshots));
         }
         node.seen_resyncs = 0;
         node.desynced = false;
@@ -413,9 +418,9 @@ impl Sim<'_> {
         let Some(core) = node.core.take() else {
             return;
         };
+        node.store = None;
         node.resync_interrupted |= core.resyncing();
         node.committed += core.stats().commands_committed;
-        node.snapshots += core.stats().snapshots;
         node.last_round = core.round();
         node.vouched.clear();
         node.paused = false;
@@ -423,9 +428,10 @@ impl Sim<'_> {
     }
 
     /// Performs one step's effects for node `id`, in order, recording
-    /// the audit's witnesses on the way.
+    /// the audit's witnesses and the `wal-fsync` phase on the way.
     fn perform(&mut self, id: usize, effects: Vec<Effect>) {
         let cluster = self.config.cluster;
+        let (mut logged, mut fsync) = (None, Duration::ZERO);
         for effect in effects {
             let node = &mut self.nodes[id];
             match effect {
@@ -471,17 +477,31 @@ impl Sim<'_> {
                     node.vouched.split_off(&witness_round);
                     node.desynced = true;
                 }
-                // killed mid-snapshot-write: the log holds the round, the
-                // snapshot rename never landed
-                Effect::Halt(HaltReason::StoreFault) => {
-                    self.torn_snapshot = None;
-                    self.crash(id);
+                Effect::Persist(record) => {
+                    // an interval snapshot follows its round's log record;
+                    // the torn one is a death mid-write: the log holds the
+                    // round, and nothing after it is acknowledged
+                    if logged.is_some() && matches!(record, Record::Snapshot { .. }) {
+                        node.snapshots += 1;
+                        if self.config.torn_snapshot == Some((id, node.snapshots)) {
+                            return self.crash(id);
+                        }
+                    }
+                    let began = Instant::now();
+                    let store = node.store.as_mut().expect("only a durable node persists");
+                    persist(store, &record).expect("write chaos store");
+                    fsync += began.elapsed();
+                    if let Record::Commit(commit) = record {
+                        logged = Some(commit.round);
+                    }
                 }
-                Effect::Halt(HaltReason::MaxRounds) => {}
             }
         }
         let node = &mut self.nodes[id];
         if let Some(core) = &node.core {
+            if let Some(round) = logged {
+                core.sink().phase(id, round, Phase::WalFsync, fsync);
+            }
             if core.stats().resyncs != node.seen_resyncs {
                 // history before a transfer is no longer this node's to
                 // vouch for
@@ -645,7 +665,6 @@ fn run(
         timing,
         gateway,
         store_root,
-        torn_snapshot: config.torn_snapshot,
         net,
         nodes: (0..config.cluster).map(|_| SimNode::default()).collect(),
         swarm,

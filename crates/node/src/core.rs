@@ -11,10 +11,12 @@
 //! the round that ships. The contract is in `docs/PROTOCOL.md` ("Core
 //! contract").
 //!
-//! The core does own its durable store: the write-ahead append happens
-//! inside the step that commits, *before* the `Commit` broadcast and the
-//! client replies are pushed as effects — WAL-before-ack is program
-//! order here, not a driver obligation.
+//! Persistence is an effect too. The core opens no store: it is built
+//! from what its driver recovered (`crate::recovery::open_store`), and a
+//! durable core emits [`Effect::Persist`] for each committed round's log
+//! record and each checkpoint, *before* the step's `Commit` broadcast and
+//! client replies. WAL-before-ack is the order of the effect vector, and
+//! a driver performs effects in order (`crate::recovery::persist`).
 //!
 //! Every frame passes the intake bounds (`GatewayCore::intake`) before
 //! it can touch state: identity binding (a claimed `sender`/`client`
@@ -33,7 +35,7 @@ use crate::gateway::{
     Admission, BatchEntry, EventScope, ExchangeTiming, GatewayConfig, GatewayReport, GatewaySpec,
     GatewayStats, REPLY_CACHE_CAP, TELEMETRY_REPLY_MAX_BYTES,
 };
-use crate::recovery::{replay_local, store_fingerprint, DurabilityConfig, RecoveryInfo};
+use crate::recovery::{replay_local, DurabilityConfig, RecoveryInfo};
 use crate::BehaviorKind;
 use csm_algebra::Field;
 use csm_consensus::batch::{BatchRows, DsBatch, DsRelay, PbftBatch, PbftBatchConfig, PbftBatchMsg};
@@ -43,7 +45,7 @@ use csm_core::exchange::{canonical, equivocation_noise, ReceiverCore, ResultBeha
 use csm_core::SynchronyMode;
 use csm_network::auth::{KeyRegistry, Signature};
 use csm_network::NodeId;
-use csm_storage::{CommitRecord, NodeStore};
+use csm_storage::{CommitRecord, Recovered};
 use csm_telemetry::{
     Event as Incident, Phase, RecordingSink, RoundSpan, SharedSink, TeeSink, TelemetrySnapshot,
 };
@@ -139,12 +141,22 @@ pub enum HaltReason {
         /// The earliest round with the opposing quorum.
         witness_round: u64,
     },
-    /// [`GatewayConfig::max_rounds`] reached.
-    MaxRounds,
-    /// The injected snapshot-install fault fired
-    /// ([`GatewayCore::fail_snapshot_at`]): the round is in the log, the
-    /// snapshot is not, nothing was acknowledged — treat as a crash.
-    StoreFault,
+}
+
+/// What a durable core asks its driver to make durable.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Record {
+    /// Append (and fsync) a committed round to the write-ahead log.
+    Commit(CommitRecord),
+    /// Install a checkpoint atomically and truncate the log it covers.
+    Snapshot {
+        /// The next round to run.
+        round: u64,
+        /// The coded state, canonical.
+        coded_state: Vec<u64>,
+        /// Per-client committed-seq dedup horizons.
+        horizons: Vec<(u64, u64)>,
+    },
 }
 
 /// One output of [`GatewayCore::step`]; perform them in order.
@@ -166,6 +178,8 @@ pub enum Effect {
         /// The timer's identity.
         id: TimerId,
     },
+    /// Make a record durable; the effects after it may acknowledge it.
+    Persist(Record),
     /// Stop delivering events: the core is finished.
     Halt(HaltReason),
 }
@@ -246,17 +260,14 @@ struct LateWord<F> {
     detected: Vec<usize>,
 }
 
-/// The durable half of a core: the store plus snapshot cadence.
+/// The durable half of a core: snapshot cadence and recovery state.
 struct Durable {
-    store: NodeStore,
     snapshot_interval: u64,
     transfer_timeout: u64,
     commits_since_snapshot: u64,
     /// Still in the startup catch-up (the first transfer attempt of a
     /// node whose store had history).
     starting: bool,
-    /// Halt instead of installing the snapshot with this 1-based ordinal.
-    fail_snapshot_at: Option<u64>,
     info: RecoveryInfo,
 }
 
@@ -288,7 +299,6 @@ pub struct GatewayCore<F: Field> {
     first_recorded_round: u64,
     fail_streak: u32,
     durable: Option<Durable>,
-    started_us: u64,
 
     // bounded intake buffers, pruned at every round start
     stages: BTreeMap<u64, BTreeMap<usize, BatchRows>>,
@@ -409,24 +419,23 @@ fn result_payload<F: Field>(round: u64, sender: usize, values: &[F]) -> Payload 
 }
 
 impl<F: Field> GatewayCore<F> {
-    /// Builds node `id` of the cluster `cfg` describes. With `durability`
-    /// the store is opened (and created, with a genesis checkpoint, if
-    /// fresh) and `snapshot + log` replayed: the core resumes at its last
-    /// durable round with the recovered dedup horizons.
+    /// Builds node `id` of the cluster `cfg` describes. A durable core
+    /// gets what its driver recovered from the store
+    /// (`crate::recovery::open_store`) and replays `snapshot + log`: it
+    /// resumes at its last durable round with the recovered dedup
+    /// horizons.
     ///
     /// # Panics
     ///
     /// Panics if the spec does not match `cfg` (cluster size, program
-    /// cap, backend minimum), the initial states are malformed, or the
-    /// store cannot be opened — a node that cannot persist must not
-    /// serve.
+    /// cap, backend minimum) or the initial states are malformed.
     pub fn new(
         id: usize,
         registry: Arc<KeyRegistry>,
         timing: ExchangeTiming,
         spec: &GatewaySpec<F>,
         cfg: &GatewayConfig,
-        durability: Option<&DurabilityConfig>,
+        durable: Option<(&DurabilityConfig, &Recovered)>,
     ) -> Self {
         let cluster = cfg.cluster;
         assert_eq!(
@@ -452,33 +461,21 @@ impl<F: Field> GatewayCore<F> {
         let mut engine = RoundEngine::new(Arc::clone(&spec.machine), id, &spec.initial_states)
             .expect("spec states match the machine");
         let mut admission = Admission::default();
-        let durable = durability.map(|d| {
-            let fingerprint = store_fingerprint(&spec.machine, id, &spec.initial_states);
-            let (mut store, recovered) =
-                NodeStore::open(&d.dir, fingerprint).expect("open durable store");
-            let replayed = replay_local(&spec.machine, &recovered, engine.coded_state().to_vec());
+        let durable = durable.map(|(d, recovered)| {
+            let replayed = replay_local(&spec.machine, recovered, engine.coded_state().to_vec());
             engine
                 .restore(replayed.coded_state, replayed.next_round)
                 .expect("replayed state is state-dim wide");
-            if recovered.is_fresh() {
-                // genesis checkpoint: anchors the log so the very first
-                // crash already recovers through the snapshot path
-                store
-                    .install_snapshot(0, engine.coded_state_canonical(), Vec::new())
-                    .expect("snapshot install failed");
-            }
             // exactly-once must survive restarts: the replayed dedup
             // horizons are part of the recovered state
             admission.horizon = replayed.horizons;
             Durable {
-                store,
                 snapshot_interval: d.snapshot_interval.max(1),
                 transfer_timeout: micros(d.transfer_timeout),
                 commits_since_snapshot: replayed.records,
                 // a store with history means this node lived before: the
                 // cluster may have committed past its durable frontier
                 starting: !recovered.is_fresh(),
-                fail_snapshot_at: None,
                 info: RecoveryInfo {
                     recovered_round: replayed.next_round,
                     wal_records_replayed: replayed.records,
@@ -518,7 +515,6 @@ impl<F: Field> GatewayCore<F> {
             first_recorded_round: round,
             fail_streak: 0,
             durable,
-            started_us: 0,
             stages: BTreeMap::new(),
             consensus: BTreeMap::new(),
             results: BTreeMap::new(),
@@ -598,16 +594,6 @@ impl<F: Field> GatewayCore<F> {
         &self.admission.horizon
     }
 
-    /// Arms the snapshot-install failpoint: instead of installing its
-    /// `ordinal`-th (1-based) interval snapshot the core halts with
-    /// [`HaltReason::StoreFault`] — the log already holds the round, the
-    /// snapshot rename "never happened". Chaos-harness only.
-    pub fn fail_snapshot_at(&mut self, ordinal: u64) {
-        if let Some(d) = self.durable.as_mut() {
-            d.fail_snapshot_at = Some(ordinal);
-        }
-    }
-
     /// Folds the driver's transport counters in: fresh per-peer MAC
     /// rejections surface as [`Incident::MacRejected`] events, and the
     /// exact totals ride along in the next telemetry reply.
@@ -664,7 +650,6 @@ impl<F: Field> GatewayCore<F> {
     /// first round.
     pub fn start(&mut self, now_us: u64) -> Vec<Effect> {
         self.now = now_us;
-        self.started_us = now_us;
         if self.durable.as_ref().is_some_and(|d| d.starting) {
             self.enter_resync(false);
         } else {
@@ -732,11 +717,6 @@ impl<F: Field> GatewayCore<F> {
             epoch,
         };
         self.out.push(Effect::SetTimer { at_us, id });
-    }
-
-    fn halt(&mut self, reason: HaltReason) {
-        self.phase = PhaseState::Halted;
-        self.out.push(Effect::Halt(reason));
     }
 
     fn incident(&self, peer: Option<usize>, incident: Incident) {
@@ -1040,9 +1020,6 @@ impl<F: Field> GatewayCore<F> {
     /// Begins the next round: prune buffers, serve read-only requests,
     /// run the divergence check, admit clients, then stage the batch.
     fn start_round(&mut self) {
-        if self.round() >= self.cfg.max_rounds {
-            return self.halt(HaltReason::MaxRounds);
-        }
         self.round_entered = self.now;
         let round = self.round();
         self.stages.retain(|&r, _| r >= round);
@@ -1070,7 +1047,10 @@ impl<F: Field> GatewayCore<F> {
             self.admission.stats.desynced = true;
             self.incident(None, Incident::Desync);
             self.flight_dump("desync");
-            return self.halt(HaltReason::Desync { witness_round });
+            self.phase = PhaseState::Halted;
+            self.out
+                .push(Effect::Halt(HaltReason::Desync { witness_round }));
+            return;
         }
 
         self.admit_inbox();
@@ -1649,8 +1629,8 @@ impl<F: Field> GatewayCore<F> {
             // the pre-commit coded state, for the log's state delta
             let prev_state = self
                 .durable
-                .as_ref()
-                .map(|_| self.engine.coded_state().to_vec());
+                .is_some()
+                .then(|| self.engine.coded_state().to_vec());
             let c = self.engine.commit(&decoded);
             // local bookkeeping first, so a snapshot taken with the
             // append already reflects this round's batch (the truncated
@@ -1691,17 +1671,7 @@ impl<F: Field> GatewayCore<F> {
                 self.work_since = None;
             }
             if let Some(prev) = prev_state {
-                let delta = self
-                    .engine
-                    .coded_state()
-                    .iter()
-                    .zip(&prev)
-                    .map(|(new, old)| (*new - *old).to_canonical_u64())
-                    .collect();
-                if !self.log_commit(&c, encode_batch(&batch), delta) {
-                    return self.halt(HaltReason::StoreFault);
-                }
-                span.mark(Phase::WalFsync);
+                self.log_commit(&c, encode_batch(&batch), &prev);
             }
             self.broadcast(Payload::Commit {
                 round,
@@ -1904,55 +1874,41 @@ impl<F: Field> GatewayCore<F> {
         moved_on(&self.leader()) || (0..self.cluster).filter(moved_on).count() > self.faults
     }
 
-    /// Appends the committed round to the fsynced log, then installs the
-    /// interval snapshot when due. Returns `false` if the snapshot
-    /// failpoint fired instead (the caller halts without acknowledging).
-    ///
-    /// # Panics
-    ///
-    /// Panics on storage I/O failure: a node that cannot persist must
-    /// not acknowledge, and there is no protocol answer to a dead disk.
-    fn log_commit(&mut self, commit: &RoundCommit<F>, batch: BatchRows, delta: Vec<u64>) -> bool {
+    /// Logs the committed round (its coded-state delta from `prev`), then
+    /// the interval snapshot when one is due, as `Persist` effects ahead
+    /// of everything that acknowledges the round.
+    fn log_commit(&mut self, commit: &RoundCommit<F>, batch: BatchRows, prev: &[F]) {
+        let delta = |(new, old): (&F, &F)| (*new - *old).to_canonical_u64();
+        let state_delta = self.engine.coded_state().iter().zip(prev).map(delta);
         let d = self.durable.as_mut().expect("durable core");
-        d.store
-            .append_commit(&CommitRecord {
-                round: commit.round,
-                digest: commit.digest,
-                batch,
-                state_delta: delta,
-                protocol: self.cfg.consensus.wal_protocol(),
-                batch_cap: self.batch_cap as u32,
-            })
-            .expect("WAL append failed: cannot acknowledge an unlogged round");
+        self.out.push(Effect::Persist(Record::Commit(CommitRecord {
+            round: commit.round,
+            digest: commit.digest,
+            batch,
+            state_delta: state_delta.collect(),
+            protocol: self.cfg.consensus.wal_protocol(),
+            batch_cap: self.batch_cap as u32,
+        })));
         self.admission.stats.wal_appends += 1;
-        if d.info.first_commit_after.is_none() {
-            d.info.first_commit_after = Some(Duration::from_micros(self.now - self.started_us));
-        }
         d.commits_since_snapshot += 1;
         if d.commits_since_snapshot >= d.snapshot_interval {
-            if d.fail_snapshot_at == Some(self.admission.stats.snapshots + 1) {
-                return false;
-            }
             self.checkpoint(commit.round + 1);
             self.admission.stats.snapshots += 1;
         }
-        true
     }
 
-    /// Installs a snapshot at `next_round` (atomically; the covered log
-    /// is truncated afterwards). The horizons must already reflect every
-    /// round it covers.
+    /// Checkpoints the state at `next_round` (the driver installs it
+    /// atomically and truncates the log it covers). The horizons must
+    /// already reflect every round it covers.
     fn checkpoint(&mut self, next_round: u64) {
         let d = self.durable.as_mut().expect("durable core");
-        let horizons = self.admission.horizon.iter().map(|(&c, &s)| (c, s));
-        d.store
-            .install_snapshot(
-                next_round,
-                self.engine.coded_state_canonical(),
-                horizons.collect(),
-            )
-            .expect("snapshot install failed");
         d.commits_since_snapshot = 0;
+        let horizons = self.admission.horizon.iter().map(|(&c, &s)| (c, s));
+        self.out.push(Effect::Persist(Record::Snapshot {
+            round: next_round,
+            coded_state: self.engine.coded_state_canonical(),
+            horizons: horizons.collect(),
+        }));
     }
 
     // -- divergence / recovery -------------------------------------------
@@ -2101,12 +2057,11 @@ impl<F: Field> GatewayCore<F> {
         self.pace(self.now);
     }
 
-    /// Closes the startup catch-up (if this was it), recording how long
-    /// it took and what it transferred.
+    /// Closes the startup catch-up (if this was it), recording what it
+    /// transferred.
     fn end_startup(&mut self, transferred: Option<u64>) {
         if let Some(d) = self.durable.as_mut().filter(|d| d.starting) {
             d.starting = false;
-            d.info.startup = Duration::from_micros(self.now - self.started_us);
             d.info.startup_transfer = transferred;
         }
     }

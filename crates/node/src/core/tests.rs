@@ -4,16 +4,16 @@
 
 use super::*;
 use crate::cluster_registry;
+use crate::recovery::{open_store, persist};
 use csm_algebra::{Fp61, Gf2_16};
 use csm_core::digest::splitmix64;
 use csm_core::DecoderKind;
 use csm_statemachine::boolean::counter_machine;
 use csm_statemachine::machines::bank_machine;
-use csm_storage::store::WAL_FILE;
-use csm_storage::WriteAheadLog;
+use csm_storage::store::{SNAPSHOT_FILE, WAL_FILE};
 use csm_telemetry::ReplaySink;
-use csm_transport::{PreparedCertWire, PHASE_PREPARE};
-use std::path::{Path, PathBuf};
+use csm_transport::{PreparedCertWire, Wire, PHASE_PREPARE};
+use std::path::Path;
 
 const N: usize = 4;
 const B: usize = 1;
@@ -54,21 +54,35 @@ fn sized_rig(n: usize, b: usize, consensus: ConsensusKind) -> Rig {
     }
 }
 
+/// The durability knobs of the rig's durable cores, whose store lives in
+/// `dir` (the core itself never opens it).
+fn durability(dir: &Path) -> DurabilityConfig {
+    let mut durability = DurabilityConfig::new(dir);
+    durability.snapshot_interval = 1_000; // keep every round in the log
+    durability.transfer_timeout = Duration::from_micros(16_000);
+    durability
+}
+
+/// What opening an empty store recovers.
+fn fresh() -> Recovered {
+    Recovered {
+        snapshot: None,
+        records: Vec::new(),
+        torn_tail: false,
+    }
+}
+
 impl Rig {
-    fn core(&self, id: usize, dir: Option<&Path>) -> GatewayCore<Fp61> {
-        let durability = dir.map(|d| {
-            let mut durability = DurabilityConfig::new(d.join(format!("node{id}")));
-            durability.snapshot_interval = 1_000; // keep every round in the log
-            durability.transfer_timeout = Duration::from_micros(16_000);
-            durability
-        });
+    /// Node `id`; durable when given what its store recovered.
+    fn core(&self, id: usize, recovered: Option<&Recovered>) -> GatewayCore<Fp61> {
+        let durability = durability(Path::new("unopened"));
         GatewayCore::new(
             id,
             Arc::clone(&self.registry),
             self.timing.clone(),
             &self.spec,
             &self.cfg,
-            durability.as_ref(),
+            recovered.map(|recovered| (&durability, recovered)),
         )
     }
 
@@ -85,12 +99,6 @@ impl Rig {
         };
         self.sign(client, payload)
     }
-}
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("csm-core-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Everything a core holds on behalf of frames it has not consumed yet.
@@ -344,8 +352,10 @@ struct Cluster<F: Field = Fp61> {
 }
 
 impl Cluster {
-    fn new(r: &Rig, dir: Option<&Path>) -> Self {
-        let cores = (0..N).map(|id| r.core(id, dir)).collect();
+    /// `r`'s nodes, durable ones starting from empty stores.
+    fn new(r: &Rig, durable: bool) -> Self {
+        let recovered = durable.then(fresh);
+        let cores = (0..N).map(|id| r.core(id, recovered.as_ref())).collect();
         Cluster::of(cores, Arc::clone(&r.registry))
     }
 }
@@ -387,7 +397,7 @@ impl<F: Field> Cluster<F> {
                     }
                 }
                 Effect::SetTimer { at_us, id } => self.push(at_us, from, Event::Timer(id)),
-                Effect::Halt(_) => {}
+                Effect::Persist(_) | Effect::Halt(_) => {}
             }
         }
     }
@@ -440,7 +450,7 @@ fn same_event_sequence_yields_identical_effects_stats_and_digests() {
         ConsensusKind::Pbft,
     ] {
         let r = rig(consensus);
-        let mut cluster = Cluster::new(&r, None);
+        let mut cluster = Cluster::new(&r, false);
         for seq in 0..6 {
             for client in N..N + CLIENTS {
                 let at = 1_000 + 7_000 * seq + client as u64;
@@ -483,12 +493,37 @@ fn same_event_sequence_yields_identical_effects_stats_and_digests() {
 
 #[test]
 fn a_halted_core_produces_no_effects() {
-    let mut r = rig(ConsensusKind::LeaderEcho);
-    r.cfg.max_rounds = 0;
-    let mut core = r.core(1, None);
-    let (at, next) = timer(&core.start(0), TimerKind::Next);
+    // node 1 commits round 0 on its peers' results, then b + 1 = 2 peers
+    // announce another digest for round 0: a plain node fail-stops at
+    // its next round start
+    let r = rig(ConsensusKind::LeaderEcho);
+    let empty = vec![Vec::new(); 2];
+    let mut core = exchanging(&r, 1);
+    for peer in [2, 3] {
+        deliver_result(&r, &mut core, 600, 0, peer, honest_result(&r, peer, &empty));
+    }
+    assert_eq!(core.round(), 1, "round 0 committed");
+    for peer in [2, 3] {
+        let commit = Payload::Commit {
+            round: 0,
+            sender: peer as u64,
+            digest: 0xD1FF,
+        };
+        core.step(700, Event::Frame(r.sign(peer, commit)));
+    }
+    // a command wakes the idle leader of round 1
+    let (at, next) = timer(
+        &core.step(800, Event::Frame(r.submit(4, 0, 1))),
+        TimerKind::Next,
+    );
     let effects = core.step(at, Event::Timer(next));
-    assert!(matches!(effects[..], [Effect::Halt(HaltReason::MaxRounds)]));
+    assert!(
+        matches!(
+            effects[..],
+            [Effect::Halt(HaltReason::Desync { witness_round: 0 })]
+        ),
+        "{effects:?}"
+    );
     assert!(core.halted());
     let before = buffered(&core);
     for event in [
@@ -500,27 +535,34 @@ fn a_halted_core_produces_no_effects() {
         assert!(core.step(at + 1, event).is_empty());
     }
     assert_eq!(buffered(&core), before);
-    assert_eq!(core.into_report().rounds, 0);
+    assert_eq!(core.into_report().rounds, 1);
 }
 
 #[test]
 fn the_log_holds_a_round_before_any_effect_acknowledges_it() {
     let r = rig(ConsensusKind::LeaderEcho);
-    let dir = scratch("wal-before-ack");
-    let mut cluster = Cluster::new(&r, Some(&dir));
+    let mut cluster = Cluster::new(&r, true);
     for seq in 0..4 {
         for client in N..N + CLIENTS {
             cluster.client_broadcast(1_000 + 9_000 * seq, &r.submit(client, seq, 5));
         }
     }
+    // `(node, round) → digest` of every commit record persisted so far,
+    // in effect order
+    let mut logged: BTreeMap<(usize, u64), u64> = BTreeMap::new();
     let mut acknowledged = 0;
     cluster.run(200_000, |node, effects| {
-        // what the step is about to tell the world it committed: the
-        // digests it announces and the engine rounds it replies for
-        let digests = committed(effects);
-        let replied: Vec<u64> = effects
-            .iter()
-            .filter_map(|e| match e {
+        for effect in effects {
+            match effect {
+                Effect::Persist(Record::Commit(record)) => {
+                    logged.insert((node, record.round), record.digest);
+                }
+                // the digest a step announces, and the round it replies
+                // for, must be logged earlier in the same effects
+                Effect::Broadcast(Frame {
+                    payload: Payload::Commit { round, digest, .. },
+                    ..
+                }) => assert_eq!(logged.get(&(node, *round)), Some(digest)),
                 Effect::Send {
                     frame:
                         Frame {
@@ -528,27 +570,95 @@ fn the_log_holds_a_round_before_any_effect_acknowledges_it() {
                             ..
                         },
                     ..
-                } => Some(*round),
-                _ => None,
-            })
-            .collect();
-        if digests.is_empty() && replied.is_empty() {
-            return;
-        }
-        // ... must already be on disk, read back through a second handle
-        let wal = dir.join(format!("node{node}")).join(WAL_FILE);
-        let (_, on_disk) = WriteAheadLog::recover(&wal).expect("log readable");
-        for (_, digest) in digests {
-            assert!(on_disk.records.iter().any(|rec| rec.digest == digest));
-        }
-        for round in replied {
-            assert!(on_disk.records.iter().any(|rec| rec.round == round));
-            acknowledged += 1;
+                } => {
+                    assert!(logged.contains_key(&(node, *round)), "round {round}");
+                    acknowledged += 1;
+                }
+                _ => {}
+            }
         }
     });
     assert_eq!(acknowledged, 8 * N, "every node replied to every command");
     assert_eq!(cluster.replies.len(), 8 * N);
-    drop(cluster);
+}
+
+#[test]
+fn every_cut_of_the_log_recovers_a_prefix_of_its_rounds() {
+    // three rounds on a durable cluster (the startup round, then one per
+    // command); node 1's `Persist` effects go through `persist` into a
+    // real store
+    let r = rig(ConsensusKind::LeaderEcho);
+    let mut cluster = Cluster::new(&r, true);
+    for seq in 0..2 {
+        cluster.client_broadcast(1_000 + 20_000 * seq, &r.submit(4, seq, 5 + seq));
+    }
+    cluster.run(40_000, |_, _| {});
+    let dir = std::env::temp_dir().join(format!("csm-core-{}-cut", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (logged_dir, cut_dir) = (
+        durability(&dir.join("logged")),
+        durability(&dir.join("cut")),
+    );
+    let (mut store, _) = open_store(&logged_dir, &r.spec, 1).expect("scratch store");
+    // a twin fed node 1's inputs (the core is deterministic) exposes the
+    // coded state after each round it logs: `states[j]` is the state
+    // before round `j`
+    let mut twin = r.core(1, Some(&fresh()));
+    twin.start(0);
+    let mut states = vec![twin.engine.coded_state_canonical()];
+    let mut records = Vec::new();
+    for (_, now, event, effects) in cluster.log.iter().filter(|(to, ..)| *to == 1) {
+        twin.step(*now, event.clone());
+        for effect in effects {
+            if let Effect::Persist(record) = effect {
+                persist(&mut store, record).expect("scratch store");
+                if let Record::Commit(commit) = record {
+                    records.push(commit.clone());
+                    states.push(twin.engine.coded_state_canonical());
+                }
+            }
+        }
+    }
+    drop(store);
+    let rounds: Vec<u64> = records.iter().map(|rec| rec.round).collect();
+    assert_eq!(rounds, [0, 1, 2]);
+    // where each frame ends: an 8-byte header, then the record's body
+    let ends: Vec<usize> = records
+        .iter()
+        .scan(0, |end, rec| {
+            *end += 8 + rec.to_bytes().len();
+            Some(*end)
+        })
+        .collect();
+    let wal = std::fs::read(logged_dir.dir.join(WAL_FILE)).expect("log readable");
+    assert_eq!(ends.last(), Some(&wal.len()));
+    let snapshot = std::fs::read(logged_dir.dir.join(SNAPSHOT_FILE)).expect("genesis checkpoint");
+
+    for cut in 0..=wal.len() {
+        let _ = std::fs::remove_dir_all(&cut_dir.dir);
+        std::fs::create_dir_all(&cut_dir.dir).expect("cut dir");
+        std::fs::write(cut_dir.dir.join(SNAPSHOT_FILE), &snapshot).expect("copy snapshot");
+        std::fs::write(cut_dir.dir.join(WAL_FILE), &wal[..cut]).expect("cut log");
+        let (_, recovered) = open_store(&cut_dir, &r.spec, 1).expect("a cut log reopens");
+        let j = ends.iter().filter(|&&end| end <= cut).count();
+        assert_eq!(recovered.records, records[..j], "cut at byte {cut}");
+        let mid_frame = cut > 0 && !ends.contains(&cut);
+        assert_eq!(recovered.torn_tail, mid_frame, "cut at byte {cut}");
+        let core = GatewayCore::new(
+            1,
+            Arc::clone(&r.registry),
+            r.timing.clone(),
+            &r.spec,
+            &r.cfg,
+            Some((&cut_dir, &recovered)),
+        );
+        assert_eq!(core.round(), j as u64, "cut at byte {cut}");
+        assert_eq!(
+            core.engine.coded_state_canonical(),
+            states[j],
+            "cut at byte {cut}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -559,7 +669,7 @@ fn telemetry_and_state_requests_are_served_while_idle() {
     // committed command, in the step that delivers it, with no round
     // started for it
     let r = rig(ConsensusKind::LeaderEcho);
-    let mut cluster = Cluster::new(&r, None);
+    let mut cluster = Cluster::new(&r, false);
     cluster.client_broadcast(1_000, &r.submit(4, 0, 5));
     cluster.run(20_000, |_, _| {});
     let round = cluster.cores[1].round();
@@ -862,7 +972,7 @@ fn an_idle_cluster_is_silent() {
     // once its one command has committed the cluster holds no work: for
     // 200Δ no node advances a round, sends a frame or arms a timer
     let r = rig(ConsensusKind::LeaderEcho);
-    let mut cluster = Cluster::new(&r, None);
+    let mut cluster = Cluster::new(&r, false);
     cluster.client_broadcast(1_000, &r.submit(4, 0, 5));
     cluster.run(20_000, |_, _| {});
     assert!(cluster
@@ -975,7 +1085,7 @@ fn a_command_sent_to_one_follower_commits_without_a_halt() {
     ] {
         for busy in [false, true] {
             let r = rig(consensus);
-            let mut cluster = Cluster::new(&r, None);
+            let mut cluster = Cluster::new(&r, false);
             let quiet = 40_000;
             cluster.run(quiet, |_, _| {});
             assert!(cluster.cores.iter().all(|c| c.round() == 1), "{consensus}");
@@ -1080,7 +1190,7 @@ fn one_peer_spraying_future_rounds_does_not_speed_up_an_idle_cluster() {
     const HORIZON: u64 = 200_000;
     let r = rig(ConsensusKind::LeaderEcho);
     let rounds = |sprayer: Option<usize>| {
-        let mut cluster = Cluster::new(&r, None);
+        let mut cluster = Cluster::new(&r, false);
         for now in (500..=HORIZON).step_by(500) {
             cluster.run(now, |_, _| {});
             let Some(sprayer) = sprayer else { continue };

@@ -59,13 +59,15 @@
 //! seq)`.
 
 use crate::consensus::{ConsensusKind, StagingFault};
-use crate::core::{Effect, Event as CoreEvent, GatewayCore, TimerId, TimerKind};
+use crate::core::{Effect, Event as CoreEvent, GatewayCore, Record, TimerId, TimerKind};
+use crate::recovery::persist;
 use crate::{BehaviorKind, CodedMachine, RoundCommit};
 use csm_algebra::Field;
 use csm_core::SynchronyMode;
 use csm_network::auth::KeyRegistry;
 use csm_network::NodeId;
-use csm_telemetry::{Event, SharedSink, Sink};
+use csm_storage::NodeStore;
+use csm_telemetry::{Event, Phase, SharedSink, Sink};
 use csm_transport::{Frame, Payload, RecvError, Transport};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
@@ -327,9 +329,6 @@ pub struct GatewayConfig {
     /// How long to wait for the leader's proposal, and again for the echo
     /// quorum, before falling back to the empty batch.
     pub stage_timeout: Duration,
-    /// Hard cap on rounds (a backstop for driver bugs; the stop flag is
-    /// the normal shutdown path).
-    pub max_rounds: u64,
     /// How many trailing rounds of commit records the report retains — a
     /// long-lived gateway must not grow history without bound. Rounds
     /// that carry commands run at network speed, so the default is 512
@@ -379,7 +378,6 @@ impl GatewayConfig {
             queue_cap: 4096,
             batch_cap: 1,
             stage_timeout: timing.delta * 4 + Duration::from_millis(500),
-            max_rounds: u64::MAX,
             commit_history: 512,
             client_quota: 64,
             consensus: ConsensusKind::default(),
@@ -859,7 +857,7 @@ pub struct GatewayReport<F> {
     /// [`GatewayConfig::commit_history`] window has slid, after a durable
     /// restart, or after a resync).
     pub first_recorded_round: u64,
-    /// Rounds run before the stop flag (or `max_rounds`) ended the loop.
+    /// Rounds run before the stop flag (or a desync halt) ended the loop.
     pub rounds: u64,
     /// Admission/reply counters.
     pub stats: GatewayStats,
@@ -898,7 +896,7 @@ pub fn run_gateway<F: Field, T: Transport>(
 ) -> GatewayReport<F> {
     let id = transport.local_id().0;
     let core = GatewayCore::new(id, registry, timing, spec, cfg, None);
-    drive(core, &transport, stop)
+    drive(core, &transport, stop, None)
 }
 
 /// How often a gateway blocked on a quiet transport wakes to check its
@@ -913,17 +911,21 @@ const STOP_POLL_INTERVAL: Duration = Duration::from_millis(200);
 /// the timer table is one slot per kind and a re-armed kind supersedes
 /// its stale predecessor; a due timer fires before the inbox is read, so
 /// the exchange deadline is honoured with whatever was absorbed by Δ.
+/// A durable core's `Persist`s go to `store` (a failed write panics before
+/// any later effect), timed as the committing round's `wal-fsync` phase.
 pub(crate) fn drive<F: Field, T: Transport>(
     mut core: GatewayCore<F>,
     transport: &T,
     stop: &AtomicBool,
+    mut store: Option<NodeStore>,
 ) -> GatewayReport<F> {
-    let cluster = core.cluster();
+    let (id, cluster) = (transport.local_id().0, core.cluster());
     let epoch = Instant::now();
     let now_us = || epoch.elapsed().as_micros() as u64;
     let mut timers: [Option<(u64, TimerId)>; TimerKind::COUNT] = [None; TimerKind::COUNT];
     let mut effects = core.start(now_us());
     loop {
+        let (mut logged, mut fsync) = (None, Duration::ZERO);
         for effect in effects {
             match effect {
                 Effect::Send { to, frame } => {
@@ -933,8 +935,20 @@ pub(crate) fn drive<F: Field, T: Transport>(
                     let _ = transport.broadcast_upto(cluster, &frame);
                 }
                 Effect::SetTimer { at_us, id } => timers[id.kind as usize] = Some((at_us, id)),
+                Effect::Persist(record) => {
+                    let began = Instant::now();
+                    let store = store.as_mut().expect("only a durable core persists");
+                    persist(store, &record).expect("cannot persist: no acknowledgement");
+                    fsync += began.elapsed();
+                    if let Record::Commit(commit) = record {
+                        logged = Some(commit.round);
+                    }
+                }
                 Effect::Halt(_) => return core.into_report(),
             }
+        }
+        if let Some(round) = logged {
+            core.sink().phase(id, round, Phase::WalFsync, fsync);
         }
         if stop.load(Ordering::Relaxed) && !core.mid_round() {
             return core.into_report();

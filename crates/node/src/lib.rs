@@ -42,7 +42,7 @@ pub use csm_core::engine::{CodedMachine, DecodedRound, RoundCommit, RoundEngine}
 pub use gateway::{
     run_gateway, ExchangeTiming, GatewayConfig, GatewayReport, GatewaySpec, GatewayStats,
 };
-pub use recovery::{run_durable_gateway, store_fingerprint, DurabilityConfig, RecoveryInfo};
+pub use recovery::{open_store, run_durable_gateway, DurabilityConfig, RecoveryInfo};
 
 use csm_network::auth::KeyRegistry;
 use std::str::FromStr;

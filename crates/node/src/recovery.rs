@@ -2,15 +2,18 @@
 //!
 //! [`run_durable_gateway`] runs the gateway core
 //! ([`crate::core::GatewayCore`]) with the `csm-storage` persistence
-//! subsystem so a node survives a hard kill. The core owns the store and
-//! every step below happens inside it; this module holds the durability
-//! knobs, the store fingerprint and the local replay fold:
+//! subsystem so a node survives a hard kill. The core decides what to
+//! make durable and emits it as `Effect::Persist`; this module owns the
+//! store. Both drivers (the wall-clock one here, the chaos harness's
+//! virtual-clock one) open it with [`open_store`] and write it with
+//! [`persist`]. The module also holds the durability knobs, the store
+//! fingerprint and the local replay fold:
 //!
 //! 1. **Log before acknowledging.** Every committed round's agreed batch,
-//!    commit digest, and coded-state delta is appended (and fsynced) to
-//!    the write-ahead commit log *before* the node announces the commit
-//!    or replies to a client — an acknowledged round is always
-//!    recoverable.
+//!    commit digest, and coded-state delta is a log record the core emits
+//!    *ahead of* the round's commit announcement and client replies; the
+//!    driver appends (and fsyncs) it before performing them — an
+//!    acknowledged round is always recoverable.
 //! 2. **Snapshot periodically.** Every
 //!    [`DurabilityConfig::snapshot_interval`] commits, the full coded
 //!    state (one machine-state-wide word — the coded representation is
@@ -33,19 +36,20 @@
 //!    hold), a durable gateway runs the same state transfer mid-run and
 //!    rejoins at the cluster's round.
 
-use crate::core::GatewayCore;
+use crate::core::{GatewayCore, Record};
 use crate::gateway::{drive, ExchangeTiming, GatewayConfig, GatewayReport, GatewaySpec};
 use crate::CodedMachine;
 use csm_algebra::Field;
 use csm_core::digest::splitmix64;
 use csm_network::auth::KeyRegistry;
-use csm_storage::Recovered;
+use csm_storage::{NodeStore, Recovered};
 use csm_transport::Transport;
 use std::collections::BTreeMap;
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Where and how often a durable gateway persists.
 #[derive(Debug, Clone)]
@@ -87,12 +91,6 @@ pub struct RecoveryInfo {
     /// The committed round installed from peers' `b + 1`-verified state
     /// transfer at startup, if the cluster was ahead of the local store.
     pub startup_transfer: Option<u64>,
-    /// Wall clock of the whole startup recovery (open + replay + catch-up
-    /// transfer), before the first round began.
-    pub startup: Duration,
-    /// Wall clock from runner start to the first *new* durable commit —
-    /// the end-to-end recovery latency a restarted node observes.
-    pub first_commit_after: Option<Duration>,
 }
 
 /// The fingerprint a node's durable store is bound to: the coded-machine
@@ -112,6 +110,45 @@ pub fn store_fingerprint<F: Field>(
         acc = splitmix64(acc ^ 0x5EED);
     }
     acc
+}
+
+/// Opens node `id`'s store, bound to the [`store_fingerprint`] of `spec`,
+/// with what it held. A fresh store first gets the genesis checkpoint, so
+/// the very first crash already recovers through the snapshot path.
+///
+/// # Errors
+///
+/// What [`NodeStore::open`] and the checkpoint write return.
+pub fn open_store<F: Field>(
+    durability: &DurabilityConfig,
+    spec: &GatewaySpec<F>,
+    id: usize,
+) -> io::Result<(NodeStore, Recovered)> {
+    let fingerprint = store_fingerprint(&spec.machine, id, &spec.initial_states);
+    let (mut store, recovered) = NodeStore::open(&durability.dir, fingerprint)?;
+    if recovered.is_fresh() {
+        let genesis = spec.machine.encode_state_at(id, &spec.initial_states);
+        let genesis = genesis.iter().map(|v| v.to_canonical_u64()).collect();
+        store.install_snapshot(0, genesis, Vec::new())?;
+    }
+    Ok((store, recovered))
+}
+
+/// Performs one `Effect::Persist`: appends (and fsyncs) a commit record,
+/// or installs a snapshot and truncates the log it covers.
+///
+/// # Errors
+///
+/// The store's write and fsync failures.
+pub fn persist(store: &mut NodeStore, record: &Record) -> io::Result<()> {
+    match record {
+        Record::Commit(commit) => store.append_commit(commit),
+        Record::Snapshot {
+            round,
+            coded_state,
+            horizons,
+        } => store.install_snapshot(*round, coded_state.clone(), horizons.clone()),
+    }
 }
 
 /// What [`replay_local`] reconstructed from `snapshot + log`.
@@ -201,18 +238,11 @@ pub fn run_durable_gateway<F: Field, T: Transport>(
     durability: &DurabilityConfig,
     stop: &AtomicBool,
 ) -> (GatewayReport<F>, T) {
-    let began = Instant::now();
     let id = transport.local_id().0;
-    let core = GatewayCore::new(id, registry, timing, spec, cfg, Some(durability));
-    let opened = began.elapsed();
-    let mut report = drive(core, &transport, stop);
-    // the core times its recovery from `start`; the open + replay before
-    // it is part of what a restarted node waits for
-    if let Some(info) = report.recovery.as_mut() {
-        info.startup += opened;
-        info.first_commit_after = info.first_commit_after.map(|d| d + opened);
-    }
-    (report, transport)
+    let (store, recovered) = open_store(durability, spec, id).expect("open durable store");
+    let durable = Some((durability, &recovered));
+    let core = GatewayCore::new(id, registry, timing, spec, cfg, durable);
+    (drive(core, &transport, stop, Some(store)), transport)
 }
 
 #[cfg(test)]

@@ -10,13 +10,12 @@ use csm_chaos::{run_schedule_with_telemetry, scenarios, ChaosRun};
 use csm_core::digest::digest_results;
 use csm_core::DecoderKind;
 use csm_network::NodeId;
-use csm_node::core::{Effect, Event, GatewayCore, TimerKind};
+use csm_node::core::{Effect, Event, GatewayCore, Record, TimerKind};
 use csm_node::{
-    cluster_registry, store_fingerprint, BehaviorKind, CodedMachine, DurabilityConfig,
-    ExchangeTiming, GatewayConfig, GatewaySpec, RoundEngine, StagingFault,
+    cluster_registry, open_store, BehaviorKind, CodedMachine, DurabilityConfig, ExchangeTiming,
+    GatewayConfig, GatewaySpec, RoundEngine, StagingFault,
 };
 use csm_statemachine::machines::bank_machine;
-use csm_storage::NodeStore;
 use csm_transport::{Frame, Payload};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -204,18 +203,17 @@ fn rejoining_core(
     let timing = ExchangeTiming::synchronous(b, Duration::from_millis(50));
     let cfg = GatewayConfig::new(n, b, &timing);
     let durability = DurabilityConfig::new(&dir);
-    let build = || {
-        GatewayCore::new(
-            0,
-            cluster_registry(n, seed),
-            timing.clone(),
-            &spec,
-            &cfg,
-            Some(&durability),
-        )
-    };
-    drop(build()); // first life: writes the genesis checkpoint
-    let mut core = build();
+    // first life: writes the genesis checkpoint
+    drop(open_store(&durability, &spec, 0).expect("store opens"));
+    let (_, recovered) = open_store(&durability, &spec, 0).expect("store reopens");
+    let mut core = GatewayCore::new(
+        0,
+        cluster_registry(n, seed),
+        timing,
+        &spec,
+        &cfg,
+        Some((&durability, &recovered)),
+    );
     let effects = core.start(0);
     assert!(
         core.resyncing(),
@@ -272,6 +270,7 @@ fn byzantine_state_chunks_cannot_poison_a_rejoiner() {
         (4, chunk(committed_round, digest, canonical.clone())),
         // peer 5 withholds
     ];
+    let mut checkpoint = None;
     for (at, (peer, payload)) in sends.into_iter().enumerate() {
         let frame = Frame::sign(payload, &registry, NodeId(peer));
         let effects = core.step(at as u64 + 1, Event::Frame(frame));
@@ -281,10 +280,16 @@ fn byzantine_state_chunks_cannot_poison_a_rejoiner() {
         let installed = core.stats().resyncs == 1;
         assert_eq!(installed, peer >= 3, "after peer {peer}'s chunk");
         if peer == 3 {
-            assert!(
-                effects.is_empty(),
-                "with no work, the rejoiner starts no round alone: {effects:?}"
-            );
+            // the transferred state is checkpointed, and with no work the
+            // rejoiner starts no round alone
+            let [Effect::Persist(Record::Snapshot {
+                round, coded_state, ..
+            })] = &effects[..]
+            else {
+                panic!("one checkpoint and nothing else: {effects:?}");
+            };
+            assert_eq!(*round, committed_round + 1);
+            checkpoint = Some(coded_state.clone());
         }
     }
     // its round's leader, once in that round, pulls it in
@@ -318,15 +323,8 @@ fn byzantine_state_chunks_cannot_poison_a_rejoiner() {
 
     // the verified states were re-encoded at the rejoiner's own
     // evaluation point and checkpointed before it acted on them: the
-    // store now holds exactly the coded state the honest engines hold
-    let initial: Vec<Vec<Fp61>> = (0..2u64)
-        .map(|i| vec![Fp61::from_u64(100 * (i + 1))])
-        .collect();
-    let (_, recovered) =
-        NodeStore::open(&dir, store_fingerprint(&machine, 0, &initial)).expect("store reopens");
-    let snapshot = recovered.snapshot.expect("transfer checkpoint");
-    assert_eq!(snapshot.round, committed_round + 1);
-    assert_eq!(snapshot.coded_state, engines[0].coded_state_canonical());
+    // checkpoint holds exactly the coded state the honest engines hold
+    assert_eq!(checkpoint, Some(engines[0].coded_state_canonical()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
