@@ -220,11 +220,6 @@ impl<F: Field> Poly<F> {
         Some((Poly::new(quot), Poly::new(rem)))
     }
 
-    /// Whether `divisor` divides `self` exactly.
-    pub fn is_divisible_by(&self, divisor: &Self) -> bool {
-        !divisor.is_zero() && self.div_rem(divisor).1.is_zero()
-    }
-
     /// Greatest common divisor (monic).
     pub fn gcd(&self, other: &Self) -> Self {
         let mut a = self.clone();

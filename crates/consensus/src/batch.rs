@@ -111,11 +111,6 @@ impl DsBatch {
         }
     }
 
-    /// Number of relay rounds the broadcast runs (`f + 1`).
-    pub fn relay_rounds(&self) -> usize {
-        self.f + 1
-    }
-
     /// This node's chain signature over `rows` — how the leader (or a
     /// Byzantine driver crafting an equivocation) starts a chain.
     pub fn sign_value(&self, rows: &BatchRows) -> Signature {

@@ -107,16 +107,6 @@ impl<F: Field> CommandPool<F> {
         }
     }
 
-    /// Number of machines.
-    pub fn num_machines(&self) -> usize {
-        self.k
-    }
-
-    /// Number of registered clients.
-    pub fn num_clients(&self) -> usize {
-        self.registry.len()
-    }
-
     /// Number of pending commands for a machine.
     ///
     /// # Panics

@@ -631,7 +631,6 @@ fn run(
         .with_sink(Arc::clone(&trace) as SharedSink);
     gateway.stage_timeout = delta * 4;
     gateway.consensus_delta = delta * 2;
-    gateway.flight_dir = None; // a run is a pure function of its inputs
     gateway.commit_history = 64; // nothing here reads a node's history
     let run_id = RUN_COUNTER.fetch_add(1, Ordering::Relaxed);
     let store_root =

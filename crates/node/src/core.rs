@@ -54,6 +54,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
+mod peers;
+use peers::PeerView;
+
 /// How many rounds ahead of the current one staging, consensus, result
 /// and commit frames are buffered; anything further out is dropped
 /// (equivalent to the sender withholding, which the protocol tolerates).
@@ -75,10 +78,6 @@ const QUERY_INBOX_CAP: usize = 8192;
 /// needs a few per peer, so this bounds what `b` validly keyed Byzantine
 /// peers can park in a future round.
 const CONSENSUS_ROUND_CAP: usize = 4096;
-
-/// How many trailing rounds the desync check inspects (commit gossip for
-/// a round keeps arriving during the following rounds).
-const DESYNC_WINDOW: u64 = 4;
 
 /// Which of the core's one-shot timers fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -304,14 +303,13 @@ pub struct GatewayCore<F: Field> {
     stages: BTreeMap<u64, BTreeMap<usize, BatchRows>>,
     consensus: BTreeMap<u64, Vec<Frame>>,
     results: BTreeMap<u64, BTreeMap<usize, Vec<F>>>,
-    commit_votes: BTreeMap<u64, BTreeMap<usize, u64>>,
     submit_inbox: Vec<Frame>,
     query_inbox: Vec<Frame>,
     state_requests: BTreeMap<usize, u64>,
     telemetry_requests: BTreeMap<usize, u64>,
-    /// The highest round each peer has sent a protocol frame for: the
-    /// evidence that wakes an idle node (`peers_moved_on`).
-    peer_rounds: Vec<Option<u64>>,
+    /// Peers' rounds and commit announcements, and every `b + 1` count
+    /// over them.
+    peers: PeerView,
     /// `Submit`s in the inbox above their client's dedup horizon and not
     /// queued, and when the first of them arrived: what a leader batches
     /// before it starts its round (`work_start`).
@@ -373,17 +371,6 @@ fn consensus_weight(payload: &Payload) -> usize {
         } => rows_weight(rows) + justification.iter().map(vc_weight).sum::<usize>(),
         _ => 0,
     }
-}
-
-/// Tallies `votes` by digest, ignoring `me`'s own.
-fn digest_tallies(votes: &BTreeMap<usize, u64>, me: usize) -> BTreeMap<u64, usize> {
-    let mut tallies = BTreeMap::new();
-    for (&node, &digest) in votes {
-        if node != me {
-            *tallies.entry(digest).or_insert(0) += 1;
-        }
-    }
-    tallies
 }
 
 /// Maps a node's behavior to its exchange-round broadcast instruction for
@@ -518,12 +505,11 @@ impl<F: Field> GatewayCore<F> {
             stages: BTreeMap::new(),
             consensus: BTreeMap::new(),
             results: BTreeMap::new(),
-            commit_votes: BTreeMap::new(),
             submit_inbox: Vec::new(),
             query_inbox: Vec::new(),
             state_requests: BTreeMap::new(),
             telemetry_requests: BTreeMap::new(),
-            peer_rounds: vec![None; cluster],
+            peers: PeerView::new(id, cluster, cfg.assumed_faults),
             new_submits: 0,
             work_since: None,
             next_at: None,
@@ -772,7 +758,7 @@ impl<F: Field> GatewayCore<F> {
     /// dropped. Returns whether the frame is work that may end an idle
     /// pause or wake a quiescent node (`step`): a new command, or a
     /// peer's protocol frame that completes the evidence of
-    /// `peers_moved_on`.
+    /// `woken_by_peers`.
     fn intake(&mut self, frame: Frame) -> bool {
         let from = frame.sig.signer.0;
         let from_cluster = from < self.cluster;
@@ -799,7 +785,8 @@ impl<F: Field> GatewayCore<F> {
                 {
                     self.on_stage_vote(from);
                 }
-                self.saw_peer(from, round)
+                self.peers.saw(from, round);
+                self.woken_by_peers()
             }
             Payload::BatchRelay { round, .. }
             | Payload::BatchVote { round, .. }
@@ -824,7 +811,8 @@ impl<F: Field> GatewayCore<F> {
                         slot.push(frame);
                     }
                 }
-                self.saw_peer(from, round)
+                self.peers.saw(from, round);
+                self.woken_by_peers()
             }
             Payload::Result {
                 round,
@@ -863,7 +851,8 @@ impl<F: Field> GatewayCore<F> {
                     .or_default()
                     .entry(from)
                     .or_insert(vector);
-                self.saw_peer(from, round)
+                self.peers.saw(from, round);
+                self.woken_by_peers()
             }
             Payload::Commit {
                 round,
@@ -877,12 +866,8 @@ impl<F: Field> GatewayCore<F> {
                 if !from_cluster || sender != from as u64 || !near {
                     return false;
                 }
-                self.commit_votes
-                    .entry(round)
-                    .or_default()
-                    .entry(from)
-                    .or_insert(digest);
-                self.saw_peer(from, round)
+                self.peers.commit(from, round, digest);
+                self.woken_by_peers()
             }
             Payload::Submit {
                 client,
@@ -1025,8 +1010,7 @@ impl<F: Field> GatewayCore<F> {
         self.stages.retain(|&r, _| r >= round);
         self.consensus.retain(|&r, _| r >= round);
         self.results.retain(|&r, _| r >= round);
-        self.commit_votes
-            .retain(|&r, _| r.saturating_add(ROUND_LOOKAHEAD) >= round);
+        self.peers.prune(round, ROUND_LOOKAHEAD);
         self.serve_requests();
 
         // `b + 1` peers agreeing on a commit this node does not hold
@@ -1036,9 +1020,11 @@ impl<F: Field> GatewayCore<F> {
         // about to commit from its buffers. A durable node recovers via
         // state transfer, and also treats "peers committed my current
         // round or later" and a decode-failure streak as triggers.
-        let diverged = self.check_desynced();
+        let first = self.first_recorded_round;
+        let own = |past: u64| Some(self.commits.get((past - first) as usize)?.as_ref()?.digest);
+        let diverged = self.peers.diverged(round, first, own);
         if self.durable.is_some() {
-            let behind = self.commit_quorum_frontier().is_some_and(|r| r >= round);
+            let behind = self.peers.commit_frontier().is_some_and(|r| r >= round);
             if behind || diverged.is_some() || self.fail_streak >= 2 {
                 self.fail_streak = 0;
                 return self.enter_resync(behind || diverged.is_some());
@@ -1812,7 +1798,7 @@ impl<F: Field> GatewayCore<F> {
     /// its peers have moved on, else when its own commands say
     /// (`work_start`).
     fn idle_start(&self) -> Option<u64> {
-        if self.peers_moved_on() {
+        if self.peers.moved_on(self.round(), self.leader()) {
             Some(self.now)
         } else {
             self.work_start()
@@ -1854,24 +1840,10 @@ impl<F: Field> GatewayCore<F> {
         }
     }
 
-    /// Records that peer `from` sent a protocol frame for `round`, and
-    /// returns whether an idle node's peers have now moved on
-    /// (`peers_moved_on`).
-    fn saw_peer(&mut self, from: usize, round: u64) -> bool {
-        let seen = &mut self.peer_rounds[from];
-        *seen = (*seen).max(Some(round));
-        matches!(self.phase, PhaseState::Idle) && self.peers_moved_on()
-    }
-
-    /// Whether an honest node is evidently in this node's round or past
-    /// it: the round's leader, or `b + 1` peers, sent a protocol frame for
-    /// it or a later round. A lone Byzantine peer therefore pulls this
-    /// node early only into the rounds it leads itself; it cannot make
-    /// the cluster run empty rounds at network speed.
-    fn peers_moved_on(&self) -> bool {
-        let round = self.round();
-        let moved_on = |peer: &usize| self.peer_rounds[*peer] >= Some(round);
-        moved_on(&self.leader()) || (0..self.cluster).filter(moved_on).count() > self.faults
+    /// Whether this node is idle and an honest node is evidently in its
+    /// round or past it (`PeerView::moved_on`).
+    fn woken_by_peers(&self) -> bool {
+        matches!(self.phase, PhaseState::Idle) && self.peers.moved_on(self.round(), self.leader())
     }
 
     /// Logs the committed round (its coded-state delta from `prev`), then
@@ -1913,38 +1885,6 @@ impl<F: Field> GatewayCore<F> {
 
     // -- divergence / recovery -------------------------------------------
 
-    /// The earliest strictly-past round in the window for which `b + 1`
-    /// peers announced a common digest this node does not hold.
-    fn check_desynced(&self) -> Option<u64> {
-        (self.round().saturating_sub(DESYNC_WINDOW)..self.round())
-            .filter(|&past| past >= self.first_recorded_round)
-            .find(|&past| {
-                let own = self
-                    .commits
-                    .get((past - self.first_recorded_round) as usize)
-                    .and_then(|c| c.as_ref().map(|c| c.digest));
-                self.commit_votes.get(&past).is_some_and(|votes| {
-                    digest_tallies(votes, self.id)
-                        .iter()
-                        .any(|(&digest, &count)| count > self.faults && own != Some(digest))
-                })
-            })
-    }
-
-    /// The highest round where `b + 1` peers announced a common digest
-    /// (the "cluster moved on without me" detector).
-    fn commit_quorum_frontier(&self) -> Option<u64> {
-        self.commit_votes
-            .iter()
-            .rev()
-            .find(|(_, votes)| {
-                digest_tallies(votes, self.id)
-                    .values()
-                    .any(|&count| count > self.faults)
-            })
-            .map(|(&round, _)| round)
-    }
-
     /// Starts a state-transfer attempt: ask every peer for its latest
     /// committed state and collect answers until the window closes.
     fn enter_resync(&mut self, sticky: bool) {
@@ -1977,15 +1917,10 @@ impl<F: Field> GatewayCore<F> {
             return;
         };
         let min_round = self.engine.round().saturating_sub(1);
-        let mut tally: BTreeMap<(u64, u64), Vec<usize>> = BTreeMap::new();
-        for (&peer, chunk) in chunks {
-            if chunk.round >= min_round {
-                tally
-                    .entry((chunk.round, chunk.digest))
-                    .or_default()
-                    .push(peer);
-            }
-        }
+        let fresh = chunks.iter().filter(|(_, chunk)| chunk.round >= min_round);
+        let tally = self
+            .peers
+            .vouched(fresh.map(|(&peer, chunk)| (peer, (chunk.round, chunk.digest))));
         let hashes_to = |peer: &usize, digest: u64| {
             let rows: Vec<Vec<F>> = chunks[peer]
                 .results
@@ -1994,16 +1929,12 @@ impl<F: Field> GatewayCore<F> {
                 .collect();
             digest_results(&rows) == digest
         };
-        let verified = tally
-            .iter()
-            .rev()
-            .filter(|(_, peers)| peers.len() > self.faults)
-            .find_map(|(&(round, digest), peers)| {
-                let (good, corrupt): (Vec<usize>, Vec<usize>) =
-                    peers.iter().partition(|p| hashes_to(p, digest));
-                let rows = chunks[good.first()?].results.clone();
-                Some((round, rows, corrupt))
-            });
+        let verified = tally.iter().rev().find_map(|(&(round, digest), peers)| {
+            let (good, corrupt): (Vec<usize>, Vec<usize>) =
+                peers.iter().partition(|p| hashes_to(p, digest));
+            let rows = chunks[good.first()?].results.clone();
+            Some((round, rows, corrupt))
+        });
         let Some((round, rows, corrupt)) = verified else {
             return;
         };

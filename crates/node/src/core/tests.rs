@@ -40,7 +40,6 @@ fn sized_rig(n: usize, b: usize, consensus: ConsensusKind) -> Rig {
     let mut cfg = GatewayConfig::new(n, b, &timing).with_consensus(consensus);
     cfg.stage_timeout = Duration::from_micros(8_000);
     cfg.consensus_delta = Duration::from_micros(4_000);
-    cfg.flight_dir = None;
     Rig {
         registry: cluster_registry(n + CLIENTS, 11),
         timing,
@@ -105,7 +104,7 @@ impl Rig {
 fn buffered(core: &GatewayCore<Fp61>) -> usize {
     let nested = |m: &BTreeMap<u64, BTreeMap<usize, _>>| m.values().map(BTreeMap::len).sum();
     let stages: usize = nested(&core.stages);
-    let commit_votes: usize = core.commit_votes.values().map(BTreeMap::len).sum();
+    let commit_votes: usize = core.peers.commits().values().map(BTreeMap::len).sum();
     let results: usize = core.results.values().map(BTreeMap::len).sum();
     let chunks = match &core.phase {
         PhaseState::Resyncing { chunks, .. } => chunks.len(),
@@ -297,7 +296,7 @@ fn buffers_keep_one_frame_per_signer_and_inboxes_are_capped() {
         };
         step(&mut core, 2, commit);
     }
-    assert_eq!(core.commit_votes[&5][&2], 7);
+    assert_eq!(core.peers.commits()[&5][&2], 7);
     for values in [vec![1, 1], vec![2, 2]] {
         let result = Payload::Result {
             round: 5,
@@ -1270,7 +1269,6 @@ fn partial_synchrony_certifies_before_the_cutoff_and_exposes_both_liars() {
     let mut cfg = GatewayConfig::new(n, b, &r.timing).with_consensus(ConsensusKind::LeaderEcho);
     cfg.stage_timeout = r.cfg.stage_timeout;
     cfg.consensus_delta = r.cfg.consensus_delta;
-    cfg.flight_dir = None;
     r.cfg = cfg;
     let empty = vec![Vec::new(); 2];
     let mut core = exchanging(&r, me);
@@ -1333,7 +1331,6 @@ fn a_degree_three_machine_over_gf2_16_commits_the_uncoded_results() {
     let mut cfg = GatewayConfig::new(n, b, &timing);
     cfg.stage_timeout = Duration::from_micros(8_000);
     cfg.consensus_delta = Duration::from_micros(4_000);
-    cfg.flight_dir = None;
     let initial_states = vec![vec![Gf2_16::ZERO; 2]; 2];
     let cores = (0..n)
         .map(|id| {

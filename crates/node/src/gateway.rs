@@ -287,7 +287,8 @@ impl ExchangeTiming {
     /// `Δ` plus this pause. Work ends it early — commands for the leader
     /// to propose (after a batch window of `Δ/5` unless a round's worth
     /// is held), or protocol frames for the node's round or a later one
-    /// from its leader or from `b + 1` peers (`docs/PROTOCOL.md` §10) —
+    /// from its leader or from `b + 1` peers (the core's `PeerView`
+    /// counts them; `docs/PROTOCOL.md` §10) —
     /// so it only bounds how long a silent or crashed leader can hold
     /// commands back before the followers start the round without it.
     pub fn idle_pause(&self) -> Duration {
@@ -362,8 +363,9 @@ pub struct GatewayConfig {
     /// Directory for Byzantine flight-recorder dumps. When set, the
     /// gateway writes its recent-event ring to a timestamped JSON file
     /// on desync fail-stop, resync, the first undecodable word, and the
-    /// first decoder-identified Byzantine peer. Defaults from the
-    /// `CSM_FLIGHT_DIR` environment variable; `None` disables dumps.
+    /// first decoder-identified Byzantine peer. `None` (the default)
+    /// disables dumps; the caller chooses the directory (the `csm-node`
+    /// CLI takes it from `CSM_FLIGHT_DIR`).
     pub flight_dir: Option<PathBuf>,
 }
 
@@ -383,7 +385,7 @@ impl GatewayConfig {
             consensus: ConsensusKind::default(),
             consensus_delta: timing.delta * 2 + Duration::from_millis(20),
             sink: None,
-            flight_dir: std::env::var_os("CSM_FLIGHT_DIR").map(PathBuf::from),
+            flight_dir: None,
         }
     }
 

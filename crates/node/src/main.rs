@@ -30,6 +30,8 @@
 //! reporters with no honest node accused, or the process exits non-zero.
 //! `--format json` emits the full audit document (evidence records
 //! included); `--format prometheus` emits the text exposition.
+//! Both write flight-recorder dumps into `CSM_FLIGHT_DIR` when it is
+//! set: the binary reads the environment, the library never does.
 //!
 //! ```text
 //! # the deterministic chaos harness (virtual clock, no sockets): run
@@ -43,6 +45,7 @@
 use csm_node::workload::{run_tcp_workload_with_faults, verify_bank_outcome, WorkloadConfig};
 use csm_node::{BehaviorKind, ConsensusKind, StagingFault};
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::time::Duration;
 
 /// The loopback cluster's shape, shared by `gateway` and `audit`.
@@ -91,7 +94,7 @@ impl CommonArgs {
             seed: self.seed,
             consensus: self.consensus,
             scrape,
-            flight_dir: None,
+            flight_dir: std::env::var_os("CSM_FLIGHT_DIR").map(PathBuf::from),
         };
         if let Err(e) = cfg.machine() {
             csm_telemetry::error!("invalid cluster shape: {e}");
@@ -120,7 +123,8 @@ fn usage() -> ! {
          --byzantine ID:KIND --format text|json|prometheus]\n  csm-node chaos [--scenario \
          NAME|all | --list | --seed S --random COUNT --n N --clients M --durable \
          --consensus KIND]\n  (all subcommands: --log-level \
-         error|warn|info|debug|trace, default from CSM_LOG)"
+         error|warn|info|debug|trace, default from CSM_LOG)\n  (gateway, audit: flight-recorder \
+         dumps go to CSM_FLIGHT_DIR when it is set)"
     );
     std::process::exit(2)
 }

@@ -26,7 +26,8 @@
 //!    peers serve MAC-authenticated [`csm_transport::Payload::StateChunk`]s
 //!    from their latest commit, and the rejoiner installs a round's state
 //!    only once **`b + 1` distinct peers agree on the commit digest and
-//!    the carried results hash to it** — a Byzantine peer can neither
+//!    the carried results hash to it** (the core's `PeerView` counts the
+//!    peers, as it counts every `b + 1` rule) — a Byzantine peer can neither
 //!    forge that quorum nor slip corrupted bytes past the digest check.
 //!    The verified plaintext states are re-encoded at the node's own
 //!    evaluation point (the coded-repair trick: recovery needs peers'

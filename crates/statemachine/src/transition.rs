@@ -147,11 +147,6 @@ impl<F: Field> PolyTransition<F> {
         &self.next_state
     }
 
-    /// The output component polynomials.
-    pub fn output_polys(&self) -> &[MultiPoly<F>] {
-        &self.output
-    }
-
     /// The degree `d` of the transition function: the maximum total degree
     /// over all component polynomials (at least 1, so a constant machine
     /// still yields a valid code dimension).

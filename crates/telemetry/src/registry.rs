@@ -104,18 +104,6 @@ impl MetricsRegistry {
         let map = self.counters.lock().expect("registry poisoned");
         map.iter().map(|(k, v)| (k.clone(), v.get())).collect()
     }
-
-    /// Every gauge's `(name, value)`, sorted by name.
-    pub fn gauge_values(&self) -> Vec<(String, u64)> {
-        let map = self.gauges.lock().expect("registry poisoned");
-        map.iter().map(|(k, v)| (k.clone(), v.get())).collect()
-    }
-
-    /// Every histogram's `(name, buckets)`, sorted by name.
-    pub fn histogram_values(&self) -> Vec<(String, LatencyHistogram)> {
-        let map = self.histograms.lock().expect("registry poisoned");
-        map.iter().map(|(k, v)| (k.clone(), v.snapshot())).collect()
-    }
 }
 
 #[cfg(test)]

@@ -167,11 +167,6 @@ impl SimNet {
         self.links.insert((from, to), state);
     }
 
-    /// Current state of an ordered link.
-    pub fn link_state(&self, from: usize, to: usize) -> LinkState {
-        self.link(from, to)
-    }
-
     /// Cuts every link between set `a` and set `b`, both directions.
     pub fn partition(&mut self, a: &[usize], b: &[usize]) {
         for &x in a {

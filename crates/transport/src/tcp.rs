@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Poll interval of the nonblocking accept loop.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
@@ -116,29 +116,6 @@ impl TcpTransport {
         for (slot, addr) in slots.iter_mut().zip(addrs) {
             *slot = Some(*addr);
         }
-    }
-
-    /// Dials every peer, retrying until `timeout` (peers in other
-    /// processes may not have bound yet).
-    pub fn connect_all(&self, timeout: Duration) -> Result<(), SendError> {
-        let deadline = Instant::now() + timeout;
-        for peer in 0..self.n() {
-            if peer == self.id.0 {
-                continue;
-            }
-            loop {
-                match self.ensure_connected(NodeId(peer)) {
-                    Ok(()) => break,
-                    Err(e) => {
-                        if Instant::now() >= deadline {
-                            return Err(e);
-                        }
-                        thread::sleep(Duration::from_millis(20));
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     fn ensure_connected(&self, to: NodeId) -> Result<(), SendError> {
