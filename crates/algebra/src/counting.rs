@@ -203,6 +203,15 @@ mod tests {
     }
 
     #[test]
+    fn dot_counts_every_product_and_sum() {
+        let xs: Vec<Fp61> = (1..=70).map(Fp61::from_u64).collect();
+        let wrapped = C::wrap_slice(&xs);
+        let (got, ops) = count::measure(|| C::dot(&wrapped, &wrapped));
+        assert_eq!(got.into_inner(), Fp61::dot(&xs, &xs));
+        assert_eq!((ops.muls, ops.adds, ops.invs), (70, 70, 0));
+    }
+
+    #[test]
     fn wrap_unwrap_roundtrip() {
         let xs = vec![Fp61::from_u64(1), Fp61::from_u64(2)];
         assert_eq!(C::unwrap_slice(&C::wrap_slice(&xs)), xs);

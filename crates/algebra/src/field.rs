@@ -139,6 +139,20 @@ pub trait Field:
         }
     }
 
+    /// The dot product `Σ a_i·b_i`: `n` multiplications and `n` additions.
+    /// A field may override it with an equal but cheaper evaluation, such as
+    /// one that reduces once per many products.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    fn dot(a: &[Self], b: &[Self]) -> Self {
+        assert_eq!(a.len(), b.len(), "dot product length mismatch");
+        a.iter()
+            .zip(b)
+            .fold(Self::ZERO, |acc, (&x, &y)| acc + x * y)
+    }
+
     /// Batch-inverts a slice of elements in 3(n-1) multiplications plus one
     /// inversion (Montgomery's trick). Returns `None` if any element is zero.
     fn batch_inverse(xs: &[Self]) -> Option<Vec<Self>> {

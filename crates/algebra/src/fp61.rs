@@ -1,9 +1,10 @@
 //! The prime field `F_p` with `p = 2^61 - 1` (a Mersenne prime).
 //!
-//! Mersenne reduction makes multiplication two shifts and an add, and the
-//! field is comfortably large enough for any network size the CSM harness
-//! simulates. Prime fields model the paper's arithmetic examples directly
-//! ("updating the balance of a bank account is a linear function", §4).
+//! Mersenne reduction makes multiplication one fold (a shift, a mask and an
+//! add) and one conditional subtraction, and the field is comfortably large
+//! enough for any network size the CSM harness simulates. Prime fields
+//! model the paper's arithmetic examples directly ("updating the balance of
+//! a bank account is a linear function", §4).
 
 use crate::field::Field;
 use rand::Rng;
@@ -12,20 +13,16 @@ use rand::Rng;
 pub const P: u64 = (1 << 61) - 1;
 
 /// An element of `F_p`, `p = 2^61 - 1`, stored in canonical form `< p`.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    Default,
-    PartialEq,
-    Eq,
-    Hash,
-    PartialOrd,
-    Ord,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
 pub struct Fp61(u64);
+
+/// Reads the transparent `u64` back through [`Fp61::new`]: the text may
+/// hold any `u64`, and every operation assumes canonical form.
+impl<'de> serde::Deserialize<'de> for Fp61 {
+    fn deserialize_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::json::Error> {
+        u64::deserialize_json(p).map(Self::new)
+    }
+}
 
 impl Fp61 {
     /// Constructs an element, reducing `v` modulo `p`.
@@ -100,7 +97,11 @@ impl std::ops::Mul for Fp61 {
     type Output = Self;
     #[inline]
     fn mul(self, rhs: Self) -> Self {
-        Self(reduce128(self.0 as u128 * rhs.0 as u128))
+        // both factors are canonical, so x ≤ (p − 1)² < 2^122: x >> 61 < p
+        // and the one fold (2^61 ≡ 1) is below 2p
+        let x = self.0 as u128 * rhs.0 as u128;
+        let s = (x as u64 & P) + (x >> 61) as u64;
+        Self(if s >= P { s - P } else { s })
     }
 }
 
@@ -166,13 +167,47 @@ impl Field for Fp61 {
         P
     }
 
+    /// Fermat, `x^(p−2)`, by an addition chain: `p − 2 = 4·(2^59 − 1) + 1`,
+    /// and `x^(2^59 − 1)` is built from `x^(2^a − 1)` by
+    /// `x^(2^(a+b) − 1) = (x^(2^a − 1))^(2^b) · x^(2^b − 1)`. 60 squarings
+    /// and 10 multiplications, where square-and-multiply takes about 120
+    /// operations.
     fn inverse(&self) -> Option<Self> {
         if self.0 == 0 {
-            None
-        } else {
-            // Fermat: x^(p-2) = x^-1.
-            Some(self.pow(P - 2))
+            return None;
         }
+        let x = *self;
+        let sq = |mut y: Self, times: u32| {
+            for _ in 0..times {
+                y = y * y;
+            }
+            y
+        };
+        // t_a = x^(2^a − 1)
+        let t2 = sq(x, 1) * x;
+        let t3 = sq(t2, 1) * x;
+        let t6 = sq(t3, 3) * t3;
+        let t12 = sq(t6, 6) * t6;
+        let t24 = sq(t12, 12) * t12;
+        let t48 = sq(t24, 24) * t24;
+        let t54 = sq(t48, 6) * t6;
+        let t57 = sq(t54, 3) * t3;
+        let t59 = sq(t57, 2) * t2;
+        Some(sq(t59, 2) * x)
+    }
+
+    /// Sums up to 64 unreduced products in a `u128` before one reduction:
+    /// a product of canonical elements is below `2^122`, so 64 of them stay
+    /// below `2^128`.
+    fn dot(a: &[Self], b: &[Self]) -> Self {
+        assert_eq!(a.len(), b.len(), "dot product length mismatch");
+        a.chunks(64)
+            .zip(b.chunks(64))
+            .map(|(a, b)| {
+                let wide = a.iter().zip(b).map(|(x, y)| x.0 as u128 * y.0 as u128);
+                Self(reduce128(wide.sum()))
+            })
+            .sum()
     }
 
     fn from_u64(v: u64) -> Self {
@@ -240,6 +275,26 @@ mod tests {
             assert_eq!(x * x.inverse().unwrap(), Fp61::ONE);
         }
         assert!(Fp61::ZERO.inverse().is_none());
+    }
+
+    #[test]
+    fn addition_chain_inverse_matches_square_and_multiply() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(61);
+        let random = (0..200).map(|_| Fp61::random_nonzero(&mut rng));
+        for x in [1, 2, P - 1].map(Fp61::new).into_iter().chain(random) {
+            assert_eq!(x.inverse(), Some(x.pow(P - 2)), "x = {x}");
+        }
+    }
+
+    #[test]
+    fn dot_reduces_every_64_products_at_the_u128_edge() {
+        let top = Fp61::new(P - 1);
+        for len in [0, 1, 63, 64, 65, 257] {
+            let a = vec![top; len];
+            let folded = a.iter().fold(Fp61::ZERO, |acc, &x| acc + x * x);
+            assert_eq!(Fp61::dot(&a, &a), folded, "length {len}");
+        }
     }
 
     #[test]

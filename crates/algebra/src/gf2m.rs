@@ -65,9 +65,19 @@ macro_rules! gf2m_field {
             PartialOrd,
             Ord,
             serde::Serialize,
-            serde::Deserialize,
         )]
         pub struct $name(u64);
+
+        /// Reads the transparent `u64` back through
+        /// [`Field::from_u64`]: the text may hold any `u64`, and every
+        /// operation assumes the bits above `m` are clear.
+        impl<'de> serde::Deserialize<'de> for $name {
+            fn deserialize_json(
+                p: &mut serde::json::Parser<'_>,
+            ) -> Result<Self, serde::json::Error> {
+                u64::deserialize_json(p).map(<Self as Field>::from_u64)
+            }
+        }
 
         impl $name {
             /// Extension degree `m` of this field over `GF(2)`.

@@ -199,14 +199,13 @@ impl<F: Field> Matrix<F> {
     }
 }
 
-/// Inner product of two equal-length slices.
+/// Inner product of two equal-length slices, by [`Field::dot`].
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn dot<F: Field>(a: &[F], b: &[F]) -> F {
-    assert_eq!(a.len(), b.len(), "dot product length mismatch");
-    a.iter().zip(b).fold(F::ZERO, |acc, (&x, &y)| acc + x * y)
+    F::dot(a, b)
 }
 
 impl<F: Field> std::ops::Index<(usize, usize)> for Matrix<F> {

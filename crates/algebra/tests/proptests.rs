@@ -9,6 +9,21 @@ fn fp61() -> impl Strategy<Value = Fp61> {
     any::<u64>().prop_map(Fp61::from_u64)
 }
 
+/// The Mersenne prime `Fp61` reduces modulo.
+const P: u64 = (1 << 61) - 1;
+
+/// Canonical `Fp61` values, weighted towards the edges of its one-fold
+/// multiplication.
+fn fp61_canonical() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        Just(1u64),
+        Just(P - 1),
+        Just(1u64 << 60),
+        any::<u64>().prop_map(|v| v % P),
+    ]
+}
+
 fn gf16() -> impl Strategy<Value = Gf2_16> {
     any::<u64>().prop_map(Gf2_16::from_u64)
 }
@@ -29,6 +44,12 @@ proptest! {
         prop_assert_eq!(a * (b + c), a * b + a * c);
         prop_assert_eq!((a + b) + c, a + (b + c));
         prop_assert_eq!((a * b) * c, a * (b * c));
+    }
+
+    #[test]
+    fn fp61_mul_matches_u128_reference(a in fp61_canonical(), b in fp61_canonical()) {
+        let want = (a as u128 * b as u128 % P as u128) as u64;
+        prop_assert_eq!((Fp61::from_u64(a) * Fp61::from_u64(b)).value(), want);
     }
 
     #[test]

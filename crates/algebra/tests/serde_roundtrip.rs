@@ -15,6 +15,16 @@ fn roundtrip<
     assert_eq!(&back, value);
 }
 
+#[test]
+fn deserialising_reduces_to_canonical_form() {
+    let fp: Fp61 = serde_json::from_str("18446744073709551615").expect("deserialize");
+    assert_eq!(fp, Fp61::from_u64(u64::MAX));
+    assert_eq!(fp.value(), u64::MAX % ((1 << 61) - 1));
+    let gf: Gf2_16 = serde_json::from_str("4294967295").expect("deserialize");
+    assert_eq!(gf, Gf2_16::from_u64(4294967295));
+    assert_eq!(gf.bits(), 0xFFFF);
+}
+
 proptest! {
     #[test]
     fn fp61_roundtrip(v in any::<u64>()) {

@@ -1,6 +1,8 @@
 //! Reed–Solomon decoder ablation: Berlekamp–Massey (O(n²) on the syndromes,
 //! the default) vs Gao (extended Euclid + fast interpolation) at the
-//! worst-case error load `⌊(n−k)/2⌋`; on clean words against the
+//! worst-case error load `⌊(n−k)/2⌋`, and at N = 32 the same solve through
+//! an error plan (tables built once, as a coded machine holds them, the
+//! decoding wanted at `k` points); on clean words against the
 //! verify-first check that normally runs instead of either; and a clean CSM
 //! result word decoded one-shot against the same word through a warmed
 //! engine's decode plan.
@@ -40,6 +42,16 @@ fn benches(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("gao", n), &n, |b, _| {
             b.iter(|| Gao.decode(code.points(), &ys, k).unwrap())
         });
+        if n == 32 {
+            let every: Vec<usize> = (0..n).collect();
+            let targets: Vec<Fp61> = distinct_elements(n as u64, k);
+            let plan = code.error_plan(&every, &targets).unwrap();
+            let poly = BerlekampMassey.decode(code.points(), &ys, k).unwrap();
+            assert_eq!(plan.decode(&ys).unwrap().1, poly.eval_many(&targets));
+            group.bench_with_input(BenchmarkId::new("error_plan", n), &n, |b, _| {
+                b.iter(|| plan.decode(&ys).unwrap())
+            });
+        }
     }
     group.finish();
 

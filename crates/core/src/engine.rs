@@ -43,7 +43,7 @@ use crate::digest::digest_results;
 use crate::error::CsmError;
 use crate::exchange::Word;
 use csm_algebra::Field;
-use csm_reed_solomon::{DecodePlan, Decoded, RsCode, RsError};
+use csm_reed_solomon::{DecodePlan, Decoded, ErrorPlan, RsCode, RsError};
 use csm_statemachine::{Aggregation, PolyTransition};
 use rand::Rng;
 use std::sync::Arc;
@@ -58,6 +58,8 @@ pub struct CodedMachine<F: Field> {
     transition: PolyTransition<F>,
     code: RsCode<F>,
     decoder: DecoderKind,
+    /// Berlekamp–Massey's tables for a full word, when that is the decoder.
+    error_plan: Option<ErrorPlan<F>>,
     aggregation: Aggregation,
     zero_noop: bool,
     program_cap: usize,
@@ -141,11 +143,17 @@ impl<F: Field> CodedMachine<F> {
         let codebook = Codebook::new(n, k)?;
         let code =
             RsCode::new(codebook.alphas().to_vec(), dim).expect("alphas are distinct and dim <= n");
+        let error_plan = (decoder == DecoderKind::BerlekampMassey).then(|| {
+            let every: Vec<usize> = (0..n).collect();
+            let plan = code.error_plan(&every, codebook.omegas());
+            plan.expect("every position is distinct and dim <= n")
+        });
         Ok(CodedMachine {
             codebook,
             transition,
             code,
             decoder,
+            error_plan,
             aggregation,
             zero_noop,
             program_cap,
@@ -285,14 +293,48 @@ impl<F: Field> CodedMachine<F> {
     }
 
     /// Decodes one coordinate's word with the configured decoder,
-    /// verify-first ([`RsCode::decode_hinted`] with no hint).
+    /// verify-first ([`RsCode::decode_hinted`] with no hint). A full word
+    /// whose guess fails has its errors located by the machine's
+    /// [`ErrorPlan`], and a guess around them is the decoding.
     ///
     /// # Errors
     ///
     /// Returns [`CsmError::Decoding`] if the word holds more corrupted
     /// results than the code corrects.
     pub fn decode_coordinate(&self, coord_word: &[Option<F>]) -> Result<Decoded<F>, CsmError> {
-        Ok(self.code.decode_with(&self.decoder, coord_word)?)
+        let full = coord_word.iter().copied().collect::<Option<Vec<F>>>();
+        let (Some(plan), Some(received)) = (&self.error_plan, full.filter(|w| w.len() == self.n()))
+        else {
+            return Ok(self.code.decode_with(&self.decoder, coord_word)?);
+        };
+        let symbol = |i: usize| Some(received[i]);
+        if let Some(decoded) = self.code.guess(symbol, &[], &mut None)? {
+            return Ok(decoded);
+        }
+        let errors = plan.locate(&received)?;
+        Ok(self
+            .code
+            .decode_hinted(&self.decoder, symbol, &errors, &mut None)?)
+    }
+
+    /// A word's errors and its values at `ω_k` (appended to `values`)
+    /// without a guess: through the [`ErrorPlan`] when the word is full, by
+    /// [`RsCode::solve`] otherwise.
+    fn solve(
+        &self,
+        symbol: impl Fn(usize) -> Option<F>,
+        values: &mut Vec<F>,
+    ) -> Result<Vec<usize>, RsError> {
+        let full = (0..self.n()).map(&symbol).collect::<Option<Vec<F>>>();
+        if let (Some(plan), Some(received)) = (&self.error_plan, full) {
+            let (errors, at) = plan.decode(&received)?;
+            values.extend(at);
+            return Ok(errors);
+        }
+        let decoded = self.code.solve(&self.decoder, symbol)?;
+        let omegas = self.codebook.omegas();
+        values.extend(omegas.iter().map(|&w| decoded.poly().eval(w)));
+        Ok(decoded.error_positions().to_vec())
     }
 
     /// **ψ**: decodes a finalized word into every machine's next state and
@@ -305,7 +347,9 @@ impl<F: Field> CodedMachine<F> {
     /// ([`RsCode::decode_hinted`]) around a suspect set that starts as
     /// `hint` (typically last round's `detected_error_nodes`) and grows by
     /// every error position a coordinate reveals. The hint steers which
-    /// symbols the guess reads; the result does not depend on it.
+    /// symbols the guess reads; the result does not depend on it. A
+    /// coordinate whose guess fails is solved through the machine's
+    /// [`ErrorPlan`] when every result is present.
     ///
     /// # Errors
     ///
@@ -366,15 +410,18 @@ impl<F: Field> CodedMachine<F> {
                 }
             }
             // a refuted plan is dropped, and its guess not interpolated again
-            let decoded = match plan.take() {
-                Some(_) => self.code.solve(&self.decoder, symbol)?,
-                None => self
-                    .code
-                    .decode_hinted(&self.decoder, symbol, &suspects, &mut basis)?,
+            let guessed = match plan.take() {
+                Some(_) => None,
+                None => self.code.guess(symbol, &suspects, &mut basis)?,
             };
-            values.extend(omegas.iter().map(|&w| decoded.poly().eval(w)));
-            let errors = decoded.error_positions();
-            note(errors, &mut suspects);
+            let errors = match guessed {
+                Some(decoded) => {
+                    values.extend(omegas.iter().map(|&w| decoded.poly().eval(w)));
+                    decoded.error_positions().to_vec()
+                }
+                None => self.solve(symbol, &mut values)?,
+            };
+            note(&errors, &mut suspects);
             // the guess verified iff none of the symbols it read was wrong;
             // the second in a row through the same symbols is worth a plan
             if read.len() == self.code.dim() && !read.iter().any(|i| errors.contains(i)) {

@@ -4,7 +4,8 @@
 //! has, and that solve is O(N²); an engine that reads the same symbols round
 //! after round builds one decode plan and from then on pays two
 //! matrix–vector products per coordinate and no inversion, and one whose
-//! liars keep moving never pays for a plan. This is the CI guard behind the
+//! liars keep moving locates them through the machine's error plan, never
+//! rebuilding the dual weights. This is the CI guard behind the
 //! `coded_clean` / `coded_byz` numbers of the repo benchmark, at that
 //! benchmark's shape.
 
@@ -140,6 +141,55 @@ fn moving_liars_never_pay_for_a_plan() {
     let rounds = engine_rounds(|round| (0..8).map(|j| round % 4 + 4 * j).collect());
     for (round, (ops, one_shot)) in rounds.iter().enumerate() {
         assert_eq!(ops, one_shot, "round {}", round + 1);
+    }
+}
+
+/// What a word with errors may cost once the dual weights and parity checks
+/// are tabulated: 6·N² field operations. Rebuilding the weights alone costs
+/// N(N−1) products and as many differences.
+fn locate_budget() -> u64 {
+    (6 * N * N) as u64
+}
+
+fn assert_no_weights_rebuilt(what: &str, ops: OpCounts, invs: u64) {
+    let (budget, weights) = (locate_budget(), (2 * N * (N - 1)) as u64);
+    assert!(
+        ops.total() <= budget && ops.invs <= invs,
+        "{what} cost {ops} = {} field operations, budget 6·N² = {budget} and {invs} inversions",
+        ops.total()
+    );
+    assert!(
+        ops.total() + weights > budget,
+        "the budget no longer notices rebuilt weights"
+    );
+}
+
+#[test]
+fn moving_liars_are_located_through_the_machines_error_plan() {
+    // one coordinate word: the failed guess's basis and the error plan's
+    // batch inversion for the liars among the symbols a guess reads
+    let (machine, mut word) = machine_and_word();
+    for liar in (0..8).map(|j| 3 + 4 * j) {
+        for x in word[liar].as_mut().unwrap() {
+            *x += c(0xBAD + liar as u64);
+        }
+    }
+    for coordinate in 0..machine.result_dim() {
+        let symbols: Vec<Option<C>> = word
+            .iter()
+            .map(|g| g.as_ref().map(|g| g[coordinate]))
+            .collect();
+        let (decoded, ops) = count::measure(|| machine.decode_coordinate(&symbols).unwrap());
+        assert_eq!(decoded.error_positions().len(), 8);
+        assert_no_weights_rebuilt(&format!("coordinate {coordinate}"), ops, 2);
+    }
+    // a whole result word under liars that move every round: the next
+    // coordinate's guess reads around the located liars, through a basis
+    // of its own
+    let rounds = engine_rounds(|round| (0..8).map(|j| round % 4 + 4 * j).collect());
+    let invs = 1 + machine.result_dim() as u64;
+    for (round, &(ops, _)) in rounds.iter().enumerate() {
+        assert_no_weights_rebuilt(&format!("round {}", round + 1), ops, invs);
     }
 }
 

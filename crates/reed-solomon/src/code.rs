@@ -235,6 +235,26 @@ impl<F: Field> RsCode<F> {
         suspects: &[usize],
         basis: &mut Option<Lagrange<F>>,
     ) -> Result<Decoded<F>, RsError> {
+        match self.guess(&symbol, suspects, basis)? {
+            Some(decoded) => Ok(decoded),
+            None => self.solve(decoder, symbol),
+        }
+    }
+
+    /// The cheap half of [`RsCode::decode_hinted`]: the interpolant through
+    /// the first `dim` present symbols outside `suspects`, if it passes the
+    /// eq. (9) check (it is then the decoding), `None` if it fails or the
+    /// word holds fewer than `dim` present symbols outside `suspects`.
+    ///
+    /// # Errors
+    ///
+    /// [`RsError::TooManyErasures`] if fewer than `dim` symbols are present.
+    pub fn guess(
+        &self,
+        symbol: impl Fn(usize) -> Option<F>,
+        suspects: &[usize],
+        basis: &mut Option<Lagrange<F>>,
+    ) -> Result<Option<Decoded<F>>, RsError> {
         let present = (0..self.len()).filter(|&i| symbol(i).is_some()).count();
         if present < self.dim {
             return Err(RsError::TooManyErasures {
@@ -246,16 +266,14 @@ impl<F: Field> RsCode<F> {
             .read_set(&symbol, suspects)
             .map(|(i, y)| (self.points[i], y))
             .unzip();
-        if xs.len() == self.dim {
-            let lagrange = match basis {
-                Some(shared) if shared.points() == xs => shared,
-                _ => basis.insert(Lagrange::new(&xs)),
-            };
-            if let Ok(decoded) = self.finish(lagrange.interpolate(&ys), &symbol) {
-                return Ok(decoded);
-            }
+        if xs.len() < self.dim {
+            return Ok(None);
         }
-        self.solve(decoder, symbol)
+        let lagrange = match basis {
+            Some(shared) if shared.points() == xs => shared,
+            _ => basis.insert(Lagrange::new(&xs)),
+        };
+        Ok(self.finish(lagrange.interpolate(&ys), &symbol).ok())
     }
 
     /// What a verify-first guess reads: the first `dim` present symbols
@@ -275,7 +293,8 @@ impl<F: Field> RsCode<F> {
     /// Decodes without a guess: `decoder` on every present symbol, its
     /// answer put to the eq. (9) check. What [`RsCode::decode_hinted`] falls
     /// through to, and where a caller whose own guess has just failed (a
-    /// refuted [`crate::DecodePlan`]) starts.
+    /// refuted [`crate::DecodePlan`]) starts; an [`crate::ErrorPlan`] for
+    /// the word's present positions finds the same decoding cheaper.
     ///
     /// # Errors
     ///

@@ -53,16 +53,7 @@ impl Decoder for BerlekampMassey {
         if k > n {
             return Err(RsError::TooManyErasures { present: n, dim: k });
         }
-        let mut denominators = vec![F::ONE; n];
-        for (j, &xj) in xs.iter().enumerate() {
-            for (i, (d, &xi)) in denominators.iter_mut().zip(xs).enumerate() {
-                if i != j {
-                    *d *= xi - xj;
-                }
-            }
-        }
-        let weights = F::batch_inverse(&denominators)
-            .ok_or_else(|| RsError::InvalidParameters("duplicate evaluation point".into()))?;
+        let weights = dual_weights(xs)?;
         let mut terms: Vec<F> = weights.iter().zip(ys).map(|(&u, &y)| u * y).collect();
         let mut syndromes = vec![F::ZERO; n - k];
         for s in &mut syndromes {
@@ -72,67 +63,111 @@ impl Decoder for BerlekampMassey {
             }
         }
 
-        // Berlekamp–Massey without division: `conn` is the connection
-        // polynomial C of a register of length `len` generating the syndromes
-        // seen so far (Σ_i C_i S_{j−i} = 0 for j ≥ len), `prev` is C before
-        // the last length change, `prev_d` its discrepancy then and `gap` the
-        // steps since. Each update C ← prev_d·C − d·z^gap·prev only scales C,
-        // and C_0 (a product of nonzero discrepancies) never vanishes.
-        let (mut conn, mut prev) = (vec![F::ONE], vec![F::ONE]);
-        let (mut len, mut prev_d, mut gap) = (0, F::ONE, 1);
-        for j in 0..syndromes.len() {
-            let d: F = conn
-                .iter()
-                .zip(syndromes[..=j].iter().rev())
-                .map(|(&c, &s)| c * s)
-                .sum();
-            if d.is_zero() {
-                gap += 1;
-                continue;
-            }
-            let mut next = vec![F::ZERO; conn.len().max(gap + prev.len())];
-            for (t, &c) in next.iter_mut().zip(&conn) {
-                *t = prev_d * c;
-            }
-            for (t, &b) in next[gap..].iter_mut().zip(&prev) {
-                *t -= d * b;
-            }
-            if 2 * len <= j {
-                len = j + 1 - len;
-                prev = std::mem::replace(&mut conn, next);
-                prev_d = d;
-                gap = 1;
-            } else {
-                conn = next;
-                gap += 1;
-            }
-        }
-        if len > (n - k) / 2 {
-            return Err(RsError::DecodingFailure);
-        }
-
-        // σ(z) = Σ_{i≤len} C_i z^{len−i}: C reversed *at the register length*,
-        // not at its degree. 0 is a legal evaluation point, and an error
-        // there is a root of σ at 0, i.e. C_len = 0. Horner at every point,
-        // one coefficient at a time from C_0 down.
-        debug_assert!(conn.len() <= len + 1, "deg C ≤ register length");
-        conn.resize(len + 1, F::ZERO);
-        let mut locator = vec![F::ZERO; n];
-        for &c in &conn {
-            for (v, &x) in locator.iter_mut().zip(xs) {
-                *v = *v * x + c;
-            }
-        }
+        let (_, errors) = locate(&syndromes, xs, (n - k) / 2)?;
         let (good_xs, good_ys): (Vec<F>, Vec<F>) = (0..n)
-            .filter(|&i| !locator[i].is_zero())
+            .filter(|i| errors.binary_search(i).is_err())
             .map(|i| (xs[i], ys[i]))
             .unzip();
-        if n - good_xs.len() != len {
-            return Err(RsError::DecodingFailure);
-        }
-        // len ≤ (n−k)/2 leaves at least k points that σ does not flag
+        // at most (n−k)/2 errors leave at least k points that σ does not flag
         Ok(Poly::interpolate(&good_xs[..k], &good_ys[..k]))
     }
+}
+
+/// The dual weights `u_i = 1/Π_{j≠i}(x_i − x_j)` of the points `xs`:
+/// `n(n−1)` products and one batch inversion.
+///
+/// # Errors
+///
+/// [`RsError::InvalidParameters`] if a point repeats.
+pub(crate) fn dual_weights<F: Field>(xs: &[F]) -> Result<Vec<F>, RsError> {
+    let mut denominators = vec![F::ONE; xs.len()];
+    for (j, &xj) in xs.iter().enumerate() {
+        for (i, (d, &xi)) in denominators.iter_mut().zip(xs).enumerate() {
+            if i != j {
+                *d *= xi - xj;
+            }
+        }
+    }
+    F::batch_inverse(&denominators)
+        .ok_or_else(|| RsError::InvalidParameters("duplicate evaluation point".into()))
+}
+
+/// The error-locating half of [`BerlekampMassey`], shared with
+/// [`crate::ErrorPlan`]: from the syndromes `S_j = Σ_i u_i y_i x_i^j` of a
+/// word over the points `xs`, the error locator `σ` (coefficients from the
+/// highest degree down) and the indices into `xs` of its roots, ascending.
+///
+/// # Errors
+///
+/// [`RsError::DecodingFailure`] unless the shortest recurrence has length
+/// `L ≤ radius` and `σ` has `L` roots among `xs`.
+pub(crate) fn locate<F: Field>(
+    syndromes: &[F],
+    xs: &[F],
+    radius: usize,
+) -> Result<(Vec<F>, Vec<usize>), RsError> {
+    // reversed[m−1−j+i] = S_{j−i}: each discrepancy is one dot product
+    let m = syndromes.len();
+    let reversed: Vec<F> = syndromes.iter().rev().copied().collect();
+    // sized once (no register outgrows m + 1 coefficients), so that no
+    // update reallocates
+    let register = || Vec::with_capacity(m + 1);
+    let (mut conn, mut prev, mut next) = (register(), register(), register());
+    conn.push(F::ONE);
+    prev.push(F::ONE);
+    // Berlekamp–Massey without division: `conn` is the connection
+    // polynomial C of a register of length `len` generating the syndromes
+    // seen so far (Σ_i C_i S_{j−i} = 0 for j ≥ len), `prev` is C before
+    // the last length change, `prev_d` its discrepancy then and `gap` the
+    // steps since. Each update C ← prev_d·C − d·z^gap·prev only scales C,
+    // and C_0 (a product of nonzero discrepancies) never vanishes.
+    let (mut len, mut prev_d, mut gap) = (0, F::ONE, 1);
+    for j in 0..m {
+        let t = conn.len().min(j + 1);
+        let d = F::dot(&conn[..t], &reversed[m - 1 - j..][..t]);
+        if d.is_zero() {
+            gap += 1;
+            continue;
+        }
+        next.clear();
+        next.extend(conn.iter().map(|&c| prev_d * c));
+        next.resize(conn.len().max(gap + prev.len()), F::ZERO);
+        for (t, &b) in next[gap..].iter_mut().zip(&prev) {
+            *t -= d * b;
+        }
+        if 2 * len <= j {
+            len = j + 1 - len;
+            std::mem::swap(&mut prev, &mut conn);
+            prev_d = d;
+            gap = 1;
+        } else {
+            gap += 1;
+        }
+        // conn ← next, and the buffer it leaves is the next one's
+        std::mem::swap(&mut conn, &mut next);
+    }
+    if len > radius {
+        return Err(RsError::DecodingFailure);
+    }
+
+    // σ(z) = Σ_{i≤len} C_i z^{len−i}: C reversed *at the register length*,
+    // not at its degree. 0 is a legal evaluation point, and an error
+    // there is a root of σ at 0, i.e. C_len = 0. Horner at every point,
+    // one coefficient at a time from C_0 down.
+    debug_assert!(conn.len() <= len + 1, "deg C ≤ register length");
+    conn.resize(len + 1, F::ZERO);
+    let mut locator = vec![F::ZERO; xs.len()];
+    for &c in &conn {
+        for (v, &x) in locator.iter_mut().zip(xs) {
+            *v = *v * x + c;
+        }
+    }
+    let mut roots = Vec::with_capacity(len + 1);
+    roots.extend((0..xs.len()).filter(|&i| locator[i].is_zero()));
+    if roots.len() != len {
+        return Err(RsError::DecodingFailure);
+    }
+    Ok((conn, roots))
 }
 
 /// Gao's extended-Euclidean decoder.

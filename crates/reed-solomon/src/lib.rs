@@ -55,6 +55,24 @@
 //! the guess through the same symbols would have, so a refuted plan goes
 //! straight to [`RsCode::solve`].
 //!
+//! ## Error plans
+//!
+//! A word the guess cannot verify — its liars moved, so no plan's read set
+//! avoids them — needs a solve, and most of a Berlekamp–Massey solve
+//! depends only on *which* symbols are present: the dual weights
+//! `u_i = 1/Π_{j≠i}(x_i − x_j)` (`m(m−1)` products and an inversion) and the
+//! powers `x_i^j` the syndromes are weighted by. [`RsCode::error_plan`]
+//! tabulates the `(m − dim) × m` parity checks `u_i·x_i^j` of a present set
+//! once, beside a [`DecodePlan`] through its first `dim` positions.
+//! [`ErrorPlan::decode`] then takes the syndromes as dot products, runs the
+//! same recurrence and root search as [`BerlekampMassey`] (one function,
+//! not a copy), gives each error among the read symbols its value in closed
+//! form (`v_l = Σ_j q_l[j]·S_j / (u_l·σ′(x_l))` with `q_l = σ/(z − x_l)`, one
+//! batch inversion), and corrects those symbols. The eq. (9) check and the
+//! values at the targets are then the [`DecodePlan`]'s products. It returns
+//! the error positions and target values [`RsCode::solve`] would, and fails
+//! exactly when that does.
+//!
 //! ## Certificates
 //!
 //! A receiver does not need the whole word to know its decoding is right:
@@ -94,4 +112,4 @@ mod plan;
 
 pub use code::{Decoded, RsCode, RsError};
 pub use decoder::{BerlekampMassey, Decoder, Gao};
-pub use plan::DecodePlan;
+pub use plan::{DecodePlan, ErrorPlan};

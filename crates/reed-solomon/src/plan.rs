@@ -1,7 +1,10 @@
 //! [`DecodePlan`]: the half of a verify-first decode that depends only on
-//! *which* symbols are read, computed once and applied word after word.
+//! *which* symbols are read, computed once and applied word after word; and
+//! [`ErrorPlan`]: the same for a Berlekamp–Massey solve, which depends only
+//! on which symbols are present.
 
 use crate::code::{RsCode, RsError};
+use crate::decoder::{dual_weights, locate};
 use csm_algebra::{dot, Field};
 
 /// The Lagrange basis `L_j` of a read set of `dim` code positions,
@@ -17,6 +20,13 @@ pub struct DecodePlan<F> {
 }
 
 impl<F: Field> DecodePlan<F> {
+    /// `L_·(α_i)`: the interpolant's value at code position `i` is this row
+    /// dotted with the read symbols.
+    fn row(&self, i: usize) -> &[F] {
+        let dim = self.read.len();
+        &self.basis[i * dim..(i + 1) * dim]
+    }
+
     /// The code positions whose symbols the plan interpolates through.
     pub fn read(&self) -> &[usize] {
         &self.read
@@ -57,6 +67,126 @@ impl<F: Field> DecodePlan<F> {
     pub fn evaluate<'a>(&'a self, ys: &'a [F]) -> impl Iterator<Item = F> + 'a {
         let rows = self.basis.chunks_exact(self.read.len());
         rows.skip(self.is_read.len()).map(move |row| dot(row, ys))
+    }
+}
+
+/// A Berlekamp–Massey solve with everything that depends only on the
+/// present positions tabulated — see the crate docs, "Error plans". Built
+/// by [`RsCode::error_plan`].
+#[derive(Debug, Clone)]
+pub struct ErrorPlan<F> {
+    present: Vec<usize>,
+    /// The code points at `present`.
+    xs: Vec<F>,
+    /// The dual weights `u_i` of `xs`.
+    weights: Vec<F>,
+    /// Row-major, `present.len()` wide: row `j < present − dim` is the
+    /// parity check `u_i·x_i^j`.
+    checks: Vec<F>,
+    /// Through the first `dim` present positions, at the targets.
+    reference: DecodePlan<F>,
+}
+
+impl<F: Field> ErrorPlan<F> {
+    /// The code positions the plan was built for, ascending.
+    pub fn present(&self) -> &[usize] {
+        &self.present
+    }
+
+    /// The error positions of the word whose symbols at [`Self::present`]
+    /// are `received`, in that order, and whose other symbols are erased:
+    /// the first two steps of [`Self::decode`], for a caller that wants the
+    /// decoding in another form.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Self::decode`].
+    ///
+    /// # Panics
+    ///
+    /// Those of [`Self::decode`].
+    pub fn locate(&self, received: &[F]) -> Result<Vec<usize>, RsError> {
+        let (_, _, located) = self.syndromes_and_locator(received)?;
+        Ok(located.iter().map(|&l| self.present[l]).collect())
+    }
+
+    /// Decodes the word whose symbols at [`Self::present`] are `received`,
+    /// in that order, and whose other symbols are erased: its error
+    /// positions and the decoded polynomial's value at each target. These
+    /// are what [`RsCode::solve`] with [`crate::BerlekampMassey`] finds,
+    /// and it fails exactly when that does.
+    ///
+    /// # Errors
+    ///
+    /// [`RsError::DecodingFailure`] if the word lies beyond the unique
+    /// decoding radius.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `received` holds one symbol per present position.
+    pub fn decode(&self, received: &[F]) -> Result<(Vec<usize>, Vec<F>), RsError> {
+        let (syndromes, sigma, located) = self.syndromes_and_locator(received)?;
+        let (dim, radius) = (self.reference.read.len(), self.radius());
+        // The reference plan reads the first dim present symbols, so only
+        // the errors among them need values: S_j = Σ_l u_l·v_l·x_l^j, and
+        // q_l = σ/(z − x_l) vanishes at every root but x_l, where it is
+        // σ′(x_l), so v_l = Σ_j q_l[j]·S_j / (u_l·σ′(x_l)).
+        let read_errors = located.partition_point(|&l| l < dim);
+        let len = located.len();
+        let mut sums = Vec::with_capacity(read_errors);
+        let mut denominators = Vec::with_capacity(read_errors);
+        for &l in &located[..read_errors] {
+            let x = self.xs[l];
+            // q_l by synthetic division from the top, its coefficients
+            // highest first against S_{len−1} down, and Horner for q_l(x_l)
+            let (mut q, mut sum, mut at) = (F::ZERO, F::ZERO, F::ZERO);
+            for (&c, &s) in sigma[..len].iter().zip(syndromes[..len].iter().rev()) {
+                q = q * x + c;
+                sum += q * s;
+                at = at * x + q;
+            }
+            sums.push(sum);
+            denominators.push(self.weights[l] * at);
+        }
+        let inverses = F::batch_inverse(&denominators).expect("σ has simple roots and u_l ≠ 0");
+        let mut ys = received[..dim].to_vec();
+        for ((&l, &sum), inverse) in located[..read_errors].iter().zip(&sums).zip(inverses) {
+            ys[l] -= sum * inverse;
+        }
+        // the eq. (9) check: the interpolant through the corrected read
+        // symbols against every other present symbol
+        let mut errors = Vec::with_capacity(radius + 1);
+        errors.extend(located[..read_errors].iter().map(|&l| self.present[l]));
+        for (&i, &y) in self.present[dim..].iter().zip(&received[dim..]) {
+            if dot(self.reference.row(i), &ys) != y {
+                errors.push(i);
+                if errors.len() > radius {
+                    return Err(RsError::DecodingFailure);
+                }
+            }
+        }
+        Ok((errors, self.reference.evaluate(&ys).collect()))
+    }
+
+    fn radius(&self) -> usize {
+        (self.present.len() - self.reference.read.len()) / 2
+    }
+
+    /// The syndromes as dot products with the parity checks, then the
+    /// locator and its roots (indices into `present`) by [`locate`].
+    fn syndromes_and_locator(
+        &self,
+        received: &[F],
+    ) -> Result<(Vec<F>, Vec<F>, Vec<usize>), RsError> {
+        let m = self.present.len();
+        assert_eq!(received.len(), m, "one symbol per present position");
+        let syndromes: Vec<F> = self
+            .checks
+            .chunks_exact(m)
+            .map(|row| dot(row, received))
+            .collect();
+        let (sigma, located) = locate(&syndromes, &self.xs, self.radius())?;
+        Ok((syndromes, sigma, located))
     }
 }
 
@@ -107,6 +237,53 @@ impl<F: Field> RsCode<F> {
             read: read.to_vec(),
             is_read,
             basis,
+        })
+    }
+
+    /// Plans Berlekamp–Massey solves of words whose present symbols sit at
+    /// `present` (distinct positions, any order), with the decoded
+    /// polynomial wanted at `targets`: the dual weights and the parity
+    /// checks of the present points, and a [`DecodePlan`] through the first
+    /// `dim` of them. `O(n²)` products and two field inversions.
+    ///
+    /// # Errors
+    ///
+    /// * [`RsError::InvalidParameters`] if `present` repeats a position or
+    ///   holds one `≥ n`;
+    /// * [`RsError::TooManyErasures`] if it holds fewer than `dim`.
+    pub fn error_plan(&self, present: &[usize], targets: &[F]) -> Result<ErrorPlan<F>, RsError> {
+        let (n, dim) = (self.len(), self.dim());
+        let mut is_present = vec![false; n];
+        let distinct = |&i: &usize| i < n && !std::mem::replace(&mut is_present[i], true);
+        if !present.iter().all(distinct) {
+            return Err(RsError::InvalidParameters(format!(
+                "an error plan needs distinct positions below {n}, not {present:?}"
+            )));
+        }
+        let present: Vec<usize> = (0..n).filter(|&i| is_present[i]).collect();
+        if present.len() < dim {
+            return Err(RsError::TooManyErasures {
+                present: present.len(),
+                dim,
+            });
+        }
+        let xs: Vec<F> = present.iter().map(|&i| self.points()[i]).collect();
+        let weights = dual_weights(&xs)?;
+        let mut checks = Vec::with_capacity((xs.len() - dim) * xs.len());
+        let mut row = weights.clone();
+        for _ in dim..xs.len() {
+            checks.extend_from_slice(&row);
+            for (u, &x) in row.iter_mut().zip(&xs) {
+                *u *= x;
+            }
+        }
+        let reference = self.plan(&present[..dim], targets)?;
+        Ok(ErrorPlan {
+            present,
+            xs,
+            weights,
+            checks,
+            reference,
         })
     }
 }
