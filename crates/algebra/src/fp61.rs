@@ -117,16 +117,19 @@ impl std::ops::Div for Fp61 {
 }
 
 impl std::ops::AddAssign for Fp61 {
+    #[inline]
     fn add_assign(&mut self, rhs: Self) {
         *self = *self + rhs;
     }
 }
 impl std::ops::SubAssign for Fp61 {
+    #[inline]
     fn sub_assign(&mut self, rhs: Self) {
         *self = *self - rhs;
     }
 }
 impl std::ops::MulAssign for Fp61 {
+    #[inline]
     fn mul_assign(&mut self, rhs: Self) {
         *self = *self * rhs;
     }
@@ -198,9 +201,18 @@ impl Field for Fp61 {
 
     /// Sums up to 64 unreduced products in a `u128` before one reduction:
     /// a product of canonical elements is below `2^122`, so 64 of them stay
-    /// below `2^128`.
+    /// below `2^128`. A product of at most 64 terms (every row a decode
+    /// reads) is one plain loop.
+    #[inline]
     fn dot(a: &[Self], b: &[Self]) -> Self {
         assert_eq!(a.len(), b.len(), "dot product length mismatch");
+        if a.len() <= 64 {
+            let mut wide = 0u128;
+            for (x, y) in a.iter().zip(b) {
+                wide += x.0 as u128 * y.0 as u128;
+            }
+            return Self(reduce128(wide));
+        }
         a.chunks(64)
             .zip(b.chunks(64))
             .map(|(a, b)| {

@@ -159,16 +159,19 @@ macro_rules! gf2m_field {
         }
 
         impl std::ops::AddAssign for $name {
+            #[inline]
             fn add_assign(&mut self, rhs: Self) {
                 *self = *self + rhs;
             }
         }
         impl std::ops::SubAssign for $name {
+            #[inline]
             fn sub_assign(&mut self, rhs: Self) {
                 *self = *self - rhs;
             }
         }
         impl std::ops::MulAssign for $name {
+            #[inline]
             fn mul_assign(&mut self, rhs: Self) {
                 *self = *self * rhs;
             }

@@ -3,9 +3,13 @@
 //! worst-case error load `⌊(n−k)/2⌋`, and at N = 32 the same solve through
 //! an error plan (tables built once, as a coded machine holds them, the
 //! decoding wanted at `k` points); on clean words against the
-//! verify-first check that normally runs instead of either; and a clean CSM
-//! result word decoded one-shot against the same word through a warmed
-//! engine's decode plan.
+//! verify-first check that normally runs instead of either; at N = 32 the
+//! error path's pieces: a guess refuted by a liar among the symbols it
+//! reads, and a whole CSM result word whose liars moved (one refuted guess,
+//! one solve through the machine's error plan, and the next coordinate
+//! decoded through what that solve located); and a clean CSM result word
+//! decoded one-shot against the same word through a warmed engine's decode
+//! plan.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use csm_algebra::{distinct_elements, Field, Fp61};
@@ -73,6 +77,43 @@ fn benches(c: &mut Criterion) {
         });
     }
     clean.finish();
+
+    // the error path at N = 32, K = 8, with 8 liars: the guess every
+    // moving-liar word starts with (refuted by the liars among the first
+    // dim symbols), and a bank-machine word decoded as an engine whose
+    // hint is stale decodes it
+    let mut errors = c.benchmark_group("error_path");
+    let (n, k) = (32usize, 8usize);
+    let (code, word) = make_word(n, k, k, 9);
+    assert!(code.guess(|i| word[i], &[], &mut None).unwrap().is_none());
+    errors.bench_with_input(BenchmarkId::new("refuted_guess", n), &n, |b, _| {
+        b.iter(|| code.guess(|i| word[i], &[], &mut None).unwrap())
+    });
+    let machine =
+        Arc::new(CodedMachine::<Fp61>::new(n, k, bank_machine(), DecoderKind::default()).unwrap());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(10);
+    let mut column =
+        || -> Vec<Vec<Fp61>> { (0..k).map(|_| vec![Fp61::random(&mut rng)]).collect() };
+    let (states, commands) = (column(), column());
+    let liars: Vec<usize> = (0..k).map(|j| 1 + 4 * j).collect();
+    let word: Word<Fp61> = (0..n)
+        .map(|i| {
+            let engine = RoundEngine::new(Arc::clone(&machine), i, &states).unwrap();
+            let mut g = engine.execute(&commands).unwrap();
+            if liars.contains(&i) {
+                g.iter_mut().for_each(|x| *x += Fp61::from_u64(0xBAD));
+            }
+            Some(g)
+        })
+        .collect();
+    let decoded = machine.decode_word(&word, &[]).unwrap();
+    assert_eq!(decoded.detected_error_nodes, liars);
+    errors.bench_with_input(
+        BenchmarkId::new("decode_word_moving_liars", n),
+        &n,
+        |b, _| b.iter(|| machine.decode_word(&word, &[]).unwrap()),
+    );
+    errors.finish();
 
     // one honest round's word of the bank machine on K = N/4 shards:
     // one-shot, and through the plan an engine holds from its second

@@ -43,7 +43,7 @@ use crate::digest::digest_results;
 use crate::error::CsmError;
 use crate::exchange::Word;
 use csm_algebra::Field;
-use csm_reed_solomon::{DecodePlan, Decoded, ErrorPlan, RsCode, RsError};
+use csm_reed_solomon::{DecodePlan, Decoded, ErrorPlan, Located, RsCode, RsError};
 use csm_statemachine::{Aggregation, PolyTransition};
 use rand::Rng;
 use std::sync::Arc;
@@ -318,17 +318,20 @@ impl<F: Field> CodedMachine<F> {
     }
 
     /// A word's errors and its values at `ω_k` (appended to `values`)
-    /// without a guess: through the [`ErrorPlan`] when the word is full, by
-    /// [`RsCode::solve`] otherwise.
+    /// without a guess: through the [`ErrorPlan`] when the word is full
+    /// (`received` holds its symbols), keeping in `located` where the
+    /// errors were, and by [`RsCode::solve`] otherwise.
     fn solve(
         &self,
         symbol: impl Fn(usize) -> Option<F>,
+        received: Option<&[F]>,
         values: &mut Vec<F>,
+        located: &mut Option<Located<F>>,
     ) -> Result<Vec<usize>, RsError> {
-        let full = (0..self.n()).map(&symbol).collect::<Option<Vec<F>>>();
-        if let (Some(plan), Some(received)) = (&self.error_plan, full) {
-            let (errors, at) = plan.decode(&received)?;
+        if let (Some(plan), Some(received)) = (&self.error_plan, received) {
+            let (errors, at, kept) = plan.decode_keeping(received)?;
             values.extend(at);
+            *located = Some(kept);
             return Ok(errors);
         }
         let decoded = self.code.solve(&self.decoder, symbol)?;
@@ -349,7 +352,9 @@ impl<F: Field> CodedMachine<F> {
     /// every error position a coordinate reveals. The hint steers which
     /// symbols the guess reads; the result does not depend on it. A
     /// coordinate whose guess fails is solved through the machine's
-    /// [`ErrorPlan`] when every result is present.
+    /// [`ErrorPlan`] when every result is present, and every later full
+    /// coordinate is first decoded through what that solve located
+    /// ([`ErrorPlan::decode_located`]), before any guess.
     ///
     /// # Errors
     ///
@@ -381,7 +386,8 @@ impl<F: Field> CodedMachine<F> {
         }
         let usable = |i: usize| word[i].as_deref().filter(|g| g.len() == out_dim);
         let omegas = self.codebook.omegas();
-        let mut suspects = hint.to_vec();
+        let mut suspects = Vec::with_capacity(hint.len() + n);
+        suspects.extend_from_slice(hint);
         let mut erroneous = vec![false; n];
         let mut note = |errors: &[usize], suspects: &mut Vec<usize>| {
             for &e in errors {
@@ -391,35 +397,58 @@ impl<F: Field> CodedMachine<F> {
             }
         };
         let (mut basis, mut plan, mut ys, mut read) = (None, None, Vec::new(), Vec::new());
+        let mut located = None;
+        // a coordinate's column, gathered at most once into buffers sized
+        // once
+        let (mut symbols, mut received) = (Vec::with_capacity(n), Vec::with_capacity(n));
         // coordinate-major: values[j·K + k] = coordinate j of (S_k(t+1), Y_k(t))
         let mut values = Vec::with_capacity(out_dim * k);
         for jcoord in 0..out_dim {
-            let symbol = |i: usize| usable(i).map(|g| g[jcoord]);
+            let coordinate = |i: usize| usable(i).map(|g| g[jcoord]);
             // a verified guess reveals no error among the symbols it read,
             // so a plan in force still reads what the next guess would
             read.clear();
             if let (None, Some(slot)) = (&plan, slot.as_deref_mut()) {
-                read.extend(self.code.read_set(symbol, &suspects).map(|(i, _)| i));
+                read.extend(self.code.read_set(coordinate, &suspects).map(|(i, _)| i));
                 plan = slot.plan.take_if(|p| p.read() == read);
             }
             if let Some(plan) = &plan {
-                if let Some(errors) = plan.check(symbol, &mut ys) {
+                if let Some(errors) = plan.check(coordinate, &mut ys) {
                     values.extend(plan.evaluate(&ys));
                     note(&errors, &mut suspects);
                     continue;
                 }
             }
+            // what follows reads each symbol several times
+            symbols.clear();
+            symbols.extend((0..n).map(coordinate));
+            received.clear();
+            received.extend(symbols.iter().map_while(|&s| s));
+            let full = (received.len() == n).then_some(&received[..]);
+            let symbol = |i: usize| symbols[i];
             // a refuted plan is dropped, and its guess not interpolated again
-            let guessed = match plan.take() {
-                Some(_) => None,
-                None => self.code.guess(symbol, &suspects, &mut basis)?,
-            };
-            let errors = match guessed {
-                Some(decoded) => {
-                    values.extend(omegas.iter().map(|&w| decoded.poly().eval(w)));
-                    decoded.error_positions().to_vec()
+            let refuted = plan.take().is_some();
+            // the liars an earlier coordinate located are tried before any
+            // guess
+            let reused = match (&self.error_plan, &located, full) {
+                (Some(error_plan), Some(located), Some(received)) => {
+                    error_plan.decode_located(located, received)
                 }
-                None => self.solve(symbol, &mut values)?,
+                _ => None,
+            };
+            let errors = match reused {
+                Some((errors, at)) => {
+                    values.extend(at);
+                    errors
+                }
+                None if refuted => self.solve(symbol, full, &mut values, &mut located)?,
+                None => match self.code.guess(symbol, &suspects, &mut basis)? {
+                    Some(decoded) => {
+                        values.extend(omegas.iter().map(|&w| decoded.poly().eval(w)));
+                        decoded.error_positions().to_vec()
+                    }
+                    None => self.solve(symbol, full, &mut values, &mut located)?,
+                },
             };
             note(&errors, &mut suspects);
             // the guess verified iff none of the symbols it read was wrong;

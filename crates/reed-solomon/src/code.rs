@@ -2,7 +2,7 @@
 //! consistency-set (`τ`) machinery of §6.2.
 
 use crate::decoder::{BerlekampMassey, Decoder};
-use csm_algebra::{Field, Lagrange, Poly};
+use csm_algebra::{Field, Poly};
 
 /// Errors returned by Reed–Solomon operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,6 +89,119 @@ impl<F: Field> Decoded<F> {
     }
 }
 
+/// What a verify-first guess through one read set shares with the next
+/// guess through the same set ([`RsCode::guess`]): the read set's
+/// barycentric weights and, for every unread position a guess has checked,
+/// the table's differences and their product. Everything here depends on
+/// the read positions alone, never on symbols.
+#[derive(Debug, Clone)]
+pub struct GuessBasis<F> {
+    /// The read positions, ascending.
+    read: Vec<usize>,
+    /// `w_j = Π_{l≠j} 1/(x_j − x_l)` over the read set.
+    weights: Vec<F>,
+    /// Row-major, `dim` wide, one row per unread position in ascending
+    /// order: `1/(x_i − x_j)` for the read `j`.
+    rows: Vec<F>,
+    /// Per unread position: `Π_j 1/(x_i − x_j)` over the read set, zero
+    /// (never a product of inverses) until a guess first checks it, so that
+    /// a refuted guess pays only for the positions it checked.
+    products: Vec<F>,
+    /// Row-major, `dim` wide: row `j` holds the coefficients, low to high,
+    /// of `Π_{l≠j} (z − x_l)`; empty until a guess verifies.
+    quotients: Vec<F>,
+    /// `w_j·y_j` for the symbols of the guess in hand.
+    scaled: Vec<F>,
+}
+
+impl<F: Field> GuessBasis<F> {
+    fn new(code: &RsCode<F>, read: Vec<usize>) -> Self {
+        let (unread, dim) = (code.len() - read.len(), read.len());
+        GuessBasis {
+            weights: code.weights(&read),
+            read,
+            rows: vec![F::ZERO; unread * dim],
+            products: vec![F::ZERO; unread],
+            quotients: Vec::new(),
+            scaled: Vec::with_capacity(dim),
+        }
+    }
+
+    /// Whether the interpolant through the read symbols (as `scaled` holds
+    /// them) disagrees with `y` at the `unread`-th unread position `i`. Its
+    /// value there is `Σ_j w_j·y_j/(x_i − x_j)` divided by
+    /// `Π_j 1/(x_i − x_j)`.
+    fn disagrees(&mut self, code: &RsCode<F>, unread: usize, i: usize, y: F) -> bool {
+        let dim = self.read.len();
+        let row = &mut self.rows[unread * dim..(unread + 1) * dim];
+        if self.products[unread].is_zero() {
+            let inverses = code.inverse_row(i);
+            for (r, &j) in row.iter_mut().zip(&self.read) {
+                *r = inverses[j];
+            }
+            self.products[unread] = row.iter().copied().reduce(|a, b| a * b).expect("dim ≥ 1");
+        }
+        F::dot(row, &self.scaled) != y * self.products[unread]
+    }
+
+    /// The verified guess in coefficient form, `Σ_j w_j·y_j·Π_{l≠j}(z − x_l)`,
+    /// with its codeword: the received symbol wherever it agrees, its own
+    /// value at the `errors` and the erasures.
+    fn decoded(
+        &mut self,
+        code: &RsCode<F>,
+        symbol: &impl Fn(usize) -> Option<F>,
+        errors: Vec<usize>,
+    ) -> Decoded<F> {
+        let (n, dim) = (code.len(), self.read.len());
+        if self.quotients.is_empty() {
+            // synthetic division of Π_l (z − x_l) by every (z − x_j) from
+            // the top, one coefficient of all dim quotients at a time
+            let xs: Vec<F> = self.read.iter().map(|&j| code.points[j]).collect();
+            let master = Poly::from_roots(&xs).into_coeffs();
+            let mut carry = vec![master[dim]; dim];
+            self.quotients = vec![F::ZERO; dim * dim];
+            for t in (1..dim).rev() {
+                let rows = self.quotients.chunks_exact_mut(dim);
+                for ((row, c), &x) in rows.zip(&mut carry).zip(&xs) {
+                    row[t] = *c;
+                    *c = master[t] + x * *c;
+                }
+            }
+            for (row, c) in self.quotients.chunks_exact_mut(dim).zip(carry) {
+                row[0] = c;
+            }
+        }
+        let mut message = vec![F::ZERO; dim];
+        for (row, &s) in self.quotients.chunks_exact(dim).zip(&self.scaled) {
+            for (c, &q) in message.iter_mut().zip(row) {
+                *c += s * q;
+            }
+        }
+        // the guess's own value where it disagrees or nothing arrived:
+        // Horner, one coefficient at all those points at a time
+        let mut codeword: Vec<F> = (0..n).map(|i| symbol(i).unwrap_or(F::ZERO)).collect();
+        let own: Vec<usize> = (0..n)
+            .filter(|&i| symbol(i).is_none() || errors.binary_search(&i).is_ok())
+            .collect();
+        let mut at = vec![F::ZERO; own.len()];
+        for &c in message.iter().rev() {
+            for (a, &i) in at.iter_mut().zip(&own) {
+                *a = *a * code.points[i] + c;
+            }
+        }
+        for (&i, a) in own.iter().zip(at) {
+            codeword[i] = a;
+        }
+        Decoded {
+            poly: Poly::new(message.clone()),
+            message,
+            codeword,
+            error_positions: errors,
+        }
+    }
+}
+
 /// A Reed–Solomon code of length `points.len()` and dimension `dim`, defined
 /// by evaluation at arbitrary pairwise-distinct points.
 ///
@@ -99,10 +212,16 @@ impl<F: Field> Decoded<F> {
 pub struct RsCode<F> {
     points: Vec<F>,
     dim: usize,
+    /// Row-major, `n` wide: `1/(x_i − x_j)` at `i·n + j`, zero on the
+    /// diagonal. Every weight a guess, a plan or an error plan needs is a
+    /// product of these.
+    inverses: Vec<F>,
 }
 
 impl<F: Field> RsCode<F> {
-    /// Creates a code from distinct evaluation points and dimension.
+    /// Creates a code from distinct evaluation points and dimension, and
+    /// tabulates `1/(x_i − x_j)` for every pair of points: `n(n−1)/2`
+    /// differences and one batch inversion.
     ///
     /// # Errors
     ///
@@ -112,21 +231,56 @@ impl<F: Field> RsCode<F> {
         if dim == 0 {
             return Err(RsError::InvalidParameters("dimension must be ≥ 1".into()));
         }
-        if dim > points.len() {
+        let n = points.len();
+        if dim > n {
             return Err(RsError::InvalidParameters(format!(
-                "dimension {dim} exceeds length {}",
-                points.len()
+                "dimension {dim} exceeds length {n}"
             )));
         }
-        let mut seen = std::collections::HashSet::with_capacity(points.len());
-        for p in &points {
-            if !seen.insert(*p) {
-                return Err(RsError::InvalidParameters(format!(
-                    "duplicate evaluation point {p}"
-                )));
+        let pairs = || (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
+        let differences: Vec<F> = pairs().map(|(i, j)| points[i] - points[j]).collect();
+        // a difference vanishes exactly where a point repeats
+        let Some(halves) = F::batch_inverse(&differences) else {
+            let (_, j) = pairs()
+                .find(|&(i, j)| points[i] == points[j])
+                .expect("a zero difference");
+            return Err(RsError::InvalidParameters(format!(
+                "duplicate evaluation point {}",
+                points[j]
+            )));
+        };
+        let mut inverses = vec![F::ZERO; n * n];
+        for ((i, j), inverse) in pairs().zip(halves) {
+            inverses[i * n + j] = inverse;
+            inverses[j * n + i] = -inverse;
+        }
+        Ok(RsCode {
+            points,
+            dim,
+            inverses,
+        })
+    }
+
+    /// `1/(x_i − x_j)` for every code position `j` (zero at `j = i`).
+    pub(crate) fn inverse_row(&self, i: usize) -> &[F] {
+        let n = self.len();
+        &self.inverses[i * n..(i + 1) * n]
+    }
+
+    /// The barycentric weights `w_j = Π_{l≠j} 1/(x_j − x_l)` of the points
+    /// at `positions`, from the table: `m²` products, no inversion.
+    pub(crate) fn weights(&self, positions: &[usize]) -> Vec<F> {
+        // every weight advanced one factor at a time, so that consecutive
+        // multiplications belong to independent chains
+        let mut weights = vec![F::ONE; positions.len()];
+        for &l in positions {
+            for (w, &j) in weights.iter_mut().zip(positions) {
+                if j != l {
+                    *w *= self.inverse_row(j)[l];
+                }
             }
         }
-        Ok(RsCode { points, dim })
+        weights
     }
 
     /// Code length `n`.
@@ -208,17 +362,17 @@ impl<F: Field> RsCode<F> {
     /// position `i < n` (`None` for an erasure).
     ///
     /// The candidate is the interpolant through the first `dim` present
-    /// symbols outside `suspects`. If it passes the eq. (9) check it is
-    /// *the* codeword within the decoding radius (crate docs, "Verify
-    /// first"): exactly what `decoder` would have produced, for `O(n·dim)`
-    /// instead of a solve. Only a failed check runs `decoder` on the whole
-    /// word. `suspects` is therefore a pure hint — positions worth skipping
-    /// (last round's error positions, an earlier coordinate's); a wrong,
-    /// stale or out-of-range entry costs one failed check, never
-    /// correctness.
+    /// symbols outside `suspects` ([`RsCode::guess`]). If it passes the
+    /// eq. (9) check it is *the* codeword within the decoding radius (crate
+    /// docs, "Verify first"): exactly what `decoder` would have produced,
+    /// for `O(n·dim)` instead of a solve. Only a failed check runs
+    /// `decoder` on the whole word. `suspects` is therefore a pure hint —
+    /// positions worth skipping (last round's error positions, an earlier
+    /// coordinate's); a wrong, stale or out-of-range entry costs one failed
+    /// check, never correctness.
     ///
-    /// `basis` carries the interpolation basis between calls: words that
-    /// share an erasure pattern and a hint (the coordinates of one CSM
+    /// `basis` carries what the guess shares between calls of this code:
+    /// words read through the same positions (the coordinates of one CSM
     /// result word) reuse it, any other call rebuilds it in place. Pass
     /// `&mut None` when there is nothing to share.
     ///
@@ -233,7 +387,7 @@ impl<F: Field> RsCode<F> {
         decoder: &D,
         symbol: impl Fn(usize) -> Option<F>,
         suspects: &[usize],
-        basis: &mut Option<Lagrange<F>>,
+        basis: &mut Option<GuessBasis<F>>,
     ) -> Result<Decoded<F>, RsError> {
         match self.guess(&symbol, suspects, basis)? {
             Some(decoded) => Ok(decoded),
@@ -246,6 +400,13 @@ impl<F: Field> RsCode<F> {
     /// eq. (9) check (it is then the decoding), `None` if it fails or the
     /// word holds fewer than `dim` present symbols outside `suspects`.
     ///
+    /// The check needs no interpolant (crate docs, "Verify first"): each
+    /// unread symbol is compared barycentrically, through weights and
+    /// differences from the code's table, and a refuted guess stops at its
+    /// `radius + 1`-th disagreement having inverted nothing and formed no
+    /// coefficient. Only a verified guess forms its coefficients and
+    /// evaluates itself, and only where it disagrees or is erased.
+    ///
     /// # Errors
     ///
     /// [`RsError::TooManyErasures`] if fewer than `dim` symbols are present.
@@ -253,27 +414,54 @@ impl<F: Field> RsCode<F> {
         &self,
         symbol: impl Fn(usize) -> Option<F>,
         suspects: &[usize],
-        basis: &mut Option<Lagrange<F>>,
+        basis: &mut Option<GuessBasis<F>>,
     ) -> Result<Option<Decoded<F>>, RsError> {
-        let present = (0..self.len()).filter(|&i| symbol(i).is_some()).count();
-        if present < self.dim {
-            return Err(RsError::TooManyErasures {
-                present,
-                dim: self.dim,
-            });
+        let (n, dim) = (self.len(), self.dim);
+        let present = (0..n).filter(|&i| symbol(i).is_some()).count();
+        if present < dim {
+            return Err(RsError::TooManyErasures { present, dim });
         }
-        let (xs, ys): (Vec<F>, Vec<F>) = self
-            .read_set(&symbol, suspects)
-            .map(|(i, y)| (self.points[i], y))
-            .unzip();
-        if xs.len() < self.dim {
-            return Ok(None);
-        }
-        let lagrange = match basis {
-            Some(shared) if shared.points() == xs => shared,
-            _ => basis.insert(Lagrange::new(&xs)),
+        let read = || self.read_set(&symbol, suspects).map(|(i, _)| i);
+        let basis = match basis {
+            Some(shared) if read().eq(shared.read.iter().copied()) => shared,
+            _ => {
+                let read: Vec<usize> = read().collect();
+                if read.len() < dim {
+                    return Ok(None);
+                }
+                basis.insert(GuessBasis::new(self, read))
+            }
         };
-        Ok(self.finish(lagrange.interpolate(&ys), &symbol).ok())
+        basis.scaled.clear();
+        for (&j, &w) in basis.read.iter().zip(&basis.weights) {
+            basis
+                .scaled
+                .push(w * symbol(j).expect("the read set is present"));
+        }
+        // the read set is ascending: `next` is the next read position, and
+        // `unread` counts the positions checked or erased so far
+        let (mut erasures, mut next, mut unread) = (0, 0, 0);
+        let mut errors = Vec::with_capacity(self.correctable_errors(0) + 1);
+        for i in 0..n {
+            if basis.read.get(next) == Some(&i) {
+                next += 1;
+                continue;
+            }
+            match symbol(i) {
+                None => erasures += 1,
+                Some(y) => {
+                    if basis.disagrees(self, unread, i, y) {
+                        errors.push(i);
+                    }
+                }
+            }
+            unread += 1;
+            // erasures only grow, so the radius only shrinks
+            if errors.len() > (n - erasures).saturating_sub(dim) / 2 {
+                return Ok(None);
+            }
+        }
+        Ok(Some(basis.decoded(self, &symbol, errors)))
     }
 
     /// What a verify-first guess reads: the first `dim` present symbols

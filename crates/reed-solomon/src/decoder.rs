@@ -79,7 +79,7 @@ impl Decoder for BerlekampMassey {
 /// # Errors
 ///
 /// [`RsError::InvalidParameters`] if a point repeats.
-pub(crate) fn dual_weights<F: Field>(xs: &[F]) -> Result<Vec<F>, RsError> {
+fn dual_weights<F: Field>(xs: &[F]) -> Result<Vec<F>, RsError> {
     let mut denominators = vec![F::ONE; xs.len()];
     for (j, &xj) in xs.iter().enumerate() {
         for (i, (d, &xi)) in denominators.iter_mut().zip(xs).enumerate() {
@@ -106,6 +106,22 @@ pub(crate) fn locate<F: Field>(
     xs: &[F],
     radius: usize,
 ) -> Result<(Vec<F>, Vec<usize>), RsError> {
+    let sigma = locator(syndromes, radius)?;
+    let roots = roots(&sigma, xs);
+    if roots.len() != sigma.len() - 1 {
+        return Err(RsError::DecodingFailure);
+    }
+    Ok((sigma, roots))
+}
+
+/// The error locator `σ` of [`locate`], coefficients from the highest
+/// degree down, `L + 1` of them for a recurrence of length `L`.
+///
+/// # Errors
+///
+/// [`RsError::DecodingFailure`] unless the shortest recurrence has length
+/// `L ≤ radius`.
+pub(crate) fn locator<F: Field>(syndromes: &[F], radius: usize) -> Result<Vec<F>, RsError> {
     // reversed[m−1−j+i] = S_{j−i}: each discrepancy is one dot product
     let m = syndromes.len();
     let reversed: Vec<F> = syndromes.iter().rev().copied().collect();
@@ -152,22 +168,25 @@ pub(crate) fn locate<F: Field>(
 
     // σ(z) = Σ_{i≤len} C_i z^{len−i}: C reversed *at the register length*,
     // not at its degree. 0 is a legal evaluation point, and an error
-    // there is a root of σ at 0, i.e. C_len = 0. Horner at every point,
-    // one coefficient at a time from C_0 down.
+    // there is a root of σ at 0, i.e. C_len = 0.
     debug_assert!(conn.len() <= len + 1, "deg C ≤ register length");
     conn.resize(len + 1, F::ZERO);
-    let mut locator = vec![F::ZERO; xs.len()];
-    for &c in &conn {
-        for (v, &x) in locator.iter_mut().zip(xs) {
+    Ok(conn)
+}
+
+/// The indices into `xs` of the roots of `sigma` (coefficients from the
+/// highest degree down), ascending: Horner at every point, one
+/// coefficient at a time from the top.
+pub(crate) fn roots<F: Field>(sigma: &[F], xs: &[F]) -> Vec<usize> {
+    let mut values = vec![F::ZERO; xs.len()];
+    for &c in sigma {
+        for (v, &x) in values.iter_mut().zip(xs) {
             *v = *v * x + c;
         }
     }
-    let mut roots = Vec::with_capacity(len + 1);
-    roots.extend((0..xs.len()).filter(|&i| locator[i].is_zero()));
-    if roots.len() != len {
-        return Err(RsError::DecodingFailure);
-    }
-    Ok((conn, roots))
+    let mut roots = Vec::with_capacity(sigma.len());
+    roots.extend((0..xs.len()).filter(|&i| values[i].is_zero()));
+    roots
 }
 
 /// Gao's extended-Euclidean decoder.

@@ -32,13 +32,27 @@
 //! would agree with each other on `≥ dim` positions, hence be equal. So a
 //! candidate is *checked* in `O(n·dim)` where *finding* one costs a decoder
 //! `O(n²)` at best. Every entry point ([`RsCode::decode`],
-//! [`RsCode::decode_with`], [`RsCode::decode_hinted`]) interpolates a guess
-//! through the first `dim` present symbols outside a caller-supplied
-//! suspect set, runs the check, and falls through to the [`Decoder`] —
-//! whose answer takes the same check — only when the guess fails. By
-//! uniqueness the two routes return the same polynomial, codeword, error
-//! positions and failures; the suspect set and the shared interpolation
-//! basis only decide how often the cheap route is taken.
+//! [`RsCode::decode_with`], [`RsCode::decode_hinted`]) guesses the
+//! interpolant through the first `dim` present symbols outside a
+//! caller-supplied suspect set, runs the check, and falls through to the
+//! [`Decoder`] — whose answer takes the same check — only when the guess
+//! fails. By uniqueness the two routes return the same polynomial,
+//! codeword, error positions and failures; the suspect set and the shared
+//! [`GuessBasis`] only decide how often the cheap route is taken and what
+//! it costs.
+//!
+//! The check does not build the guess. [`RsCode::new`] tabulates
+//! `1/(x_i − x_j)` for every pair of points (one batch inversion, `n²`
+//! elements), so the read set's barycentric weights
+//! `w_j = Π_{l≠j} 1/(x_j − x_l)` are products from the table, and the guess
+//! agrees with an unread symbol `y_i` iff
+//! `y_i·Π_j 1/(x_i − x_j) = Σ_j w_j·y_j/(x_i − x_j)`. A guess that reads a
+//! liar — every word whose liars moved starts with one — is refuted at its
+//! `radius + 1`-th disagreement, having inverted nothing and formed no
+//! coefficient. Only a verified guess forms its coefficients, by synthetic
+//! division with the same weights, and evaluates itself where it disagrees
+//! or is erased. The weights and each position's product depend only on
+//! the read set, so the coordinates of one result word share them.
 //!
 //! ## Decode plans
 //!
@@ -47,31 +61,44 @@
 //! whose faults do not move reads the same ones round after round.
 //! [`RsCode::plan`] fixes a read set and tabulates its Lagrange basis at
 //! every code point and at every point the caller wants the decoded
-//! polynomial at, for one inversion. [`DecodePlan::check`] is then the
-//! eq. (9) check as a matrix–vector product (the guess's value at an unread
-//! position is a dot product with the read symbols) and
-//! [`DecodePlan::evaluate`] a second one: no coefficient form, no
-//! inversion, no allocation beyond the error list. It accepts exactly when
-//! the guess through the same symbols would have, so a refuted plan goes
-//! straight to [`RsCode::solve`].
+//! polynomial at, with the table's weights and no inversion.
+//! [`DecodePlan::check`] is then the eq. (9) check as a matrix–vector
+//! product (the guess's value at an unread position is a dot product with
+//! the read symbols) and [`DecodePlan::evaluate`] a second one: no
+//! coefficient form, no inversion, no allocation beyond the error list. It
+//! accepts exactly when the guess through the same symbols would have, so a
+//! refuted plan goes straight to [`RsCode::solve`].
 //!
 //! ## Error plans
 //!
 //! A word the guess cannot verify — its liars moved, so no plan's read set
 //! avoids them — needs a solve, and most of a Berlekamp–Massey solve
 //! depends only on *which* symbols are present: the dual weights
-//! `u_i = 1/Π_{j≠i}(x_i − x_j)` (`m(m−1)` products and an inversion) and the
-//! powers `x_i^j` the syndromes are weighted by. [`RsCode::error_plan`]
-//! tabulates the `(m − dim) × m` parity checks `u_i·x_i^j` of a present set
-//! once, beside a [`DecodePlan`] through its first `dim` positions.
+//! `u_i = 1/Π_{j≠i}(x_i − x_j)` (products from the table) and the powers
+//! `x_i^j` the syndromes are weighted by. [`RsCode::error_plan`] tabulates
+//! the `(m − dim) × m` parity checks `u_i·x_i^j` of a present set once,
+//! beside a [`DecodePlan`] through its first `dim` positions.
 //! [`ErrorPlan::decode`] then takes the syndromes as dot products, runs the
-//! same recurrence and root search as [`BerlekampMassey`] (one function,
-//! not a copy), gives each error among the read symbols its value in closed
-//! form (`v_l = Σ_j q_l[j]·S_j / (u_l·σ′(x_l))` with `q_l = σ/(z − x_l)`, one
+//! same recurrence as [`BerlekampMassey`] (one function, not a copy), looks
+//! for the locator's roots among the `dim` read positions only, gives each
+//! error there its value in closed form
+//! (`v_l = Σ_j q_l[j]·S_j / (u_l·σ′(x_l))` with `q_l = σ/(z − x_l)`, one
 //! batch inversion), and corrects those symbols. The eq. (9) check and the
-//! values at the targets are then the [`DecodePlan`]'s products. It returns
-//! the error positions and target values [`RsCode::solve`] would, and fails
-//! exactly when that does.
+//! values at the targets are then the [`DecodePlan`]'s products; the check
+//! finds the errors outside the read set, and fails a word whose locator is
+//! not its own, which happens only beyond the radius. It returns the error
+//! positions and target values [`RsCode::solve`] would, and fails exactly
+//! when that does.
+//!
+//! Liars are senders, so the next coordinate of the same result word has
+//! its errors where the last one had them, or at fewer of those positions.
+//! [`ErrorPlan::decode_keeping`] keeps what it located ([`Located`]: the
+//! roots, and the quotients `q_l` and inverted denominators of the read
+//! errors), and [`ErrorPlan::decode_located`] decodes the next word through
+//! it: `|E|` syndromes, the closed-form values with the kept inverses (a
+//! value of 0 is no error), and the same eq. (9) check — no recurrence, no
+//! root search, no inversion. It returns what [`ErrorPlan::decode`] would,
+//! or declines when the word's errors lie elsewhere.
 //!
 //! ## Certificates
 //!
@@ -110,6 +137,6 @@ mod code;
 mod decoder;
 mod plan;
 
-pub use code::{Decoded, RsCode, RsError};
+pub use code::{Decoded, GuessBasis, RsCode, RsError};
 pub use decoder::{BerlekampMassey, Decoder, Gao};
-pub use plan::{DecodePlan, ErrorPlan};
+pub use plan::{DecodePlan, ErrorPlan, Located};

@@ -4,7 +4,7 @@
 //! on which symbols are present.
 
 use crate::code::{RsCode, RsError};
-use crate::decoder::{dual_weights, locate};
+use crate::decoder::{locate, locator, roots};
 use csm_algebra::{dot, Field};
 
 /// The Lagrange basis `L_j` of a read set of `dim` code positions,
@@ -87,6 +87,23 @@ pub struct ErrorPlan<F> {
     reference: DecodePlan<F>,
 }
 
+/// Where [`ErrorPlan::decode_keeping`] found a word's errors, kept for
+/// [`ErrorPlan::decode_located`]: how many roots the error locator `σ` has,
+/// and for each root among the reference plan's read positions the
+/// quotient `q_l = σ/(z − x_l)` and the inverted denominator
+/// `1/(u_l·σ′(x_l))` of its closed-form error value.
+#[derive(Debug, Clone)]
+pub struct Located<F> {
+    /// `|E|`, the syndromes the closed form reads.
+    len: usize,
+    /// The roots the reference plan reads, as indices into the plan's
+    /// present positions, ascending.
+    read_errors: Vec<usize>,
+    /// Row-major, `len` wide: `q_l`'s coefficients, highest first.
+    quotients: Vec<F>,
+    inverses: Vec<F>,
+}
+
 impl<F: Field> ErrorPlan<F> {
     /// The code positions the plan was built for, ascending.
     pub fn present(&self) -> &[usize] {
@@ -106,7 +123,7 @@ impl<F: Field> ErrorPlan<F> {
     ///
     /// Those of [`Self::decode`].
     pub fn locate(&self, received: &[F]) -> Result<Vec<usize>, RsError> {
-        let (_, _, located) = self.syndromes_and_locator(received)?;
+        let (_, located) = locate(&self.syndromes(received), &self.xs, self.radius())?;
         Ok(located.iter().map(|&l| self.present[l]).collect())
     }
 
@@ -125,75 +142,151 @@ impl<F: Field> ErrorPlan<F> {
     ///
     /// Panics unless `received` holds one symbol per present position.
     pub fn decode(&self, received: &[F]) -> Result<(Vec<usize>, Vec<F>), RsError> {
-        let (syndromes, sigma, located) = self.syndromes_and_locator(received)?;
-        let (dim, radius) = (self.reference.read.len(), self.radius());
+        let (errors, values, _) = self.decode_keeping(received)?;
+        Ok((errors, values))
+    }
+
+    /// [`Self::decode`], keeping what it located for
+    /// [`Self::decode_located`] on the next word over the same present
+    /// positions (the next coordinate of a CSM result word).
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Self::decode`].
+    ///
+    /// # Panics
+    ///
+    /// Those of [`Self::decode`].
+    pub fn decode_keeping(
+        &self,
+        received: &[F],
+    ) -> Result<(Vec<usize>, Vec<F>, Located<F>), RsError> {
+        let syndromes = self.syndromes(received);
+        let sigma = locator(&syndromes, self.radius())?;
+        let (dim, len) = (self.reference.read.len(), sigma.len() - 1);
         // The reference plan reads the first dim present symbols, so only
-        // the errors among them need values: S_j = Σ_l u_l·v_l·x_l^j, and
-        // q_l = σ/(z − x_l) vanishes at every root but x_l, where it is
-        // σ′(x_l), so v_l = Σ_j q_l[j]·S_j / (u_l·σ′(x_l)).
-        let read_errors = located.partition_point(|&l| l < dim);
-        let len = located.len();
-        let mut sums = Vec::with_capacity(read_errors);
-        let mut denominators = Vec::with_capacity(read_errors);
-        for &l in &located[..read_errors] {
+        // the errors among them need values, and σ's roots are looked for
+        // there alone: the eq. (9) check finds every other error, and fails
+        // the word — beyond the radius, where a solve fails too — if σ is
+        // not its locator. S_j = Σ_l u_l·v_l·x_l^j, and q_l = σ/(z − x_l)
+        // vanishes at every root but x_l, where it is σ′(x_l), so
+        // v_l = Σ_j q_l[j]·S_j / (u_l·σ′(x_l)).
+        let read_errors = roots(&sigma, &self.xs[..dim]);
+        let mut quotients = Vec::with_capacity(read_errors.len() * len);
+        let mut sums = Vec::with_capacity(read_errors.len());
+        let mut denominators = Vec::with_capacity(read_errors.len());
+        for &l in &read_errors {
             let x = self.xs[l];
             // q_l by synthetic division from the top, its coefficients
             // highest first against S_{len−1} down, and Horner for q_l(x_l)
             let (mut q, mut sum, mut at) = (F::ZERO, F::ZERO, F::ZERO);
             for (&c, &s) in sigma[..len].iter().zip(syndromes[..len].iter().rev()) {
                 q = q * x + c;
+                quotients.push(q);
                 sum += q * s;
                 at = at * x + q;
             }
             sums.push(sum);
             denominators.push(self.weights[l] * at);
         }
-        let inverses = F::batch_inverse(&denominators).expect("σ has simple roots and u_l ≠ 0");
+        // σ′(x_l) = 0 only at a repeated root, which the locator of a word
+        // within the radius never has
+        let inverses = F::batch_inverse(&denominators).ok_or(RsError::DecodingFailure)?;
         let mut ys = received[..dim].to_vec();
-        for ((&l, &sum), inverse) in located[..read_errors].iter().zip(&sums).zip(inverses) {
+        let mut errors = Vec::with_capacity(self.radius() + 1);
+        for ((&l, &sum), &inverse) in read_errors.iter().zip(&sums).zip(&inverses) {
             ys[l] -= sum * inverse;
+            errors.push(self.present[l]);
         }
-        // the eq. (9) check: the interpolant through the corrected read
-        // symbols against every other present symbol
-        let mut errors = Vec::with_capacity(radius + 1);
-        errors.extend(located[..read_errors].iter().map(|&l| self.present[l]));
+        let (errors, values) = self.check(received, &ys, errors)?;
+        let located = Located {
+            len,
+            read_errors,
+            quotients,
+            inverses,
+        };
+        Ok((errors, values, located))
+    }
+
+    /// Decodes the word whose symbols at [`Self::present`] are `received`
+    /// through what an earlier [`Self::decode_keeping`] of this plan
+    /// located, with no recurrence, no root search and no inversion: the
+    /// first `|located|` syndromes, the kept closed form for the value at
+    /// each located read error (a value of 0 is no error), and the eq. (9)
+    /// check of the corrected interpolant. It returns exactly what
+    /// [`Self::decode`] would, or `None` — the word's errors are not where
+    /// the earlier word's were, or it lies beyond the radius — and the
+    /// caller decodes it some other way.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `received` holds one symbol per present position.
+    pub fn decode_located(
+        &self,
+        located: &Located<F>,
+        received: &[F],
+    ) -> Option<(Vec<usize>, Vec<F>)> {
+        let m = self.present.len();
+        assert_eq!(received.len(), m, "one symbol per present position");
+        let len = located.len;
+        // S_{len−1} down to S_0, against the quotients' highest coefficient
+        // first
+        let rows = self.checks.chunks_exact(m).take(len).rev();
+        let reversed: Vec<F> = rows.map(|row| dot(row, received)).collect();
+        let mut ys = received[..self.reference.read.len()].to_vec();
+        let mut errors = Vec::with_capacity(self.radius() + 1);
+        // with nothing located there is no read error and no row to read
+        let quotients = located.quotients.chunks_exact(len.max(1));
+        let read_errors = located.read_errors.iter().zip(quotients);
+        for ((&l, q), &inverse) in read_errors.zip(&located.inverses) {
+            let value = dot(q, &reversed) * inverse;
+            if !value.is_zero() {
+                ys[l] -= value;
+                errors.push(self.present[l]);
+            }
+        }
+        self.check(received, &ys, errors).ok()
+    }
+
+    /// The eq. (9) check of the interpolant through the corrected read
+    /// symbols `ys`, whose `errors` are already listed, against every other
+    /// present symbol; then its values at the targets.
+    fn check(
+        &self,
+        received: &[F],
+        ys: &[F],
+        mut errors: Vec<usize>,
+    ) -> Result<(Vec<usize>, Vec<F>), RsError> {
+        let (dim, radius) = (self.reference.read.len(), self.radius());
         for (&i, &y) in self.present[dim..].iter().zip(&received[dim..]) {
-            if dot(self.reference.row(i), &ys) != y {
+            if dot(self.reference.row(i), ys) != y {
                 errors.push(i);
                 if errors.len() > radius {
                     return Err(RsError::DecodingFailure);
                 }
             }
         }
-        Ok((errors, self.reference.evaluate(&ys).collect()))
+        Ok((errors, self.reference.evaluate(ys).collect()))
     }
 
     fn radius(&self) -> usize {
         (self.present.len() - self.reference.read.len()) / 2
     }
 
-    /// The syndromes as dot products with the parity checks, then the
-    /// locator and its roots (indices into `present`) by [`locate`].
-    fn syndromes_and_locator(
-        &self,
-        received: &[F],
-    ) -> Result<(Vec<F>, Vec<F>, Vec<usize>), RsError> {
+    /// The syndromes as dot products with the parity checks.
+    fn syndromes(&self, received: &[F]) -> Vec<F> {
         let m = self.present.len();
         assert_eq!(received.len(), m, "one symbol per present position");
-        let syndromes: Vec<F> = self
-            .checks
-            .chunks_exact(m)
-            .map(|row| dot(row, received))
-            .collect();
-        let (sigma, located) = locate(&syndromes, &self.xs, self.radius())?;
-        Ok((syndromes, sigma, located))
+        let rows = self.checks.chunks_exact(m);
+        rows.map(|row| dot(row, received)).collect()
     }
 }
 
 impl<F: Field> RsCode<F> {
     /// Plans decoding through the symbols at `read` — exactly `dim`
     /// distinct code positions — with the decoded polynomial wanted at
-    /// `targets`. One field inversion and `O((n + targets)·dim)` products.
+    /// `targets`. `O((n + targets)·dim)` products and no inversion: the
+    /// weights are the code table's.
     ///
     /// # Errors
     ///
@@ -209,11 +302,7 @@ impl<F: Field> RsCode<F> {
             )));
         }
         let xs: Vec<F> = read.iter().map(|&i| self.points()[i]).collect();
-        let others = |j: usize| xs.iter().enumerate().filter(move |&(l, _)| l != j);
-        let denominators: Vec<F> = (0..dim)
-            .map(|j| others(j).map(|(_, &x)| xs[j] - x).product())
-            .collect();
-        let weights = F::batch_inverse(&denominators).expect("code points are distinct");
+        let weights = self.weights(read);
         // L_j(t) = w_j · Π_{l<j} (t − x_l) · Π_{l>j} (t − x_l), each running
         // product advanced one factor at a time at every site, so that
         // consecutive multiplications belong to independent chains
@@ -244,7 +333,8 @@ impl<F: Field> RsCode<F> {
     /// `present` (distinct positions, any order), with the decoded
     /// polynomial wanted at `targets`: the dual weights and the parity
     /// checks of the present points, and a [`DecodePlan`] through the first
-    /// `dim` of them. `O(n²)` products and two field inversions.
+    /// `dim` of them. `O(n²)` products and no inversion: the weights are
+    /// the code table's.
     ///
     /// # Errors
     ///
@@ -268,7 +358,7 @@ impl<F: Field> RsCode<F> {
             });
         }
         let xs: Vec<F> = present.iter().map(|&i| self.points()[i]).collect();
-        let weights = dual_weights(&xs)?;
+        let weights = self.weights(&present);
         let mut checks = Vec::with_capacity((xs.len() - dim) * xs.len());
         let mut row = weights.clone();
         for _ in dim..xs.len() {
