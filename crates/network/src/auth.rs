@@ -7,6 +7,17 @@
 //! Byzantine node *logic* never reads other nodes' keys, so forging a tag
 //! for another signer requires guessing 64 bits.
 //!
+//! What is MACed is a byte string: the wire MACs a frame's encoded
+//! payload bytes through [`KeyRegistry::sign_bytes`] /
+//! [`KeyRegistry::verify_bytes`]. The keyed state absorbs the string's
+//! length first (as a `u64`), then 8 bytes per mix (each word read
+//! little-endian), then a zero-padded tail word tagged with the tail's
+//! length in its top byte. Receivers MAC the payload bytes they received
+//! rather than a re-encoding of what they decoded. The `Hash`-generic
+//! [`KeyRegistry::sign`] / [`KeyRegistry::verify`] feed the same absorber
+//! through [`Hasher`]; the consensus layer signs its domain-separated
+//! values with them.
+//!
 //! This is a **simulation substitute, not cryptography**: the mixer is a
 //! SplitMix64-style permutation, fine for modeling unforgeability in a
 //! reproduction, unsuitable for real adversaries.
@@ -32,7 +43,7 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A keyed [`Hasher`] used to MAC `Hash`-able messages.
+/// The keyed MAC state: the one absorber every tag goes through.
 #[derive(Debug, Clone)]
 struct MacHasher {
     state: u64,
@@ -49,14 +60,31 @@ impl Hasher for MacHasher {
         mix(self.state)
     }
 
+    /// Absorbs `bytes`: the length first, then 8 bytes per mix, then the
+    /// zero-padded tail with its length in the top byte (a tail holds at
+    /// most 7 bytes, so that byte is otherwise zero).
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state = mix(self.state ^ b as u64);
+        self.write_u64(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(word) | ((tail.len() as u64) << 56));
         }
     }
 
     fn write_u64(&mut self, v: u64) {
         self.state = mix(self.state ^ v);
+    }
+
+    /// Lengths and indices mix as `u64`, so a tag does not depend on the
+    /// platform's pointer width or byte order.
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
     }
 }
 
@@ -97,18 +125,29 @@ impl KeyRegistry {
         self.keys.is_empty()
     }
 
+    /// The MAC tag of `msg` under `key`.
+    fn tag<M: Hash + ?Sized>(key: u64, msg: &M) -> u64 {
+        let mut h = MacHasher::with_key(key);
+        msg.hash(&mut h);
+        h.finish()
+    }
+
+    /// The MAC tag of the byte string `bytes` under `key`.
+    fn tag_bytes(key: u64, bytes: &[u8]) -> u64 {
+        let mut h = MacHasher::with_key(key);
+        h.write(bytes);
+        h.finish()
+    }
+
     /// Signs a message as `signer`.
     ///
     /// # Panics
     ///
     /// Panics if `signer` is not registered.
     pub fn sign<M: Hash>(&self, signer: NodeId, msg: &M) -> Signature {
-        let key = self.keys[signer.0];
-        let mut h = MacHasher::with_key(key);
-        msg.hash(&mut h);
         Signature {
             signer,
-            tag: h.finish(),
+            tag: Self::tag(self.keys[signer.0], msg),
         }
     }
 
@@ -117,12 +156,31 @@ impl KeyRegistry {
     /// Returns `false` (rather than panicking) for unknown signers, so a
     /// Byzantine node cannot crash verifiers with a bogus id.
     pub fn verify<M: Hash>(&self, msg: &M, sig: &Signature) -> bool {
-        let Some(&key) = self.keys.get(sig.signer.0) else {
-            return false;
-        };
-        let mut h = MacHasher::with_key(key);
-        msg.hash(&mut h);
-        h.finish() == sig.tag
+        self.keys
+            .get(sig.signer.0)
+            .is_some_and(|&key| Self::tag(key, msg) == sig.tag)
+    }
+
+    /// Signs the byte string `bytes` as `signer`: the MAC the wire puts
+    /// on a frame's encoded payload. Unlike [`sign`](Self::sign), the tag
+    /// is a function of the bytes alone, not of how `Hash` walks a slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `signer` is not registered.
+    pub fn sign_bytes(&self, signer: NodeId, bytes: &[u8]) -> Signature {
+        Signature {
+            signer,
+            tag: Self::tag_bytes(self.keys[signer.0], bytes),
+        }
+    }
+
+    /// Verifies a [`sign_bytes`](Self::sign_bytes) signature; `false` for
+    /// unknown signers, as [`verify`](Self::verify).
+    pub fn verify_bytes(&self, bytes: &[u8], sig: &Signature) -> bool {
+        self.keys
+            .get(sig.signer.0)
+            .is_some_and(|&key| Self::tag_bytes(key, bytes) == sig.tag)
     }
 }
 

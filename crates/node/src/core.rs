@@ -31,8 +31,8 @@ use crate::consensus::{
     ConsensusKind, StagingFault,
 };
 use crate::gateway::{
-    batch_valid, chunk_after_fault, decode_batch, encode_batch, reply_after_fault, reply_payload,
-    Admission, BatchEntry, EventScope, ExchangeTiming, GatewayConfig, GatewayReport, GatewaySpec,
+    chunk_after_fault, encode_batch, reply_after_fault, reply_payload, Admission, BatchCheck,
+    BatchEntry, EventScope, ExchangeTiming, GatewayConfig, GatewayReport, GatewaySpec,
     GatewayStats, REPLY_CACHE_CAP, TELEMETRY_REPLY_MAX_BYTES,
 };
 use crate::recovery::{replay_local, DurabilityConfig, RecoveryInfo};
@@ -291,6 +291,7 @@ pub struct GatewayCore<F: Field> {
     /// or skipped.
     engine: RoundEngine<F>,
     admission: Admission,
+    batch_check: BatchCheck,
     round_entered: u64,
     phase: PhaseState<F>,
     commits: VecDeque<Option<RoundCommit<F>>>,
@@ -495,6 +496,7 @@ impl<F: Field> GatewayCore<F> {
             sink,
             engine,
             admission,
+            batch_check: BatchCheck::default(),
             round_entered: 0,
             phase: PhaseState::Idle,
             commits: VecDeque::new(),
@@ -742,7 +744,7 @@ impl<F: Field> GatewayCore<F> {
     /// The shared batch-validity predicate (client MACs, shape, dedup
     /// horizon) against this node's current admission state.
     fn valid(&self, rows: &[Vec<u64>]) -> bool {
-        batch_valid(
+        self.batch_check.valid(
             rows,
             &self.machine,
             self.batch_cap,
@@ -1349,9 +1351,9 @@ impl<F: Field> GatewayCore<F> {
         timed_out: bool,
         transition: impl FnOnce(&mut PbftBatch, &dyn Fn(&[Vec<u64>]) -> bool) -> Vec<PbftBatchMsg>,
     ) {
-        let (machine, registry) = (&self.machine, &self.registry);
+        let (machine, registry, check) = (&self.machine, &self.registry, &self.batch_check);
         let (cap, horizon) = (self.batch_cap, &self.admission.horizon);
-        let valid = |rows: &[Vec<u64>]| batch_valid(rows, machine, cap, registry, horizon);
+        let valid = |rows: &[Vec<u64>]| check.valid(rows, machine, cap, registry, horizon);
         let PhaseState::Staging(Staging::Pbft { pbft, view_started }) = &mut self.phase else {
             return;
         };
@@ -1418,17 +1420,13 @@ impl<F: Field> GatewayCore<F> {
             self.admission.stats.stage_fallbacks += 1;
             self.incident(None, Incident::StageFallback);
         }
+        // every row's client MAC is checked before it executes: here, or
+        // by the `valid` call that kept exactly these rows' batch
         let batch = agreed
             .as_deref()
             .and_then(|rows| {
-                decode_batch(
-                    rows,
-                    self.machine.k(),
-                    self.batch_cap,
-                    self.machine.transition().input_dim(),
-                    self.cluster,
-                    &self.registry,
-                )
+                self.batch_check
+                    .take_decoded(rows, &self.machine, self.batch_cap, &self.registry)
             })
             .unwrap_or_default();
         if batch.is_empty() {

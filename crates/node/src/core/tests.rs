@@ -4,6 +4,7 @@
 
 use super::*;
 use crate::cluster_registry;
+use crate::gateway::decode_batch;
 use crate::recovery::{open_store, persist};
 use csm_algebra::{Fp61, Gf2_16};
 use csm_core::digest::splitmix64;
@@ -1420,4 +1421,89 @@ fn a_degree_three_machine_over_gf2_16_commits_the_uncoded_results() {
             );
         }
     }
+}
+
+#[test]
+fn a_follower_executes_the_rows_it_adopts_not_the_rows_it_validated() {
+    // N = 7, b = 2: an echo quorum is 5 votes, so a follower can be
+    // outvoted on the variant an equivocating leader showed it
+    let r = sized_rig(7, 2, ConsensusKind::LeaderEcho);
+    let spec = GatewaySpec {
+        staging_fault: StagingFault::EquivocateBatch,
+        ..r.spec.clone()
+    };
+    let mut leader = GatewayCore::new(
+        0,
+        Arc::clone(&r.registry),
+        r.timing.clone(),
+        &spec,
+        &r.cfg,
+        None,
+    );
+    let (at, next) = timer(&leader.start(0), TimerKind::Next);
+    leader.step(at, Event::Frame(r.submit(7, 0, 5)));
+    leader.step(at, Event::Frame(r.submit(8, 0, 9)));
+    // the Byzantine leader shows the full batch to even peers and its
+    // truncation to odd ones
+    let effects = leader.step(at, Event::Timer(next));
+    let shown_to = |peer: usize| {
+        effects
+            .iter()
+            .find_map(|e| match e {
+                Effect::Send {
+                    to,
+                    frame:
+                        Frame {
+                            payload: Payload::Stage { commands, .. },
+                            ..
+                        },
+                } if *to == peer => Some(commands.clone()),
+                _ => None,
+            })
+            .expect("the leader proposes to every peer")
+    };
+    let (full, truncated) = (shown_to(2), shown_to(1));
+    assert_eq!((full.len(), truncated.len()), (2, 1));
+    let mut forged = truncated.clone();
+    forged[0][3] ^= 1; // the client's tag, altered
+
+    let stage = |voter: usize, commands: &BatchRows| {
+        let vote = Payload::Stage {
+            round: 0,
+            sender: voter as u64,
+            commands: commands.clone(),
+        };
+        Event::Frame(r.sign(voter, vote))
+    };
+    // follower 1 validates and echoes the leader's truncated variant, then
+    // five votes carry `adopted`: the batch it executes
+    let executed = |adopted: &BatchRows| {
+        let mut follower = staging_follower(&r);
+        let effects = follower.step(100, stage(0, &truncated));
+        assert!(
+            effects.iter().any(|e| matches!(
+                e,
+                Effect::Broadcast(Frame {
+                    payload: Payload::Stage { .. },
+                    ..
+                })
+            )),
+            "the follower validates and echoes: {effects:?}"
+        );
+        for voter in 2..7 {
+            follower.step(200, stage(voter, adopted));
+        }
+        match &follower.phase {
+            PhaseState::Exchanging { batch, .. } => (batch.clone(), follower.stats().empty_rounds),
+            _ => panic!("the follower adopted a batch"),
+        }
+    };
+    let decoded = |rows: &BatchRows| decode_batch(rows, 2, 1, 1, 7, &r.registry);
+    // the other variant: decoded and verified afresh
+    assert_eq!(executed(&full), (decoded(&full).unwrap(), 0));
+    // the validated variant itself: the batch its check kept
+    assert_eq!(executed(&truncated), (decoded(&truncated).unwrap(), 0));
+    // the validated rows with a tag altered: refused, the empty batch
+    assert_eq!(decoded(&forged), None);
+    assert_eq!(executed(&forged), (Vec::new(), 1));
 }

@@ -69,6 +69,7 @@ use csm_network::NodeId;
 use csm_storage::NodeStore;
 use csm_telemetry::{Event, Phase, SharedSink, Sink};
 use csm_transport::{Frame, Payload, RecvError, Transport};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -116,16 +117,10 @@ impl BatchEntry {
         }
     }
 
-    /// Verifies the client's MAC over the claimed submission.
+    /// Verifies the client's MAC over the claimed submission: the MAC of
+    /// the `Submit` frame the client would have sent.
     pub fn verify(&self, registry: &KeyRegistry) -> bool {
-        use csm_transport::Wire;
-        registry.verify(
-            &self.submit_payload().to_bytes(),
-            &csm_network::auth::Signature {
-                signer: NodeId(self.client as usize),
-                tag: self.sig_tag,
-            },
-        )
+        self.submit_frame().verify(registry)
     }
 }
 
@@ -196,18 +191,13 @@ pub fn decode_batch(
     Some(batch)
 }
 
-/// The batch-validity predicate every backend shares: `rows` decode for
-/// `machine` under `batch_cap` (shape, client MACs, uniqueness) and no
-/// row replays a command at or below its client's committed `horizon` —
-/// commits advance the horizon on every honest node alike, so they all
-/// judge a proposal the same way.
-pub(crate) fn batch_valid<F: Field>(
+/// [`decode_batch`] for `machine`'s shards, command width and cluster.
+fn decode_for<F: Field>(
     rows: &[Vec<u64>],
     machine: &CodedMachine<F>,
     batch_cap: usize,
     registry: &KeyRegistry,
-    horizon: &BTreeMap<u64, u64>,
-) -> bool {
+) -> Option<Vec<BatchEntry>> {
     let input_dim = machine.transition().input_dim();
     decode_batch(
         rows,
@@ -217,11 +207,71 @@ pub(crate) fn batch_valid<F: Field>(
         machine.n(),
         registry,
     )
-    .is_some_and(|batch| {
-        batch
+}
+
+/// Whether `row` is exactly `entry`'s [`encode_batch`] row.
+fn is_row_of(row: &[u64], entry: &BatchEntry) -> bool {
+    row.len() == 4 + entry.command.len()
+        && row[..4] == [entry.client, entry.seq, entry.shard as u64, entry.sig_tag]
+        && row[4..] == entry.command
+}
+
+/// One node's batch checks: the validity predicate every backend shares,
+/// and the batch it last decoded, kept so the round executes the agreed
+/// batch without verifying its client MACs a second time.
+#[derive(Debug, Default)]
+pub(crate) struct BatchCheck {
+    /// The batch [`valid`](Self::valid) last decoded (shape, client MACs
+    /// and uniqueness checked).
+    decoded: RefCell<Option<Vec<BatchEntry>>>,
+}
+
+impl BatchCheck {
+    /// The batch-validity predicate: `rows` decode for `machine` under
+    /// `batch_cap` (shape, client MACs, uniqueness) and no row replays a
+    /// command at or below its client's committed `horizon` — commits
+    /// advance the horizon on every honest node alike, so they all judge
+    /// a proposal the same way. Keeps the decoded batch.
+    pub(crate) fn valid<F: Field>(
+        &self,
+        rows: &[Vec<u64>],
+        machine: &CodedMachine<F>,
+        batch_cap: usize,
+        registry: &KeyRegistry,
+        horizon: &BTreeMap<u64, u64>,
+    ) -> bool {
+        let Some(batch) = decode_for(rows, machine, batch_cap, registry) else {
+            return false;
+        };
+        let fresh = batch
             .iter()
-            .all(|e| horizon.get(&e.client).is_none_or(|&s| s < e.seq))
-    })
+            .all(|e| horizon.get(&e.client).is_none_or(|&s| s < e.seq));
+        *self.decoded.borrow_mut() = Some(batch);
+        fresh
+    }
+
+    /// What [`decode_batch`] returns for `rows`, and forgets the kept
+    /// batch. Rows that are exactly the kept batch's rows return it with
+    /// no second MAC check: decoding is a function of the rows, so it is
+    /// the batch a fresh decode yields. Any other rows are decoded and
+    /// verified from scratch.
+    pub(crate) fn take_decoded<F: Field>(
+        &self,
+        rows: &[Vec<u64>],
+        machine: &CodedMachine<F>,
+        batch_cap: usize,
+        registry: &KeyRegistry,
+    ) -> Option<Vec<BatchEntry>> {
+        match self.decoded.take() {
+            Some(batch)
+                if rows.len() == batch.len()
+                    && rows.iter().zip(&batch).all(|(row, e)| is_row_of(row, e)) =>
+            {
+                Some(batch)
+            }
+            _ => decode_for(rows, machine, batch_cap, registry),
+        }
+    }
 }
 
 /// Maximum cached reply payloads across all clients. A cached reply is
@@ -1107,9 +1157,8 @@ mod tests {
             sig_tag: 0,
             command,
         };
-        use csm_transport::Wire;
-        e.sig_tag = reg
-            .sign(NodeId(client as usize), &e.submit_payload().to_bytes())
+        e.sig_tag = Frame::sign(e.submit_payload(), reg, NodeId(client as usize))
+            .sig
             .tag;
         e
     }
@@ -1191,9 +1240,8 @@ mod tests {
         assert!(decode_batch(&rows, 2, 1, 1, 8, &reg).is_none());
         // signing with the *leader's* key (node 3) instead doesn't help
         let mut wrong_key = entry(&reg, 8, 0, 0, vec![1]);
-        use csm_transport::Wire;
-        wrong_key.sig_tag = reg
-            .sign(NodeId(3), &wrong_key.submit_payload().to_bytes())
+        wrong_key.sig_tag = Frame::sign(wrong_key.submit_payload(), &reg, NodeId(3))
+            .sig
             .tag;
         assert!(decode_batch(&encode_batch(&[wrong_key]), 2, 1, 1, 8, &reg).is_none());
     }

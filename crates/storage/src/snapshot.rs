@@ -46,6 +46,14 @@ impl Wire for Snapshot {
         self.horizons.encode(out);
     }
 
+    fn encoded_len(&self) -> usize {
+        SNAPSHOT_VERSION.encoded_len()
+            + self.fingerprint.encoded_len()
+            + self.round.encoded_len()
+            + self.coded_state.encoded_len()
+            + self.horizons.encoded_len()
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, csm_transport::WireError> {
         let version = u8::decode(r)?;
         if version != SNAPSHOT_VERSION {

@@ -82,6 +82,16 @@ impl Wire for CommitRecord {
         self.batch_cap.encode(out);
     }
 
+    fn encoded_len(&self) -> usize {
+        RECORD_VERSION.encoded_len()
+            + self.round.encoded_len()
+            + self.digest.encoded_len()
+            + self.batch.encoded_len()
+            + self.state_delta.encoded_len()
+            + self.protocol.encoded_len()
+            + self.batch_cap.encoded_len()
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, csm_transport::WireError> {
         let version = u8::decode(r)?;
         if version != RECORD_VERSION {

@@ -9,6 +9,11 @@
 //! u64 MAC tag over the encoded payload bytes
 //! ```
 //!
+//! The tag is [`KeyRegistry::sign_bytes`] over exactly the payload bytes
+//! between the version byte and the signer id: senders encode the payload
+//! once into a buffer sized by [`Wire::encoded_len`], receivers MAC the
+//! bytes they received ([`Frame::decode_signed`]).
+//!
 //! The MAC reuses [`csm_network::auth::KeyRegistry`] — the same
 //! MAC-for-signature substitution the simulator uses for the paper's
 //! authenticated-Byzantine model (§2.1): Byzantine nodes can say anything
@@ -21,7 +26,10 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Current wire format version.
-pub const WIRE_VERSION: u8 = 1;
+/// Version 2 carries the word-wide MAC of `csm_network::auth`: every tag
+/// differs from version 1's byte-wise one, so a peer still on version 1
+/// is refused as a version mismatch rather than blamed as a forger.
+pub const WIRE_VERSION: u8 = 2;
 
 /// Upper bound on a frame body; larger length prefixes are rejected
 /// before any allocation (64 MiB).
@@ -60,6 +68,10 @@ impl Wire for PreparedCertWire {
         self.sigs.encode(out);
     }
 
+    fn encoded_len(&self) -> usize {
+        8 + self.rows.encoded_len() + self.sigs.encoded_len()
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(PreparedCertWire {
             view: u64::decode(r)?,
@@ -96,6 +108,10 @@ impl Wire for ViewChangeWire {
         self.signer.encode(out);
         self.tag.encode(out);
         self.prepared.encode(out);
+    }
+
+    fn encoded_len(&self) -> usize {
+        3 * 8 + self.prepared.encoded_len()
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -481,6 +497,32 @@ impl Wire for Payload {
         }
     }
 
+    fn encoded_len(&self) -> usize {
+        // the tag byte, then each variant's fields in `encode` order
+        const W: usize = 8; // one u64 field
+        1 + match self {
+            Payload::Result { values, .. } => 2 * W + values.encoded_len(),
+            Payload::Commit { .. } | Payload::Query { .. } => 3 * W,
+            Payload::Ping { .. }
+            | Payload::StateRequest { .. }
+            | Payload::TelemetryRequest { .. } => W,
+            Payload::Stage { commands, .. } => 2 * W + commands.encoded_len(),
+            Payload::Submit { command, .. } => 3 * W + command.encoded_len(),
+            Payload::Reply { output, .. } => 4 * W + output.encoded_len(),
+            Payload::StateChunk { results, .. } => 2 * W + results.encoded_len(),
+            Payload::BatchRelay { rows, chain, .. } => W + rows.encoded_len() + chain.encoded_len(),
+            Payload::BatchVote { rows, .. } => 3 * W + 1 + rows.encoded_len(),
+            Payload::BatchViewChange { vote, .. } => W + vote.encoded_len(),
+            Payload::BatchNewView {
+                rows,
+                justification,
+                ..
+            } => 2 * W + rows.encoded_len() + justification.encoded_len(),
+            Payload::QueryReply { value, .. } => 4 * W + value.encoded_len(),
+            Payload::TelemetryReply { snapshot, .. } => 3 * W + snapshot.encoded_len(),
+        }
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match u8::decode(r)? {
             TAG_RESULT => Ok(Payload::Result {
@@ -586,8 +628,7 @@ impl Frame {
     ///
     /// Panics if `signer` is not registered.
     pub fn sign(payload: Payload, registry: &KeyRegistry, signer: NodeId) -> Self {
-        let bytes = payload.to_bytes();
-        let sig = registry.sign(signer, &bytes);
+        let sig = registry.sign_bytes(signer, &payload.to_bytes());
         Frame { payload, sig }
     }
 
@@ -604,8 +645,7 @@ impl Frame {
         real_signer: NodeId,
         claimed: NodeId,
     ) -> Self {
-        let bytes = payload.to_bytes();
-        let sig = registry.sign(real_signer, &bytes);
+        let sig = registry.sign_bytes(real_signer, &payload.to_bytes());
         Frame {
             payload,
             sig: Signature {
@@ -615,27 +655,33 @@ impl Frame {
         }
     }
 
-    /// Verifies the MAC against the claimed signer's key.
+    /// Verifies the MAC against the claimed signer's key. A frame that
+    /// arrived as bytes is checked against those bytes instead
+    /// ([`decode_signed`](Self::decode_signed)); this re-encodes the
+    /// payload.
     pub fn verify(&self, registry: &KeyRegistry) -> bool {
-        registry.verify(&self.payload.to_bytes(), &self.sig)
+        registry.verify_bytes(&self.payload.to_bytes(), &self.sig)
     }
 
     /// Writes `[len][body]` to `w`.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let mut body = Vec::new();
-        body.push(WIRE_VERSION);
-        self.payload.encode(&mut body);
-        (self.sig.signer.0 as u64).encode(&mut body);
-        self.sig.tag.encode(&mut body);
-        let len = u32::try_from(body.len()).expect("frame fits u32");
-        w.write_all(&len.to_le_bytes())?;
-        w.write_all(&body)
+        w.write_all(&self.to_wire_bytes())
     }
 
-    /// Encodes the full `[len][body]` framing into a buffer.
+    /// Encodes the full `[len][body]` framing into one buffer of exactly
+    /// the framed length.
     pub fn to_wire_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_to(&mut out).expect("vec write cannot fail");
+        // version byte, payload, signer and tag words
+        let body = 1 + self.payload.encoded_len() + 2 * 8;
+        let mut out = Vec::with_capacity(4 + body);
+        u32::try_from(body)
+            .expect("frame fits u32")
+            .encode(&mut out);
+        out.push(WIRE_VERSION);
+        self.payload.encode(&mut out);
+        (self.sig.signer.0 as u64).encode(&mut out);
+        self.sig.tag.encode(&mut out);
+        debug_assert_eq!(out.len(), 4 + body, "encoded_len disagrees with encode");
         out
     }
 
@@ -654,22 +700,34 @@ impl Frame {
 
     /// Decodes a frame body (everything after the length prefix).
     pub fn decode_body(body: &[u8]) -> Result<Self, BodyError> {
+        Self::decode_signed(body).map(|(frame, _)| frame)
+    }
+
+    /// Decodes a frame body and returns the frame with the payload bytes
+    /// it was decoded from — the bytes its MAC covers. Receivers verify
+    /// `registry.verify_bytes(signed, &frame.sig)` on these rather than
+    /// re-encoding the payload: the codec is canonical (a body it accepts
+    /// re-encodes to itself), so both accept exactly the same frames.
+    pub fn decode_signed(body: &[u8]) -> Result<(Self, &[u8]), BodyError> {
         let mut reader = WireReader::new(body);
         let version = u8::decode(&mut reader).map_err(BodyError::Wire)?;
         if version != WIRE_VERSION {
             return Err(BodyError::Version(version));
         }
+        let start = body.len() - reader.remaining();
         let payload = Payload::decode(&mut reader).map_err(BodyError::Wire)?;
+        let signed = &body[start..body.len() - reader.remaining()];
         let signer = u64::decode(&mut reader).map_err(BodyError::Wire)?;
         let tag = u64::decode(&mut reader).map_err(BodyError::Wire)?;
         reader.finish().map_err(BodyError::Wire)?;
-        Ok(Frame {
+        let frame = Frame {
             payload,
             sig: Signature {
                 signer: NodeId(signer as usize),
                 tag,
             },
-        })
+        };
+        Ok((frame, signed))
     }
 }
 
@@ -839,6 +897,21 @@ mod tests {
     }
 
     #[test]
+    fn golden_result_frame_tag() {
+        // the tag `csm_network`'s golden test pins for this payload's bytes
+        let frame = Frame::sign(
+            Payload::Result {
+                round: 3,
+                sender: 1,
+                values: vec![5, 6, 7],
+            },
+            &KeyRegistry::new(4, 42),
+            NodeId(1),
+        );
+        assert_eq!(frame.sig.tag, 0x33C9_C397_0877_18CD);
+    }
+
+    #[test]
     fn tampered_payload_fails_mac() {
         let reg = registry();
         let frame = Frame::sign(
@@ -894,5 +967,12 @@ mod tests {
             Frame::read_from(&mut &bytes[..]),
             Err(FrameReadError::Malformed(BodyError::Version(9)))
         ));
+        // a peer still on the byte-wise MAC of version 1 is a version
+        // mismatch, not a forger
+        bytes[4] = 1;
+        assert_eq!(
+            Frame::decode_signed(&bytes[4..]).map(|(f, _)| f),
+            Err(BodyError::Version(1))
+        );
     }
 }

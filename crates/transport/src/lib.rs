@@ -43,6 +43,7 @@ pub use frame::{
 };
 pub use wire::{Wire, WireError, WireReader};
 
+use csm_network::auth::KeyRegistry;
 use csm_network::NodeId;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -138,6 +139,24 @@ impl TransportStats {
 
     pub(crate) fn count_malformed(&self) {
         self.dropped_malformed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The inbound check both backends make on a received frame body:
+    /// decode it and verify its MAC over the payload bytes received (no
+    /// re-encoding), counting it as delivered, as a bad MAC against its
+    /// claimed signer, or as malformed. Returns the delivered frame.
+    pub(crate) fn admit(&self, body: &[u8], registry: &KeyRegistry) -> Option<Frame> {
+        let Ok((frame, signed)) = Frame::decode_signed(body) else {
+            self.count_malformed();
+            return None;
+        };
+        if registry.verify_bytes(signed, &frame.sig) {
+            self.count_delivered();
+            Some(frame)
+        } else {
+            self.count_bad_mac(frame.sig.signer);
+            None
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 //! Frames cross the mesh as encoded bytes (the same `[len][body]` framing
 //! TCP uses) so the codec and MAC paths are exercised identically to the
 //! real network backend — a frame that would be rejected on the wire is
-//! rejected here too.
+//! rejected here too. The receiver MACs the payload bytes it received.
 
 use crate::frame::Frame;
 use crate::{RecvError, SendError, Transport, TransportStats};
@@ -95,15 +95,13 @@ impl Transport for MemTransport {
                 RecvTimeoutError::Timeout => RecvError::Timeout,
                 RecvTimeoutError::Disconnected => RecvError::Disconnected,
             })?;
-            match Frame::read_from(&mut &bytes[..]) {
-                Ok(frame) => {
-                    if frame.verify(&self.registry) {
-                        self.stats.count_delivered();
+            match framed_body(&bytes) {
+                Some(body) => {
+                    if let Some(frame) = self.stats.admit(body, &self.registry) {
                         return Ok(frame);
                     }
-                    self.stats.count_bad_mac(frame.sig.signer);
                 }
-                Err(_) => self.stats.count_malformed(),
+                None => self.stats.count_malformed(),
             }
             // dropped frame: keep waiting within the same deadline
         }
@@ -112,6 +110,12 @@ impl Transport for MemTransport {
     fn stats(&self) -> &TransportStats {
         &self.stats
     }
+}
+
+/// The body of one `[len][body]` buffer, if its prefix frames it exactly.
+fn framed_body(bytes: &[u8]) -> Option<&[u8]> {
+    let (len, body) = bytes.split_first_chunk::<4>()?;
+    (u32::from_le_bytes(*len) as usize == body.len()).then_some(body)
 }
 
 #[cfg(test)]
@@ -170,6 +174,30 @@ mod tests {
         assert_eq!(nodes[2].stats().snapshot(), (0, 1, 0));
         // attributed to the *claimed* signer, node 1
         assert_eq!(nodes[2].stats().bad_mac_by_peer(), vec![(1, 1)]);
+    }
+
+    #[test]
+    fn tampered_bytes_are_dropped_and_counted() {
+        let nodes = mesh(3);
+        let reg = KeyRegistry::new(3, 7);
+        let wire = ping(&reg, 0, 21).to_wire_bytes();
+        let tamper = |pos: usize, to: u8| {
+            let mut bytes = wire.clone();
+            bytes[pos] = to;
+            nodes[0].peers[2].send(bytes).unwrap();
+        };
+        // a flipped tag bit and a flipped payload byte: bad MACs
+        let (tag_at, nonce_at) = (wire.len() - 8, 4 + 1 + 1);
+        tamper(tag_at, wire[tag_at] ^ 1);
+        tamper(nonce_at, wire[nonce_at] ^ 1);
+        // a peer on the byte-wise MAC of wire version 1: malformed
+        tamper(4, 1);
+        assert_eq!(
+            nodes[2].recv_timeout(Duration::from_millis(50)),
+            Err(RecvError::Timeout)
+        );
+        assert_eq!(nodes[2].stats().snapshot(), (0, 2, 1));
+        assert_eq!(nodes[2].stats().bad_mac_by_peer(), vec![(0, 2)]);
     }
 
     #[test]

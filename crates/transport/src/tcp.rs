@@ -4,9 +4,10 @@
 //! each carries one direction, which keeps connection setup free of
 //! identity handshakes: the MAC on every frame is the identity).
 //!
-//! Reader threads verify MACs before frames reach the inbound queue, so
-//! the application only ever sees authenticated traffic; drops are counted
-//! in [`TransportStats`].
+//! Reader threads verify MACs — over the payload bytes they read off the
+//! socket — before frames reach the inbound queue, so the application
+//! only ever sees authenticated traffic; drops are counted in
+//! [`TransportStats`].
 
 use crate::frame::{Frame, FrameReadError};
 use crate::{RecvError, SendError, Transport, TransportStats};
@@ -218,11 +219,12 @@ fn fill_resumable(
     Ok(())
 }
 
-/// Reads one `[len][body]` frame, tolerating mid-frame read timeouts.
-fn read_frame_resumable(
+/// Reads one `[len][body]` frame's body, tolerating mid-frame read
+/// timeouts.
+fn read_body_resumable(
     stream: &mut TcpStream,
     shutdown: &AtomicBool,
-) -> Result<Frame, FrameReadError> {
+) -> Result<Vec<u8>, FrameReadError> {
     let mut len_bytes = [0u8; 4];
     fill_resumable(stream, &mut len_bytes, shutdown)?;
     let len = u32::from_le_bytes(len_bytes) as usize;
@@ -231,7 +233,7 @@ fn read_frame_resumable(
     }
     let mut body = vec![0u8; len];
     fill_resumable(stream, &mut body, shutdown)?;
-    Frame::decode_body(&body).map_err(FrameReadError::Malformed)
+    Ok(body)
 }
 
 fn reader_loop(
@@ -242,23 +244,15 @@ fn reader_loop(
     shutdown: Arc<AtomicBool>,
 ) {
     while !shutdown.load(Ordering::Relaxed) {
-        match read_frame_resumable(&mut stream, &shutdown) {
-            Ok(frame) => {
-                if frame.verify(&registry) {
-                    stats.count_delivered();
-                    if tx.send(frame).is_err() {
-                        break; // application endpoint dropped
-                    }
-                } else {
-                    stats.count_bad_mac(frame.sig.signer);
-                }
+        let Ok(body) = read_body_resumable(&mut stream, &shutdown) else {
+            break; // EOF, shutdown, I/O failure, or oversized frame
+        };
+        // a dropped frame leaves the stream synchronized: the length
+        // prefix still framed its body
+        if let Some(frame) = stats.admit(&body, &registry) {
+            if tx.send(frame).is_err() {
+                break; // application endpoint dropped
             }
-            Err(FrameReadError::Malformed(_)) => {
-                // the length prefix still framed the body, so the stream
-                // remains synchronized; drop the frame and continue
-                stats.count_malformed();
-            }
-            Err(_) => break, // EOF, shutdown, I/O failure, or oversized frame
         }
     }
 }

@@ -99,13 +99,20 @@ pub trait Wire: Sized {
     /// Appends the encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
+    /// The exact number of bytes [`encode`](Self::encode) appends, so an
+    /// encoding buffer is sized once.
+    fn encoded_len(&self) -> usize;
+
     /// Decodes one value.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError>;
 
-    /// Convenience: encodes into a fresh buffer.
+    /// Convenience: encodes into a fresh buffer of exactly the encoded
+    /// length.
     fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let len = self.encoded_len();
+        let mut out = Vec::with_capacity(len);
         self.encode(&mut out);
+        debug_assert_eq!(out.len(), len, "encoded_len disagrees with encode");
         out
     }
 
@@ -126,6 +133,9 @@ macro_rules! wire_int {
             fn encode(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
+            fn encoded_len(&self) -> usize {
+                Self::MIN_ENCODED_SIZE
+            }
             fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
                 let bytes = r.take(std::mem::size_of::<$t>())?;
                 Ok(<$t>::from_le_bytes(bytes.try_into().expect("exact size")))
@@ -138,6 +148,9 @@ wire_int!(u8, u16, u32, u64, i64);
 impl Wire for bool {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
+    }
+    fn encoded_len(&self) -> usize {
+        1
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match u8::decode(r)? {
@@ -179,6 +192,9 @@ impl<T: Wire> Wire for Vec<T> {
             v.encode(out);
         }
     }
+    fn encoded_len(&self) -> usize {
+        4 + self.iter().map(Wire::encoded_len).sum::<usize>()
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let len = decode_len(r, T::MIN_ENCODED_SIZE)?;
         let mut out = Vec::with_capacity(len);
@@ -197,6 +213,9 @@ impl Wire for String {
         encode_len(self.len(), out);
         out.extend_from_slice(self.as_bytes());
     }
+    fn encoded_len(&self) -> usize {
+        4 + self.len()
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let len = decode_len(r, 1)?;
         let bytes = r.take(len)?;
@@ -210,6 +229,9 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
         self.1.encode(out);
+    }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len()
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok((A::decode(r)?, B::decode(r)?))
@@ -225,6 +247,9 @@ impl<T: Wire> Wire for Option<T> {
                 v.encode(out);
             }
         }
+    }
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Wire::encoded_len)
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match u8::decode(r)? {

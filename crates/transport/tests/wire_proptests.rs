@@ -2,11 +2,12 @@
 //! round-trips through the full `[len][body]` framing, MAC verification
 //! accepts exactly the untampered frames, and arbitrary byte mutations
 //! are either rejected by the codec or fail authentication — never
-//! accepted as a different valid authenticated frame.
+//! accepted as a different valid authenticated frame. The codec is
+//! canonical, so receivers may MAC the payload bytes they received.
 
 use csm_network::auth::KeyRegistry;
 use csm_network::NodeId;
-use csm_transport::{Frame, Payload, PreparedCertWire, ViewChangeWire, Wire};
+use csm_transport::{Frame, Payload, PreparedCertWire, ViewChangeWire, Wire, WIRE_VERSION};
 use proptest::prelude::*;
 
 const N: usize = 8;
@@ -44,8 +45,52 @@ fn view_change_strategy() -> impl Strategy<Value = ViewChangeWire> {
         })
 }
 
+/// Text with multi-byte UTF-8 characters.
+fn text_strategy() -> impl Strategy<Value = String> {
+    prop::collection::vec(any::<u32>(), 0..8).prop_map(|cs| {
+        cs.into_iter()
+            .filter_map(|c| char::from_u32(c % 0x11_0000))
+            .collect()
+    })
+}
+
 fn payload() -> impl Strategy<Value = Payload> {
     prop_oneof![
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            prop::collection::vec(any::<u64>(), 0..4)
+        )
+            .prop_map(|(shard, client, seq, command)| Payload::Submit {
+                shard,
+                client,
+                seq,
+                command
+            }),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            prop::collection::vec(any::<u64>(), 0..4)
+        )
+            .prop_map(|(shard, round, client, seq, output)| Payload::Reply {
+                shard,
+                round,
+                client,
+                seq,
+                output
+            }),
+        any::<u64>().prop_map(|nonce| Payload::TelemetryRequest { nonce }),
+        (any::<u64>(), any::<u64>(), any::<u64>(), text_strategy()).prop_map(
+            |(nonce, node, round, snapshot)| Payload::TelemetryReply {
+                nonce,
+                node,
+                round,
+                snapshot
+            }
+        ),
         (
             any::<u64>(),
             0u64..N as u64,
@@ -140,7 +185,34 @@ proptest! {
     #[test]
     fn payload_roundtrips(p in payload()) {
         let bytes = p.to_bytes();
+        prop_assert_eq!(bytes.len(), p.encoded_len());
         prop_assert_eq!(Payload::from_bytes(&bytes).expect("decodes"), p);
+    }
+
+    /// Any body `decode_body` accepts re-encodes byte for byte to itself,
+    /// and the payload bytes `decode_signed` hands a receiver to MAC are
+    /// the payload's encoding: MACing the received bytes accepts exactly
+    /// the frames that MACing a re-encoding accepted.
+    #[test]
+    fn accepted_bodies_reencode_to_themselves(
+        p in payload(),
+        signer in 0usize..N,
+        flips in prop::collection::vec((any::<u64>(), any::<u8>()), 1..4),
+        raw in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let frame = Frame::sign(p, &registry(), NodeId(signer));
+        let mut body = frame.to_wire_bytes().split_off(4);
+        for (pos, x) in flips {
+            let at = pos as usize % body.len();
+            body[at] ^= x;
+        }
+        for candidate in [body, [&[WIRE_VERSION][..], &raw].concat()] {
+            if let Ok((back, signed)) = Frame::decode_signed(&candidate) {
+                prop_assert_eq!(&back.to_wire_bytes()[4..], &candidate[..]);
+                prop_assert_eq!(&back.payload.to_bytes()[..], signed);
+                prop_assert_eq!(Frame::decode_body(&candidate), Ok(back));
+            }
+        }
     }
 
     #[test]
@@ -151,6 +223,10 @@ proptest! {
         let back = Frame::read_from(&mut &bytes[..]).expect("reads back");
         prop_assert_eq!(&back, &frame);
         prop_assert!(back.verify(&reg), "genuine frame must verify");
+        // a receiver MACs exactly the payload's encoding
+        let (_, signed) = Frame::decode_signed(&bytes[4..]).expect("decodes");
+        prop_assert_eq!(signed, &frame.payload.to_bytes()[..]);
+        prop_assert!(reg.verify_bytes(signed, &frame.sig));
     }
 
     #[test]
