@@ -17,8 +17,8 @@
 //!    and [`RoundEngine::execute_coded`] instead.
 //! 2. **exchange** — *driver-owned*. The simulator constructs every
 //!    receiver's word logically ([`sim_receiver_word`]); the runtime runs
-//!    the §5.2 protocol over real sockets
-//!    (`csm_core::exchange::ReceiverCore`). The engine only defines the
+//!    the §5.2 protocol over real sockets (`csm-node`'s
+//!    `core::exchange::Exchange`). The engine only defines the
 //!    result a faulty node sends, via [`RoundEngine::apply_result_fault`];
 //!    per-receiver equivocation noise belongs to the exchange driver.
 //! 3. **ψ (decode)** — [`RoundEngine::decode`]: Reed–Solomon-recover every

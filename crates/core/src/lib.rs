@@ -12,8 +12,8 @@
 //!   the simulator driver over `N` [`RoundEngine`]s, with consensus
 //!   through `csm_consensus::batch`'s lock-step drivers, logical exchange,
 //!   op accounting, and optionally INTERMIX-verified centralized coding.
-//! * [`exchange`] — the §5.2 result behaviours and receiver finalization
-//!   ([`exchange::ReceiverCore`]) `csm-node`'s gateway core drives.
+//! * [`exchange`] — the §5.2 receiver's [`exchange::Word`]; `csm-node`'s
+//!   gateway core owns the exchange's rules.
 //! * [`replication`] — the SMR baselines of §3 with the same interface.
 //! * [`metrics`] — Table 1 / Table 2 formulas as code.
 //! * [`client`] — the `b + 1` matching output-delivery rule.

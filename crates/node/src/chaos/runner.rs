@@ -477,6 +477,8 @@ impl Sim<'_> {
                     node.vouched.split_off(&witness_round);
                     node.desynced = true;
                 }
+                // the harness's cores get no flight directory
+                Effect::FlightDump { .. } => {}
                 Effect::Persist(record) => {
                     // an interval snapshot follows its round's log record;
                     // the torn one is a death mid-write: the log holds the

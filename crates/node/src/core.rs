@@ -40,21 +40,24 @@ use crate::BehaviorKind;
 use csm_algebra::Field;
 use csm_consensus::batch::{BatchRows, DsBatch, DsRelay, PbftBatch, PbftBatchConfig, PbftBatchMsg};
 use csm_core::digest::digest_results;
-use csm_core::engine::{CodedMachine, DecodedRound, RoundCommit, RoundEngine};
-use csm_core::exchange::{canonical, equivocation_noise, ReceiverCore, ResultBehavior, Word};
+use csm_core::engine::{CodedMachine, RoundCommit, RoundEngine};
 use csm_core::SynchronyMode;
 use csm_network::auth::{KeyRegistry, Signature};
 use csm_network::NodeId;
 use csm_storage::{CommitRecord, Recovered};
 use csm_telemetry::{
-    Event as Incident, Phase, RecordingSink, RoundSpan, SharedSink, TeeSink, TelemetrySnapshot,
+    Event as Incident, FlightDump, Phase, RecordingSink, RoundSpan, SharedSink, TeeSink,
+    TelemetrySnapshot,
 };
 use csm_transport::{Frame, Payload, TransportStats, ViewChangeWire};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+mod exchange;
 mod peers;
+use exchange::{Due, Exchange, Verdict};
 use peers::PeerView;
 
 /// How many rounds ahead of the current one staging, consensus, result
@@ -179,6 +182,14 @@ pub enum Effect {
     },
     /// Make a record durable; the effects after it may acknowledge it.
     Persist(Record),
+    /// Write a flight-recorder dump into `dir` (only when the config
+    /// names a `flight_dir`).
+    FlightDump {
+        /// The configured dump directory.
+        dir: PathBuf,
+        /// The recent-event ring at the incident.
+        dump: FlightDump,
+    },
     /// Stop delivering events: the core is finished.
     Halt(HaltReason),
 }
@@ -206,22 +217,14 @@ struct ChunkEntry {
 }
 
 /// What the core is doing between events.
-enum PhaseState<F: Field> {
+enum PhaseState {
     /// Between rounds: waiting for the `Next` timer or, with none armed,
     /// quiescent until work or peers wake it.
     Idle,
     /// Agreeing on the round's batch.
     Staging(Staging),
-    /// Result sent; collecting the word.
-    Exchanging {
-        receiver: ReceiverCore<F>,
-        batch: Vec<BatchEntry>,
-        /// When the result went out, and when a result last arrived.
-        started: u64,
-        last_progress: u64,
-        /// A `Decode` timer is armed.
-        decode_due: bool,
-    },
+    /// Result sent; collecting the word (`exchange`).
+    Exchanging { batch: Vec<BatchEntry> },
     /// Durable state transfer in flight. `sticky` triggers (behind or
     /// diverged) re-arm on timeout; a fail-streak or startup trigger
     /// gives up after one window and rejoins the rounds.
@@ -232,31 +235,6 @@ enum PhaseState<F: Field> {
     },
     /// Stopped for good.
     Halted,
-}
-
-/// How a round's exchange ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExchangeEnd {
-    /// A decode agreed with `dim + b` usable results ([`RsCode::certifies`]).
-    ///
-    /// [`RsCode::certifies`]: csm_reed_solomon::RsCode::certifies
-    Certified,
-    /// The word can no longer change: all `N` results are held, or the
-    /// partial-synchrony cutoff froze it.
-    Frozen,
-    /// The Exchange timer fired first.
-    Deadline,
-}
-
-/// The word of the last round that committed on a certificate, kept
-/// until the next exchange ends: a result that arrives after the commit
-/// is still checked, so the evidence an early commit skipped is not lost.
-struct LateWord<F> {
-    round: u64,
-    digest: u64,
-    word: Word<F>,
-    /// Every node exposed so far.
-    detected: Vec<usize>,
 }
 
 /// The durable half of a core: snapshot cadence and recovery state.
@@ -293,9 +271,10 @@ pub struct GatewayCore<F: Field> {
     admission: Admission,
     batch_check: BatchCheck,
     round_entered: u64,
-    phase: PhaseState<F>,
+    phase: PhaseState,
+    /// The round's word, its decode pacing, and the last certified word.
+    exchange: Exchange<F>,
     commits: VecDeque<Option<RoundCommit<F>>>,
-    late: Option<LateWord<F>>,
     first_recorded_round: u64,
     fail_streak: u32,
     durable: Option<Durable>,
@@ -303,7 +282,6 @@ pub struct GatewayCore<F: Field> {
     // bounded intake buffers, pruned at every round start
     stages: BTreeMap<u64, BTreeMap<usize, BatchRows>>,
     consensus: BTreeMap<u64, Vec<Frame>>,
-    results: BTreeMap<u64, BTreeMap<usize, Vec<F>>>,
     submit_inbox: Vec<Frame>,
     query_inbox: Vec<Frame>,
     state_requests: BTreeMap<usize, u64>,
@@ -328,9 +306,6 @@ pub struct GatewayCore<F: Field> {
 
     now: u64,
     out: Vec<Effect>,
-    /// Exchange decodes so far, for the per-round bound's test.
-    #[cfg(test)]
-    decode_attempts: u64,
 }
 
 impl<F: Field> std::fmt::Debug for GatewayCore<F> {
@@ -371,38 +346,6 @@ fn consensus_weight(payload: &Payload) -> usize {
             ..
         } => rows_weight(rows) + justification.iter().map(vc_weight).sum::<usize>(),
         _ => 0,
-    }
-}
-
-/// Maps a node's behavior to its exchange-round broadcast instruction for
-/// the honest coded result `g`.
-fn wire_behavior<F: Field>(
-    id: usize,
-    n: usize,
-    result_dim: usize,
-    behavior: BehaviorKind,
-    g: Vec<F>,
-) -> ResultBehavior<F> {
-    match behavior {
-        BehaviorKind::Honest => ResultBehavior::Honest(g),
-        BehaviorKind::Equivocate => {
-            ResultBehavior::Equivocate(g.into_iter().map(|x| x + F::from_u64(77)).collect())
-        }
-        BehaviorKind::Withhold => ResultBehavior::Withhold,
-        BehaviorKind::Impersonate => ResultBehavior::Impersonate {
-            spoof: (id + 1) % n,
-            forged: vec![F::from_u64(0xBAD); result_dim],
-        },
-    }
-}
-
-/// Encodes a result vector for the wire in canonical `u64` form.
-fn result_payload<F: Field>(round: u64, sender: usize, values: &[F]) -> Payload {
-    let (_, canon) = canonical(sender, values);
-    Payload::Result {
-        round,
-        sender: sender as u64,
-        values: canon,
     }
 }
 
@@ -481,6 +424,7 @@ impl<F: Field> GatewayCore<F> {
             None => Arc::clone(&recording) as SharedSink,
         };
         let round = engine.round();
+        let exchange = Exchange::new(&spec.machine, cfg.assumed_faults, &timing);
         GatewayCore {
             id,
             cluster,
@@ -499,14 +443,13 @@ impl<F: Field> GatewayCore<F> {
             batch_check: BatchCheck::default(),
             round_entered: 0,
             phase: PhaseState::Idle,
+            exchange,
             commits: VecDeque::new(),
-            late: None,
             first_recorded_round: round,
             fail_streak: 0,
             durable,
             stages: BTreeMap::new(),
             consensus: BTreeMap::new(),
-            results: BTreeMap::new(),
             submit_inbox: Vec::new(),
             query_inbox: Vec::new(),
             state_requests: BTreeMap::new(),
@@ -521,8 +464,6 @@ impl<F: Field> GatewayCore<F> {
             transport_counters: Vec::new(),
             now: 0,
             out: Vec::new(),
-            #[cfg(test)]
-            decode_attempts: 0,
         }
     }
 
@@ -724,11 +665,10 @@ impl<F: Field> GatewayCore<F> {
         self.sink.value(self.id, self.round(), name, value);
     }
 
-    fn flight_dump(&self, reason: &str) {
-        if let Some(dir) = &self.cfg.flight_dir {
-            if let Err(e) = self.recording.dump(dir, self.id, self.round(), reason) {
-                csm_telemetry::warn!("node {}: flight dump ({reason}) failed: {e}", self.id);
-            }
+    fn flight_dump(&mut self, reason: &str) {
+        if let Some(dir) = self.cfg.flight_dir.clone() {
+            let dump = self.recording.dump(self.id, self.round(), reason);
+            self.out.push(Effect::FlightDump { dir, dump });
         }
     }
 
@@ -825,34 +765,24 @@ impl<F: Field> GatewayCore<F> {
                     return false;
                 }
                 let vector: Vec<F> = values.iter().map(|&v| F::from_u64(v)).collect();
-                if self.late.as_ref().is_some_and(|late| late.round == round) {
-                    self.record_late(from, vector);
+                if self.exchange.late_round() == Some(round) {
+                    // the round's record describes the word as it finally stood
+                    let record = self.commits.back_mut().and_then(Option::as_mut);
+                    let exposed = self.exchange.recheck(from, vector, &self.machine, record);
+                    for peer in exposed {
+                        self.expose(round, peer);
+                    }
                     return false;
                 }
                 if !self.in_window(round) {
                     return false;
                 }
-                if round == self.round() {
-                    if let PhaseState::Exchanging {
-                        receiver,
-                        last_progress,
-                        ..
-                    } = &mut self.phase
-                    {
-                        let held = receiver.results_held();
-                        receiver.record(from, vector);
-                        if receiver.results_held() > held {
-                            *last_progress = self.now;
-                            self.word_grew();
-                        }
-                        return false;
-                    }
+                if round == self.round() && matches!(self.phase, PhaseState::Exchanging { .. }) {
+                    let due = self.exchange.record(from, vector, self.now);
+                    self.decode_when(due);
+                    return false;
                 }
-                self.results
-                    .entry(round)
-                    .or_default()
-                    .entry(from)
-                    .or_insert(vector);
+                self.exchange.early(round, from, vector);
                 self.peers.saw(from, round);
                 self.woken_by_peers()
             }
@@ -978,8 +908,8 @@ impl<F: Field> GatewayCore<F> {
                 // no view-change quorum yet re-votes after another timeout
                 self.drive_pbft(true, |pbft, valid| pbft.on_timeout(valid));
             }
-            (TimerKind::Decode, PhaseState::Exchanging { .. }) => self.decode_exchange(false),
-            (TimerKind::Exchange, PhaseState::Exchanging { .. }) => self.decode_exchange(true),
+            (TimerKind::Decode, PhaseState::Exchanging { .. }) => self.finish_exchange(false),
+            (TimerKind::Exchange, PhaseState::Exchanging { .. }) => self.finish_exchange(true),
             (
                 TimerKind::Resync,
                 PhaseState::Resyncing {
@@ -1011,7 +941,7 @@ impl<F: Field> GatewayCore<F> {
         let round = self.round();
         self.stages.retain(|&r, _| r >= round);
         self.consensus.retain(|&r, _| r >= round);
-        self.results.retain(|&r, _| r >= round);
+        self.exchange.prune(round);
         self.peers.prune(round, ROUND_LOOKAHEAD);
         self.serve_requests();
 
@@ -1448,159 +1378,67 @@ impl<F: Field> GatewayCore<F> {
             .engine
             .execute_batched(&programs)
             .expect("validated batch shape");
-        let behavior = wire_behavior(
-            self.id,
-            self.cluster,
-            self.machine.result_dim(),
-            self.behavior,
-            g,
-        );
         span.mark(Phase::Execute);
 
         let (round, me) = (self.round(), self.id);
-        let mut receiver = ReceiverCore::new(self.cluster, self.timing.synchrony, self.faults);
-        match behavior {
-            ResultBehavior::Honest(g) => {
-                self.broadcast(result_payload(round, me, &g));
-                // a node trivially "receives" its own result
-                receiver.record(me, g);
-            }
-            ResultBehavior::Equivocate(base) => {
-                for peer in (0..self.cluster).filter(|&p| p != me) {
-                    let noise = F::from_u64(equivocation_noise(peer));
-                    let noisy: Vec<F> = base.iter().map(|&x| x + noise).collect();
-                    self.send(peer, result_payload(round, me, &noisy));
-                }
-            }
-            ResultBehavior::Withhold => {}
-            ResultBehavior::Impersonate { spoof, forged } => {
-                // signed with our key but claiming `spoof`: every
-                // receiver's MAC check must drop it
-                let payload = result_payload(round, spoof, &forged);
-                let frame = Frame::forge(payload, &self.registry, NodeId(me), NodeId(spoof));
-                self.out.push(Effect::Broadcast(frame));
-            }
+        for (to, sender, values) in exchange::outgoing(self.behavior, me, self.cluster, &g) {
+            let payload = Payload::Result {
+                round,
+                sender: sender as u64,
+                values,
+            };
+            // forged only by an impersonator, claiming another sender
+            let frame = Frame::forge(payload, &self.registry, NodeId(me), NodeId(sender));
+            self.out.push(match to {
+                Some(to) => Effect::Send { to, frame },
+                None => Effect::Broadcast(frame),
+            });
         }
-        // results that raced ahead of this node's round
-        for (sender, vector) in self.results.remove(&round).unwrap_or_default() {
-            receiver.record(sender, vector);
-        }
-        self.phase = PhaseState::Exchanging {
-            receiver,
-            batch,
-            started: self.now,
-            last_progress: self.now,
-            decode_due: false,
-        };
-        let wait = match self.timing.synchrony {
-            SynchronyMode::Synchronous => self.timing.delta,
-            // the N − b cutoff ends the wait; this is the fallback so a
-            // dead network cannot wedge the node
-            SynchronyMode::PartiallySynchronous => self.timing.max_wait,
-        };
-        self.set_timer(TimerKind::Exchange, self.now + micros(wait), 0);
-        self.word_grew();
+        // a node trivially "receives" its own result
+        let own = (self.behavior == BehaviorKind::Honest).then_some((me, g));
+        let due = self.exchange.open(round, self.now, own);
+        self.phase = PhaseState::Exchanging { batch };
+        self.set_timer(TimerKind::Exchange, self.exchange.deadline(), 0);
+        self.decode_when(due);
     }
 
-    /// The word grew, or the exchange began. A frozen word (all `N`
-    /// results, or the partial-synchrony cutoff) is decoded at once. A
-    /// word holding `dim + b` results may already certify: it is decoded
-    /// by a `Decode` timer armed for `now`. A driver that delivers that
-    /// timer after the frames already due (the chaos loop) decodes results
-    /// that land together once. On the benchmark's simulated `sim_faults`
-    /// cluster that is 1.0 decodes per exchange; decoding each result on
-    /// arrival took 1.87 and cost 27 % of its commands per second (2-vCPU
-    /// VM).
-    fn word_grew(&mut self) {
-        let PhaseState::Exchanging {
-            receiver,
-            decode_due,
-            ..
-        } = &mut self.phase
-        else {
-            return;
-        };
-        let held = receiver.results_held();
-        if receiver.is_finalized() || held == self.cluster {
-            return self.decode_exchange(false);
-        }
-        let certifiable = held >= self.machine.code().dim() + self.faults;
-        if certifiable && !std::mem::replace(decode_due, true) {
-            self.set_timer(TimerKind::Decode, self.now, 0);
+    /// Decodes the word when the exchange says it is due: at once, or by a
+    /// `Decode` timer armed for now.
+    fn decode_when(&mut self, due: Due) {
+        match due {
+            Due::Now => self.finish_exchange(false),
+            Due::Soon => self.set_timer(TimerKind::Decode, self.now, 0),
+            Due::Later => {}
         }
     }
 
-    /// Decodes the word as it stands. A decode that certifies, or one of
-    /// a frozen word or at the deadline, ends the exchange; any other is
-    /// discarded and the wait goes on. Each decode but the deadline's
-    /// sees a word grown since the last, so a round decodes at most
-    /// `N − dim − b + 1` times: once per result count from `dim + b` to
-    /// `N`, and once at the deadline if the word never filled.
-    fn decode_exchange(&mut self, deadline: bool) {
-        let PhaseState::Exchanging {
-            receiver,
-            decode_due,
-            ..
-        } = &mut self.phase
-        else {
-            return;
-        };
-        *decode_due = false;
-        #[cfg(test)]
-        {
-            self.decode_attempts += 1;
-        }
-        let frozen = receiver.is_finalized() || receiver.results_held() == self.cluster;
+    /// Decodes the word (`deadline`: the Exchange timer fired) and, unless
+    /// the exchange waits on, ends it on the verdict: commit the decode, or
+    /// count the failure — with the log append before anything that
+    /// acknowledges the round — then pace the next round.
+    fn finish_exchange(&mut self, deadline: bool) {
         let sink = Arc::clone(&self.sink);
         let mut span = RoundSpan::start(sink.as_ref(), self.id, self.engine.round());
-        let decoded = self.engine.decode(receiver.word()).ok();
-        // the union of the error positions is wrong in some coordinate, so
-        // every coordinate's decode agrees with all the other usable results
-        let code = self.machine.code();
-        let certified = decoded.as_ref().is_some_and(|d| {
-            let agreeing = d.results_held.saturating_sub(d.detected_error_nodes.len());
-            code.certifies(agreeing, self.faults)
-        });
-        let end = if certified {
-            ExchangeEnd::Certified
-        } else if frozen {
-            ExchangeEnd::Frozen
-        } else if deadline {
-            ExchangeEnd::Deadline
-        } else {
-            return;
+        let (decoded, certified) = match self.exchange.decode(&mut self.engine, deadline) {
+            Verdict::Wait => return,
+            Verdict::Certified(decoded) => (Some(decoded), true),
+            // the open hole (ROADMAP `cert`): committed all the same
+            Verdict::Uncertified(decoded) => (Some(decoded), false),
+            Verdict::Failed => (None, false),
         };
         span.mark(Phase::Decode);
-        self.finish_exchange(end, decoded, span);
-    }
-
-    /// Ends the exchange on `decoded`: commit it, or count the failure —
-    /// with the log append before anything that acknowledges the round —
-    /// then pace the next round.
-    fn finish_exchange(
-        &mut self,
-        end: ExchangeEnd,
-        decoded: Option<DecodedRound<F>>,
-        mut span: RoundSpan<'_>,
-    ) {
-        let PhaseState::Exchanging {
-            receiver,
-            batch,
-            started,
-            last_progress,
-            ..
-        } = std::mem::replace(&mut self.phase, PhaseState::Idle)
+        let PhaseState::Exchanging { batch } = std::mem::replace(&mut self.phase, PhaseState::Idle)
         else {
             return;
         };
         let round = self.round();
-        self.late = None;
-        self.lap(Phase::Exchange, started, self.now);
+        self.lap(Phase::Exchange, self.exchange.started, self.now);
         // Δ-slack: how long the window kept waiting after the last result
-        // it accepted; a window that ended early has none to reclaim
-        let slack = if end == ExchangeEnd::Deadline {
+        // it accepted; one that ended early (a certificate, or a word
+        // decoded as it froze) has none to reclaim
+        let slack = if deadline && !certified {
             self.admission.stats.exchange_fallbacks += 1;
-            self.now - last_progress
+            self.now - self.exchange.last_progress
         } else {
             0
         };
@@ -1670,14 +1508,6 @@ impl<F: Field> GatewayCore<F> {
             }
             span.mark(Phase::Reply);
             self.fail_streak = 0;
-            if end == ExchangeEnd::Certified {
-                self.late = Some(LateWord {
-                    round,
-                    digest: c.digest,
-                    word: receiver.into_word(),
-                    detected: c.detected_error_nodes.clone(),
-                });
-            }
             Some(c)
         } else {
             self.fail_streak += 1;
@@ -1701,49 +1531,8 @@ impl<F: Field> GatewayCore<F> {
         // peers that have moved on, start it sooner. A node holding none
         // runs no round until such work arrives (`step`): an empty round
         // would only cost a whole exchange and a commit wave
-        let waited = match self.timing.synchrony {
-            SynchronyMode::Synchronous => self.now.max(started + micros(self.timing.delta)),
-            SynchronyMode::PartiallySynchronous => self.now,
-        };
+        let waited = self.exchange.waited(self.now);
         self.pace(waited + micros(self.timing.idle_pause()));
-    }
-
-    /// A result for the round that last committed on a certificate: record
-    /// it into the kept word and decode the word again. Every sender this
-    /// exposes is reported as if the commit's own decode had found it. The
-    /// commit stands: with at most `b` liars the grown word still decodes
-    /// to what was committed, and a re-decode that does not (more than
-    /// `b` liars) attributes nothing.
-    fn record_late(&mut self, from: usize, vector: Vec<F>) {
-        let Some(late) = self.late.as_mut() else {
-            return;
-        };
-        if late.word[from].is_some() {
-            return; // first result per sender wins
-        }
-        late.word[from] = Some(vector);
-        let Ok(recheck) = self.machine.decode_word(&late.word, &late.detected) else {
-            return;
-        };
-        if recheck.digest() != late.digest {
-            return;
-        }
-        let exposed: Vec<usize> = recheck
-            .detected_error_nodes
-            .iter()
-            .copied()
-            .filter(|peer| !late.detected.contains(peer))
-            .collect();
-        late.detected = recheck.detected_error_nodes;
-        let round = late.round;
-        // the round's record describes the word as it finally stood
-        if let Some(Some(commit)) = self.commits.back_mut() {
-            commit.results_held = recheck.results_held;
-            commit.detected_error_nodes.clone_from(&late.detected);
-        }
-        for peer in exposed {
-            self.expose(round, peer);
-        }
     }
 
     /// Byzantine detection fell out of a decode (§5.2): attribute it to
@@ -1979,7 +1768,7 @@ impl<F: Field> GatewayCore<F> {
         self.end_startup(Some(round));
         // history before the transfer is no longer this node's to vouch
         self.commits.clear();
-        self.late = None;
+        self.exchange.forget_late();
         self.first_recorded_round = next;
         self.fail_streak = 0;
         self.phase = PhaseState::Idle;

@@ -8,6 +8,7 @@ use crate::gateway::decode_batch;
 use crate::recovery::{open_store, persist};
 use csm_algebra::{Fp61, Gf2_16};
 use csm_core::digest::splitmix64;
+use csm_core::exchange::Word;
 use csm_core::DecoderKind;
 use csm_statemachine::boolean::counter_machine;
 use csm_statemachine::machines::bank_machine;
@@ -106,7 +107,7 @@ fn buffered(core: &GatewayCore<Fp61>) -> usize {
     let nested = |m: &BTreeMap<u64, BTreeMap<usize, _>>| m.values().map(BTreeMap::len).sum();
     let stages: usize = nested(&core.stages);
     let commit_votes: usize = core.peers.commits().values().map(BTreeMap::len).sum();
-    let results: usize = core.results.values().map(BTreeMap::len).sum();
+    let results: usize = core.exchange.early.values().map(BTreeMap::len).sum();
     let chunks = match &core.phase {
         PhaseState::Resyncing { chunks, .. } => chunks.len(),
         _ => 0,
@@ -306,7 +307,7 @@ fn buffers_keep_one_frame_per_signer_and_inboxes_are_capped() {
         };
         step(&mut core, 2, result);
     }
-    assert_eq!(core.results[&5][&2][0], Fp61::from_u64(1));
+    assert_eq!(core.exchange.early[&5][&2][0], Fp61::from_u64(1));
     // request slots: one per peer, however often it asks
     for nonce in 0..100 {
         step(&mut core, 4, Payload::TelemetryRequest { nonce });
@@ -397,7 +398,7 @@ impl<F: Field> Cluster<F> {
                     }
                 }
                 Effect::SetTimer { at_us, id } => self.push(at_us, from, Event::Timer(id)),
-                Effect::Persist(_) | Effect::Halt(_) => {}
+                Effect::Persist(_) | Effect::Halt(_) | Effect::FlightDump { .. } => {}
             }
         }
     }
@@ -793,6 +794,37 @@ fn exposures(sink: &ReplaySink, peer: usize) -> usize {
 }
 
 #[test]
+fn an_exposure_hands_its_flight_dump_to_the_driver() {
+    // N = 8, K = 2 (dim 2), b = 2: the liar is exposed by the decode that
+    // certifies, on the fifth result
+    let mut r = sized_rig(8, 2, ConsensusKind::LeaderEcho);
+    let dir = std::env::temp_dir().join(format!("csm-core-flight-{}", std::process::id()));
+    r.cfg = r.cfg.clone().with_flight_dir(dir.clone());
+    let (me, liar) = (7, 0);
+    let empty = vec![Vec::new(); 2];
+    let mut core = exchanging(&r, me);
+    let lie = shifted(&honest_result(&r, liar, &empty), 1);
+    let mut effects = deliver_result(&r, &mut core, 600, 0, liar, lie);
+    for peer in 2..5 {
+        let values = honest_result(&r, peer, &empty);
+        effects.extend(deliver_result(&r, &mut core, 600, 0, peer, values));
+    }
+    assert_eq!(committed(&effects).len(), 1);
+    let dumps: Vec<_> = effects
+        .iter()
+        .filter_map(|e| match e {
+            Effect::FlightDump { dir, dump } => {
+                Some((dir.clone(), dump.reason.clone(), dump.implicated_peers()))
+            }
+            _ => None,
+        })
+        .collect();
+    let reason = "byzantine-detected".to_string();
+    assert_eq!(dumps, vec![(dir.clone(), reason, vec![liar as u64])]);
+    assert!(!dir.exists(), "the core writes no file");
+}
+
+#[test]
 fn a_result_after_a_certified_commit_still_exposes_its_sender() {
     // N = 8, K = 2 (dim 2), b = 2: four results certify
     let mut r = sized_rig(8, 2, ConsensusKind::LeaderEcho);
@@ -1171,7 +1203,7 @@ fn certified_commits_are_the_commits_at_the_deadline() {
         let at_delta = machine.decode_word(&word, &[]).expect("≤ b liars decode");
         assert_eq!(commits, vec![(0, at_delta.digest())], "case {case}");
         assert_eq!(core.stats().exchange_fallbacks, 0, "case {case}");
-        let decodes = core.decode_attempts;
+        let decodes = core.exchange.decodes;
         assert!(
             decodes <= (n - 2 - b + 1) as u64,
             "case {case}: {decodes} decodes"

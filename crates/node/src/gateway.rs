@@ -965,6 +965,7 @@ const STOP_POLL_INTERVAL: Duration = Duration::from_millis(200);
 /// the exchange deadline is honoured with whatever was absorbed by Δ.
 /// A durable core's `Persist`s go to `store` (a failed write panics before
 /// any later effect), timed as the committing round's `wal-fsync` phase.
+/// A `FlightDump` is written into its directory; a failed write is logged.
 pub(crate) fn drive<F: Field, T: Transport>(
     mut core: GatewayCore<F>,
     transport: &T,
@@ -994,6 +995,12 @@ pub(crate) fn drive<F: Field, T: Transport>(
                     fsync += began.elapsed();
                     if let Record::Commit(commit) = record {
                         logged = Some(commit.round);
+                    }
+                }
+                Effect::FlightDump { dir, dump } => {
+                    if let Err(e) = dump.write_to(&dir) {
+                        let reason = dump.reason;
+                        csm_telemetry::warn!("node {id}: flight dump ({reason}) failed: {e}");
                     }
                 }
                 Effect::Halt(_) => return core.into_report(),

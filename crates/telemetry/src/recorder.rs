@@ -68,31 +68,6 @@ impl FlightRecorder {
             events: self.ring.iter().map(DumpRecord::from_record).collect(),
         }
     }
-
-    /// Writes the dump to a uniquely-named JSON file in `dir` (created
-    /// if missing) and returns the file's path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn dump_to(
-        &self,
-        dir: &Path,
-        node: usize,
-        round: u64,
-        reason: &str,
-    ) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let millis = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map_or(0, |d| d.as_millis() as u64);
-        let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
-        let path = dir.join(format!("flight-{millis}-{seq}-node{node}.json"));
-        let mut file = std::fs::File::create(&path)?;
-        file.write_all(self.dump(node, round, reason).to_json().as_bytes())?;
-        file.sync_all()?;
-        Ok(path)
-    }
 }
 
 /// One event as it appears in a dump file.
@@ -144,6 +119,25 @@ pub struct FlightDump {
 }
 
 impl FlightDump {
+    /// Writes the dump to a uniquely-named, timestamped JSON file in `dir`
+    /// (created if missing) and returns the file's path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem failures.
+    pub fn write_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let millis = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| d.as_millis() as u64);
+        let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("flight-{millis}-{seq}-node{}.json", self.node));
+        let mut file = std::fs::File::create(&path)?;
+        file.write_all(self.to_json().as_bytes())?;
+        file.sync_all()?;
+        Ok(path)
+    }
+
     /// Serializes to the dump-file JSON form.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("dump serialization is infallible")
@@ -213,13 +207,13 @@ mod tests {
     }
 
     #[test]
-    fn dump_to_writes_parseable_unique_files() {
+    fn write_to_writes_parseable_unique_files() {
         let dir = std::env::temp_dir().join(format!("csm-flight-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut rec = FlightRecorder::new(4);
         rec.push(record(1, 0, Some(3), Event::EquivocationDetected));
-        let a = rec.dump_to(&dir, 2, 0, "resync").unwrap();
-        let b = rec.dump_to(&dir, 2, 0, "resync").unwrap();
+        let dump = rec.dump(2, 0, "resync");
+        let (a, b) = (dump.write_to(&dir).unwrap(), dump.write_to(&dir).unwrap());
         assert_ne!(a, b, "dump names must be unique");
         let parsed = FlightDump::from_json(&std::fs::read_to_string(&a).unwrap()).unwrap();
         assert_eq!(parsed.reason, "resync");

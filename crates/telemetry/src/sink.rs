@@ -19,7 +19,7 @@
 //! sink for scraping plus a replay sink for a determinism assertion).
 
 use crate::event::{Event, EventRecord, Phase};
-use crate::recorder::FlightRecorder;
+use crate::recorder::{FlightDump, FlightRecorder};
 use crate::registry::MetricsRegistry;
 use crate::snapshot::{CounterStat, PhaseStat, TelemetrySnapshot, ValueStat};
 use csm_core::metrics::LatencyHistogram;
@@ -195,23 +195,13 @@ impl RecordingSink {
             .events()
     }
 
-    /// Dumps the recent-event ring to a timestamped JSON file in `dir`
-    /// (created if missing) and returns the file's path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn dump(
-        &self,
-        dir: &std::path::Path,
-        node: usize,
-        round: u64,
-        reason: &str,
-    ) -> std::io::Result<std::path::PathBuf> {
+    /// The recent-event ring as a flight-recorder dump; writing it
+    /// ([`FlightDump::write_to`]) is the caller's I/O.
+    pub fn dump(&self, node: usize, round: u64, reason: &str) -> FlightDump {
         self.recorder
             .lock()
             .expect("recording sink poisoned")
-            .dump_to(dir, node, round, reason)
+            .dump(node, round, reason)
     }
 
     /// Folds everything into a [`TelemetrySnapshot`], merging in
